@@ -22,8 +22,10 @@ import numpy as np
 
 from .estimator import EstimatorReport, estimate, restrict_estimator
 from .forms import ProblemData, StatePair, energy_norms
-from .mesh import Mesh, build_initial_mesh, mesh_partition, refine, uniform_refine
-from .morley import build_space, prolongate, _compose_ancestors
+from .mesh import (
+    Mesh, build_initial_mesh, compose_ancestors, mesh_partition, refine, uniform_refine,
+)
+from .morley import build_space, prolongate
 from .solver import NewtonConfig, SolveReport, newton_solve
 
 __all__ = [
@@ -309,7 +311,7 @@ def axiom_check(coarse: LevelArtifacts, fine: LevelArtifacts) -> AxiomDiagnostic
     """
     common, coarse_only, fine_only, _ = mesh_partition(coarse.mesh, fine.mesh)
     fspace, cspace = fine.space, coarse.space
-    anc = _compose_ancestors(coarse.mesh, fine.mesh)
+    anc = compose_ancestors(coarse.mesh, fine.mesh)
 
     delta_sq = 0.0
     for cf, ff in ((coarse.state.u, fine.state.u), (coarse.state.v, fine.state.v)):
@@ -320,8 +322,7 @@ def axiom_check(coarse: LevelArtifacts, fine: LevelArtifacts) -> AxiomDiagnostic
         delta_sq += float((fine.mesh.areas * frob).sum())
     delta = float(np.sqrt(delta_sq))
 
-    fine_common = [t for t in range(fine.mesh.n_triangles) if int(anc[t]) in common
-                   and t not in fine_only]
+    fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), list(fine_only))
     ec = np.sqrt(restrict_estimator(coarse.report, common)["eta_sq"])
     ef = np.sqrt(restrict_estimator(fine.report, fine_common)["eta_sq"])
     ero_c = np.sqrt(restrict_estimator(coarse.report, coarse_only)["eta_sq"])

@@ -70,28 +70,25 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        file_values = _parse_config_file(Path(args.config))
-        explicit = {
-            a.dest for a in parser._actions
-            if any(opt in (argv if argv is not None else sys.argv[1:])
-                   for opt in a.option_strings)
-        }
-        for key, val in file_values.items():
-            if key in explicit:
-                continue
+        defaults = {}
+        for key, val in _parse_config_file(Path(args.config)).items():
             if not hasattr(args, key):
                 raise SystemExit(f"{args.config}: unknown option {key!r}")
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes", "on"))
-            elif key == "newton_tol" or isinstance(current, float):
-                setattr(args, key, float(val))
-            elif isinstance(current, int):
-                setattr(args, key, int(val))
-            else:
-                setattr(args, key, val)
-    if args.mode not in _MODES:
-        raise SystemExit(f"invalid mode {args.mode!r}; choose from {', '.join(_MODES)}")
+            if isinstance(parser.get_default(key), bool):
+                val = val.lower() in ("1", "true", "yes", "on")
+            defaults[key] = val
+        # File values become defaults, so every explicit flag still wins;
+        # argparse converts string defaults with each option's type.
+        parser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
+        # argparse checks choices on command-line values only.
+        for action in parser._actions:
+            value = getattr(args, action.dest, None)
+            if action.choices is not None and value not in action.choices:
+                raise SystemExit(
+                    f"{args.config}: invalid {action.dest} {value!r}; "
+                    f"choose from {', '.join(map(str, action.choices))}"
+                )
     return args
 
 

@@ -20,7 +20,6 @@ that records, per triangle, the ancestor triangle in the input mesh.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +27,11 @@ import numpy as np
 __all__ = [
     "Mesh",
     "MeshError",
-    "Vertex",
-    "Triangle",
-    "Edge",
     "build_initial_mesh",
     "mesh_from_arrays",
     "refine",
     "uniform_refine",
+    "compose_ancestors",
     "mesh_partition",
     "read_mesh",
     "write_mesh",
@@ -45,32 +42,6 @@ __all__ = [
 
 class MeshError(Exception):
     """Raised for malformed meshes or failed refinement closure."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Triangle:
-    id: int
-    vertices: tuple[int, int, int]
-    refinement_edge: int
-    generation: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    endpoints: tuple[int, int]
-    adjacent: tuple[int, ...]
-    is_boundary: bool
-    unit_tangent: tuple[float, float]
-    unit_normal: tuple[float, float]
-    length: float
 
 
 class Mesh:
@@ -106,6 +77,9 @@ class Mesh:
         nt = len(tv)
         if tv.size and (tv.min() < 0 or tv.max() >= len(coords)):
             raise MeshError("triangle vertex index out of range")
+        if not np.all(np.isfinite(coords)):
+            bad = int(np.argmax(~np.isfinite(coords).all(axis=1)))
+            raise MeshError(f"vertex {bad} has a non-finite coordinate")
 
         a = coords[tv[:, 0]]
         b = coords[tv[:, 1]]
@@ -176,30 +150,6 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return len(self.edge_vertices)
-
-    def vertex(self, i: int) -> Vertex:
-        x, y = self.coords[i]
-        return Vertex(i, float(x), float(y))
-
-    def triangle(self, t: int) -> Triangle:
-        return Triangle(
-            t,
-            tuple(int(v) for v in self.tri_vertices[t]),
-            int(self.tri_ref_edge[t]),
-            int(self.tri_generation[t]),
-        )
-
-    def edge(self, e: int) -> Edge:
-        adj = tuple(int(t) for t in self.edge_tris[e] if t >= 0)
-        return Edge(
-            e,
-            tuple(int(v) for v in self.edge_vertices[e]),
-            adj,
-            bool(self.edge_is_boundary[e]),
-            tuple(float(x) for x in self.edge_tangent[e]),
-            tuple(float(x) for x in self.edge_normal[e]),
-            float(self.edge_length[e]),
-        )
 
     def triangle_coords(self) -> np.ndarray:
         """Vertex coordinates per triangle, shape (ntri, 3, 2)."""
@@ -451,6 +401,21 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     return refine(mesh, range(mesh.n_triangles))
 
 
+def compose_ancestors(coarse: Mesh, fine: Mesh) -> np.ndarray:
+    """Map every triangle of ``fine`` to its ancestor triangle in ``coarse``.
+
+    Follows the parent chain through any number of refine() calls.
+    """
+    anc = np.arange(fine.n_triangles, dtype=np.int64)
+    m = fine
+    while m is not coarse:
+        if m.parent is None:
+            raise MeshError("fine mesh does not descend from the coarse mesh")
+        anc = m.ancestors[anc]
+        m = m.parent
+    return anc
+
+
 def mesh_partition(coarse: Mesh, fine: Mesh):
     """Split triangle sets of an ancestor/descendant mesh pair.
 
@@ -462,13 +427,7 @@ def mesh_partition(coarse: Mesh, fine: Mesh):
     if fine is coarse:
         ids = set(range(coarse.n_triangles))
         return ids, set(), set(), {t: t for t in ids}
-    anc = np.arange(fine.n_triangles, dtype=np.int64)
-    m = fine
-    while m is not coarse:
-        if m.parent is None:
-            raise MeshError("fine mesh does not descend from the coarse mesh")
-        anc = m.ancestors[anc]
-        m = m.parent
+    anc = compose_ancestors(coarse, fine)
     child_map = {t: int(anc[t]) for t in range(fine.n_triangles)}
     unchanged = fine.tri_generation == coarse.tri_generation[anc]
     common = set(int(a) for a in anc[unchanged])
@@ -520,50 +479,57 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
+    """Read a morleymesh file; any malformed or truncated input raises MeshError."""
     text = Path(path).read_text()
-    tokens = text.split("\n")
-    rows = [r.strip() for r in tokens if r.strip()]
+    rows = [r.strip() for r in text.split("\n") if r.strip()]
     if not rows or rows[0].split() != ["morleymesh", "1"]:
         raise MeshError(f"{path}: not a morleymesh version 1 file")
-    i = 1
-    head = rows[i].split()
-    if len(head) != 2 or head[0] != "vertices":
-        raise MeshError(f"{path}: expected vertex count")
-    nv = int(head[1])
-    i += 1
-    coords = []
-    for _ in range(nv):
-        parts = rows[i].split()
-        if len(parts) != 2:
-            raise MeshError(f"{path}: bad vertex line {rows[i]!r}")
-        coords.append((float(parts[0]), float(parts[1])))
-        i += 1
-    head = rows[i].split()
-    if len(head) != 2 or head[0] != "triangles":
-        raise MeshError(f"{path}: expected triangle count")
-    nt = int(head[1])
-    i += 1
-    tris = []
-    refs = []
-    for _ in range(nt):
-        parts = rows[i].split()
-        if len(parts) != 4:
-            raise MeshError(f"{path}: bad triangle line {rows[i]!r}")
-        tris.append(tuple(int(p) for p in parts[:3]))
-        r = int(parts[3])
-        if not 0 <= r <= 2:
-            raise MeshError(f"{path}: refinement edge {r} out of range")
-        refs.append(r)
-        i += 1
+
+    def row(i: int) -> list[str]:
+        if i >= len(rows):
+            raise MeshError(f"{path}: file ends after {len(rows)} non-empty lines")
+        return rows[i].split()
+
     try:
+        head = row(1)
+        if len(head) != 2 or head[0] != "vertices":
+            raise MeshError(f"{path}: expected vertex count")
+        nv = int(head[1])
+        if nv < 3:
+            raise MeshError(f"{path}: a mesh needs at least 3 vertices, got {nv}")
+        i = 2
+        coords = []
+        for _ in range(nv):
+            parts = row(i)
+            if len(parts) != 2:
+                raise MeshError(f"{path}: bad vertex line {rows[i]!r}")
+            coords.append((float(parts[0]), float(parts[1])))
+            i += 1
+        head = row(i)
+        if len(head) != 2 or head[0] != "triangles":
+            raise MeshError(f"{path}: expected triangle count")
+        nt = int(head[1])
+        if nt < 1:
+            raise MeshError(f"{path}: a mesh needs at least 1 triangle, got {nt}")
+        i += 1
+        tris = []
+        refs = []
+        for _ in range(nt):
+            parts = row(i)
+            if len(parts) != 4:
+                raise MeshError(f"{path}: bad triangle line {rows[i]!r}")
+            tris.append(tuple(int(p) for p in parts[:3]))
+            r = int(parts[3])
+            if not 0 <= r <= 2:
+                raise MeshError(f"{path}: refinement edge {r} out of range")
+            refs.append(r)
+            i += 1
         mesh = Mesh(
             np.asarray(coords, dtype=float).reshape(nv, 2),
             np.asarray(tris, dtype=np.int64).reshape(nt, 3),
             np.asarray(refs, dtype=np.int64),
         )
-    except MeshError:
-        raise
-    except Exception as exc:
+    except (ValueError, OverflowError) as exc:
         raise MeshError(f"{path}: {exc}") from exc
     validate(mesh)
     return mesh

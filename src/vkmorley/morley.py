@@ -10,8 +10,7 @@ Each element's six shape functions are found by solving the 6x6 duality
 system against quadratic monomials written in centered coordinates
 (x - c) / h, which keeps the system well conditioned at any refinement
 depth.  Edge functionals are taken directly against the global edge
-normal, so no per-element sign flip is needed; the sign array is kept to
-make the orientation convention explicit in the data model.
+normal, so no per-element sign flip is needed.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Mesh, MeshError
+from .mesh import Mesh, MeshError, compose_ancestors
 from .quadrature import edge_rule
 
 __all__ = [
@@ -67,7 +66,6 @@ class MorleySpace:
         self.dof_map = np.empty((nt, 6), dtype=np.int64)
         self.dof_map[:, 0:3] = self.vertex_dof[mesh.tri_vertices]
         self.dof_map[:, 3:6] = self.edge_dof[mesh.tri_edges]
-        self.signs = np.ones((nt, 6))
 
         self.centers = mesh.triangle_coords().mean(axis=1)
         self.scales = mesh.h.copy()
@@ -79,8 +77,12 @@ class MorleySpace:
     # -- local bases ---------------------------------------------------------
 
     def local_coords(self, t, points: np.ndarray) -> np.ndarray:
-        """Map physical points to the element's centered coordinates."""
-        return (points - self.centers[t]) / self.scales[t]
+        """Map physical points to the element's centered coordinates.
+
+        t is an element id or an array of them broadcasting against the
+        leading axes of points (..., 2).
+        """
+        return (points - self.centers[t]) / self.scales[t][..., None]
 
     def _monomials(self, xi: np.ndarray) -> np.ndarray:
         x, y = xi[..., 0], xi[..., 1]
@@ -157,7 +159,9 @@ class MorleySpace:
     def poly_eval(self, t, polys: np.ndarray, points: np.ndarray):
         """Evaluate centered-monomial polynomials at physical points.
 
-        Returns (values, gradients); polys has shape (..., 6) matching t.
+        Returns (values, gradients); polys has shape (..., 6) matching t,
+        which is one element id or an array of ids broadcasting against
+        the leading axes of points.
         """
         xi = self.local_coords(t, points)
         x, y = xi[..., 0], xi[..., 1]
@@ -182,21 +186,7 @@ def batch_eval(space: MorleySpace, polys: np.ndarray, points: np.ndarray):
     polys has shape (nt, 6), points (nt, q, 2); returns values (nt, q)
     and gradients (nt, q, 2).
     """
-    xi = (points - space.centers[:, None, :]) / space.scales[:, None, None]
-    x, y = xi[..., 0], xi[..., 1]
-    c = polys[:, None, :]
-    val = (
-        c[..., 0]
-        + c[..., 1] * x
-        + c[..., 2] * y
-        + c[..., 3] * x * x
-        + c[..., 4] * x * y
-        + c[..., 5] * y * y
-    )
-    s = space.scales[:, None]
-    gx = (c[..., 1] + 2.0 * c[..., 3] * x + c[..., 4] * y) / s
-    gy = (c[..., 2] + c[..., 4] * x + 2.0 * c[..., 5] * y) / s
-    return val, np.stack([gx, gy], axis=-1)
+    return space.poly_eval(np.arange(space.mesh.n_triangles)[:, None], polys[:, None, :], points)
 
 
 @dataclass
@@ -278,17 +268,6 @@ def evaluate(field: MorleyField, t: int, points, tol: float = 1e-10):
     return val, grad, hess
 
 
-def _compose_ancestors(coarse: Mesh, fine: Mesh) -> np.ndarray:
-    anc = np.arange(fine.n_triangles, dtype=np.int64)
-    m = fine
-    while m is not coarse:
-        if m.parent is None:
-            raise MeshError("fine mesh does not descend from the coarse mesh")
-        anc = m.ancestors[anc]
-        m = m.parent
-    return anc
-
-
 def prolongate(coarse_field: MorleyField, fine_space: MorleySpace) -> MorleyField:
     """Carry a coarse Morley field to a refined mesh.
 
@@ -297,45 +276,44 @@ def prolongate(coarse_field: MorleyField, fine_space: MorleySpace) -> MorleyFiel
     edge dofs average the one-sided coarse mean normal derivatives.  On
     fine triangles strictly inside one coarse triangle the result
     reproduces the coarse quadratic exactly.
+
+    All distinct (fine entity, coarse ancestor) pairs are evaluated in
+    one batch.  Each dof then sums its pairs in ascending ancestor id,
+    starting from 0.0 (``np.bincount`` adds in input order), and divides
+    by their count: the same operations in the same order as averaging
+    one entity at a time, so the coefficients are bit-identical to that.
+    Normal derivatives use ``np.vecdot``, which rounds like the dot
+    product of one gradient with one normal; the expanded
+    ``gx*nx + gy*ny`` can differ in the last bit.
     """
     cspace = coarse_field.space
     cmesh = cspace.mesh
     fmesh = fine_space.mesh
     if fmesh is cmesh and fine_space.constrained == cspace.constrained:
         return MorleyField(fine_space, coarse_field.coeffs.copy())
-    anc = _compose_ancestors(cmesh, fmesh)
+    anc = compose_ancestors(cmesh, fmesh)
     polys = cspace.element_polys(coarse_field.coeffs)
+    nc = cmesh.n_triangles
 
-    vert_tris: list[list[int]] = [[] for _ in range(fmesh.n_vertices)]
-    for t in range(fmesh.n_triangles):
-        for v in fmesh.tri_vertices[t]:
-            vert_tris[v].append(t)
+    def distinct_pairs(entity, ancestor):
+        # Sorted by entity, then by ancestor id.
+        key = np.unique(entity * nc + ancestor)
+        return key // nc, key % nc
 
-    coeffs = np.zeros(fine_space.n_dofs)
+    v, va = distinct_pairs(fmesh.tri_vertices.ravel(), np.repeat(anc, 3))
+    has_tri = fmesh.edge_tris >= 0
+    e, ea = distinct_pairs(np.nonzero(has_tri)[0], anc[fmesh.edge_tris[has_tri]])
 
-    for v in np.nonzero(fine_space.vertex_dof >= 0)[0]:
-        ancestors = sorted({int(anc[t]) for t in vert_tris[v]})
-        pt = fmesh.coords[v]
-        total = 0.0
-        for a in ancestors:
-            val, _ = cspace.poly_eval(a, polys[a], pt[None, :])
-            total += float(val[0])
-        coeffs[fine_space.vertex_dof[v]] = total / len(ancestors)
+    vals, _ = cspace.poly_eval(va, polys[va], fmesh.coords[v])
+    _, grads = cspace.poly_eval(ea, polys[ea], fine_space._midpoints[e])
+    slopes = np.vecdot(grads, fine_space.edge_normal[e])
 
-    for e in np.nonzero(fine_space.edge_dof >= 0)[0]:
-        tris = [int(t) for t in fmesh.edge_tris[e] if t >= 0]
-        ancestors = sorted({int(anc[t]) for t in tris})
-        mid = 0.5 * (
-            fmesh.coords[fmesh.edge_vertices[e, 0]] + fmesh.coords[fmesh.edge_vertices[e, 1]]
-        )
-        nu = fine_space.edge_normal[e]
-        total = 0.0
-        for a in ancestors:
-            _, grad = cspace.poly_eval(a, polys[a], mid[None, :])
-            total += float(grad[0] @ nu)
-        coeffs[fine_space.edge_dof[e]] = total / len(ancestors)
-
-    return MorleyField(fine_space, coeffs)
+    dof = np.concatenate([fine_space.vertex_dof[v], fine_space.edge_dof[e]])
+    weights = np.concatenate([vals, slopes])
+    free = dof >= 0
+    n = fine_space.n_dofs
+    sums = np.bincount(dof[free], weights=weights[free], minlength=n)
+    return MorleyField(fine_space, sums / np.bincount(dof[free], minlength=n))
 
 
 # -- serialization -----------------------------------------------------------

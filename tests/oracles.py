@@ -1,11 +1,16 @@
-"""Independent symbolic oracles for the unit tests.
+"""Independent oracles for the unit tests.
 
-Everything here is computed with sympy in exact arithmetic and
-deliberately avoids the package's own basis and assembly code paths, so
-agreement is evidence rather than tautology.
+The symbolic oracles are computed with sympy in exact arithmetic and
+deliberately avoid the package's own basis and assembly code paths, so
+agreement is evidence rather than tautology.  ``prolongate_loop`` is the
+per-entity reference for the batched ``vkmorley.morley.prolongate``.
 """
 
+import numpy as np
 import sympy as sp
+
+from vkmorley.mesh import compose_ancestors
+from vkmorley.morley import MorleyField
 
 X, Y = sp.symbols("x y")
 MONOMIALS = (sp.Integer(1), X, Y, X**2, X * Y, Y**2)
@@ -94,3 +99,51 @@ def monomial_integral_reference(a, b):
     return sp.Rational(
         sp.factorial(a) * sp.factorial(b), sp.factorial(a + b + 2)
     )
+
+
+def prolongate_loop(coarse_field, fine_space):
+    """Coarse-to-fine Morley transfer, one fine vertex and edge at a time.
+
+    Each fine dof is the mean, over the distinct coarse ancestors of its
+    incident fine triangles taken in ascending id order, of the coarse
+    value (vertices) or the coarse normal derivative at the midpoint
+    (edges).
+    """
+    cspace = coarse_field.space
+    cmesh = cspace.mesh
+    fmesh = fine_space.mesh
+    if fmesh is cmesh and fine_space.constrained == cspace.constrained:
+        return MorleyField(fine_space, coarse_field.coeffs.copy())
+    anc = compose_ancestors(cmesh, fmesh)
+    polys = cspace.element_polys(coarse_field.coeffs)
+
+    vert_tris = [[] for _ in range(fmesh.n_vertices)]
+    for t in range(fmesh.n_triangles):
+        for v in fmesh.tri_vertices[t]:
+            vert_tris[v].append(t)
+
+    coeffs = np.zeros(fine_space.n_dofs)
+
+    for v in np.nonzero(fine_space.vertex_dof >= 0)[0]:
+        ancestors = sorted({int(anc[t]) for t in vert_tris[v]})
+        pt = fmesh.coords[v]
+        total = 0.0
+        for a in ancestors:
+            val, _ = cspace.poly_eval(a, polys[a], pt[None, :])
+            total += float(val[0])
+        coeffs[fine_space.vertex_dof[v]] = total / len(ancestors)
+
+    for e in np.nonzero(fine_space.edge_dof >= 0)[0]:
+        tris = [int(t) for t in fmesh.edge_tris[e] if t >= 0]
+        ancestors = sorted({int(anc[t]) for t in tris})
+        mid = 0.5 * (
+            fmesh.coords[fmesh.edge_vertices[e, 0]] + fmesh.coords[fmesh.edge_vertices[e, 1]]
+        )
+        nu = fine_space.edge_normal[e]
+        total = 0.0
+        for a in ancestors:
+            _, grad = cspace.poly_eval(a, polys[a], mid[None, :])
+            total += float(grad[0] @ nu)
+        coeffs[fine_space.edge_dof[e]] = total / len(ancestors)
+
+    return MorleyField(fine_space, coeffs)

@@ -143,6 +143,13 @@ def test_config_file_merging(tmp_path):
     assert args.levels == 2  # explicit flag beats the file
     assert args.delta == 0.75
     assert args.dump_estimator is True
+    # the --flag=value spelling wins too, and file values keep their types
+    args = parse_args(["--config", str(cfg), "--delta=0.5", "--levels=4"])
+    assert args.delta == 0.5
+    assert args.levels == 4
+    args = parse_args(["--config", str(cfg)])
+    assert args.levels == 3 and isinstance(args.levels, int)
+    assert args.delta == 0.75
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -156,6 +163,9 @@ def test_config_file_rejects_bad_mode(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("mode = sideways\n")
     with pytest.raises(SystemExit):
+        parse_args(["--config", str(cfg)])
+    cfg.write_text("osc-order = 5\n")
+    with pytest.raises(SystemExit, match="osc_order"):
         parse_args(["--config", str(cfg)])
 
 

@@ -268,6 +268,32 @@ def test_read_mesh_rejects_garbage(tmp_path):
     bad.write_text("morleymesh 1\nvertices 1\n0 0\ntriangles 1\n0 0 0 5\n")
     with pytest.raises(MeshError):
         read_mesh(bad)
+    for counts in ("vertices -1\ntriangles 0\n", "vertices 0\ntriangles 0\n",
+                   "vertices 3\n0 0\n1 0\n0 1\ntriangles 0\n"):
+        bad.write_text("morleymesh 1\n" + counts)
+        with pytest.raises(MeshError, match="at least"):
+            read_mesh(bad)
+
+
+def test_read_mesh_rejects_truncated_file(tmp_path):
+    m = uniform_refine(build_initial_mesh("square"))
+    path = tmp_path / "m.morleymesh"
+    write_mesh(m, path)
+    lines = path.read_text().splitlines()
+    for keep in (2, 2 + m.n_vertices, len(lines) - 1):
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(MeshError, match="ends after"):
+            read_mesh(path)
+
+
+def test_non_finite_coordinates_rejected(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(MeshError, match="non-finite"):
+            mesh_from_arrays([(0, 0), (1, 0), (bad, 1)], [(0, 1, 2)])
+    path = tmp_path / "nan.morleymesh"
+    path.write_text("morleymesh 1\nvertices 3\n0 0\n1 0\nnan 1\ntriangles 1\n0 1 2 0\n")
+    with pytest.raises(MeshError, match="non-finite"):
+        read_mesh(path)
 
 
 def test_svg_output(tmp_path):

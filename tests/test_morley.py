@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vkmorley.mesh import build_initial_mesh, mesh_from_arrays, refine, uniform_refine
 from vkmorley.morley import (
     MorleyField,
+    batch_eval,
     build_space,
     evaluate,
     interpolate,
@@ -294,6 +297,67 @@ def test_prolongate_preserves_global_quadratic():
         pts = rng.dirichlet([1, 1, 1], size=10) @ fine_mesh.triangle_coords()[c]
         vals, _, _ = evaluate(g, c, pts)
         np.testing.assert_allclose(vals, q(pts[:, 0], pts[:, 1]), atol=1e-10)
+
+
+def _random_descent(rng, domain, pre, steps):
+    """A coarse mesh and a descendant after ``steps`` random marked refinements."""
+    coarse = build_initial_mesh(domain)
+    for _ in range(pre):
+        coarse = uniform_refine(coarse)
+    fine = coarse
+    for _ in range(steps):
+        n = fine.n_triangles
+        fine = refine(fine, rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+    return coarse, fine
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    domain=st.sampled_from(["square", "lshape"]),
+    pre=st.integers(0, 2),
+    steps=st.integers(1, 3),
+    constrained=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prolongate_matches_loop_reference(domain, pre, steps, constrained, seed):
+    rng = np.random.default_rng(seed)
+    coarse, fine = _random_descent(rng, domain, pre, steps)
+    cs = build_space(coarse, constrained=constrained)
+    fs = build_space(fine, constrained=constrained)
+    f = MorleyField(cs, rng.standard_normal(cs.n_dofs))
+    np.testing.assert_array_equal(
+        prolongate(f, fs).coeffs, oc.prolongate_loop(f, fs).coeffs
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    domain=st.sampled_from(["square", "lshape"]),
+    pre=st.integers(0, 2),
+    steps=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prolongate_reproduces_quadratic_on_every_fine_triangle(domain, pre, steps, seed):
+    # Every NVB fine triangle lies inside one coarse triangle, and an
+    # interpolated quadratic is that quadratic on every coarse triangle,
+    # so each fine element polynomial must be the quadratic again.
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, 6)
+    q = lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+    dq = lambda x, y: (c[1] + 2 * c[3] * x + c[4] * y, c[2] + c[4] * x + 2 * c[5] * y)
+    coarse, fine = _random_descent(rng, domain, pre, steps)
+    fs = build_space(fine, constrained=False)
+    g = prolongate(interpolate(build_space(coarse, constrained=False), q, dq), fs)
+
+    bary = rng.dirichlet([1, 1, 1], size=(fine.n_triangles, 4))
+    pts = np.einsum("tqk,tkd->tqd", bary, fine.triangle_coords())
+    vals, grads = batch_eval(fs, fs.element_polys(g.coeffs), pts)
+    x, y = pts[..., 0], pts[..., 1]
+    np.testing.assert_allclose(vals, q(x, y), atol=1e-11)
+    np.testing.assert_allclose(grads[..., 0], dq(x, y)[0], atol=1e-9)
+    np.testing.assert_allclose(grads[..., 1], dq(x, y)[1], atol=1e-9)
+    hess = np.broadcast_to([2 * c[3], c[4], 2 * c[5]], (fine.n_triangles, 3))
+    np.testing.assert_allclose(fs.element_hessians(g.coeffs), hess, atol=1e-7)
 
 
 # -- serialization -----------------------------------------------------------

@@ -144,6 +144,34 @@ def test_biharmonic_guess_solves_decoupled_system():
     np.testing.assert_allclose(A @ guess.v.coeffs, load[n:], atol=1e-10)
 
 
+def test_biharmonic_guess_factorises_once(monkeypatch):
+    prob = get_problem("square-trig")
+    space = square_space(3)
+    A = assemble_bilaplacian(space)
+    load = assemble_load(space, prob.data)
+    n = space.n_dofs
+    assert np.any(load[n:])
+    separate = [linear_solve(SparseSystem(A, load[:n])), linear_solve(SparseSystem(A, load[n:]))]
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda M: calls.append(M) or splu(M))
+    guess = biharmonic_guess(space, prob.data)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(guess.u.coeffs, separate[0])
+    np.testing.assert_array_equal(guess.v.coeffs, separate[1])
+
+
+def test_block_rhs_solves_each_column():
+    space = square_space(3)
+    A = assemble_bilaplacian(space)
+    rng = np.random.default_rng(23)
+    B = rng.standard_normal((space.n_dofs, 3))
+    X = linear_solve(SparseSystem(A, B))
+    assert X.shape == B.shape
+    for k in range(3):
+        np.testing.assert_array_equal(X[:, k], linear_solve(SparseSystem(A, B[:, k])))
+
+
 def test_max_iter_reports_nonconvergence():
     prob = get_problem("square-poly")
     space = square_space(2)

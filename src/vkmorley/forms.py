@@ -142,14 +142,14 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     shapes = np.einsum("tqm,tmi->tqi", mono, space.coeffs)  # (nt, q, 6)
     warea = rule.weights[None, :] * space.mesh.areas[:, None]
 
+    dm = space.dof_map
+    mask = dm >= 0
     for offset, func in ((0, data.f), (n, data.g)):
         if func is None:
             continue
         fv = np.asarray(func(pts[..., 0], pts[..., 1]), dtype=float)
         local = np.einsum("tq,tq,tqi->ti", warea, fv, shapes)
-        dm = space.dof_map
-        mask = dm >= 0
-        np.add.at(out, dm[mask] + offset, local[mask])
+        out[offset:offset + n] = np.bincount(dm[mask], weights=local[mask], minlength=n)
     return out
 
 
@@ -217,8 +217,8 @@ def apply_residual(
         mask = dm >= 0
         local1 = -br_uv[:, None] * SI  # test block p
         local2 = 0.5 * br_uu[:, None] * SI  # test block q
-        np.add.at(r, dm[mask], local1[mask])
-        np.add.at(r, dm[mask] + n, local2[mask])
+        r[:n] += np.bincount(dm[mask], weights=local1[mask], minlength=n)
+        r[n:] += np.bincount(dm[mask], weights=local2[mask], minlength=n)
     return r
 
 

@@ -41,13 +41,10 @@ _DUALITY_TOL = 1e-10
 class MorleySpace:
     """Global Morley space on a mesh, with per-element shape data."""
 
-    def __init__(self, mesh: Mesh, constrained: bool = True, _reverse_edges: bool = False):
+    def __init__(self, mesh: Mesh, constrained: bool = True):
         self.mesh = mesh
         self.constrained = constrained
-
-        sign = -1.0 if _reverse_edges else 1.0
-        self.edge_normal = sign * mesh.edge_normal
-        self.edge_tangent = sign * mesh.edge_tangent
+        self.edge_normal = mesh.edge_normal
 
         nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
         self.vertex_dof = np.full(nv, -1, dtype=np.int64)
@@ -73,6 +70,8 @@ class MorleySpace:
         self._midpoints = 0.5 * (
             mesh.coords[mesh.edge_vertices[:, 0]] + mesh.coords[mesh.edge_vertices[:, 1]]
         )
+        # Position of each dof: its vertex, or its edge's midpoint.
+        self.dof_coords = np.concatenate([mesh.coords[free_v], self._midpoints[free_e]])
 
     # -- local bases ---------------------------------------------------------
 
@@ -200,8 +199,8 @@ class MorleyField:
         return MorleyField(self.space, self.coeffs.copy())
 
 
-def build_space(mesh: Mesh, constrained: bool = True, _reverse_edges: bool = False) -> MorleySpace:
-    return MorleySpace(mesh, constrained=constrained, _reverse_edges=_reverse_edges)
+def build_space(mesh: Mesh, constrained: bool = True) -> MorleySpace:
+    return MorleySpace(mesh, constrained=constrained)
 
 
 def zero_field(space: MorleySpace) -> MorleyField:

@@ -3,9 +3,27 @@
 The Jacobian at a state is the block bilaplacian plus the state-frozen
 linearized bracket; it is exact for the quadratic nonlinearity, so the
 iteration converges quadratically near a regular solution.  Steps are
-damped by halving whenever the residual norm would grow.  Linear
-systems go through a sparse direct LU factorization; the Jacobian is
-treated as a general nonsymmetric matrix.
+damped by halving whenever the residual norm would grow.
+
+Linear systems go through SuperLU in a fill-reducing nested-dissection
+order (A. George, "Nested dissection of a regular finite element mesh",
+SIAM J. Numer. Anal. 10, 1973).  ``dissection_order`` builds it by
+recursive coordinate bisection of the dof positions
+(``MorleySpace.dof_coords``), cutting along the 0/1 pattern of the
+bilaplacian A; the values of A have mixed signs and cancel, so they
+say nothing about adjacency.  The order is computed once per mesh: the
+decoupled guess factorises A in it, and every Newton Jacobian
+[[A + B_v, B_u], [C_u, A]], whose bracket blocks share the element
+pattern of A, is factorised in the same order with u and v
+interleaved.
+
+Rows and columns are permuted alike, so SuperLU runs in symmetric mode
+with no column ordering of its own: it keeps a diagonal pivot whenever
+that pivot is at least ``_PIVOT_THRESH`` times the largest entry of its
+column, which preserves the order's fill, and pivots off the diagonal
+otherwise.  J is structurally symmetric but not symmetric in value, and
+a small pivot threshold trades stability for fill, so every solve
+checks its residual against the unpermuted matrix.
 """
 
 from __future__ import annotations
@@ -28,11 +46,17 @@ from .forms import (
 )
 from .morley import MorleySpace
 
-__all__ = ["NewtonConfig", "SolveReport", "SolverError", "linear_solve", "newton_solve"]
+__all__ = ["NewtonConfig", "SolveReport", "SolverError", "dissection_order", "linear_solve",
+           "newton_solve"]
 
 logger = logging.getLogger(__name__)
 
 _RESID_CHECK = 1e-11
+# Subsets of at most this many dofs are not split further.
+_ND_LEAF = 16
+# SuperLU keeps the diagonal pivot if it is at least this fraction of
+# the largest entry in its column.
+_PIVOT_THRESH = 0.01
 
 
 class SolverError(Exception):
@@ -63,22 +87,81 @@ class SolveReport:
     tolerance: float = 0.0
 
 
-def linear_solve(system: SparseSystem) -> np.ndarray:
-    """Direct sparse solve with a residual sanity check.
+def _bisect(nodes: np.ndarray, coords: np.ndarray, pattern: sp.csr_matrix,
+            in_right: np.ndarray):
+    """Split a node subset into (left, right, separator).
 
-    The right-hand side may be one vector or an (n, k) block of k
-    vectors; one factorisation serves all of them, and each column's
-    residual is checked against its own right-hand-side norm.
+    The subset is cut at the median of its longer coordinate extent; the
+    separator is the set of left-half nodes with a pattern neighbour in
+    the right half, and left excludes it.  in_right is an all-False
+    scratch mask over every node and is all-False again on return.
     """
-    A = system.matrix.tocsc()
+    pts = coords[nodes]
+    axis = int(np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]))
+    ranked = nodes[np.argsort(pts[:, axis], kind="stable")]
+    half = len(nodes) // 2
+    left, right = ranked[:half], ranked[half:]
+
+    starts = pattern.indptr[left]
+    counts = pattern.indptr[left + 1] - starts
+    first = np.cumsum(counts) - counts
+    neighbours = pattern.indices[np.repeat(starts - first, counts) + np.arange(counts.sum())]
+    owner = np.repeat(np.arange(half), counts)
+
+    in_right[right] = True
+    on_cut = np.zeros(half, dtype=bool)
+    on_cut[owner[in_right[neighbours]]] = True
+    in_right[right] = False
+    return left[~on_cut], right, left[on_cut]
+
+
+def dissection_order(coords: np.ndarray, pattern: sp.spmatrix) -> np.ndarray:
+    """Nested-dissection order of the nodes of a structurally symmetric pattern.
+
+    coords (n, 2) places node i in the plane; only the nonzero structure
+    of the n x n matrix pattern is read.  Each subset is ordered as
+    [left, right, separator] (see ``_bisect``), recursively, down to
+    leaves of at most ``_ND_LEAF`` nodes kept in the order they arrive.
+    Returns a permutation of range(n).
+    """
+    pattern = pattern.tocsr()
+    in_right = np.zeros(len(coords), dtype=bool)
+    pieces = []
+
+    def order(nodes):
+        if len(nodes) <= _ND_LEAF:
+            pieces.append(nodes)
+            return
+        left, right, separator = _bisect(nodes, coords, pattern, in_right)
+        order(left)
+        order(right)
+        pieces.append(separator)
+
+    order(np.arange(len(coords)))
+    return np.concatenate(pieces)
+
+
+def linear_solve(system: SparseSystem, order: np.ndarray) -> np.ndarray:
+    """Direct sparse solve in a symmetric order, with a residual check.
+
+    The matrix M is factorised as M[order][:, order] (rows and columns
+    permuted alike) and the solution is permuted back.  The right-hand
+    side may be one vector or an (n, k) block of k vectors; one
+    factorisation serves all of them, and each column's residual is
+    checked against its own right-hand-side norm on the unpermuted M.
+    """
+    A = system.matrix.tocsr()
     b = system.rhs
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
+                       diag_pivot_thresh=_PIVOT_THRESH, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
+    y = lu.solve(b[order])
+    if not np.all(np.isfinite(y)):
         raise SolverError("linear solve produced non-finite values")
+    x = np.empty_like(y)
+    x[order] = y
     X, B = (x, b) if b.ndim == 2 else (x[:, None], b[:, None])
     for k in range(B.shape[1]):
         resid = np.linalg.norm(A @ X[:, k] - B[:, k])
@@ -90,18 +173,25 @@ def linear_solve(system: SparseSystem) -> np.ndarray:
 
 def biharmonic_guess(space: MorleySpace, data: ProblemData,
                      A: sp.csr_matrix | None = None,
-                     load: np.ndarray | None = None) -> StatePair:
-    """Initial state from the decoupled linear problem (brackets off)."""
+                     load: np.ndarray | None = None,
+                     order: np.ndarray | None = None) -> StatePair:
+    """Initial state from the decoupled linear problem (brackets off).
+
+    order is the scalar dof order of A (``dissection_order``), computed
+    here when not given.
+    """
     if A is None:
         A = assemble_bilaplacian(space)
     if load is None:
         load = assemble_load(space, data)
+    if order is None:
+        order = dissection_order(space.dof_coords, A)
     n = space.n_dofs
     f, g = load[:n], load[n:]
     if np.any(g):
-        u, v = linear_solve(SparseSystem(A, np.column_stack([f, g]))).T
+        u, v = linear_solve(SparseSystem(A, np.column_stack([f, g])), order).T
     else:
-        u, v = linear_solve(SparseSystem(A, f)), np.zeros(n)
+        u, v = linear_solve(SparseSystem(A, f), order), np.zeros(n)
     return StatePair.from_vector(space, np.concatenate([u, v]))
 
 
@@ -114,18 +204,20 @@ def newton_solve(
     """Solve the discrete system by damped Newton iteration.
 
     Without an initial state the decoupled linear solve seeds the
-    iteration.  The returned report carries the full residual history
+    iteration.  One dof order per call serves that solve and every
+    Newton step.  The returned report carries the full residual history
     (including the initial residual) and the tolerance actually used.
     """
     config = config or NewtonConfig()
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
+    order = dissection_order(space.dof_coords, A)
     tol = config.residual_tol
     if tol is None:
         tol = max(1e-10 * float(np.linalg.norm(load)), 1e-12)
 
     if initial is None:
-        state = biharmonic_guess(space, data, A, load)
+        state = biharmonic_guess(space, data, A, load, order)
     else:
         state = StatePair.from_vector(space, initial.to_vector())
 
@@ -136,6 +228,11 @@ def newton_solve(
     report.residuals.append(rnorm)
 
     A2 = sp.block_diag((A, A), format="csr")
+    # u and v of each dof side by side, in the scalar order.
+    n = space.n_dofs
+    order2 = np.empty(2 * n, dtype=order.dtype)
+    order2[0::2] = order
+    order2[1::2] = order + n
     for _ in range(config.max_iter):
         if rnorm <= tol:
             report.converged = True
@@ -144,7 +241,7 @@ def newton_solve(
             J = A2 + assemble_linearized_bracket(space, state)
         else:
             J = A2
-        delta = linear_solve(SparseSystem(J, -r))
+        delta = linear_solve(SparseSystem(J, -r), order2)
 
         # Backtracking: halve the step while the residual grows; if no
         # tried step decreases it, keep the best one seen.

@@ -4,13 +4,18 @@ The symbolic oracles are computed with sympy in exact arithmetic and
 deliberately avoid the package's own basis and assembly code paths, so
 agreement is evidence rather than tautology.  ``prolongate_loop`` is the
 per-entity reference for the batched ``vkmorley.morley.prolongate``.
+``reversed_edge_space`` builds a space under the opposite edge-normal
+convention, for tests that the convention stays internal, and
+``random_descent`` draws random marked NVB refinements.
 """
+
+import copy
 
 import numpy as np
 import sympy as sp
 
-from vkmorley.mesh import compose_ancestors
-from vkmorley.morley import MorleyField
+from vkmorley.mesh import build_initial_mesh, compose_ancestors, refine, uniform_refine
+from vkmorley.morley import MorleyField, build_space
 
 X, Y = sp.symbols("x y")
 MONOMIALS = (sp.Integer(1), X, Y, X**2, X * Y, Y**2)
@@ -147,3 +152,27 @@ def prolongate_loop(coarse_field, fine_space):
         coeffs[fine_space.edge_dof[e]] = total / len(ancestors)
 
     return MorleyField(fine_space, coeffs)
+
+
+def reversed_edge_space(mesh, constrained=True):
+    """Morley space on a shallow copy of mesh with every edge reversed.
+
+    The copy's edge normals and tangents are negated; mesh itself is
+    left untouched.
+    """
+    flipped = copy.copy(mesh)
+    flipped.edge_normal = -mesh.edge_normal
+    flipped.edge_tangent = -mesh.edge_tangent
+    return build_space(flipped, constrained=constrained)
+
+
+def random_descent(rng, domain, pre, steps):
+    """A coarse mesh and a descendant after ``steps`` random marked refinements."""
+    coarse = build_initial_mesh(domain)
+    for _ in range(pre):
+        coarse = uniform_refine(coarse)
+    fine = coarse
+    for _ in range(steps):
+        n = fine.n_triangles
+        fine = refine(fine, rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+    return coarse, fine

@@ -244,7 +244,7 @@ def test_reversed_edge_orientation_is_internal_only():
     q = lambda x, y: x * x * y + 0.5 * y * y
     dq = lambda x, y: (2.0 * x * y, x * x + y)
     a = interpolate(build_space(mesh), q, dq)
-    b = interpolate(build_space(mesh, _reverse_edges=True), q, dq)
+    b = interpolate(oc.reversed_edge_space(mesh), q, dq)
     np.testing.assert_allclose(
         a.space.element_polys(a.coeffs), b.space.element_polys(b.coeffs), atol=1e-12
     )
@@ -299,18 +299,6 @@ def test_prolongate_preserves_global_quadratic():
         np.testing.assert_allclose(vals, q(pts[:, 0], pts[:, 1]), atol=1e-10)
 
 
-def _random_descent(rng, domain, pre, steps):
-    """A coarse mesh and a descendant after ``steps`` random marked refinements."""
-    coarse = build_initial_mesh(domain)
-    for _ in range(pre):
-        coarse = uniform_refine(coarse)
-    fine = coarse
-    for _ in range(steps):
-        n = fine.n_triangles
-        fine = refine(fine, rng.choice(n, size=rng.integers(1, n + 1), replace=False))
-    return coarse, fine
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     domain=st.sampled_from(["square", "lshape"]),
@@ -321,7 +309,7 @@ def _random_descent(rng, domain, pre, steps):
 )
 def test_prolongate_matches_loop_reference(domain, pre, steps, constrained, seed):
     rng = np.random.default_rng(seed)
-    coarse, fine = _random_descent(rng, domain, pre, steps)
+    coarse, fine = oc.random_descent(rng, domain, pre, steps)
     cs = build_space(coarse, constrained=constrained)
     fs = build_space(fine, constrained=constrained)
     f = MorleyField(cs, rng.standard_normal(cs.n_dofs))
@@ -345,7 +333,7 @@ def test_prolongate_reproduces_quadratic_on_every_fine_triangle(domain, pre, ste
     c = rng.uniform(-1.0, 1.0, 6)
     q = lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
     dq = lambda x, y: (c[1] + 2 * c[3] * x + c[4] * y, c[2] + c[4] * x + 2 * c[5] * y)
-    coarse, fine = _random_descent(rng, domain, pre, steps)
+    coarse, fine = oc.random_descent(rng, domain, pre, steps)
     fs = build_space(fine, constrained=False)
     g = prolongate(interpolate(build_space(coarse, constrained=False), q, dq), fs)
 

@@ -4,19 +4,31 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vkmorley import solver
 from vkmorley.forms import (
     ProblemData,
     SparseSystem,
     StatePair,
     apply_residual,
     assemble_bilaplacian,
+    assemble_linearized_bracket,
     assemble_load,
 )
 from vkmorley.mesh import build_initial_mesh, uniform_refine
 from vkmorley.morley import build_space, prolongate
 from vkmorley.problems import get_problem
-from vkmorley.solver import NewtonConfig, biharmonic_guess, linear_solve, newton_solve
+from vkmorley.solver import (
+    NewtonConfig,
+    biharmonic_guess,
+    dissection_order,
+    linear_solve,
+    newton_solve,
+)
+
+import oracles as oc
 
 
 def square_space(levels):
@@ -26,12 +38,16 @@ def square_space(levels):
     return build_space(mesh)
 
 
+def space_order(space, A):
+    return dissection_order(space.dof_coords, A)
+
+
 # -- linear_solve ------------------------------------------------------------
 
 
 def test_identity_system_returns_rhs():
     rhs = np.arange(1.0, 6.0)
-    x = linear_solve(SparseSystem(sp.eye(5, format="csr"), rhs))
+    x = linear_solve(SparseSystem(sp.eye(5, format="csr"), rhs), np.arange(5)[::-1])
     np.testing.assert_allclose(x, rhs, atol=1e-14)
 
 
@@ -40,7 +56,7 @@ def test_spd_block_agrees_with_cg():
     A = assemble_bilaplacian(space)
     rng = np.random.default_rng(21)
     b = rng.standard_normal(space.n_dofs)
-    x = linear_solve(SparseSystem(A.tocsr(), b))
+    x = linear_solve(SparseSystem(A.tocsr(), b), space_order(space, A))
     xcg, info = spla.cg(A, b, rtol=1e-13, maxiter=5000)
     assert info == 0
     np.testing.assert_allclose(x, xcg, atol=1e-9 * max(1.0, abs(xcg).max()))
@@ -52,7 +68,7 @@ def test_random_sparse_system_agrees_with_dense():
     dense[np.abs(dense) < 0.8] = 0.0
     dense += 50.0 * np.eye(50)  # keep the diagonal after sparsification
     b = rng.standard_normal(50)
-    x = linear_solve(SparseSystem(sp.csr_matrix(dense), b))
+    x = linear_solve(SparseSystem(sp.csr_matrix(dense), b), rng.permutation(50))
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=1e-10)
 
 
@@ -61,7 +77,101 @@ def test_singular_system_raises():
 
     M = sp.csr_matrix(np.zeros((3, 3)))
     with pytest.raises(SolverError):
-        linear_solve(SparseSystem(M, np.ones(3)))
+        linear_solve(SparseSystem(M, np.ones(3)), np.arange(3))
+
+
+# -- dissection_order -------------------------------------------------------
+
+DESCENTS = dict(
+    domain=st.sampled_from(["square", "lshape"]),
+    pre=st.integers(0, 3),
+    steps=st.integers(1, 3),
+    constrained=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def descent_space(domain, pre, steps, constrained, seed):
+    _, fine = oc.random_descent(np.random.default_rng(seed), domain, pre, steps)
+    return build_space(fine, constrained=constrained)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DESCENTS)
+def test_order_is_a_permutation(domain, pre, steps, constrained, seed):
+    space = descent_space(domain, pre, steps, constrained, seed)
+    order = space_order(space, assemble_bilaplacian(space))
+    np.testing.assert_array_equal(np.sort(order), np.arange(space.n_dofs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DESCENTS)
+def test_every_separator_disconnects_its_halves(domain, pre, steps, constrained, seed):
+    # Replay the recursion one split at a time.  The graph is the 0/1
+    # pattern of A; its values are replaced by ones so that no entry
+    # that cancels to zero hides an edge.
+    space = descent_space(domain, pre, steps, constrained, seed)
+    A = assemble_bilaplacian(space)
+    P = sp.csr_matrix((np.ones_like(A.data), A.indices, A.indptr), shape=A.shape)
+    in_right = np.zeros(space.n_dofs, dtype=bool)
+
+    def replay(nodes):
+        if len(nodes) <= solver._ND_LEAF:
+            return [nodes]
+        left, right, separator = solver._bisect(nodes, space.dof_coords, P, in_right)
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([left, right, separator])), np.sort(nodes))
+        assert P[left][:, right].nnz == 0
+        assert P[right][:, left].nnz == 0
+        return replay(left) + replay(right) + [separator]
+
+    order = np.concatenate(replay(np.arange(space.n_dofs)))
+    assert not in_right.any()
+    np.testing.assert_array_equal(order, space_order(space, A))
+
+
+@pytest.fixture(scope="module")
+def trig_jacobian():
+    """Newton system at the decoupled guess on square-trig, mesh size 0.03."""
+    prob = get_problem("square-trig")
+    mesh = build_initial_mesh("square")
+    while mesh.h.max() > 0.03:
+        mesh = uniform_refine(mesh)
+    space = build_space(mesh)
+    A = assemble_bilaplacian(space)
+    load = assemble_load(space, prob.data)
+    guess = biharmonic_guess(space, prob.data, A, load)
+    J = (sp.block_diag((A, A)) + assemble_linearized_bracket(space, guess)).tocsc()
+    rhs = -apply_residual(space, guess, prob.data, A, load)
+    n = space.n_dofs
+    order2 = np.empty(2 * n, dtype=np.int64)
+    order2[0::2] = space_order(space, A)
+    order2[1::2] = order2[0::2] + n
+    return J, rhs, order2
+
+
+def test_ordered_jacobian_solve_matches_default_splu(trig_jacobian):
+    J, rhs, order2 = trig_jacobian
+    reference = spla.splu(J).solve(rhs)
+    x = linear_solve(SparseSystem(J, rhs), order2)
+    assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_ordered_jacobian_fill_below_colamd(trig_jacobian, monkeypatch):
+    J, rhs, order2 = trig_jacobian
+    colamd = spla.splu(J)
+    factors = []
+    splu = spla.splu
+
+    def spy(M, **kwargs):
+        factors.append(splu(M, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", spy)
+    linear_solve(SparseSystem(J, rhs), order2)
+    assert len(factors) == 1
+    fill = factors[0].L.nnz + factors[0].U.nnz
+    assert fill < colamd.L.nnz + colamd.U.nnz
 
 
 # -- newton_solve ------------------------------------------------------------
@@ -91,7 +201,9 @@ def test_biharmonic_mode_is_one_newton_step():
     load = assemble_load(space, prob.data)
     n = space.n_dofs
     np.testing.assert_allclose(
-        state.u.coeffs, linear_solve(SparseSystem(A.tocsr(), load[:n])), atol=1e-11
+        state.u.coeffs,
+        linear_solve(SparseSystem(A.tocsr(), load[:n]), space_order(space, A)),
+        atol=1e-11,
     )
     # with the bracket off the Galerkin identity holds to machine terms
     r = apply_residual(space, state, prob.data)
@@ -151,10 +263,12 @@ def test_biharmonic_guess_factorises_once(monkeypatch):
     load = assemble_load(space, prob.data)
     n = space.n_dofs
     assert np.any(load[n:])
-    separate = [linear_solve(SparseSystem(A, load[:n])), linear_solve(SparseSystem(A, load[n:]))]
+    order = space_order(space, A)
+    separate = [linear_solve(SparseSystem(A, load[:n]), order),
+                linear_solve(SparseSystem(A, load[n:]), order)]
     calls = []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda M: calls.append(M) or splu(M))
+    monkeypatch.setattr(spla, "splu", lambda M, **kwargs: calls.append(M) or splu(M, **kwargs))
     guess = biharmonic_guess(space, prob.data)
     assert len(calls) == 1
     np.testing.assert_array_equal(guess.u.coeffs, separate[0])
@@ -166,10 +280,11 @@ def test_block_rhs_solves_each_column():
     A = assemble_bilaplacian(space)
     rng = np.random.default_rng(23)
     B = rng.standard_normal((space.n_dofs, 3))
-    X = linear_solve(SparseSystem(A, B))
+    order = space_order(space, A)
+    X = linear_solve(SparseSystem(A, B), order)
     assert X.shape == B.shape
     for k in range(3):
-        np.testing.assert_array_equal(X[:, k], linear_solve(SparseSystem(A, B[:, k])))
+        np.testing.assert_array_equal(X[:, k], linear_solve(SparseSystem(A, B[:, k]), order))
 
 
 def test_max_iter_reports_nonconvergence():

@@ -13,7 +13,6 @@ solution on the fine mesh for the distance term.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
@@ -21,10 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import EstimatorReport, estimate, restrict_estimator
-from .forms import ProblemData, StatePair, energy_norms
-from .mesh import (
-    Mesh, build_initial_mesh, compose_ancestors, mesh_partition, refine, uniform_refine,
-)
+from .forms import _FROB, ProblemData, StatePair, energy_norms
+from .mesh import Mesh, build_initial_mesh, mesh_partition, refine, uniform_refine
 from .morley import build_space, prolongate
 from .solver import NewtonConfig, SolveReport, newton_solve
 
@@ -103,6 +100,10 @@ class AmfemConfig:
             )
         if self.max_levels < 1:
             raise ValueError("need at least one level")
+        if self.max_ndofs < 1:
+            raise ValueError(f"dof cap must be at least 1, got {self.max_ndofs}")
+        if self.osc_order not in (0, 1, 2):
+            raise ValueError(f"oscillation order must be 0, 1 or 2, got {self.osc_order}")
 
 
 @dataclass
@@ -137,10 +138,8 @@ class ConvergenceReport:
     mode: str
     rows: list[LevelRow] = dfield(default_factory=list)
 
-    def to_csv(self, path_or_buf) -> None:
-        own = isinstance(path_or_buf, (str, Path))
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+    def to_csv(self, path) -> None:
+        with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for r in self.rows:
@@ -154,14 +153,6 @@ class ConvergenceReport:
                         "" if r.rate_eta is None else f"{r.rate_eta:.17g}",
                     ]
                 )
-        finally:
-            if own:
-                fh.close()
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
     def rate_table(self) -> list[tuple[int, float | None]]:
         return [(r.level, r.rate_eta) for r in self.rows]
@@ -210,9 +201,11 @@ def _run(problem, cfg: AmfemConfig, mode: str) -> RunResult:
             )
         state, solve = newton_solve(space, data, initial, cfg.newton)
         if not solve.converged:
+            tail = ", ".join(f"{r:.3e}" for r in solve.residuals[-3:])
             raise RuntimeError(
                 f"Newton failed on level {level} "
-                f"({space.n_dofs} dofs, residual {solve.residuals[-1]:.3e})"
+                f"({space.n_dofs} dofs, residual {solve.residuals[-1]:.3e}, "
+                f"tolerance {solve.tolerance:.3e}, last residuals {tail})"
             )
         est = estimate(space, state, data, cfg.osc_order)
 
@@ -309,28 +302,24 @@ def axiom_check(coarse: LevelArtifacts, fine: LevelArtifacts) -> AxiomDiagnostic
     evaluated exactly: the coarse polynomials restrict to each fine
     triangle through its ancestor.
     """
-    common, coarse_only, fine_only, _ = mesh_partition(coarse.mesh, fine.mesh)
+    common, coarse_only, fine_only, anc = mesh_partition(coarse.mesh, fine.mesh)
     fspace, cspace = fine.space, coarse.space
-    anc = compose_ancestors(coarse.mesh, fine.mesh)
 
     delta_sq = 0.0
     for cf, ff in ((coarse.state.u, fine.state.u), (coarse.state.v, fine.state.v)):
-        Hc = cspace.element_hessians(cf.coeffs)[anc]
-        Hf = fspace.element_hessians(ff.coeffs)
-        d = Hf - Hc
-        frob = d[:, 0] ** 2 + 2.0 * d[:, 1] ** 2 + d[:, 2] ** 2
-        delta_sq += float((fine.mesh.areas * frob).sum())
+        d = fspace.element_hessians(ff.coeffs) - cspace.element_hessians(cf.coeffs)[anc]
+        delta_sq += float(np.einsum("tc,c,t->", d**2, _FROB, fine.mesh.areas))
     delta = float(np.sqrt(delta_sq))
 
-    fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), list(fine_only))
-    ec = np.sqrt(restrict_estimator(coarse.report, common)["eta_sq"])
-    ef = np.sqrt(restrict_estimator(fine.report, fine_common)["eta_sq"])
-    ero_c = np.sqrt(restrict_estimator(coarse.report, coarse_only)["eta_sq"])
-    ero_f = np.sqrt(restrict_estimator(fine.report, fine_only)["eta_sq"])
-    mc = np.sqrt(restrict_estimator(coarse.report, common)["mu_sq"])
-    mf = np.sqrt(restrict_estimator(fine.report, fine_common)["mu_sq"])
-    mro_c = np.sqrt(restrict_estimator(coarse.report, coarse_only)["mu_sq"])
-    mro_f = np.sqrt(restrict_estimator(fine.report, fine_only)["mu_sq"])
+    fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only)
+    common_c = restrict_estimator(coarse.report, common)
+    common_f = restrict_estimator(fine.report, fine_common)
+    refined_c = restrict_estimator(coarse.report, coarse_only)
+    refined_f = restrict_estimator(fine.report, fine_only)
+    ec, mc = np.sqrt(common_c["eta_sq"]), np.sqrt(common_c["mu_sq"])
+    ef, mf = np.sqrt(common_f["eta_sq"]), np.sqrt(common_f["mu_sq"])
+    ero_c, mro_c = np.sqrt(refined_c["eta_sq"]), np.sqrt(refined_c["mu_sq"])
+    ero_f, mro_f = np.sqrt(refined_f["eta_sq"]), np.sqrt(refined_f["mu_sq"])
 
     q_eta = 2.0 ** (-0.25)
     q_mu = 2.0 ** (-0.5)

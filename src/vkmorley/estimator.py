@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .forms import ProblemData, StatePair, vk_bracket
-from .morley import MorleySpace
+from .morley import MorleySpace, monomials
 from .quadrature import triangle_rule, triangle_points
 
 __all__ = ["EstimatorReport", "estimate", "oscillation", "restrict_estimator"]
@@ -36,7 +36,6 @@ class EstimatorReport:
     mu_sq: np.ndarray
     osc_sq: np.ndarray
     areas: np.ndarray
-    osc_order: int
 
     @property
     def total_eta_sq(self) -> float:
@@ -70,11 +69,8 @@ class EstimatorReport:
                 )
 
 
-def _volume_terms(space: MorleySpace, state: StatePair, data: ProblemData) -> np.ndarray:
+def _volume_terms(mesh, Hu: np.ndarray, Hv: np.ndarray, data: ProblemData) -> np.ndarray:
     """|K|^2 weighted L2 norms of both strong volume residuals."""
-    mesh = space.mesh
-    Hu = space.element_hessians(state.u.coeffs)
-    Hv = space.element_hessians(state.v.coeffs)
     br_uv = vk_bracket(Hu, Hv)
     br_uu = vk_bracket(Hu, Hu)
 
@@ -94,41 +90,34 @@ def _volume_terms(space: MorleySpace, state: StatePair, data: ProblemData) -> np
     return mesh.areas**2 * (res1 + res2)
 
 
-def _edge_terms(space: MorleySpace, state: StatePair) -> np.ndarray:
+def _edge_terms(mesh, Hu: np.ndarray, Hv: np.ndarray) -> np.ndarray:
     """|K|^(1/2) weighted tangential Hessian jump norms per triangle."""
-    mesh = space.mesh
-    jump_sq = np.zeros(mesh.n_edges)
     tau = mesh.edge_tangent
-    for coeffs in (state.u.coeffs, state.v.coeffs):
-        H = space.element_hessians(coeffs)  # (nt, 3) rows (hxx, hxy, hyy)
+    t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    inner = t1 >= 0
+    jump_sq = np.zeros(mesh.n_edges)
+    for H in (Hu, Hv):
         # Hessian times tangent, one value per edge side.
-        t0 = mesh.edge_tris[:, 0]
-        t1 = mesh.edge_tris[:, 1]
-        H0 = H[t0]
+        H0, H1 = H[t0], H[np.where(inner, t1, 0)]
         jx0 = H0[:, 0] * tau[:, 0] + H0[:, 1] * tau[:, 1]
         jy0 = H0[:, 1] * tau[:, 0] + H0[:, 2] * tau[:, 1]
-        inner = t1 >= 0
-        H1 = H[np.where(inner, t1, 0)]
         jx1 = np.where(inner, H1[:, 0] * tau[:, 0] + H1[:, 1] * tau[:, 1], 0.0)
         jy1 = np.where(inner, H1[:, 1] * tau[:, 0] + H1[:, 2] * tau[:, 1], 0.0)
         jump_sq += (jx0 - jx1) ** 2 + (jy0 - jy1) ** 2
 
-    edge_contrib = mesh.edge_length * jump_sq  # ||jump||^2 over the edge
-    out = np.zeros(mesh.n_triangles)
-    for k in range(3):
-        out += edge_contrib[mesh.tri_edges[:, k]]
+    # ||jump||^2 over each edge, summed over the triangle's three edges.
+    out = (mesh.edge_length * jump_sq)[mesh.tri_edges].sum(axis=1)
     return np.sqrt(mesh.areas) * out
 
 
-def oscillation(mesh_or_space, func, order: int, quad_degree: int = 4) -> np.ndarray:
+def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> np.ndarray:
     """Per-triangle squared data oscillation h^4 ||f - P_m f||^2.
 
     P_m is the elementwise L2 projection onto polynomials of total
     degree at most order (0, 1 or 2), computed with a quadrature rule
     exact for the projection system.
     """
-    space = mesh_or_space
-    mesh = getattr(space, "mesh", space)
+    mesh = space.mesh
     if order not in (0, 1, 2):
         raise ValueError(f"oscillation order must be 0, 1 or 2, got {order}")
 
@@ -137,13 +126,9 @@ def oscillation(mesh_or_space, func, order: int, quad_degree: int = 4) -> np.nda
     wts = rule.weights[None, :]
     fv = np.asarray(func(pts[..., 0], pts[..., 1]), dtype=float)
 
-    centers = mesh.triangle_coords().mean(axis=1)
-    scale = np.sqrt(mesh.areas)
-    xi = (pts - centers[:, None, :]) / scale[:, None, None]
-    x, y = xi[..., 0], xi[..., 1]
-    cols = [np.ones_like(x), x, y, x * x, x * y, y * y]
+    xi = space.local_coords(np.arange(mesh.n_triangles)[:, None], pts)
     nb = {0: 1, 1: 3, 2: 6}[order]
-    basis = np.stack(cols[:nb], axis=-1)  # (nt, q, nb)
+    basis = monomials(xi)[..., :nb]  # (nt, q, nb)
 
     M = np.einsum("tq,tqi,tqj->tij", wts, basis, basis)
     rhs = np.einsum("tq,tq,tqi->ti", wts, fv, basis)
@@ -159,21 +144,23 @@ def estimate(
     space: MorleySpace, state: StatePair, data: ProblemData, osc_order: int = 0
 ) -> EstimatorReport:
     """Assemble the full indicator report for a solved state."""
-    mu_sq = _volume_terms(space, state, data)
-    eta_sq = mu_sq + _edge_terms(space, state)
+    mesh = space.mesh
+    Hu = space.element_hessians(state.u.coeffs)
+    Hv = space.element_hessians(state.v.coeffs)
+    mu_sq = _volume_terms(mesh, Hu, Hv, data)
+    eta_sq = mu_sq + _edge_terms(mesh, Hu, Hv)
     osc_sq = oscillation(space, data.f, osc_order, data.quad_degree)
     return EstimatorReport(
         eta_sq=eta_sq,
         mu_sq=mu_sq,
         osc_sq=osc_sq,
-        areas=space.mesh.areas.copy(),
-        osc_order=osc_order,
+        areas=mesh.areas.copy(),
     )
 
 
 def restrict_estimator(report: EstimatorReport, subset) -> dict:
-    """Partial sums over a set of triangle ids."""
-    ids = np.asarray(sorted(set(int(t) for t in subset)), dtype=np.int64)
+    """Partial sums over an array of triangle ids; repeated ids count once."""
+    ids = np.unique(np.asarray(subset, dtype=np.int64))
     if len(ids) and (ids[0] < 0 or ids[-1] >= len(report.eta_sq)):
         raise ValueError("triangle id outside the report's mesh")
     return {

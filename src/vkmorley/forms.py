@@ -26,13 +26,12 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .morley import MorleyField, MorleySpace, batch_eval
+from .morley import MorleyField, MorleySpace, batch_eval, hessians, monomials
 from .quadrature import triangle_rule, triangle_points
 
 __all__ = [
     "ProblemData",
     "StatePair",
-    "SparseSystem",
     "vk_bracket",
     "assemble_bilaplacian",
     "assemble_load",
@@ -90,14 +89,6 @@ class StatePair:
         )
 
 
-@dataclass
-class SparseSystem:
-    """A sparse operator with its right-hand side (u block first)."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-
-
 def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Bracket of Hessians given as (..., 3) rows (hxx, hxy, hyy)."""
     return (
@@ -136,10 +127,8 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     out = np.zeros(2 * n)
     rule = triangle_rule(data.quad_degree)
     pts = triangle_points(rule, space.mesh.triangle_coords())  # (nt, q, 2)
-    xi = (pts - space.centers[:, None, :]) / space.scales[:, None, None]
-    x, y = xi[..., 0], xi[..., 1]
-    mono = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
-    shapes = np.einsum("tqm,tmi->tqi", mono, space.coeffs)  # (nt, q, 6)
+    xi = space.local_coords(np.arange(space.mesh.n_triangles)[:, None], pts)
+    shapes = np.einsum("tqm,tmi->tqi", monomials(xi), space.coeffs)  # (nt, q, 6)
     warea = rule.weights[None, :] * space.mesh.areas[:, None]
 
     dm = space.dof_map
@@ -153,12 +142,6 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     return out
 
 
-def _state_brackets(space: MorleySpace, state: StatePair):
-    Hu = space.element_hessians(state.u.coeffs)
-    Hv = space.element_hessians(state.v.coeffs)
-    return Hu, Hv
-
-
 def assemble_linearized_bracket(space: MorleySpace, state: StatePair) -> sp.csr_matrix:
     """Derivative of the quadratic bracket terms at a state (2n square).
 
@@ -166,15 +149,13 @@ def assemble_linearized_bracket(space: MorleySpace, state: StatePair) -> sp.csr_
     (du, dv); the (q, dv) block is zero.
     """
     n = space.n_dofs
-    Hu, Hv = _state_brackets(space, state)
-    H = space.shape_hess
+    Hu = space.element_hessians(state.u.coeffs)
+    Hv = space.element_hessians(state.v.coeffs)
     SI = space.shape_integral  # (nt, 6)
 
     # [w, shape_j] for the frozen fields, shape (nt, 6).
-    br_u = Hu[:, None, 0] * H[:, :, 2] + Hu[:, None, 2] * H[:, :, 0] \
-        - 2.0 * Hu[:, None, 1] * H[:, :, 1]
-    br_v = Hv[:, None, 0] * H[:, :, 2] + Hv[:, None, 2] * H[:, :, 0] \
-        - 2.0 * Hv[:, None, 1] * H[:, :, 1]
+    br_u = vk_bracket(Hu[:, None, :], space.shape_hess)
+    br_v = vk_bracket(Hv[:, None, :], space.shape_hess)
 
     blocks = (
         (0, 0, -np.einsum("ti,tj->tij", SI, br_v)),
@@ -209,7 +190,8 @@ def apply_residual(
     x = state.to_vector()
     r = np.concatenate([A @ x[:n], A @ x[n:]]) - load
     if data.include_bracket:
-        Hu, Hv = _state_brackets(space, state)
+        Hu = space.element_hessians(state.u.coeffs)
+        Hv = space.element_hessians(state.v.coeffs)
         br_uv = vk_bracket(Hu, Hv)
         br_uu = vk_bracket(Hu, Hu)
         SI = space.shape_integral
@@ -235,10 +217,10 @@ def energy_norms(space: MorleySpace, state: StatePair, exact, degree: int = 6):
     warea = rule.weights[None, :] * mesh.areas[:, None]
     X, Y = pts[..., 0], pts[..., 1]
 
-    Hu = space.element_hessians(state.u.coeffs)
-    Hv = space.element_hessians(state.v.coeffs)
     pu = space.element_polys(state.u.coeffs)
     pv = space.element_polys(state.v.coeffs)
+    Hu = hessians(pu, space.scales)
+    Hv = hessians(pv, space.scales)
     _, gu = batch_eval(space, pu, pts)
     _, gv = batch_eval(space, pv, pts)
 
@@ -254,11 +236,3 @@ def energy_norms(space: MorleySpace, state: StatePair, exact, degree: int = 6):
 
     energy = np.einsum("tc,c,t->", Hu**2 + Hv**2, _FROB, mesh.areas)
     return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))
-
-
-def state_energy(space: MorleySpace, state: StatePair) -> float:
-    """Piecewise H2 seminorm of a state pair."""
-    Hu = space.element_hessians(state.u.coeffs)
-    Hv = space.element_hessians(state.v.coeffs)
-    total = np.einsum("tc,c,t->", Hu**2 + Hv**2, _FROB, space.mesh.areas)
-    return float(np.sqrt(total))

@@ -155,15 +155,6 @@ class Mesh:
         """Vertex coordinates per triangle, shape (ntri, 3, 2)."""
         return self.coords[self.tri_vertices]
 
-    def equals(self, other: "Mesh") -> bool:
-        """Bit-identical coordinates and connectivity (ancestry ignored)."""
-        return (
-            self.coords.shape == other.coords.shape
-            and np.array_equal(self.coords, other.coords)
-            and np.array_equal(self.tri_vertices, other.tri_vertices)
-            and np.array_equal(self.tri_ref_edge, other.tri_ref_edge)
-        )
-
 
 # -- refinement edge assignment ---------------------------------------------
 
@@ -419,21 +410,17 @@ def compose_ancestors(coarse: Mesh, fine: Mesh) -> np.ndarray:
 def mesh_partition(coarse: Mesh, fine: Mesh):
     """Split triangle sets of an ancestor/descendant mesh pair.
 
-    Returns (common, coarse_only, fine_only, child_map): common holds
-    coarse ids of triangles surviving unchanged, coarse_only the refined
-    coarse ids, fine_only the fine ids of newly created triangles, and
-    child_map maps every fine id to its coarse ancestor id.
+    Returns sorted id arrays (common, coarse_only, fine_only) and anc:
+    common holds coarse ids of triangles surviving unchanged,
+    coarse_only the refined coarse ids, fine_only the fine ids of newly
+    created triangles, and anc (``compose_ancestors``) the coarse
+    ancestor of every fine triangle.
     """
-    if fine is coarse:
-        ids = set(range(coarse.n_triangles))
-        return ids, set(), set(), {t: t for t in ids}
     anc = compose_ancestors(coarse, fine)
-    child_map = {t: int(anc[t]) for t in range(fine.n_triangles)}
     unchanged = fine.tri_generation == coarse.tri_generation[anc]
-    common = set(int(a) for a in anc[unchanged])
-    coarse_only = set(range(coarse.n_triangles)) - common
-    fine_only = set(int(t) for t in np.nonzero(~unchanged)[0])
-    return common, coarse_only, fine_only, child_map
+    common = np.unique(anc[unchanged])
+    coarse_only = np.setdiff1d(np.arange(coarse.n_triangles), common)
+    return common, coarse_only, np.nonzero(~unchanged)[0], anc
 
 
 # -- validation --------------------------------------------------------------
@@ -568,19 +555,3 @@ def write_svg(mesh: Mesh, path, width: float = 800.0) -> None:
         parts.append(f'<path d="{d}" fill="none" stroke="#334" stroke-width="{sw:.2f}"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
-
-
-def interior_angles(mesh: Mesh) -> np.ndarray:
-    """All interior angles in radians, shape (ntri, 3)."""
-    pts = mesh.triangle_coords()
-    out = np.empty((mesh.n_triangles, 3))
-    for k in range(3):
-        a = pts[:, k]
-        b = pts[:, (k + 1) % 3]
-        c = pts[:, (k + 2) % 3]
-        u = b - a
-        v = c - a
-        dot = np.einsum("ij,ij->i", u, v)
-        cr = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-        out[:, k] = np.arctan2(np.abs(cr), dot)
-    return out

@@ -8,15 +8,17 @@ mean normal derivatives over interior edges.
 
 Each element's six shape functions are found by solving the 6x6 duality
 system against quadratic monomials written in centered coordinates
-(x - c) / h, which keeps the system well conditioned at any refinement
-depth.  Edge functionals are taken directly against the global edge
-normal, so no per-element sign flip is needed.
+(x - c) / h.  The centring makes the vertex rows scale-free, but the
+edge rows (normal derivatives) stay in physical units, so the system's
+condition number grows like 1/h: the duality residual check rejects
+meshes whose smallest triangles have h below about 6.5e-7.  Edge
+functionals are taken directly against the global edge normal, so no
+per-element sign flip is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,15 +29,31 @@ __all__ = [
     "MorleySpace",
     "MorleyField",
     "build_space",
+    "hessians",
     "interpolate",
-    "evaluate",
+    "monomials",
     "prolongate",
-    "write_field",
-    "read_field",
 ]
 
 _COND_LIMIT = 1e12
 _DUALITY_TOL = 1e-10
+
+
+def monomials(xi: np.ndarray) -> np.ndarray:
+    """Quadratic monomials (1, x, y, x^2, xy, y^2) of points (..., 2)."""
+    x, y = xi[..., 0], xi[..., 1]
+    return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
+
+
+def hessians(polys: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Constant Hessians of centered quadratics as (..., 3) rows (hxx, hxy, hyy).
+
+    polys (..., 6) holds monomial coefficients in the centered variable
+    (x - c) / h; scales holds h and broadcasts against polys[..., 0].
+    """
+    s2 = scales**2
+    return np.stack([2.0 * polys[..., 3] / s2, polys[..., 4] / s2, 2.0 * polys[..., 5] / s2],
+                    axis=-1)
 
 
 class MorleySpace:
@@ -66,10 +84,10 @@ class MorleySpace:
 
         self.centers = mesh.triangle_coords().mean(axis=1)
         self.scales = mesh.h.copy()
-        self._build_local_bases()
         self._midpoints = 0.5 * (
             mesh.coords[mesh.edge_vertices[:, 0]] + mesh.coords[mesh.edge_vertices[:, 1]]
         )
+        self._build_local_bases()
         # Position of each dof: its vertex, or its edge's midpoint.
         self.dof_coords = np.concatenate([mesh.coords[free_v], self._midpoints[free_e]])
 
@@ -83,27 +101,16 @@ class MorleySpace:
         """
         return (points - self.centers[t]) / self.scales[t][..., None]
 
-    def _monomials(self, xi: np.ndarray) -> np.ndarray:
-        x, y = xi[..., 0], xi[..., 1]
-        return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
-
     def _build_local_bases(self) -> None:
         mesh = self.mesh
         nt = mesh.n_triangles
-        pts = mesh.triangle_coords()
-        xi_v = (pts - self.centers[:, None, :]) / self.scales[:, None, None]
-
-        mids = np.empty((nt, 3, 2))
-        normals = np.empty((nt, 3, 2))
-        for k in range(3):
-            e = mesh.tri_edges[:, k]
-            ev = mesh.edge_vertices[e]
-            mids[:, k] = 0.5 * (mesh.coords[ev[:, 0]] + mesh.coords[ev[:, 1]])
-            normals[:, k] = self.edge_normal[e]
-        xi_m = (mids - self.centers[:, None, :]) / self.scales[:, None, None]
+        own = np.arange(nt)[:, None]
+        xi_v = self.local_coords(own, mesh.triangle_coords())
+        xi_m = self.local_coords(own, self._midpoints[mesh.tri_edges])
+        normals = self.edge_normal[mesh.tri_edges]
 
         D = np.empty((nt, 6, 6))
-        D[:, 0:3, :] = self._monomials(xi_v)
+        D[:, 0:3, :] = monomials(xi_v)
         nx, ny = normals[..., 0], normals[..., 1]
         xm, ym = xi_m[..., 0], xi_m[..., 1]
         s = self.scales[:, None]
@@ -128,14 +135,12 @@ class MorleySpace:
             raise MeshError(f"Morley duality residual {resid:.2e} exceeds {_DUALITY_TOL}")
 
         C = self.coeffs
-        s2 = (self.scales**2)[:, None]
-        self.shape_hess = np.stack(
-            [2.0 * C[:, 3, :] / s2, C[:, 4, :] / s2, 2.0 * C[:, 5, :] / s2], axis=-1
-        )  # (nt, 6, 3) as (hxx, hxy, hyy)
+        # (nt, 6, 3): one Hessian row per shape function.
+        self.shape_hess = hessians(np.swapaxes(C, 1, 2), self.scales[:, None])
 
         # Integral of each shape function: edge-midpoint rule, exact for
         # quadratics.
-        vals = np.einsum("tkj,tji->tki", self._monomials(xi_m), C)
+        vals = np.einsum("tkj,tji->tki", monomials(xi_m), C)
         self.shape_integral = (mesh.areas[:, None] / 3.0) * vals.sum(axis=1)
 
     # -- field algebra -------------------------------------------------------
@@ -151,9 +156,7 @@ class MorleySpace:
 
     def element_hessians(self, coeffs: np.ndarray) -> np.ndarray:
         """Piecewise constant Hessians as (nt, 3) rows (hxx, hxy, hyy)."""
-        p = self.element_polys(coeffs)
-        s2 = self.scales**2
-        return np.stack([2.0 * p[:, 3] / s2, p[:, 4] / s2, 2.0 * p[:, 5] / s2], axis=-1)
+        return hessians(self.element_polys(coeffs), self.scales)
 
     def poly_eval(self, t, polys: np.ndarray, points: np.ndarray):
         """Evaluate centered-monomial polynomials at physical points.
@@ -195,16 +198,9 @@ class MorleyField:
     space: MorleySpace
     coeffs: np.ndarray
 
-    def copy(self) -> "MorleyField":
-        return MorleyField(self.space, self.coeffs.copy())
-
 
 def build_space(mesh: Mesh, constrained: bool = True) -> MorleySpace:
     return MorleySpace(mesh, constrained=constrained)
-
-
-def zero_field(space: MorleySpace) -> MorleyField:
-    return MorleyField(space, np.zeros(space.n_dofs))
 
 
 def interpolate(space: MorleySpace, v, grad, edge_points: int = 3) -> MorleyField:
@@ -239,32 +235,6 @@ def interpolate(space: MorleySpace, v, grad, edge_points: int = 3) -> MorleyFiel
             )
         coeffs[space.edge_dof[eidx]] = acc
     return MorleyField(space, coeffs)
-
-
-def evaluate(field: MorleyField, t: int, points, tol: float = 1e-10):
-    """Evaluate a Morley field inside one triangle.
-
-    Returns (values, gradients, hessian) where hessian is the constant
-    (hxx, hxy, hyy) row of the element.  Points outside the triangle
-    (barycentric coordinate below -tol) raise ValueError.
-    """
-    space = field.space
-    mesh = space.mesh
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tri = mesh.coords[mesh.tri_vertices[t]]
-    T = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    lam12 = np.linalg.solve(T, (pts - tri[0]).T).T
-    lam0 = 1.0 - lam12.sum(axis=1)
-    bary = np.column_stack([lam0, lam12])
-    if np.any(bary < -tol):
-        raise ValueError(f"point outside triangle {t}")
-
-    polys = space.element_polys(field.coeffs)[t]
-    val, grad = space.poly_eval(t, polys, pts)
-    hess = space.element_hessians(field.coeffs)[t]
-    if np.ndim(points) == 1:
-        return val[0], grad[0], hess
-    return val, grad, hess
 
 
 def prolongate(coarse_field: MorleyField, fine_space: MorleySpace) -> MorleyField:
@@ -313,24 +283,3 @@ def prolongate(coarse_field: MorleyField, fine_space: MorleySpace) -> MorleyFiel
     n = fine_space.n_dofs
     sums = np.bincount(dof[free], weights=weights[free], minlength=n)
     return MorleyField(fine_space, sums / np.bincount(dof[free], minlength=n))
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def write_field(field: MorleyField, path) -> None:
-    lines = ["morleyfield 1", f"{field.space.n_dofs}"]
-    lines.extend(f"{c:.17g}" for c in field.coeffs)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_field(path, space: MorleySpace) -> MorleyField:
-    rows = [r.strip() for r in Path(path).read_text().split("\n") if r.strip()]
-    if not rows or rows[0].split() != ["morleyfield", "1"]:
-        raise ValueError(f"{path}: not a morleyfield version 1 file")
-    n = int(rows[1])
-    if n != space.n_dofs:
-        raise ValueError(f"{path}: field has {n} dofs, space has {space.n_dofs}")
-    if len(rows) != 2 + n:
-        raise ValueError(f"{path}: expected {n} coefficient lines")
-    return MorleyField(space, np.asarray([float(r) for r in rows[2:]], dtype=float))

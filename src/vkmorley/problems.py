@@ -6,9 +6,9 @@ Manufactured cases prescribe the pair (u, v) and carry right-hand sides
 
 derived symbolically offline (docs/derive_loads.py) and hard-coded here
 in factored form.  Each exact solution also exposes its gradient,
-Hessian (as hxx, hxy, hyy), and bilaplacian so the registry self-check
-can confirm the transcription: plugging the exact fields into the
-strong residual must give zero, and clamped boundary data must hold.
+Hessian (as hxx, hxy, hyy), and bilaplacian so that tests can confirm
+the transcription: plugging the exact fields into the strong residual
+must give zero, and clamped boundary data must hold.
 
 All callables are vectorized over numpy arrays.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .forms import ProblemData
 
-__all__ = ["ExactSolution", "ManufacturedProblem", "registry", "get_problem", "check_problem"]
+__all__ = ["ExactSolution", "ManufacturedProblem", "registry", "get_problem"]
 
 
 @dataclass
@@ -203,41 +203,3 @@ def get_problem(name: str) -> ManufacturedProblem:
     except KeyError:
         known = ", ".join(sorted(registry))
         raise KeyError(f"unknown problem {name!r}; available: {known}") from None
-
-
-def check_problem(problem: ManufacturedProblem, n_samples: int = 64, seed: int = 7) -> float:
-    """Max strong-residual and boundary defect of the exact data.
-
-    Returns the largest absolute defect found; raises nothing.  Only
-    meaningful for problems with an exact solution.
-    """
-    if problem.exact is None:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    if problem.domain == "square":
-        x = rng.uniform(0.05, 0.95, n_samples)
-        y = rng.uniform(0.05, 0.95, n_samples)
-    else:
-        raise ValueError(f"no sampler for domain {problem.domain!r}")
-    ex = problem.exact
-    uxx, uxy, uyy = ex.d2u(x, y)
-    vxx, vxy, vyy = ex.d2v(x, y)
-    if problem.data.include_bracket:
-        br_uv = uxx * vyy + uyy * vxx - 2.0 * uxy * vxy
-        br_uu = 2.0 * (uxx * uyy - uxy**2)
-    else:
-        br_uv = br_uu = np.zeros_like(x)
-    r1 = ex.lap2_u(x, y) - br_uv - problem.data.f(x, y)
-    gv = problem.data.g(x, y) if problem.data.g is not None else 0.0
-    r2 = ex.lap2_v(x, y) + 0.5 * br_uu - gv
-    defect = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-
-    # Clamped data on the boundary of the unit square.
-    s = rng.uniform(0.0, 1.0, n_samples)
-    zero = np.zeros_like(s)
-    one = np.ones_like(s)
-    for bx, by in ((s, zero), (s, one), (zero, s), (one, s)):
-        defect = max(defect, float(np.abs(ex.u(bx, by)).max()))
-        gx, gy = ex.du(bx, by)
-        defect = max(defect, float(np.abs(gx).max()), float(np.abs(gy).max()))
-    return defect

@@ -29,6 +29,7 @@ checks its residual against the unpermuted matrix.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,6 @@ import scipy.sparse.linalg as spla
 
 from .forms import (
     ProblemData,
-    SparseSystem,
     StatePair,
     apply_residual,
     assemble_bilaplacian,
@@ -67,19 +67,31 @@ class SolverError(Exception):
 class NewtonConfig:
     """Newton iteration controls.
 
-    residual_tol of None resolves to 1e-10 times the load vector norm,
-    floored at 1e-12.  Damping halves the step at most max_halvings
-    times; if the residual still grows the full remaining step is taken
-    and the event is counted.
+    residual_tol is an absolute bound on the residual norm.  None picks
+    the default rule of ``_default_tolerance``, re-evaluated at every
+    iterate.  Damping halves the step at most max_halvings times; if the
+    residual still grows the full remaining step is taken and the event
+    is counted.
     """
 
     residual_tol: float | None = None
     max_iter: int = 20
     max_halvings: int = 6
 
+    def __post_init__(self) -> None:
+        tol = self.residual_tol
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"Newton tolerance must be finite and positive, got {tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"need at least one Newton iteration, got {self.max_iter}")
+        if self.max_halvings < 0:
+            raise ValueError(f"damping halvings must be non-negative, got {self.max_halvings}")
+
 
 @dataclass
 class SolveReport:
+    """Newton history; tolerance is the one applied to the last residual."""
+
     iterations: int = 0
     residuals: list[float] = field(default_factory=list)
     converged: bool = False
@@ -141,17 +153,16 @@ def dissection_order(coords: np.ndarray, pattern: sp.spmatrix) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def linear_solve(system: SparseSystem, order: np.ndarray) -> np.ndarray:
-    """Direct sparse solve in a symmetric order, with a residual check.
+def linear_solve(A: sp.spmatrix, b: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Solve A x = b directly in a symmetric order, with a residual check.
 
-    The matrix M is factorised as M[order][:, order] (rows and columns
-    permuted alike) and the solution is permuted back.  The right-hand
-    side may be one vector or an (n, k) block of k vectors; one
-    factorisation serves all of them, and each column's residual is
-    checked against its own right-hand-side norm on the unpermuted M.
+    A is factorised as A[order][:, order] (rows and columns permuted
+    alike) and the solution is permuted back.  b may be one vector or an
+    (n, k) block of k vectors; one factorisation serves all of them, and
+    each column's residual is checked against its own right-hand-side
+    norm on the unpermuted A.
     """
-    A = system.matrix.tocsr()
-    b = system.rhs
+    A = A.tocsr()
     try:
         lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
                        diag_pivot_thresh=_PIVOT_THRESH, options=dict(SymmetricMode=True))
@@ -171,28 +182,35 @@ def linear_solve(system: SparseSystem, order: np.ndarray) -> np.ndarray:
     return x
 
 
-def biharmonic_guess(space: MorleySpace, data: ProblemData,
-                     A: sp.csr_matrix | None = None,
-                     load: np.ndarray | None = None,
-                     order: np.ndarray | None = None) -> StatePair:
+def biharmonic_guess(space: MorleySpace, A: sp.csr_matrix, load: np.ndarray,
+                     order: np.ndarray) -> StatePair:
     """Initial state from the decoupled linear problem (brackets off).
 
-    order is the scalar dof order of A (``dissection_order``), computed
-    here when not given.
+    A is the bilaplacian, load both load blocks (length 2n) and order
+    the scalar dof order of A (``dissection_order``).
     """
-    if A is None:
-        A = assemble_bilaplacian(space)
-    if load is None:
-        load = assemble_load(space, data)
-    if order is None:
-        order = dissection_order(space.dof_coords, A)
     n = space.n_dofs
     f, g = load[:n], load[n:]
     if np.any(g):
-        u, v = linear_solve(SparseSystem(A, np.column_stack([f, g])), order).T
+        u, v = linear_solve(A, np.column_stack([f, g]), order).T
     else:
-        u, v = linear_solve(SparseSystem(A, f), order), np.zeros(n)
+        u, v = linear_solve(A, f, order), np.zeros(n)
     return StatePair.from_vector(space, np.concatenate([u, v]))
+
+
+def _default_tolerance(abs_A: sp.csr_matrix, load: np.ndarray, x: np.ndarray) -> float:
+    """Default Newton tolerance at the iterate x (u block, then v block).
+
+    max(1e-10 |load|, 1e-12, eps | |A2| |x| + |load| |), where A2 is
+    the block bilaplacian diag(A, A) and abs_A = |A| entrywise.  The
+    last term is the rounding floor of A2 x - load: Morley load entries
+    scale with element area while |A| grows with refinement, so on fine
+    meshes the load term alone falls below what the residual can reach.
+    """
+    n = abs_A.shape[0]
+    ax = np.concatenate([abs_A @ np.abs(x[:n]), abs_A @ np.abs(x[n:])])
+    floor = np.finfo(float).eps * float(np.linalg.norm(ax + np.abs(load)))
+    return max(1e-10 * float(np.linalg.norm(load)), 1e-12, floor)
 
 
 def newton_solve(
@@ -206,22 +224,21 @@ def newton_solve(
     Without an initial state the decoupled linear solve seeds the
     iteration.  One dof order per call serves that solve and every
     Newton step.  The returned report carries the full residual history
-    (including the initial residual) and the tolerance actually used.
+    (including the initial residual) and the tolerance applied to the
+    last residual.
     """
     config = config or NewtonConfig()
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
     order = dissection_order(space.dof_coords, A)
-    tol = config.residual_tol
-    if tol is None:
-        tol = max(1e-10 * float(np.linalg.norm(load)), 1e-12)
+    abs_A = abs(A)
 
     if initial is None:
-        state = biharmonic_guess(space, data, A, load, order)
+        state = biharmonic_guess(space, A, load, order)
     else:
         state = StatePair.from_vector(space, initial.to_vector())
 
-    report = SolveReport(tolerance=tol)
+    report = SolveReport()
     x = state.to_vector()
     r = apply_residual(space, state, data, A, load)
     rnorm = float(np.linalg.norm(r))
@@ -233,15 +250,17 @@ def newton_solve(
     order2 = np.empty(2 * n, dtype=order.dtype)
     order2[0::2] = order
     order2[1::2] = order + n
-    for _ in range(config.max_iter):
-        if rnorm <= tol:
-            report.converged = True
+    tol = config.residual_tol
+    while True:
+        report.tolerance = _default_tolerance(abs_A, load, x) if tol is None else tol
+        report.converged = rnorm <= report.tolerance
+        if report.converged or report.iterations >= config.max_iter:
             break
         if data.include_bracket:
             J = A2 + assemble_linearized_bracket(space, state)
         else:
             J = A2
-        delta = linear_solve(SparseSystem(J, -r), order2)
+        delta = linear_solve(J, -r, order2)
 
         # Backtracking: halve the step while the residual grows; if no
         # tried step decreases it, keep the best one seen.
@@ -264,12 +283,10 @@ def newton_solve(
         rnorm, x, state, r = accepted
         report.residuals.append(rnorm)
         report.iterations += 1
-    else:
-        report.converged = rnorm <= tol
 
     if not report.converged:
         logger.warning(
             "Newton did not converge: %d iterations, residual %.3e (tol %.3e)",
-            report.iterations, rnorm, tol,
+            report.iterations, rnorm, report.tolerance,
         )
     return state, report

@@ -6,7 +6,10 @@ agreement is evidence rather than tautology.  ``prolongate_loop`` is the
 per-entity reference for the batched ``vkmorley.morley.prolongate``.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
 convention, for tests that the convention stays internal, and
-``random_descent`` draws random marked NVB refinements.
+``random_descent`` draws random marked NVB refinements.  ``evaluate``,
+``interior_angles`` and ``mesh_equals`` are inspection tools for
+fields and meshes, and ``check_problem`` checks a registry entry's
+exact data against its loads.
 """
 
 import copy
@@ -176,3 +179,89 @@ def random_descent(rng, domain, pre, steps):
         n = fine.n_triangles
         fine = refine(fine, rng.choice(n, size=rng.integers(1, n + 1), replace=False))
     return coarse, fine
+
+
+def evaluate(field, t, points, tol=1e-10):
+    """Evaluate a Morley field inside one triangle.
+
+    Returns (values, gradients, hessian) where hessian is the constant
+    (hxx, hxy, hyy) row of the element.  Points outside the triangle
+    (barycentric coordinate below -tol) raise ValueError.
+    """
+    space = field.space
+    mesh = space.mesh
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    tri = mesh.coords[mesh.tri_vertices[t]]
+    T = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
+    lam12 = np.linalg.solve(T, (pts - tri[0]).T).T
+    bary = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
+    if np.any(bary < -tol):
+        raise ValueError(f"point outside triangle {t}")
+
+    polys = space.element_polys(field.coeffs)[t]
+    val, grad = space.poly_eval(t, polys, pts)
+    hess = space.element_hessians(field.coeffs)[t]
+    if np.ndim(points) == 1:
+        return val[0], grad[0], hess
+    return val, grad, hess
+
+
+def interior_angles(mesh):
+    """All interior angles in radians, shape (ntri, 3)."""
+    pts = mesh.triangle_coords()
+    out = np.empty((mesh.n_triangles, 3))
+    for k in range(3):
+        u = pts[:, (k + 1) % 3] - pts[:, k]
+        v = pts[:, (k + 2) % 3] - pts[:, k]
+        dot = np.einsum("ij,ij->i", u, v)
+        cr = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        out[:, k] = np.arctan2(np.abs(cr), dot)
+    return out
+
+
+def mesh_equals(a, b):
+    """Bit-identical coordinates and connectivity (ancestry ignored)."""
+    return (
+        a.coords.shape == b.coords.shape
+        and np.array_equal(a.coords, b.coords)
+        and np.array_equal(a.tri_vertices, b.tri_vertices)
+        and np.array_equal(a.tri_ref_edge, b.tri_ref_edge)
+    )
+
+
+def check_problem(problem, n_samples=64, seed=7):
+    """Max strong-residual and boundary defect of the exact data.
+
+    Returns the largest absolute defect found; raises nothing.  Only
+    meaningful for problems with an exact solution.
+    """
+    if problem.exact is None:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    if problem.domain == "square":
+        x = rng.uniform(0.05, 0.95, n_samples)
+        y = rng.uniform(0.05, 0.95, n_samples)
+    else:
+        raise ValueError(f"no sampler for domain {problem.domain!r}")
+    ex = problem.exact
+    uxx, uxy, uyy = ex.d2u(x, y)
+    vxx, vxy, vyy = ex.d2v(x, y)
+    if problem.data.include_bracket:
+        br_uv = uxx * vyy + uyy * vxx - 2.0 * uxy * vxy
+        br_uu = 2.0 * (uxx * uyy - uxy**2)
+    else:
+        br_uv = br_uu = np.zeros_like(x)
+    r1 = ex.lap2_u(x, y) - br_uv - problem.data.f(x, y)
+    gv = problem.data.g(x, y) if problem.data.g is not None else 0.0
+    r2 = ex.lap2_v(x, y) + 0.5 * br_uu - gv
+    defect = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
+
+    # Clamped data on the boundary of the unit square.
+    s = rng.uniform(0.0, 1.0, n_samples)
+    zero = np.zeros_like(s)
+    one = np.ones_like(s)
+    for bx, by in ((s, zero), (s, one), (zero, s), (one, s)):
+        defect = max(defect, float(np.abs(ex.u(bx, by)).max()))
+        gx, gy = ex.du(bx, by)
+        defect = max(defect, float(np.abs(gx).max()), float(np.abs(gy).max()))
+    return defect

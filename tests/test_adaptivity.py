@@ -1,7 +1,6 @@
 """Bulk marking, the adaptive driver loop, and refinement diagnostics."""
 
 import csv
-import io
 import math
 
 import numpy as np
@@ -168,6 +167,9 @@ class TestConfig:
             {"delta": 1.0},
             {"delta": -0.1},
             {"max_levels": 0},
+            {"max_ndofs": 0},
+            {"osc_order": 3},
+            {"osc_order": -1},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):
@@ -252,15 +254,16 @@ class TestAdaptiveDriver:
             assert arts.mesh.n_triangles == row.ntri
             assert arts.space.n_dofs == row.ndofs
 
-    def test_csv_round_trip(self, square_adaptive):
+    def test_csv_round_trip(self, square_adaptive, tmp_path):
         res, _ = square_adaptive
-        text = res.report.csv_text()
+        res.report.to_csv(tmp_path / "report.csv")
+        text = (tmp_path / "report.csv").read_text()
         lines = text.splitlines()
         assert lines[0] == (
             "level,ntri,ndofs,eta,mu,osc,err_energy,err_h1pw,newton_iters,"
             "marked,rate_eta"
         )
-        parsed = list(csv.DictReader(io.StringIO(text)))
+        parsed = list(csv.DictReader(lines))
         assert len(parsed) == len(res.report.rows)
         for rec, row in zip(parsed, res.report.rows):
             assert int(rec["level"]) == row.level
@@ -270,11 +273,13 @@ class TestAdaptiveDriver:
         assert parsed[0]["rate_eta"] == ""
         assert float(parsed[1]["rate_eta"]) == res.report.rows[1].rate_eta
 
-    def test_identical_config_identical_csv(self, square_adaptive):
+    def test_identical_config_identical_csv(self, square_adaptive, tmp_path):
         res, _ = square_adaptive
         cfg = AmfemConfig(theta=0.5, delta=0.35, max_levels=8, keep_history=False)
         again = amfem_run(get_problem("square-poly"), cfg)
-        assert again.report.csv_text() == res.report.csv_text()
+        res.report.to_csv(tmp_path / "first.csv")
+        again.report.to_csv(tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
     def test_corner_attracts_refinement(self, lshape_adaptive):
         ratios = []
@@ -286,10 +291,12 @@ class TestAdaptiveDriver:
         assert ratios[0] == 1.0
         assert ratios[-1] <= 0.125
 
-    def test_missing_error_columns_stay_empty(self, lshape_adaptive):
+    def test_missing_error_columns_stay_empty(self, lshape_adaptive, tmp_path):
         rows = lshape_adaptive.report.rows
         assert all(r.err_energy is None and r.err_h1pw is None for r in rows)
-        parsed = list(csv.DictReader(io.StringIO(lshape_adaptive.report.csv_text())))
+        lshape_adaptive.report.to_csv(tmp_path / "report.csv")
+        with (tmp_path / "report.csv").open() as fh:
+            parsed = list(csv.DictReader(fh))
         assert all(rec["err_energy"] == "" and rec["err_h1pw"] == "" for rec in parsed)
 
     def test_newton_failure_aborts_with_diagnostic(self):
@@ -297,6 +304,12 @@ class TestAdaptiveDriver:
             delta=0.35, newton=NewtonConfig(max_iter=1, residual_tol=1e-14)
         )
         with pytest.raises(RuntimeError, match="Newton"):
+            amfem_run(get_problem("square-poly"), cfg)
+
+
+    def test_newton_failure_message_carries_tolerance_and_history(self):
+        cfg = AmfemConfig(delta=0.35, newton=NewtonConfig(max_iter=2, residual_tol=1e-30))
+        with pytest.raises(RuntimeError, match=r"tolerance 1\.000e-30, last residuals \S+, \S+, \S+\)"):
             amfem_run(get_problem("square-poly"), cfg)
 
 

@@ -114,6 +114,13 @@ def test_invalid_theta_exits_two(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_invalid_newton_tolerance_exits_two(tmp_path, capsys, tol):
+    code = main(["--newton-tol", tol, "--out", str(tmp_path)])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_unwritable_output_path(tmp_path, capsys):
     blocker = tmp_path / "plain-file"
     blocker.write_text("occupied")

@@ -15,7 +15,6 @@ from vkmorley.forms import (
     assemble_linearized_bracket,
     assemble_load,
     energy_norms,
-    state_energy,
     vk_bracket,
 )
 from vkmorley.mesh import build_initial_mesh, mesh_from_arrays, uniform_refine
@@ -304,14 +303,6 @@ def test_energy_norms_reproduce_interpolated_quadratic():
     area = space.mesh.areas[0]
     want = np.sqrt(area * (4 * c[3] ** 2 + 2 * c[4] ** 2 + 4 * c[5] ** 2))
     assert en == pytest.approx(want, rel=1e-12)
-
-
-def test_state_energy_matches_energy_norms():
-    space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    rng = np.random.default_rng(17)
-    state = random_state(space, rng)
-    _, _, en = energy_norms(space, state, quadratic_exact([0] * 6))
-    assert state_energy(space, state) == pytest.approx(en, rel=1e-12)
 
 
 def test_state_vector_roundtrip():

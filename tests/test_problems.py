@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from vkmorley.problems import check_problem, get_problem, registry
+from vkmorley.problems import get_problem, registry
+
+from oracles import check_problem
 
 # Center-point load values, worked out symbolically before the load
 # callables were written down.

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from vkmorley import solver
 from vkmorley.forms import (
     ProblemData,
-    SparseSystem,
     StatePair,
     apply_residual,
     assemble_bilaplacian,
@@ -47,7 +46,7 @@ def space_order(space, A):
 
 def test_identity_system_returns_rhs():
     rhs = np.arange(1.0, 6.0)
-    x = linear_solve(SparseSystem(sp.eye(5, format="csr"), rhs), np.arange(5)[::-1])
+    x = linear_solve(sp.eye(5, format="csr"), rhs, np.arange(5)[::-1])
     np.testing.assert_allclose(x, rhs, atol=1e-14)
 
 
@@ -56,7 +55,7 @@ def test_spd_block_agrees_with_cg():
     A = assemble_bilaplacian(space)
     rng = np.random.default_rng(21)
     b = rng.standard_normal(space.n_dofs)
-    x = linear_solve(SparseSystem(A.tocsr(), b), space_order(space, A))
+    x = linear_solve(A.tocsr(), b, space_order(space, A))
     xcg, info = spla.cg(A, b, rtol=1e-13, maxiter=5000)
     assert info == 0
     np.testing.assert_allclose(x, xcg, atol=1e-9 * max(1.0, abs(xcg).max()))
@@ -68,7 +67,7 @@ def test_random_sparse_system_agrees_with_dense():
     dense[np.abs(dense) < 0.8] = 0.0
     dense += 50.0 * np.eye(50)  # keep the diagonal after sparsification
     b = rng.standard_normal(50)
-    x = linear_solve(SparseSystem(sp.csr_matrix(dense), b), rng.permutation(50))
+    x = linear_solve(sp.csr_matrix(dense), b, rng.permutation(50))
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=1e-10)
 
 
@@ -77,7 +76,7 @@ def test_singular_system_raises():
 
     M = sp.csr_matrix(np.zeros((3, 3)))
     with pytest.raises(SolverError):
-        linear_solve(SparseSystem(M, np.ones(3)), np.arange(3))
+        linear_solve(M, np.ones(3), np.arange(3))
 
 
 # -- dissection_order -------------------------------------------------------
@@ -140,7 +139,7 @@ def trig_jacobian():
     space = build_space(mesh)
     A = assemble_bilaplacian(space)
     load = assemble_load(space, prob.data)
-    guess = biharmonic_guess(space, prob.data, A, load)
+    guess = biharmonic_guess(space, A, load, space_order(space, A))
     J = (sp.block_diag((A, A)) + assemble_linearized_bracket(space, guess)).tocsc()
     rhs = -apply_residual(space, guess, prob.data, A, load)
     n = space.n_dofs
@@ -153,7 +152,7 @@ def trig_jacobian():
 def test_ordered_jacobian_solve_matches_default_splu(trig_jacobian):
     J, rhs, order2 = trig_jacobian
     reference = spla.splu(J).solve(rhs)
-    x = linear_solve(SparseSystem(J, rhs), order2)
+    x = linear_solve(J, rhs, order2)
     assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
@@ -168,7 +167,7 @@ def test_ordered_jacobian_fill_below_colamd(trig_jacobian, monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(spla, "splu", spy)
-    linear_solve(SparseSystem(J, rhs), order2)
+    linear_solve(J, rhs, order2)
     assert len(factors) == 1
     fill = factors[0].L.nnz + factors[0].U.nnz
     assert fill < colamd.L.nnz + colamd.U.nnz
@@ -202,7 +201,7 @@ def test_biharmonic_mode_is_one_newton_step():
     n = space.n_dofs
     np.testing.assert_allclose(
         state.u.coeffs,
-        linear_solve(SparseSystem(A.tocsr(), load[:n]), space_order(space, A)),
+        linear_solve(A.tocsr(), load[:n], space_order(space, A)),
         atol=1e-11,
     )
     # with the bracket off the Galerkin identity holds to machine terms
@@ -248,9 +247,9 @@ def test_quadratic_convergence_with_nested_guess():
 def test_biharmonic_guess_solves_decoupled_system():
     prob = get_problem("square-poly")
     space = square_space(2)
-    guess = biharmonic_guess(space, prob.data)
     A = assemble_bilaplacian(space)
     load = assemble_load(space, prob.data)
+    guess = biharmonic_guess(space, A, load, space_order(space, A))
     n = space.n_dofs
     np.testing.assert_allclose(A @ guess.u.coeffs, load[:n], atol=1e-10)
     np.testing.assert_allclose(A @ guess.v.coeffs, load[n:], atol=1e-10)
@@ -264,12 +263,12 @@ def test_biharmonic_guess_factorises_once(monkeypatch):
     n = space.n_dofs
     assert np.any(load[n:])
     order = space_order(space, A)
-    separate = [linear_solve(SparseSystem(A, load[:n]), order),
-                linear_solve(SparseSystem(A, load[n:]), order)]
+    separate = [linear_solve(A, load[:n], order),
+                linear_solve(A, load[n:], order)]
     calls = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda M, **kwargs: calls.append(M) or splu(M, **kwargs))
-    guess = biharmonic_guess(space, prob.data)
+    guess = biharmonic_guess(space, A, load, order)
     assert len(calls) == 1
     np.testing.assert_array_equal(guess.u.coeffs, separate[0])
     np.testing.assert_array_equal(guess.v.coeffs, separate[1])
@@ -281,10 +280,10 @@ def test_block_rhs_solves_each_column():
     rng = np.random.default_rng(23)
     B = rng.standard_normal((space.n_dofs, 3))
     order = space_order(space, A)
-    X = linear_solve(SparseSystem(A, B), order)
+    X = linear_solve(A, B, order)
     assert X.shape == B.shape
     for k in range(3):
-        np.testing.assert_array_equal(X[:, k], linear_solve(SparseSystem(A, B[:, k]), order))
+        np.testing.assert_array_equal(X[:, k], linear_solve(A, B[:, k], order))
 
 
 def test_max_iter_reports_nonconvergence():
@@ -294,3 +293,47 @@ def test_max_iter_reports_nonconvergence():
     _, report = newton_solve(space, prob.data, config=cfg)
     assert not report.converged
     assert report.iterations == 1
+
+
+def test_default_tolerance_rule_at_the_iterate():
+    # max(1e-10 |load|, 1e-12, eps | |A2| |x| + |load| |) with
+    # A2 = diag(A, A), evaluated at the final iterate.
+    prob = get_problem("square-poly")
+    space = square_space(3)
+    state, report = newton_solve(space, prob.data)
+    A = assemble_bilaplacian(space)
+    load = assemble_load(space, prob.data)
+    A2 = abs(sp.block_diag((A, A), format="csr"))
+
+    def rule(x):
+        floor = np.finfo(float).eps * np.linalg.norm(A2 @ np.abs(x) + np.abs(load))
+        return max(1e-10 * np.linalg.norm(load), 1e-12, floor)
+
+    x = state.to_vector()
+    assert report.tolerance == pytest.approx(rule(x), rel=1e-12)
+    # On this small space the load term sets the tolerance ...
+    assert report.tolerance == pytest.approx(1e-10 * np.linalg.norm(load), rel=1e-12)
+    # ... and where |A||x| dwarfs the load the rounding floor takes over.
+    big = 1e7 * x
+    floor = solver._default_tolerance(abs(A), load, big)
+    assert floor > 10 * 1e-10 * np.linalg.norm(load)
+    assert floor == pytest.approx(rule(big), rel=1e-12)
+    # An explicit tolerance is used as given.
+    _, report = newton_solve(space, prob.data, config=NewtonConfig(residual_tol=1e-9))
+    assert report.converged and report.tolerance == 1e-9
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"residual_tol": float("nan")},
+        {"residual_tol": float("inf")},
+        {"residual_tol": 0.0},
+        {"residual_tol": -1.0},
+        {"max_iter": 0},
+        {"max_halvings": -1},
+    ],
+)
+def test_newton_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        NewtonConfig(**kwargs)

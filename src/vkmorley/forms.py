@@ -81,13 +81,6 @@ class StatePair:
             MorleyField(space, x[:n].copy()), MorleyField(space, x[n:].copy())
         )
 
-    @staticmethod
-    def zero(space: MorleySpace) -> "StatePair":
-        return StatePair(
-            MorleyField(space, np.zeros(space.n_dofs)),
-            MorleyField(space, np.zeros(space.n_dofs)),
-        )
-
 
 def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Bracket of Hessians given as (..., 3) rows (hxx, hxy, hyy)."""
@@ -178,14 +171,13 @@ def apply_residual(
     space: MorleySpace,
     state: StatePair,
     data: ProblemData,
-    A: sp.csr_matrix | None = None,
-    load: np.ndarray | None = None,
+    A: sp.csr_matrix,
+    load: np.ndarray,
 ) -> np.ndarray:
-    """Residual vector of the discrete system at a state (length 2n)."""
-    if A is None:
-        A = assemble_bilaplacian(space)
-    if load is None:
-        load = assemble_load(space, data)
+    """Residual vector of the discrete system at a state (length 2n).
+
+    A is the bilaplacian and load the stacked load vector (length 2n).
+    """
     n = space.n_dofs
     x = state.to_vector()
     r = np.concatenate([A @ x[:n], A @ x[n:]]) - load

@@ -1,17 +1,19 @@
 """Conforming triangulations with newest-vertex bisection refinement.
 
 A mesh stores vertices and positively oriented triangles; each triangle
-carries one refinement edge (by local index, edge k lies opposite vertex
-k).  Bisection inserts the midpoint of the refinement edge; the two
-children take the parent's remaining edges as their refinement edges, so
-the new vertex is always the "newest" one.  Completion bisects further
-triangles until no hanging vertices remain.
+carries one refinement edge by local index.  Local edge k lies opposite
+vertex k and joins the vertices ``_LOCAL_EDGES[k]``.  Construction
+builds the edge table: global edges are numbered by first occurrence in
+a scan over (triangle, local edge), store their endpoints with the lower
+vertex id first, and carry a unit tangent from the lower to the higher
+id and a unit normal, the tangent rotated 90 degrees counterclockwise.
 
-Local edge convention: edge k of triangle (v0, v1, v2) connects the two
-vertices other than vk.  Global edges store endpoints with the lower
-vertex id first; the unit tangent points from the lower to the higher
-id, and the unit normal is the tangent rotated 90 degrees
-counterclockwise.
+refine() works on that table: it marks edges, closes the marks so that
+every triangle with a marked edge has its refinement edge marked, and
+bisects each marked edge at its midpoint.  A child's refinement edge is
+the parent edge opposite the new vertex.  The closure conforms from any
+initial choice of refinement edges, so neighbours need not agree on the
+edge they share.
 
 Meshes are immutable after construction: refine() returns a new mesh
 that records, per triangle, the ancestor triangle in the input mesh.
@@ -19,7 +21,6 @@ that records, per triangle, the ancestor triangle in the input mesh.
 
 from __future__ import annotations
 
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,11 @@ __all__ = [
 
 
 class MeshError(Exception):
-    """Raised for malformed meshes or failed refinement closure."""
+    """Raised for malformed meshes or bad refinement marks."""
+
+
+# Local edge k of a triangle joins its local vertices _LOCAL_EDGES[k].
+_LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
 
 
 class Mesh:
@@ -93,33 +98,27 @@ class Mesh:
         self.areas = 0.5 * cross
         self.h = np.sqrt(self.areas)
 
-        edge_ids: dict[tuple[int, int], int] = {}
-        edge_pairs: list[tuple[int, int]] = []
-        edge_adj: list[list[int]] = []
-        tri_edges = np.empty((nt, 3), dtype=np.int64)
-        for t in range(nt):
-            v0, v1, v2 = tv[t]
-            for k, (p, q) in enumerate(((v1, v2), (v2, v0), (v0, v1))):
-                key = (p, q) if p < q else (q, p)
-                e = edge_ids.get(key)
-                if e is None:
-                    e = len(edge_pairs)
-                    edge_ids[key] = e
-                    edge_pairs.append(key)
-                    edge_adj.append([])
-                edge_adj[e].append(t)
-                tri_edges[t, k] = e
-        for e, adj in enumerate(edge_adj):
-            if len(adj) > 2:
-                raise MeshError(f"edge {edge_pairs[e]} shared by {len(adj)} triangles")
+        # One slot per (triangle, local edge) in scan order; edges are
+        # numbered by the slot where their sorted vertex pair first occurs.
+        keys = np.sort(tv[:, _LOCAL_EDGES], axis=2).reshape(-1, 2)
+        _, inverse, counts = np.unique(
+            keys[:, 0] * len(coords) + keys[:, 1], return_inverse=True, return_counts=True
+        )
+        # The slots of each distinct key, grouped and in scan order.
+        slots = np.argsort(inverse, kind="stable")
+        start = np.cumsum(counts) - counts
+        first, last = slots[start], slots[start + counts - 1]
+        if np.any(counts > 2):
+            bad = int(np.argmax(counts > 2))
+            p, q = keys[first[bad]]
+            raise MeshError(f"edge ({p}, {q}) shared by {counts[bad]} triangles")
+        by_first = np.argsort(first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(by_first))
 
-        ne = len(edge_pairs)
-        self.edge_vertices = np.asarray(edge_pairs, dtype=np.int64).reshape(ne, 2)
-        self.tri_edges = tri_edges
-        self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        for e, adj in enumerate(edge_adj):
-            for j, t in enumerate(adj):
-                self.edge_tris[e, j] = t
+        self.edge_vertices = keys[first[by_first]]
+        self.tri_edges = rank[inverse].reshape(nt, 3)
+        self.edge_tris = np.column_stack((first // 3, np.where(counts == 2, last // 3, -1)))[by_first]
         self.edge_is_boundary = self.edge_tris[:, 1] < 0
 
         lo = coords[self.edge_vertices[:, 0]]
@@ -161,55 +160,9 @@ class Mesh:
 
 def _assign_refinement_edges(coords: np.ndarray, tv: np.ndarray) -> np.ndarray:
     """Longest-edge assignment with ties broken by smallest opposite vertex id."""
-    nt = len(tv)
-    ref = np.zeros(nt, dtype=np.int64)
-    for t in range(nt):
-        v = tv[t]
-        best_k = 0
-        best_len = -1.0
-        for k in range(3):
-            p, q = v[(k + 1) % 3], v[(k + 2) % 3]
-            d = coords[p] - coords[q]
-            l2 = float(d[0] * d[0] + d[1] * d[1])
-            if l2 > best_len or (l2 == best_len and v[k] < v[best_k]):
-                best_len = l2
-                best_k = k
-        ref[t] = best_k
-    return ref
-
-
-def _sweep_compatibility(mesh_like: tuple[np.ndarray, np.ndarray], ref: np.ndarray) -> bool:
-    """Try to make every interior refinement edge mutually agreed.
-
-    Returns True on success.  A pass flips the non-marking side of each
-    interior edge marked from one side only; at most n_triangles passes.
-    """
-    coords, tv = mesh_like
-    probe = Mesh(coords, tv, ref)
-
-    def bad_edges(r):
-        bad = []
-        for e in range(probe.n_edges):
-            if probe.edge_is_boundary[e]:
-                continue
-            t0, t1 = probe.edge_tris[e]
-            m0 = probe.tri_edges[t0, r[t0]] == e
-            m1 = probe.tri_edges[t1, r[t1]] == e
-            if m0 != m1:
-                bad.append(e)
-        return bad
-
-    for _ in range(max(1, probe.n_triangles)):
-        bad = bad_edges(ref)
-        if not bad:
-            return True
-        for e in bad:
-            t0, t1 = probe.edge_tris[e]
-            marker, other = (t0, t1) if probe.tri_edges[t0, ref[t0]] == e else (t1, t0)
-            if probe.tri_edges[other, ref[other]] != e:
-                k = int(np.nonzero(probe.tri_edges[other] == e)[0][0])
-                ref[other] = k
-    return not bad_edges(ref)
+    d = coords[tv[:, _LOCAL_EDGES[:, 0]]] - coords[tv[:, _LOCAL_EDGES[:, 1]]]
+    l2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    return np.lexsort((tv, -l2))[:, 0]
 
 
 # -- domain constructors -----------------------------------------------------
@@ -218,30 +171,18 @@ def _sweep_compatibility(mesh_like: tuple[np.ndarray, np.ndarray], ref: np.ndarr
 def mesh_from_arrays(coords, triangles, ref_edges=None) -> Mesh:
     """Build a level-zero mesh from explicit vertex and triangle lists.
 
-    Without explicit refinement edges, the longest-edge rule plus a
-    compatibility sweep assigns them; if the sweep fails, one global
-    bisection pass of every triangle is applied and the sweep retried.
+    Without explicit refinement edges, the longest-edge rule assigns
+    them.  Neighbours need not agree on a shared refinement edge: the
+    closure in refine() conforms from any initial labelling.
     """
     coords = np.asarray(coords, dtype=float).reshape(-1, 2)
     tv = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    if ref_edges is not None:
-        ref = np.asarray(ref_edges, dtype=np.int64).reshape(-1)
-        if len(ref) != len(tv) or ref.min(initial=0) < 0 or ref.max(initial=0) > 2:
-            raise MeshError("refinement edge indices must be in {0, 1, 2}")
-        return Mesh(coords, tv, ref)
-
-    ref = _assign_refinement_edges(coords, tv)
-    if _sweep_compatibility((coords, tv), ref):
-        return Mesh(coords, tv, ref)
-
-    # Fallback: bisect every triangle once (with closure), then retry the
-    # sweep on the finer mesh before giving up.
-    base = Mesh(coords, tv, ref)
-    fine = uniform_refine(base)
-    ref2 = fine.tri_ref_edge.copy()
-    if not _sweep_compatibility((fine.coords, fine.tri_vertices), ref2):
-        raise MeshError("unsatisfiable refinement-edge assignment (malformed mesh)")
-    return Mesh(fine.coords, fine.tri_vertices, ref2)
+    if ref_edges is None:
+        return Mesh(coords, tv, _assign_refinement_edges(coords, tv))
+    ref = np.asarray(ref_edges, dtype=np.int64).reshape(-1)
+    if len(ref) != len(tv) or ref.min(initial=0) < 0 or ref.max(initial=0) > 2:
+        raise MeshError("refinement edge indices must be in {0, 1, 2}")
+    return Mesh(coords, tv, ref)
 
 
 def build_initial_mesh(domain: str | Path) -> Mesh:
@@ -276,115 +217,79 @@ def build_initial_mesh(domain: str | Path) -> Mesh:
 
 
 def refine(mesh: Mesh, marked) -> Mesh:
-    """Bisect the marked triangles and complete to a conforming mesh.
+    """Bisect the marked triangles and close the result to a conforming mesh.
 
-    Every marked triangle is bisected at least once at its refinement
-    edge; completion bisects whatever else is needed so that no hanging
-    vertices remain.  Triangle and vertex ids of unchanged entities are
-    preserved; new vertices and triangles are appended deterministically.
+    Marks go on edges of ``mesh.tri_edges``.  Each marked triangle marks
+    its refinement edge, and then, until nothing changes, every triangle
+    with a marked edge marks its refinement edge too.  Each pass adds at
+    least one of finitely many edges, so the closure terminates; it is
+    the smallest conforming newest-vertex refinement that bisects every
+    marked triangle.  Each marked edge is then bisected once, in at most
+    two rounds: a triangle (r, p, q) whose refinement edge (p, q) is
+    marked splits into (r, p, m) and (r, m, q) at the midpoint m, and a
+    child's refinement edge is the parent edge opposite m, which the
+    next round bisects if it is marked.
+
+    Numbering: the vertices of ``mesh`` keep their ids and the midpoints
+    follow in ascending edge id.  Each round lists the triangles it
+    leaves whole, in their previous relative order, and then the two
+    children of each split triangle in parent order, (r, p, m) before
+    (r, m, q).  The result's ``ancestors`` maps each triangle to its
+    triangle in ``mesh``.
+
+    ``marked`` holds integer triangle ids (duplicates allowed); boolean
+    masks and non-integer values raise MeshError.
     """
-    marked_set = set(int(t) for t in marked)
-    marked = sorted(marked_set)
-    if marked and (marked[0] < 0 or marked[-1] >= mesh.n_triangles):
+    marked = np.asarray(marked)
+    if marked.ndim != 1 or (marked.size and marked.dtype.kind not in "iu"):
+        raise MeshError("marks must be a sequence of integer triangle ids")
+    marked = marked.astype(np.int64)
+    nt = mesh.n_triangles
+    if marked.size and (marked.min() < 0 or marked.max() >= nt):
         raise MeshError("marked triangle id out of range")
-    if not marked:
-        return Mesh(
-            mesh.coords.copy(),
-            mesh.tri_vertices.copy(),
-            mesh.tri_ref_edge.copy(),
-            mesh.tri_generation.copy(),
-            np.arange(mesh.n_triangles, dtype=np.int64),
-            parent=mesh,
-        )
 
-    verts: list[tuple[float, float]] = [tuple(p) for p in mesh.coords]
-    tri_v: list[tuple[int, int, int]] = [tuple(v) for v in mesh.tri_vertices]
-    tri_r: list[int] = [int(r) for r in mesh.tri_ref_edge]
-    tri_g: list[int] = [int(g) for g in mesh.tri_generation]
-    tri_a: list[int] = list(range(mesh.n_triangles))
-    alive: list[bool] = [True] * mesh.n_triangles
+    ref = mesh.tri_edges[np.arange(nt), mesh.tri_ref_edge]
+    edge_marked = np.zeros(mesh.n_edges, dtype=bool)
+    edge_marked[ref[marked]] = True
+    while True:
+        grow = edge_marked[mesh.tri_edges].any(axis=1) & ~edge_marked[ref]
+        if not grow.any():
+            break
+        edge_marked[ref[grow]] = True
 
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for t, (v0, v1, v2) in enumerate(tri_v):
-        for p, q in ((v1, v2), (v2, v0), (v0, v1)):
-            key = (p, q) if p < q else (q, p)
-            edge_map.setdefault(key, []).append(t)
+    split_edges = np.flatnonzero(edge_marked)
+    midpoint = np.full(mesh.n_edges, -1, dtype=np.int64)
+    midpoint[split_edges] = mesh.n_vertices + np.arange(len(split_edges))
+    ends = mesh.coords[mesh.edge_vertices[split_edges]]
+    coords = np.concatenate([mesh.coords, (ends[:, 0] + ends[:, 1]) / 2.0])
 
-    midpoint: dict[tuple[int, int], int] = {}
-    queue: deque[int] = deque(marked)
-    budget = 64 * (mesh.n_triangles + len(marked) + 16)
-    nbisect = 0
+    # Per triangle: vertices, local refinement edge, generation, ancestor
+    # and the edge ids of ``mesh`` (-1 for edges made by this call).
+    tv, tr, gen, anc = mesh.tri_vertices, mesh.tri_ref_edge, mesh.tri_generation, np.arange(nt)
+    te = mesh.tri_edges
+    while True:
+        e = te[np.arange(len(tv)), tr]
+        split = (e >= 0) & edge_marked[e]
+        if not split.any():
+            break
+        s = np.flatnonzero(split)
+        turn = (tr[s, None] + np.arange(3)) % 3
+        r, p, q = np.take_along_axis(tv[s], turn, axis=1).T
+        _, e_p, e_q = np.take_along_axis(te[s], turn, axis=1).T
+        m = midpoint[e[s]]
+        new = np.full_like(m, -1)
+        keep = ~split
+        tv = np.concatenate([tv[keep], _children((r, p, m), (r, m, q))])
+        te = np.concatenate([te[keep], _children((new, new, e_q), (new, e_p, new))])
+        tr = np.concatenate([tr[keep], np.tile([2, 1], len(s))])
+        gen = np.concatenate([gen[keep], np.repeat(gen[s] + 1, 2)])
+        anc = np.concatenate([anc[keep], np.repeat(anc[s], 2)])
+    return Mesh(coords, tv, tr, gen, anc, parent=mesh)
 
-    def hanging(t: int) -> bool:
-        v0, v1, v2 = tri_v[t]
-        for p, q in ((v1, v2), (v2, v0), (v0, v1)):
-            key = (p, q) if p < q else (q, p)
-            if key in midpoint:
-                return True
-        return False
 
-    def bisect(t: int) -> None:
-        nonlocal nbisect
-        nbisect += 1
-        k = tri_r[t]
-        v = tri_v[t]
-        r, p, q = v[k], v[(k + 1) % 3], v[(k + 2) % 3]
-        key = (p, q) if p < q else (q, p)
-        m = midpoint.get(key)
-        if m is None:
-            xp, yp = verts[p]
-            xq, yq = verts[q]
-            verts.append(((xp + xq) / 2.0, (yp + yq) / 2.0))
-            m = len(verts) - 1
-            midpoint[key] = m
-        alive[t] = False
-        for a, b in ((v[1], v[2]), (v[2], v[0]), (v[0], v[1])):
-            ekey = (a, b) if a < b else (b, a)
-            edge_map[ekey].remove(t)
-        gen = tri_g[t] + 1
-        anc = tri_a[t]
-        for child_v, child_r in (((r, p, m), 2), ((r, m, q), 1)):
-            c = len(tri_v)
-            tri_v.append(child_v)
-            tri_r.append(child_r)
-            tri_g.append(gen)
-            tri_a.append(anc)
-            alive.append(True)
-            for a, b in (
-                (child_v[1], child_v[2]),
-                (child_v[2], child_v[0]),
-                (child_v[0], child_v[1]),
-            ):
-                ekey = (a, b) if a < b else (b, a)
-                edge_map.setdefault(ekey, []).append(c)
-            if hanging(c):
-                queue.append(c)
-        for n in list(edge_map[key]):
-            if alive[n]:
-                queue.append(n)
-
-    while queue:
-        t = queue.popleft()
-        if not alive[t]:
-            continue
-        if t >= mesh.n_triangles or t not in marked_set:
-            # Completion entry: bisect only while a hanging vertex remains.
-            if not hanging(t):
-                continue
-        if nbisect >= budget:
-            raise MeshError("refinement closure did not terminate")
-        bisect(t)
-
-    keep = [t for t in range(len(tri_v)) if alive[t]]
-    tv = np.asarray([tri_v[t] for t in keep], dtype=np.int64)
-    return Mesh(
-        np.asarray(verts, dtype=float),
-        tv,
-        np.asarray([tri_r[t] for t in keep], dtype=np.int64),
-        np.asarray([tri_g[t] for t in keep], dtype=np.int64),
-        np.asarray([tri_a[t] for t in keep], dtype=np.int64),
-        parent=mesh,
-    )
+def _children(first, second) -> np.ndarray:
+    """Rows of two child tables interleaved: first[0], second[0], first[1], ..."""
+    return np.stack([np.column_stack(first), np.column_stack(second)], axis=1).reshape(-1, 3)
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:

@@ -118,10 +118,6 @@ class TriangleRule:
         self.bary = bary
         self.weights = weights
 
-    @property
-    def npoints(self) -> int:
-        return len(self.weights)
-
 
 _CACHE: dict[int, TriangleRule] = {}
 

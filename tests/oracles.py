@@ -3,21 +3,33 @@
 The symbolic oracles are computed with sympy in exact arithmetic and
 deliberately avoid the package's own basis and assembly code paths, so
 agreement is evidence rather than tautology.  ``prolongate_loop`` is the
-per-entity reference for the batched ``vkmorley.morley.prolongate``.
+per-entity reference for the batched ``vkmorley.morley.prolongate``,
+``refine_queue`` for the array ``vkmorley.mesh.refine`` and
+``edge_table_loop`` for the edge table ``Mesh`` builds.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
 convention, for tests that the convention stays internal, and
-``random_descent`` draws random marked NVB refinements.  ``evaluate``,
+``random_descent`` draws random marked NVB refinements.  ``zero_state``
+is the zero deflection/stress pair.  ``evaluate``,
 ``interior_angles`` and ``mesh_equals`` are inspection tools for
 fields and meshes, and ``check_problem`` checks a registry entry's
 exact data against its loads.
 """
 
 import copy
+from collections import deque
 
 import numpy as np
 import sympy as sp
 
-from vkmorley.mesh import build_initial_mesh, compose_ancestors, refine, uniform_refine
+from vkmorley.forms import StatePair
+from vkmorley.mesh import (
+    Mesh,
+    MeshError,
+    build_initial_mesh,
+    compose_ancestors,
+    refine,
+    uniform_refine,
+)
 from vkmorley.morley import MorleyField, build_space
 
 X, Y = sp.symbols("x y")
@@ -155,6 +167,153 @@ def prolongate_loop(coarse_field, fine_space):
         coeffs[fine_space.edge_dof[e]] = total / len(ancestors)
 
     return MorleyField(fine_space, coeffs)
+
+
+def refine_queue(mesh, marked):
+    """Newest-vertex bisection one triangle at a time, with a work queue.
+
+    The per-entity reference for ``vkmorley.mesh.refine``: marked
+    triangles are bisected at their refinement edge, and a completion
+    queue bisects any triangle with a hanging midpoint on one of its
+    edges until none is left.  Vertices and triangles are appended in
+    the order the queue creates them.
+    """
+    marked_set = set(int(t) for t in marked)
+    marked = sorted(marked_set)
+    if marked and (marked[0] < 0 or marked[-1] >= mesh.n_triangles):
+        raise MeshError("marked triangle id out of range")
+    if not marked:
+        return Mesh(
+            mesh.coords.copy(),
+            mesh.tri_vertices.copy(),
+            mesh.tri_ref_edge.copy(),
+            mesh.tri_generation.copy(),
+            np.arange(mesh.n_triangles, dtype=np.int64),
+            parent=mesh,
+        )
+
+    verts: list[tuple[float, float]] = [tuple(p) for p in mesh.coords]
+    tri_v: list[tuple[int, int, int]] = [tuple(v) for v in mesh.tri_vertices]
+    tri_r: list[int] = [int(r) for r in mesh.tri_ref_edge]
+    tri_g: list[int] = [int(g) for g in mesh.tri_generation]
+    tri_a: list[int] = list(range(mesh.n_triangles))
+    alive: list[bool] = [True] * mesh.n_triangles
+
+    edge_map: dict[tuple[int, int], list[int]] = {}
+    for t, (v0, v1, v2) in enumerate(tri_v):
+        for p, q in ((v1, v2), (v2, v0), (v0, v1)):
+            key = (p, q) if p < q else (q, p)
+            edge_map.setdefault(key, []).append(t)
+
+    midpoint: dict[tuple[int, int], int] = {}
+    queue: deque[int] = deque(marked)
+    budget = 64 * (mesh.n_triangles + len(marked) + 16)
+    nbisect = 0
+
+    def hanging(t: int) -> bool:
+        v0, v1, v2 = tri_v[t]
+        for p, q in ((v1, v2), (v2, v0), (v0, v1)):
+            key = (p, q) if p < q else (q, p)
+            if key in midpoint:
+                return True
+        return False
+
+    def bisect(t: int) -> None:
+        nonlocal nbisect
+        nbisect += 1
+        k = tri_r[t]
+        v = tri_v[t]
+        r, p, q = v[k], v[(k + 1) % 3], v[(k + 2) % 3]
+        key = (p, q) if p < q else (q, p)
+        m = midpoint.get(key)
+        if m is None:
+            xp, yp = verts[p]
+            xq, yq = verts[q]
+            verts.append(((xp + xq) / 2.0, (yp + yq) / 2.0))
+            m = len(verts) - 1
+            midpoint[key] = m
+        alive[t] = False
+        for a, b in ((v[1], v[2]), (v[2], v[0]), (v[0], v[1])):
+            ekey = (a, b) if a < b else (b, a)
+            edge_map[ekey].remove(t)
+        gen = tri_g[t] + 1
+        anc = tri_a[t]
+        for child_v, child_r in (((r, p, m), 2), ((r, m, q), 1)):
+            c = len(tri_v)
+            tri_v.append(child_v)
+            tri_r.append(child_r)
+            tri_g.append(gen)
+            tri_a.append(anc)
+            alive.append(True)
+            for a, b in (
+                (child_v[1], child_v[2]),
+                (child_v[2], child_v[0]),
+                (child_v[0], child_v[1]),
+            ):
+                ekey = (a, b) if a < b else (b, a)
+                edge_map.setdefault(ekey, []).append(c)
+            if hanging(c):
+                queue.append(c)
+        for n in list(edge_map[key]):
+            if alive[n]:
+                queue.append(n)
+
+    while queue:
+        t = queue.popleft()
+        if not alive[t]:
+            continue
+        if t >= mesh.n_triangles or t not in marked_set:
+            # Completion entry: bisect only while a hanging vertex remains.
+            if not hanging(t):
+                continue
+        if nbisect >= budget:
+            raise MeshError("refinement closure did not terminate")
+        bisect(t)
+
+    keep = [t for t in range(len(tri_v)) if alive[t]]
+    tv = np.asarray([tri_v[t] for t in keep], dtype=np.int64)
+    return Mesh(
+        np.asarray(verts, dtype=float),
+        tv,
+        np.asarray([tri_r[t] for t in keep], dtype=np.int64),
+        np.asarray([tri_g[t] for t in keep], dtype=np.int64),
+        np.asarray([tri_a[t] for t in keep], dtype=np.int64),
+        parent=mesh,
+    )
+
+
+def edge_table_loop(tri_vertices):
+    """``Mesh`` topology built with a dict, one (triangle, local edge) at a time.
+
+    Returns (tri_edges, edge_vertices, edge_tris) with edges numbered by
+    first occurrence and endpoints sorted, the reference for
+    ``Mesh._build_topology``.
+    """
+    edge_ids = {}
+    edge_pairs = []
+    edge_adj = []
+    tri_edges = np.empty((len(tri_vertices), 3), dtype=np.int64)
+    for t, (v0, v1, v2) in enumerate(tri_vertices):
+        for k, (p, q) in enumerate(((v1, v2), (v2, v0), (v0, v1))):
+            key = (int(p), int(q)) if p < q else (int(q), int(p))
+            e = edge_ids.get(key)
+            if e is None:
+                e = len(edge_pairs)
+                edge_ids[key] = e
+                edge_pairs.append(key)
+                edge_adj.append([])
+            edge_adj[e].append(t)
+            tri_edges[t, k] = e
+    edge_tris = np.full((len(edge_pairs), 2), -1, dtype=np.int64)
+    for e, adj in enumerate(edge_adj):
+        edge_tris[e, : len(adj)] = adj
+    return tri_edges, np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2), edge_tris
+
+
+def zero_state(space):
+    """The zero deflection/stress pair on a space."""
+    n = space.n_dofs
+    return StatePair(MorleyField(space, np.zeros(n)), MorleyField(space, np.zeros(n)))
 
 
 def reversed_edge_space(mesh, constrained=True):

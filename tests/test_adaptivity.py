@@ -19,11 +19,13 @@ from vkmorley.adaptivity import (
     uniform_run,
 )
 from vkmorley.estimator import estimate
-from vkmorley.forms import ProblemData, StatePair
+from vkmorley.forms import ProblemData
 from vkmorley.mesh import MeshError, build_initial_mesh, uniform_refine
 from vkmorley.morley import build_space
 from vkmorley.problems import ManufacturedProblem, get_problem
 from vkmorley.solver import NewtonConfig, SolveReport
+
+import oracles as oc
 
 
 def _zero_load(x, y):
@@ -342,7 +344,7 @@ class TestUniformDriver:
 def _frozen_artifacts(mesh):
     """Zero-state artifacts with unit load, for closed-form scaling checks."""
     space = build_space(mesh)
-    state = StatePair.zero(space)
+    state = oc.zero_state(space)
     report = estimate(space, state, ProblemData(f=_unit_load))
     return LevelArtifacts(mesh, space, state, report, SolveReport(converged=True))
 

@@ -29,14 +29,14 @@ def square_space(levels=0, constrained=True):
 
 def test_zero_state_zero_load_gives_zero():
     space = square_space(2)
-    rep = estimate(space, StatePair.zero(space), ProblemData(f=ZERO))
+    rep = estimate(space, oc.zero_state(space), ProblemData(f=ZERO))
     assert rep.eta == 0.0 and rep.mu == 0.0 and rep.osc == 0.0
 
 
 def test_unit_load_zero_state_closed_form():
     # eta^2(K) = |K|^2 ||f||_K^2 = |K|^3 with f = 1 and no jumps
     space = square_space(0)
-    rep = estimate(space, StatePair.zero(space), ProblemData(f=ONE))
+    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
     np.testing.assert_allclose(rep.eta_sq, [0.125, 0.125], atol=1e-15)
     np.testing.assert_array_equal(rep.mu_sq, rep.eta_sq)
 
@@ -87,8 +87,8 @@ def test_volume_part_quarters_under_uniform_refinement():
     coarse = square_space(2)
     fine = build_space(uniform_refine(coarse.mesh))
     data = ProblemData(f=ONE)
-    mu_c = estimate(coarse, StatePair.zero(coarse), data).mu_sq.sum()
-    mu_f = estimate(fine, StatePair.zero(fine), data).mu_sq.sum()
+    mu_c = estimate(coarse, oc.zero_state(coarse), data).mu_sq.sum()
+    mu_f = estimate(fine, oc.zero_state(fine), data).mu_sq.sum()
     assert mu_f == pytest.approx(mu_c / 4.0, rel=1e-12)
 
 
@@ -169,13 +169,13 @@ def test_smooth_bump_oscillation_decays_fast():
 
 def test_restrict_empty_is_zero():
     space = square_space(2)
-    rep = estimate(space, StatePair.zero(space), ProblemData(f=ONE))
+    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
     assert restrict_estimator(rep, [])["eta_sq"] == 0.0
 
 
 def test_restrict_full_set_is_total():
     space = square_space(2)
-    rep = estimate(space, StatePair.zero(space), ProblemData(f=ONE))
+    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
     got = restrict_estimator(rep, range(space.mesh.n_triangles))
     assert got["eta_sq"] == pytest.approx(rep.total_eta_sq, rel=1e-15)
 
@@ -200,7 +200,7 @@ def test_restrict_complementary_subsets_add_up():
 
 def test_restrict_rejects_out_of_range():
     space = square_space(1)
-    rep = estimate(space, StatePair.zero(space), ProblemData(f=ONE))
+    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
     with pytest.raises(ValueError):
         restrict_estimator(rep, [99])
 
@@ -210,7 +210,7 @@ def test_restrict_rejects_out_of_range():
 
 def test_report_csv_roundtrip(tmp_path):
     space = square_space(2)
-    rep = estimate(space, StatePair.zero(space), ProblemData(f=ONE))
+    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
     path = tmp_path / "est.csv"
     rep.to_csv(path)
     with path.open() as fh:

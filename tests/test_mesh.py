@@ -176,6 +176,62 @@ def test_marked_out_of_range_errors():
         refine(m, [-1])
 
 
+def test_boolean_and_fractional_marks_rejected():
+    m = uniform_refine(uniform_refine(build_initial_mesh("square")))
+    assert m.n_triangles == 8
+    mask = np.zeros(8, dtype=bool)
+    only_5 = mask.copy()
+    only_5[5] = True
+    for bad in (mask, only_5, list(only_5), [0.9], np.array([1.0])):
+        with pytest.raises(MeshError, match="integer"):
+            refine(m, bad)
+    assert oc.mesh_equals(refine(m, []), m)
+    assert oc.mesh_equals(refine(m, range(0)), m)
+    assert refine(m, range(8)).n_triangles == 16
+    assert oc.mesh_equals(refine(m, [5, 5]), refine(m, np.array([5], dtype=np.uint8)))
+
+
+def _triangle_records(mesh):
+    corners = mesh.coords[mesh.tri_vertices].reshape(-1, 6)
+    return sorted(zip(map(tuple, corners), mesh.tri_ref_edge.tolist(),
+                      mesh.tri_generation.tolist(), mesh.ancestors.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    domain=st.sampled_from(["square", "lshape"]),
+    relabel=st.booleans(),
+    steps=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refine_matches_queue_oracle(domain, relabel, steps, seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_initial_mesh(domain)
+    if relabel:
+        # Random, generally incompatible, initial refinement edges.
+        ref = rng.integers(0, 3, mesh.n_triangles)
+        mesh = mesh_from_arrays(mesh.coords, mesh.tri_vertices, ref_edges=ref)
+    for _ in range(steps):
+        n = mesh.n_triangles
+        marked = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        fine, want = refine(mesh, marked), oc.refine_queue(mesh, marked)
+        assert _triangle_records(fine) == _triangle_records(want)
+        np.testing.assert_array_equal(fine.coords[: mesh.n_vertices], mesh.coords)
+        np.testing.assert_array_equal(want.coords[: mesh.n_vertices], mesh.coords)
+        tri_edges, edge_vertices, edge_tris = oc.edge_table_loop(fine.tri_vertices)
+        np.testing.assert_array_equal(fine.tri_edges, tri_edges)
+        np.testing.assert_array_equal(fine.edge_vertices, edge_vertices)
+        np.testing.assert_array_equal(fine.edge_tris, edge_tris)
+        mesh = fine
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    coords = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)]
+    tris = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+    with pytest.raises(MeshError, match="shared by 3 triangles"):
+        mesh_from_arrays(coords, tris, ref_edges=[2, 2, 2])
+
+
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_randomized_refinement_stays_conforming(domain):
     rng = np.random.default_rng(7)

@@ -12,9 +12,10 @@ element), the residual of the clamped system reads
 where a is the piecewise Hessian inner product and
 b(a, bb, c) = -1/2 sum_K int_K [a, bb] c dx.  The derivative of the
 nonlinear part at a state is twice the state-frozen trilinear form,
-which assemble_linearized_bracket provides for Newton's method.
+which assemble_linearized_bracket applies, element by element, for
+Newton's method.
 
-All element loops are batched; global matrices are assembled from
+All element loops are batched; the bilaplacian is assembled from
 triplets in a fixed element order, so repeated runs are bit-identical.
 """
 
@@ -25,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .morley import MorleyField, MorleySpace, batch_eval, hessians, monomials
 from .quadrature import triangle_rule, triangle_points
@@ -91,27 +93,16 @@ def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     )
 
 
-def _scatter(space: MorleySpace, local: np.ndarray,
-             row_offset: int = 0, col_offset: int = 0):
-    """Triplets of one (nt, 6, 6) local block, constrained slots dropped."""
-    dm = space.dof_map
-    rows = np.broadcast_to(dm[:, :, None], local.shape)
-    cols = np.broadcast_to(dm[:, None, :], local.shape)
-    mask = (rows >= 0) & (cols >= 0)
-    return (
-        rows[mask] + row_offset,
-        cols[mask] + col_offset,
-        local[mask],
-    )
-
-
 def assemble_bilaplacian(space: MorleySpace) -> sp.csr_matrix:
     """Scalar piecewise Hessian stiffness matrix (n_dofs square)."""
     H = space.shape_hess  # (nt, 6, 3)
     local = np.einsum("tic,tjc,c,t->tij", H, H, _FROB, space.mesh.areas)
-    r, c, vals = _scatter(space, local)
+    dm = space.dof_map
+    rows = np.broadcast_to(dm[:, :, None], local.shape)
+    cols = np.broadcast_to(dm[:, None, :], local.shape)
+    mask = (rows >= 0) & (cols >= 0)
     n = space.n_dofs
-    return sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
+    return sp.coo_matrix((local[mask], (rows[mask], cols[mask])), shape=(n, n)).tocsr()
 
 
 def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
@@ -135,36 +126,38 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     return out
 
 
-def assemble_linearized_bracket(space: MorleySpace, state: StatePair) -> sp.csr_matrix:
-    """Derivative of the quadratic bracket terms at a state (2n square).
+def assemble_linearized_bracket(space: MorleySpace, state: StatePair) -> spla.LinearOperator:
+    """Derivative of the quadratic bracket terms at a state (2n square operator).
 
     Row blocks are test functions (p, q), column blocks the direction
-    (du, dv); the (q, dv) block is zero.
+    (du, dv); the (q, dv) block is zero.  Element K adds the rank-1
+    blocks SI_K (x) br_K, with SI_K its shape integrals and br_K the
+    brackets [w, shape_j] of a frozen field w: -br_v to (p, du), -br_u
+    to (p, dv) and br_u to (q, du).  The operator gathers the direction
+    through ``dof_map`` and scatters by ``np.bincount``; it is never
+    assembled.
     """
     n = space.n_dofs
-    Hu = space.element_hessians(state.u.coeffs)
-    Hv = space.element_hessians(state.v.coeffs)
     SI = space.shape_integral  # (nt, 6)
-
     # [w, shape_j] for the frozen fields, shape (nt, 6).
-    br_u = vk_bracket(Hu[:, None, :], space.shape_hess)
-    br_v = vk_bracket(Hv[:, None, :], space.shape_hess)
+    br_u = vk_bracket(space.element_hessians(state.u.coeffs)[:, None, :], space.shape_hess)
+    br_v = vk_bracket(space.element_hessians(state.v.coeffs)[:, None, :], space.shape_hess)
+    dm = space.dof_map
+    mask = dm >= 0
+    rows = dm[mask]
 
-    blocks = (
-        (0, 0, -np.einsum("ti,tj->tij", SI, br_v)),
-        (0, n, -np.einsum("ti,tj->tij", SI, br_u)),
-        (n, 0, np.einsum("ti,tj->tij", SI, br_u)),
-    )
-    rows, cols, vals = [], [], []
-    for ro, co, local in blocks:
-        r, c, v = _scatter(space, local, ro, co)
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n, 2 * n),
-    ).tocsr()
+    def matvec(x):
+        # A zero appended to each block serves the constrained slots (-1).
+        du = np.append(x[:n], 0.0)[dm]
+        dv = np.append(x[n:], 0.0)[dm]
+        p = -np.einsum("tj,tj->t", br_v, du) - np.einsum("tj,tj->t", br_u, dv)
+        q = np.einsum("tj,tj->t", br_u, du)
+        return np.concatenate([
+            np.bincount(rows, weights=(p[:, None] * SI)[mask], minlength=n),
+            np.bincount(rows, weights=(q[:, None] * SI)[mask], minlength=n),
+        ])
+
+    return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
 
 
 def apply_residual(

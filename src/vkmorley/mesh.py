@@ -80,8 +80,7 @@ class Mesh:
         coords = self.coords
         tv = self.tri_vertices
         nt = len(tv)
-        if tv.size and (tv.min() < 0 or tv.max() >= len(coords)):
-            raise MeshError("triangle vertex index out of range")
+        _check_vertex_ids(tv, len(coords))
         if not np.all(np.isfinite(coords)):
             bad = int(np.argmax(~np.isfinite(coords).all(axis=1)))
             raise MeshError(f"vertex {bad} has a non-finite coordinate")
@@ -155,6 +154,11 @@ class Mesh:
         return self.coords[self.tri_vertices]
 
 
+def _check_vertex_ids(tv: np.ndarray, n_vertices: int) -> None:
+    if tv.size and (tv.min() < 0 or tv.max() >= n_vertices):
+        raise MeshError("triangle vertex index out of range")
+
+
 # -- refinement edge assignment ---------------------------------------------
 
 
@@ -178,6 +182,7 @@ def mesh_from_arrays(coords, triangles, ref_edges=None) -> Mesh:
     coords = np.asarray(coords, dtype=float).reshape(-1, 2)
     tv = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     if ref_edges is None:
+        _check_vertex_ids(tv, len(coords))
         return Mesh(coords, tv, _assign_refinement_edges(coords, tv))
     ref = np.asarray(ref_edges, dtype=np.int64).reshape(-1)
     if len(ref) != len(tv) or ref.min(initial=0) < 0 or ref.max(initial=0) > 2:
@@ -335,22 +340,23 @@ def validate(mesh: Mesh) -> None:
     """Raise MeshError on hanging vertices or a broken boundary loop.
 
     Orientation and manifoldness are enforced at construction; this adds
-    the checks that need whole-mesh scans.
+    the checks that need whole-mesh scans.  Coordinates are compared
+    exactly, as complex numbers x + iy, which sort lexicographically.
     """
-    index = {(float(x), float(y)): i for i, (x, y) in enumerate(mesh.coords)}
-    if len(index) != mesh.n_vertices:
+    z = mesh.coords.view(np.complex128).ravel()
+    by_z = np.argsort(z, kind="stable")
+    zs = z[by_z]
+    if np.any(zs[1:] == zs[:-1]):
         raise MeshError("duplicate vertex coordinates")
-    for e in range(mesh.n_edges):
-        p, q = mesh.edge_vertices[e]
-        mid = (
-            (mesh.coords[p, 0] + mesh.coords[q, 0]) / 2.0,
-            (mesh.coords[p, 1] + mesh.coords[q, 1]) / 2.0,
-        )
-        if mid in index:
-            raise MeshError(f"hanging vertex {index[mid]} on edge {e}")
-    counts = np.zeros(mesh.n_vertices, dtype=int)
-    for e in np.nonzero(mesh.edge_is_boundary)[0]:
-        counts[mesh.edge_vertices[e]] += 1
+    p, q = mesh.edge_vertices.T
+    mid = ((mesh.coords[p] + mesh.coords[q]) / 2.0).view(np.complex128).ravel()
+    at = np.minimum(np.searchsorted(zs, mid), len(zs) - 1)
+    hanging = np.flatnonzero(zs[at] == mid)
+    if len(hanging):
+        e = int(hanging[0])
+        raise MeshError(f"hanging vertex {by_z[at[e]]} on edge {e}")
+    counts = np.bincount(mesh.edge_vertices[mesh.edge_is_boundary].ravel(),
+                         minlength=mesh.n_vertices)
     bad = np.nonzero((counts != 0) & (counts != 2))[0]
     if len(bad):
         raise MeshError(f"boundary is not a closed loop at vertex {int(bad[0])}")

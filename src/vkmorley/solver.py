@@ -1,29 +1,29 @@
-"""Newton solver for the discrete von Karman system.
+"""Newton-Krylov solver for the discrete von Karman system.
 
-The Jacobian at a state is the block bilaplacian plus the state-frozen
-linearized bracket; it is exact for the quadratic nonlinearity, so the
-iteration converges quadratically near a regular solution.  Steps are
-damped by halving whenever the residual norm would grow.
+The Jacobian J = diag(A, A) + B at a state, the block bilaplacian plus
+the state-frozen linearized bracket, is exact for the quadratic
+nonlinearity, so the iteration converges quadratically near a regular
+solution.  Steps are damped by halving whenever the residual would grow.
 
-Linear systems go through SuperLU in a fill-reducing nested-dissection
-order (A. George, "Nested dissection of a regular finite element mesh",
-SIAM J. Numer. Anal. 10, 1973).  ``dissection_order`` builds it by
-recursive coordinate bisection of the dof positions
-(``MorleySpace.dof_coords``), cutting along the 0/1 pattern of the
-bilaplacian A; the values of A have mixed signs and cancel, so they
-say nothing about adjacency.  The order is computed once per mesh: the
-decoupled guess factorises A in it, and every Newton Jacobian
-[[A + B_v, B_u], [C_u, A]], whose bracket blocks share the element
-pattern of A, is factorised in the same order with u and v
-interleaved.
+Each call factorises only the bilaplacian A, once.  The decoupled guess
+solves with that factor, and each Newton step solves J d = -r by GMRES
+(Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) preconditioned
+by z -> (A^-1 z_u, A^-1 z_v); B is applied element by element, so J is
+never assembled.  At a regular solution B is a compact perturbation
+(Brezzi, Rappaz and Raviart, Numer. Math. 36, 1980), and the iteration
+count does not grow with the mesh.  GMRES stops at the rounding floor of
+the residual, not at an Eisenstat-Walker forcing term near the Newton
+tolerance (SIAM J. Sci. Comput. 17, 1996): that stalls the last step.
 
-Rows and columns are permuted alike, so SuperLU runs in symmetric mode
-with no column ordering of its own: it keeps a diagonal pivot whenever
-that pivot is at least ``_PIVOT_THRESH`` times the largest entry of its
-column, which preserves the order's fill, and pivots off the diagonal
-otherwise.  J is structurally symmetric but not symmetric in value, and
-a small pivot threshold trades stability for fill, so every solve
-checks its residual against the unpermuted matrix.
+A is factorised in a nested-dissection order (George, SIAM J. Numer.
+Anal. 10, 1973).  ``dissection_order`` builds it by recursive coordinate
+bisection of the dof positions (``MorleySpace.dof_coords``), cutting
+along the 0/1 pattern of A, whose values cancel and say nothing about
+adjacency.  Rows and columns are permuted alike, so SuperLU runs in
+symmetric mode with no column ordering of its own: it keeps a diagonal
+pivot at least ``_PIVOT_THRESH`` times the largest entry of its column,
+which preserves the order's fill, and pivots off the diagonal otherwise.
+That trades stability for fill, so every solve checks its residual.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .forms import (
 )
 from .morley import MorleySpace
 
-__all__ = ["NewtonConfig", "SolveReport", "SolverError", "dissection_order", "linear_solve",
-           "newton_solve"]
+__all__ = ["NewtonConfig", "SolveReport", "SolverError", "dissection_order", "factorise",
+           "linear_solve", "newton_solve"]
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +57,9 @@ _ND_LEAF = 16
 # SuperLU keeps the diagonal pivot if it is at least this fraction of
 # the largest entry in its column.
 _PIVOT_THRESH = 0.01
+# GMRES relative tolerance, and restart cycles (of 20 iterations) allowed.
+_GMRES_RTOL = 1e-11
+_GMRES_CYCLES = 10
 
 
 class SolverError(Exception):
@@ -90,13 +93,14 @@ class NewtonConfig:
 
 @dataclass
 class SolveReport:
-    """Newton history; tolerance is the one applied to the last residual."""
+    """Newton history, GMRES iterations per step, and the last tolerance applied."""
 
     iterations: int = 0
     residuals: list[float] = field(default_factory=list)
     converged: bool = False
     damping_events: int = 0
     tolerance: float = 0.0
+    krylov_iterations: list[int] = field(default_factory=list)
 
 
 def _bisect(nodes: np.ndarray, coords: np.ndarray, pattern: sp.csr_matrix,
@@ -153,64 +157,93 @@ def dissection_order(coords: np.ndarray, pattern: sp.spmatrix) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def linear_solve(A: sp.spmatrix, b: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Solve A x = b directly in a symmetric order, with a residual check.
+def factorise(A: sp.spmatrix, order: np.ndarray):
+    """Factorise A once in a symmetric order; returns x = solve(b) for A x = b.
 
     A is factorised as A[order][:, order] (rows and columns permuted
-    alike) and the solution is permuted back.  b may be one vector or an
-    (n, k) block of k vectors; one factorisation serves all of them, and
-    each column's residual is checked against its own right-hand-side
-    norm on the unpermuted A.
+    alike); solve takes and returns vectors, or (n, k) blocks, in A's
+    own numbering.
     """
-    A = A.tocsr()
     try:
-        lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
+        lu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
                        diag_pivot_thresh=_PIVOT_THRESH, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    y = lu.solve(b[order])
-    if not np.all(np.isfinite(y)):
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b, dtype=float)
+        x[order] = lu.solve(b[order])
+        return x
+    return solve
+
+
+def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> None:
+    """Raise unless each column of the residual r is small against b's."""
+    resid = np.linalg.norm(r, axis=0)
+    if np.any(resid > _RESID_CHECK * np.maximum(1.0, np.linalg.norm(b, axis=0)) * 100.0):
+        raise SolverError(f"{what} residual {np.max(resid):.2e} too large")
+
+
+def linear_solve(A: sp.spmatrix, b: np.ndarray, solve) -> np.ndarray:
+    """Solve A x = b with a factor of A (``factorise``), with a residual check.
+
+    b may be one vector or an (n, k) block of k vectors; each column's
+    residual is checked against its own right-hand-side norm on A.
+    """
+    x = solve(b)
+    if not np.all(np.isfinite(x)):
         raise SolverError("linear solve produced non-finite values")
-    x = np.empty_like(y)
-    x[order] = y
-    X, B = (x, b) if b.ndim == 2 else (x[:, None], b[:, None])
-    for k in range(B.shape[1]):
-        resid = np.linalg.norm(A @ X[:, k] - B[:, k])
-        scale = max(1.0, float(np.linalg.norm(B[:, k])))
-        if resid > _RESID_CHECK * scale * 100.0:
-            raise SolverError(f"linear solve residual {resid:.2e} too large")
+    _check_residual(A @ x - b, b, "linear solve")
     return x
 
 
 def biharmonic_guess(space: MorleySpace, A: sp.csr_matrix, load: np.ndarray,
-                     order: np.ndarray) -> StatePair:
+                     solve) -> StatePair:
     """Initial state from the decoupled linear problem (brackets off).
 
-    A is the bilaplacian, load both load blocks (length 2n) and order
-    the scalar dof order of A (``dissection_order``).
+    A is the bilaplacian, load both load blocks (length 2n) and solve
+    A's factor (``factorise``), which serves both blocks.
     """
     n = space.n_dofs
-    f, g = load[:n], load[n:]
-    if np.any(g):
-        u, v = linear_solve(A, np.column_stack([f, g]), order).T
-    else:
-        u, v = linear_solve(A, f, order), np.zeros(n)
+    u, v = linear_solve(A, load.reshape(2, n).T, solve).T
     return StatePair.from_vector(space, np.concatenate([u, v]))
 
 
-def _default_tolerance(abs_A: sp.csr_matrix, load: np.ndarray, x: np.ndarray) -> float:
-    """Default Newton tolerance at the iterate x (u block, then v block).
+def _rounding_floor(abs_A: sp.csr_matrix, load: np.ndarray, x: np.ndarray) -> float:
+    """eps | |A2| |x| + |load| |: the rounding level of A2 x - load.
 
-    max(1e-10 |load|, 1e-12, eps | |A2| |x| + |load| |), where A2 is
-    the block bilaplacian diag(A, A) and abs_A = |A| entrywise.  The
-    last term is the rounding floor of A2 x - load: Morley load entries
-    scale with element area while |A| grows with refinement, so on fine
-    meshes the load term alone falls below what the residual can reach.
+    A2 is the block bilaplacian diag(A, A), abs_A = |A| entrywise and x
+    the iterate (u block, then v block).
     """
     n = abs_A.shape[0]
     ax = np.concatenate([abs_A @ np.abs(x[:n]), abs_A @ np.abs(x[n:])])
-    floor = np.finfo(float).eps * float(np.linalg.norm(ax + np.abs(load)))
+    return np.finfo(float).eps * float(np.linalg.norm(ax + np.abs(load)))
+
+
+def _default_tolerance(load: np.ndarray, floor: float) -> float:
+    """max(1e-10 |load|, 1e-12, floor), floor from ``_rounding_floor``.
+
+    Morley load entries scale with element area while |A| grows with
+    refinement, so on fine meshes the load term alone falls below what
+    the residual can reach.
+    """
     return max(1e-10 * float(np.linalg.norm(load)), 1e-12, floor)
+
+
+def _krylov_solve(J: spla.LinearOperator, b: np.ndarray, precond: spla.LinearOperator,
+                  atol: float) -> tuple[np.ndarray, int]:
+    """GMRES solve of J d = b; returns d and the number of iterations.
+
+    Stops at max(_GMRES_RTOL |b|, atol) on the true residual, which is
+    checked again like a direct solve's.
+    """
+    steps = []
+    d, info = spla.gmres(J, b, rtol=_GMRES_RTOL, atol=atol, M=precond,
+                         maxiter=_GMRES_CYCLES, callback=steps.append, callback_type="pr_norm")
+    if info != 0:
+        raise SolverError(f"GMRES did not converge in {len(steps)} iterations")
+    _check_residual(J @ d - b, b, "GMRES")
+    return d, len(steps)
 
 
 def newton_solve(
@@ -222,19 +255,20 @@ def newton_solve(
     """Solve the discrete system by damped Newton iteration.
 
     Without an initial state the decoupled linear solve seeds the
-    iteration.  One dof order per call serves that solve and every
-    Newton step.  The returned report carries the full residual history
-    (including the initial residual) and the tolerance applied to the
-    last residual.
+    iteration.  One factor of A per call serves that solve and every
+    Newton step's preconditioner.  The returned report carries the full
+    residual history (including the initial residual), the GMRES
+    iterations of each step and the tolerance applied to the last
+    residual.
     """
     config = config or NewtonConfig()
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
-    order = dissection_order(space.dof_coords, A)
+    solve = factorise(A, dissection_order(space.dof_coords, A))
     abs_A = abs(A)
 
     if initial is None:
-        state = biharmonic_guess(space, A, load, order)
+        state = biharmonic_guess(space, A, load, solve)
     else:
         state = StatePair.from_vector(space, initial.to_vector())
 
@@ -244,23 +278,24 @@ def newton_solve(
     rnorm = float(np.linalg.norm(r))
     report.residuals.append(rnorm)
 
-    A2 = sp.block_diag((A, A), format="csr")
-    # u and v of each dof side by side, in the scalar order.
     n = space.n_dofs
-    order2 = np.empty(2 * n, dtype=order.dtype)
-    order2[0::2] = order
-    order2[1::2] = order + n
+
+    def block_operator(apply):
+        # The u and v halves of a 2n vector as the columns of an (n, 2) block.
+        return spla.LinearOperator(
+            (2 * n, 2 * n), matvec=lambda z: apply(np.reshape(z, (2, n)).T).T.ravel(), dtype=float)
+
+    A2 = block_operator(lambda Z: A @ Z)
+    precond = block_operator(solve)
     tol = config.residual_tol
     while True:
-        report.tolerance = _default_tolerance(abs_A, load, x) if tol is None else tol
+        floor = _rounding_floor(abs_A, load, x)
+        report.tolerance = _default_tolerance(load, floor) if tol is None else tol
         report.converged = rnorm <= report.tolerance
         if report.converged or report.iterations >= config.max_iter:
             break
-        if data.include_bracket:
-            J = A2 + assemble_linearized_bracket(space, state)
-        else:
-            J = A2
-        delta = linear_solve(J, -r, order2)
+        J = A2 + assemble_linearized_bracket(space, state) if data.include_bracket else A2
+        delta, steps = _krylov_solve(J, -r, precond, floor)
 
         # Backtracking: halve the step while the residual grows; if no
         # tried step decreases it, keep the best one seen.
@@ -280,8 +315,12 @@ def newton_solve(
                 report.damping_events += 1
         if accepted is None:
             accepted = min(tried, key=lambda item: item[0])
+        logger.debug("Newton step %d: residual %.3e -> %.3e (tol %.3e), %d GMRES iterations, "
+                     "%d halvings", report.iterations + 1, rnorm, accepted[0], report.tolerance,
+                     steps, len(tried) - 1)
         rnorm, x, state, r = accepted
         report.residuals.append(rnorm)
+        report.krylov_iterations.append(steps)
         report.iterations += 1
 
     if not report.converged:

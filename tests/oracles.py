@@ -5,7 +5,11 @@ deliberately avoid the package's own basis and assembly code paths, so
 agreement is evidence rather than tautology.  ``prolongate_loop`` is the
 per-entity reference for the batched ``vkmorley.morley.prolongate``,
 ``refine_queue`` for the array ``vkmorley.mesh.refine`` and
-``edge_table_loop`` for the edge table ``Mesh`` builds.
+``edge_table_loop`` for the edge table ``Mesh`` builds,
+``validate_loop`` for the array ``vkmorley.mesh.validate``, and
+``linearized_bracket_matrix`` assembles the matrix that
+``vkmorley.forms.assemble_linearized_bracket`` applies element by
+element.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
 convention, for tests that the convention stays internal, and
 ``random_descent`` draws random marked NVB refinements.  ``zero_state``
@@ -19,9 +23,10 @@ import copy
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sparse
 import sympy as sp
 
-from vkmorley.forms import StatePair
+from vkmorley.forms import StatePair, vk_bracket
 from vkmorley.mesh import (
     Mesh,
     MeshError,
@@ -308,6 +313,53 @@ def edge_table_loop(tri_vertices):
     for e, adj in enumerate(edge_adj):
         edge_tris[e, : len(adj)] = adj
     return tri_edges, np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2), edge_tris
+
+
+def linearized_bracket_matrix(space, state):
+    """Assembled 2n x 2n linearized bracket, through COO triplets.
+
+    Row blocks are test functions (p, q), column blocks the direction
+    (du, dv); each element adds SI_K (x) br_K outer products, with the
+    constrained slots dropped.
+    """
+    n = space.n_dofs
+    SI = space.shape_integral
+    br_u = vk_bracket(space.element_hessians(state.u.coeffs)[:, None, :], space.shape_hess)
+    br_v = vk_bracket(space.element_hessians(state.v.coeffs)[:, None, :], space.shape_hess)
+    dm = space.dof_map
+    rows = np.broadcast_to(dm[:, :, None], (len(dm), 6, 6))
+    cols = np.broadcast_to(dm[:, None, :], (len(dm), 6, 6))
+    mask = (rows >= 0) & (cols >= 0)
+    blocks = (
+        (0, 0, -np.einsum("ti,tj->tij", SI, br_v)),
+        (0, n, -np.einsum("ti,tj->tij", SI, br_u)),
+        (n, 0, np.einsum("ti,tj->tij", SI, br_u)),
+    )
+    r = np.concatenate([rows[mask] + ro for ro, _, _ in blocks])
+    c = np.concatenate([cols[mask] + co for _, co, _ in blocks])
+    vals = np.concatenate([local[mask] for _, _, local in blocks])
+    return sparse.coo_matrix((vals, (r, c)), shape=(2 * n, 2 * n)).tocsr()
+
+
+def validate_loop(mesh):
+    """Per-entity ``validate``: a coordinate dict, then loops over edges."""
+    index = {(float(x), float(y)): i for i, (x, y) in enumerate(mesh.coords)}
+    if len(index) != mesh.n_vertices:
+        raise MeshError("duplicate vertex coordinates")
+    for e in range(mesh.n_edges):
+        p, q = mesh.edge_vertices[e]
+        mid = (
+            (mesh.coords[p, 0] + mesh.coords[q, 0]) / 2.0,
+            (mesh.coords[p, 1] + mesh.coords[q, 1]) / 2.0,
+        )
+        if mid in index:
+            raise MeshError(f"hanging vertex {index[mid]} on edge {e}")
+    counts = np.zeros(mesh.n_vertices, dtype=int)
+    for e in np.nonzero(mesh.edge_is_boundary)[0]:
+        counts[mesh.edge_vertices[e]] += 1
+    bad = np.nonzero((counts != 0) & (counts != 2))[0]
+    if len(bad):
+        raise MeshError(f"boundary is not a closed loop at vertex {int(bad[0])}")
 
 
 def zero_state(space):

@@ -123,20 +123,34 @@ def test_unit_load_on_single_dof_space_matches_symbolic_oracle():
 def test_linearized_bracket_zero_state():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
     M = assemble_linearized_bracket(space, oc.zero_state(space))
-    assert abs(M).max() == 0.0
+    assert abs(M @ np.eye(2 * space.n_dofs)).max() == 0.0
 
 
 def test_linearized_bracket_block_structure():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
     rng = np.random.default_rng(12)
-    M = assemble_linearized_bracket(space, random_state(space, rng)).toarray()
     n = space.n_dofs
+    M = assemble_linearized_bracket(space, random_state(space, rng)) @ np.eye(2 * n)
     assert np.all(M[n:, n:] == 0.0)
     np.testing.assert_array_equal(M[n:, :n], -M[:n, n:])
 
 
+@pytest.mark.parametrize("constrained", [True, False])
+def test_linearized_bracket_operator_matches_assembled_matrix(constrained):
+    space = build_space(uniform_refine(uniform_refine(build_initial_mesh("lshape"))),
+                        constrained=constrained)
+    state = random_state(space, np.random.default_rng(15))
+    n = space.n_dofs
+    M = assemble_linearized_bracket(space, state)
+    assert M.shape == (2 * n, 2 * n)
+    applied = M @ np.eye(2 * n)
+    reference = oc.linearized_bracket_matrix(space, state).toarray()
+    scale = np.maximum(abs(reference).max(axis=0), np.finfo(float).tiny)
+    assert np.all(abs(applied - reference) <= 1e-14 * scale)
+
+
 def trilinear(space, psi, theta, phi):
-    """Scalar 2 B_pw(psi, theta, phi) through the assembled matrix."""
+    """Scalar 2 B_pw(psi, theta, phi) through the linearized bracket."""
     M = assemble_linearized_bracket(space, psi)
     return float(phi.to_vector() @ (M @ theta.to_vector()))
 
@@ -190,8 +204,8 @@ def test_single_element_bracket_entry_hand_value():
     u = interpolate(space, lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0 * y))
     v = interpolate(space, lambda x, y: y * y, lambda x, y: (0.0 * x, 2.0 * y))
     state = StatePair(u, v)
-    M = assemble_linearized_bracket(space, state).toarray()
     n = space.n_dofs
+    M = assemble_linearized_bracket(space, state) @ np.eye(2 * n)
     for j in range(6):
         Hj = space.shape_hess[0, j]
         for i in range(6):

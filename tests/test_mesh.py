@@ -90,6 +90,70 @@ def test_file_with_hanging_node_errors(tmp_path):
         build_initial_mesh(str(f))
 
 
+def test_validate_rejects_duplicate_vertex_coordinates():
+    # vertex 4 repeats vertex 1's position; the two triangles share no edge
+    coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
+    m = mesh_from_arrays(coords, [(0, 1, 2), (4, 3, 2)])
+    with pytest.raises(MeshError, match="^duplicate vertex coordinates$"):
+        validate(m)
+
+
+def test_validate_names_the_hanging_vertex_and_its_edge():
+    coords = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)]
+    m = mesh_from_arrays(coords, [(0, 1, 4), (1, 2, 4), (0, 2, 3)])
+    edge = [tuple(e) for e in m.edge_vertices.tolist()].index((0, 2))
+    with pytest.raises(MeshError, match=f"^hanging vertex 4 on edge {edge}$"):
+        validate(m)
+
+
+def test_validate_rejects_a_boundary_that_is_not_one_loop():
+    # two triangles touching only at vertex 0 (a bow tie)
+    coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    m = mesh_from_arrays(coords, [(0, 1, 2), (0, 3, 4)])
+    with pytest.raises(MeshError, match="^boundary is not a closed loop at vertex 0$"):
+        validate(m)
+
+
+def _validate_message(check, mesh):
+    try:
+        check(mesh)
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(["square", "lshape"]), pre=st.integers(0, 2),
+       steps=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), coarse_triangles=st.booleans(),
+       duplicate=st.booleans(), negative_zero=st.booleans())
+def test_validate_matches_loop_oracle(domain, pre, steps, seed, coarse_triangles, duplicate,
+                                      negative_zero):
+    # Coarse triangles over the fine vertices leave hanging midpoints, and
+    # subsets break the boundary loop; a copied vertex position and -0.0
+    # coordinates test exact equality.
+    rng = np.random.default_rng(seed)
+    coarse, fine = oc.random_descent(rng, domain, pre, steps)
+    tris = (coarse if coarse_triangles else fine).tri_vertices
+    keep = np.sort(rng.choice(len(tris), size=rng.integers(1, len(tris) + 1), replace=False))
+    coords = fine.coords.copy()
+    if duplicate:
+        i, j = rng.integers(0, len(coords), 2)
+        coords[i] = coords[j]
+    if negative_zero:
+        coords[coords == 0.0] = -0.0
+    try:
+        mesh = mesh_from_arrays(coords, tris[keep])
+    except MeshError:
+        return
+    assert _validate_message(validate, mesh) == _validate_message(oc.validate_loop, mesh)
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_mesh_from_arrays_rejects_vertex_ids_out_of_range(bad):
+    with pytest.raises(MeshError, match="vertex index out of range"):
+        mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, bad)])
+
+
 # -- refinement --------------------------------------------------------------
 
 

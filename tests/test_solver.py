@@ -13,7 +13,6 @@ from vkmorley.forms import (
     StatePair,
     apply_residual,
     assemble_bilaplacian,
-    assemble_linearized_bracket,
     assemble_load,
 )
 from vkmorley.mesh import build_initial_mesh, uniform_refine
@@ -21,8 +20,10 @@ from vkmorley.morley import build_space, prolongate
 from vkmorley.problems import get_problem
 from vkmorley.solver import (
     NewtonConfig,
+    SolverError,
     biharmonic_guess,
     dissection_order,
+    factorise,
     linear_solve,
     newton_solve,
 )
@@ -46,7 +47,8 @@ def space_order(space, A):
 
 def test_identity_system_returns_rhs():
     rhs = np.arange(1.0, 6.0)
-    x = linear_solve(sp.eye(5, format="csr"), rhs, np.arange(5)[::-1])
+    eye = sp.eye(5, format="csr")
+    x = linear_solve(eye, rhs, factorise(eye, np.arange(5)[::-1]))
     np.testing.assert_allclose(x, rhs, atol=1e-14)
 
 
@@ -55,7 +57,7 @@ def test_spd_block_agrees_with_cg():
     A = assemble_bilaplacian(space)
     rng = np.random.default_rng(21)
     b = rng.standard_normal(space.n_dofs)
-    x = linear_solve(A.tocsr(), b, space_order(space, A))
+    x = linear_solve(A, b, factorise(A, space_order(space, A)))
     xcg, info = spla.cg(A, b, rtol=1e-13, maxiter=5000)
     assert info == 0
     np.testing.assert_allclose(x, xcg, atol=1e-9 * max(1.0, abs(xcg).max()))
@@ -67,16 +69,15 @@ def test_random_sparse_system_agrees_with_dense():
     dense[np.abs(dense) < 0.8] = 0.0
     dense += 50.0 * np.eye(50)  # keep the diagonal after sparsification
     b = rng.standard_normal(50)
-    x = linear_solve(sp.csr_matrix(dense), b, rng.permutation(50))
+    M = sp.csr_matrix(dense)
+    x = linear_solve(M, b, factorise(M, rng.permutation(50)))
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=1e-10)
 
 
 def test_singular_system_raises():
-    from vkmorley.solver import SolverError
-
     M = sp.csr_matrix(np.zeros((3, 3)))
     with pytest.raises(SolverError):
-        linear_solve(M, np.ones(3), np.arange(3))
+        linear_solve(M, np.ones(3), factorise(M, np.arange(3)))
 
 
 # -- dissection_order -------------------------------------------------------
@@ -131,7 +132,11 @@ def test_every_separator_disconnects_its_halves(domain, pre, steps, constrained,
 
 @pytest.fixture(scope="module")
 def trig_jacobian():
-    """Newton system at the decoupled guess on square-trig, mesh size 0.03."""
+    """Newton system at the decoupled guess on square-trig, mesh size 0.03.
+
+    J is assembled by the oracle and ordered with u and v of each dof
+    side by side.
+    """
     prob = get_problem("square-trig")
     mesh = build_initial_mesh("square")
     while mesh.h.max() > 0.03:
@@ -139,8 +144,8 @@ def trig_jacobian():
     space = build_space(mesh)
     A = assemble_bilaplacian(space)
     load = assemble_load(space, prob.data)
-    guess = biharmonic_guess(space, A, load, space_order(space, A))
-    J = (sp.block_diag((A, A)) + assemble_linearized_bracket(space, guess)).tocsc()
+    guess = biharmonic_guess(space, A, load, factorise(A, space_order(space, A)))
+    J = (sp.block_diag((A, A)) + oc.linearized_bracket_matrix(space, guess)).tocsc()
     rhs = -apply_residual(space, guess, prob.data, A, load)
     n = space.n_dofs
     order2 = np.empty(2 * n, dtype=np.int64)
@@ -152,7 +157,7 @@ def trig_jacobian():
 def test_ordered_jacobian_solve_matches_default_splu(trig_jacobian):
     J, rhs, order2 = trig_jacobian
     reference = spla.splu(J).solve(rhs)
-    x = linear_solve(J, rhs, order2)
+    x = linear_solve(J, rhs, factorise(J, order2))
     assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
@@ -167,7 +172,7 @@ def test_ordered_jacobian_fill_below_colamd(trig_jacobian, monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(spla, "splu", spy)
-    linear_solve(J, rhs, order2)
+    linear_solve(J, rhs, factorise(J, order2))
     assert len(factors) == 1
     fill = factors[0].L.nnz + factors[0].U.nnz
     assert fill < colamd.L.nnz + colamd.U.nnz
@@ -201,7 +206,7 @@ def test_biharmonic_mode_is_one_newton_step():
     n = space.n_dofs
     np.testing.assert_allclose(
         state.u.coeffs,
-        linear_solve(A.tocsr(), load[:n], space_order(space, A)),
+        linear_solve(A, load[:n], factorise(A, space_order(space, A))),
         atol=1e-11,
     )
     # with the bracket off the Galerkin identity holds to machine terms
@@ -251,7 +256,7 @@ def test_biharmonic_guess_solves_decoupled_system():
     space = square_space(2)
     A = assemble_bilaplacian(space)
     load = assemble_load(space, prob.data)
-    guess = biharmonic_guess(space, A, load, space_order(space, A))
+    guess = biharmonic_guess(space, A, load, factorise(A, space_order(space, A)))
     n = space.n_dofs
     np.testing.assert_allclose(A @ guess.u.coeffs, load[:n], atol=1e-10)
     np.testing.assert_allclose(A @ guess.v.coeffs, load[n:], atol=1e-10)
@@ -265,12 +270,12 @@ def test_biharmonic_guess_factorises_once(monkeypatch):
     n = space.n_dofs
     assert np.any(load[n:])
     order = space_order(space, A)
-    separate = [linear_solve(A, load[:n], order),
-                linear_solve(A, load[n:], order)]
+    separate = [linear_solve(A, load[:n], factorise(A, order)),
+                linear_solve(A, load[n:], factorise(A, order))]
     calls = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda M, **kwargs: calls.append(M) or splu(M, **kwargs))
-    guess = biharmonic_guess(space, A, load, order)
+    guess = biharmonic_guess(space, A, load, factorise(A, order))
     assert len(calls) == 1
     np.testing.assert_array_equal(guess.u.coeffs, separate[0])
     np.testing.assert_array_equal(guess.v.coeffs, separate[1])
@@ -281,11 +286,11 @@ def test_block_rhs_solves_each_column():
     A = assemble_bilaplacian(space)
     rng = np.random.default_rng(23)
     B = rng.standard_normal((space.n_dofs, 3))
-    order = space_order(space, A)
-    X = linear_solve(A, B, order)
+    solve = factorise(A, space_order(space, A))
+    X = linear_solve(A, B, solve)
     assert X.shape == B.shape
     for k in range(3):
-        np.testing.assert_array_equal(X[:, k], linear_solve(A, B[:, k], order))
+        np.testing.assert_array_equal(X[:, k], linear_solve(A, B[:, k], solve))
 
 
 def test_max_iter_reports_nonconvergence():
@@ -317,7 +322,7 @@ def test_default_tolerance_rule_at_the_iterate():
     assert report.tolerance == pytest.approx(1e-10 * np.linalg.norm(load), rel=1e-12)
     # ... and where |A||x| dwarfs the load the rounding floor takes over.
     big = 1e7 * x
-    floor = solver._default_tolerance(abs(A), load, big)
+    floor = solver._default_tolerance(load, solver._rounding_floor(abs(A), load, big))
     assert floor > 10 * 1e-10 * np.linalg.norm(load)
     assert floor == pytest.approx(rule(big), rel=1e-12)
     # An explicit tolerance is used as given.
@@ -339,3 +344,54 @@ def test_default_tolerance_rule_at_the_iterate():
 def test_newton_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         NewtonConfig(**kwargs)
+
+
+# -- Newton-Krylov -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_newton_factorises_only_the_bilaplacian_once(seeded, monkeypatch):
+    prob = get_problem("square-trig")
+    space = square_space(4)
+    initial = None if seeded else oc.zero_state(space)
+    shapes = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda M, **kwargs: shapes.append(M.shape) or splu(M, **kwargs))
+    _, report = newton_solve(space, prob.data, initial=initial)
+    assert report.converged and report.iterations >= 2
+    n = space.n_dofs
+    assert shapes == [(n, n)]
+
+
+def test_gmres_iterations_do_not_grow_with_the_mesh():
+    # A's factors precondition J = diag(A, A) + B, a compact perturbation
+    # at a regular solution, so the count stays flat under refinement.
+    prob = get_problem("square-trig")
+    counts = []
+    for levels in (8, 9, 10):
+        _, report = newton_solve(square_space(levels), prob.data)
+        assert report.converged
+        assert len(report.krylov_iterations) == report.iterations
+        counts += report.krylov_iterations
+    assert max(counts) <= 10
+
+
+def test_gmres_failure_raises_with_iteration_count(monkeypatch):
+    def stalled(J, b, callback=None, **kwargs):
+        for _ in range(3):
+            callback(0.5)
+        return np.zeros_like(b), 3
+
+    monkeypatch.setattr(spla, "gmres", stalled)
+    with pytest.raises(SolverError, match="3 iterations"):
+        newton_solve(square_space(3), get_problem("square-trig").data)
+
+
+def test_newton_logs_each_step_at_debug(caplog):
+    caplog.set_level("DEBUG", logger="vkmorley.solver")
+    _, report = newton_solve(square_space(4), get_problem("square-trig").data)
+    steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+    assert len(steps) == report.iterations
+    for k, message in enumerate(steps):
+        assert f"{report.krylov_iterations[k]} GMRES iterations" in message
+        assert "tol" in message and "halvings" in message

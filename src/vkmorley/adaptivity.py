@@ -213,6 +213,7 @@ def _run(problem, cfg: AmfemConfig, mode: str) -> RunResult:
             err_energy, err_h1, _ = energy_norms(space, state, problem.exact)
         else:
             err_energy = err_h1 = None
+        space.release_quadrature()
 
         arts = LevelArtifacts(mesh, space, state, est, solve)
         row = LevelRow(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .forms import ProblemData, StatePair, vk_bracket
 from .morley import MorleySpace, monomials
-from .quadrature import triangle_rule, triangle_points
+from .quadrature import triangle_rule
 
 __all__ = ["EstimatorReport", "estimate", "oscillation", "restrict_estimator"]
 
@@ -69,22 +69,22 @@ class EstimatorReport:
                 )
 
 
-def _volume_terms(mesh, Hu: np.ndarray, Hv: np.ndarray, data: ProblemData) -> np.ndarray:
+def _volume_terms(space, Hu: np.ndarray, Hv: np.ndarray, data: ProblemData) -> np.ndarray:
     """|K|^2 weighted L2 norms of both strong volume residuals."""
+    mesh = space.mesh
     br_uv = vk_bracket(Hu, Hv)
     br_uu = vk_bracket(Hu, Hu)
 
     rule = triangle_rule(data.quad_degree)
-    pts = triangle_points(rule, mesh.triangle_coords())
     wts = rule.weights[None, :]
 
-    fv = np.asarray(data.f(pts[..., 0], pts[..., 1]), dtype=float)
+    fv = space.values_at(data.f, rule)
     res1 = np.einsum("tq,tq->t", wts * (br_uv[:, None] + fv), br_uv[:, None] + fv)
     res1 = res1 * mesh.areas
     if data.g is None:
         res2 = br_uu**2 * mesh.areas
     else:
-        gv = np.asarray(data.g(pts[..., 0], pts[..., 1]), dtype=float)
+        gv = space.values_at(data.g, rule)
         r2 = br_uu[:, None] - 2.0 * gv
         res2 = np.einsum("tq,tq->t", wts * r2, r2) * mesh.areas
     return mesh.areas**2 * (res1 + res2)
@@ -122,11 +122,10 @@ def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> n
         raise ValueError(f"oscillation order must be 0, 1 or 2, got {order}")
 
     rule = triangle_rule(max(quad_degree, 2 * order))
-    pts = triangle_points(rule, mesh.triangle_coords())
     wts = rule.weights[None, :]
-    fv = np.asarray(func(pts[..., 0], pts[..., 1]), dtype=float)
+    fv = space.values_at(func, rule)
 
-    xi = space.local_coords(np.arange(mesh.n_triangles)[:, None], pts)
+    xi = space.local_coords(np.arange(mesh.n_triangles)[:, None], space.quadrature_points(rule))
     nb = {0: 1, 1: 3, 2: 6}[order]
     basis = monomials(xi)[..., :nb]  # (nt, q, nb)
 
@@ -147,7 +146,7 @@ def estimate(
     mesh = space.mesh
     Hu = space.element_hessians(state.u.coeffs)
     Hv = space.element_hessians(state.v.coeffs)
-    mu_sq = _volume_terms(mesh, Hu, Hv, data)
+    mu_sq = _volume_terms(space, Hu, Hv, data)
     eta_sq = mu_sq + _edge_terms(mesh, Hu, Hv)
     osc_sq = oscillation(space, data.f, osc_order, data.quad_degree)
     return EstimatorReport(

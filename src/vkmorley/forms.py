@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .morley import MorleyField, MorleySpace, batch_eval, hessians, monomials
-from .quadrature import triangle_rule, triangle_points
+from .quadrature import triangle_rule
 
 __all__ = [
     "ProblemData",
@@ -110,7 +110,7 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     n = space.n_dofs
     out = np.zeros(2 * n)
     rule = triangle_rule(data.quad_degree)
-    pts = triangle_points(rule, space.mesh.triangle_coords())  # (nt, q, 2)
+    pts = space.quadrature_points(rule)  # (nt, q, 2)
     xi = space.local_coords(np.arange(space.mesh.n_triangles)[:, None], pts)
     shapes = np.einsum("tqm,tmi->tqi", monomials(xi), space.coeffs)  # (nt, q, 6)
     warea = rule.weights[None, :] * space.mesh.areas[:, None]
@@ -120,8 +120,7 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     for offset, func in ((0, data.f), (n, data.g)):
         if func is None:
             continue
-        fv = np.asarray(func(pts[..., 0], pts[..., 1]), dtype=float)
-        local = np.einsum("tq,tq,tqi->ti", warea, fv, shapes)
+        local = np.einsum("tq,tq,tqi->ti", warea, space.values_at(func, rule), shapes)
         out[offset:offset + n] = np.bincount(dm[mask], weights=local[mask], minlength=n)
     return out
 
@@ -195,12 +194,13 @@ def energy_norms(space: MorleySpace, state: StatePair, exact, degree: int = 6):
     Returns (piecewise H2 seminorm error, piecewise H1 seminorm error,
     piecewise H2 seminorm of the discrete state).  exact provides
     vectorized du, d2u, dv, d2v callables; Hessians as (hxx, hxy, hyy).
+    Their values come from the space's quadrature cache, so a callable
+    shared by u and v is evaluated once.
     """
     mesh = space.mesh
     rule = triangle_rule(degree)
-    pts = triangle_points(rule, mesh.triangle_coords())
+    pts = space.quadrature_points(rule)
     warea = rule.weights[None, :] * mesh.areas[:, None]
-    X, Y = pts[..., 0], pts[..., 1]
 
     pu = space.element_polys(state.u.coeffs)
     pv = space.element_polys(state.v.coeffs)
@@ -212,11 +212,9 @@ def energy_norms(space: MorleySpace, state: StatePair, exact, degree: int = 6):
     err2 = 0.0
     errh1 = 0.0
     for H, G, dfun, hfun in ((Hu, gu, exact.du, exact.d2u), (Hv, gv, exact.dv, exact.d2v)):
-        hxx, hxy, hyy = hfun(X, Y)
-        diff = np.stack([hxx, hxy, hyy], axis=-1) - H[:, None, :]
+        diff = space.values_at(hfun, rule) - H[:, None, :]
         err2 += np.einsum("tqc,c,tq->", diff**2, _FROB, warea)
-        gx, gy = dfun(X, Y)
-        gdiff = np.stack([gx, gy], axis=-1) - G
+        gdiff = space.values_at(dfun, rule) - G
         errh1 += np.einsum("tqc,tq->", gdiff**2, warea)
 
     energy = np.einsum("tc,c,t->", Hu**2 + Hv**2, _FROB, mesh.areas)

@@ -104,49 +104,59 @@ _POLY_EXACT = ExactSolution(
 # -- square-trig: u = v = sin^2(pi x) sin^2(pi y) ---------------------------
 
 
-def _S(t):
-    return np.sin(np.pi * t) ** 2
+def _trig_axis(t):
+    """S = sin^2(pi t) with its derivatives S1, S2 and S4.
 
-
-def _S1(t):
-    return np.pi * np.sin(2.0 * np.pi * t)
-
-
-def _S2(t):
-    return 2.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
-
-
-def _S4(t):
-    return -8.0 * np.pi**4 * np.cos(2.0 * np.pi * t)
+    One sin(pi t), sin(2 pi t) and cos(2 pi t) serve all four.
+    """
+    c2 = np.cos(2.0 * np.pi * t)
+    return (np.sin(np.pi * t) ** 2, np.pi * np.sin(2.0 * np.pi * t),
+            2.0 * np.pi**2 * c2, -8.0 * np.pi**4 * c2)
 
 
 def _trig_u(x, y):
-    return _S(x) * _S(y)
+    return _trig_axis(x)[0] * _trig_axis(y)[0]
 
 
 def _trig_du(x, y):
-    return _S1(x) * _S(y), _S(x) * _S1(y)
+    (S, S1, _, _), (T, T1, _, _) = _trig_axis(x), _trig_axis(y)
+    return S1 * T, S * T1
+
+
+def _trig_hessian(X, Y):
+    (S, S1, S2, _), (T, T1, T2, _) = X, Y
+    return S2 * T, S1 * T1, S * T2
 
 
 def _trig_d2u(x, y):
-    return _S2(x) * _S(y), _S1(x) * _S1(y), _S(x) * _S2(y)
+    return _trig_hessian(_trig_axis(x), _trig_axis(y))
+
+
+def _trig_lap2_of(X, Y):
+    (S, _, S2, S4), (T, _, T2, T4) = X, Y
+    return S4 * T + 2.0 * S2 * T2 + S * T4
 
 
 def _trig_lap2(x, y):
-    return _S4(x) * _S(y) + 2.0 * _S2(x) * _S2(y) + _S(x) * _S4(y)
+    return _trig_lap2_of(_trig_axis(x), _trig_axis(y))
 
 
-def _trig_bracket_uu(x, y):
-    hxx, hxy, hyy = _trig_d2u(x, y)
+def _trig_bracket_uu(X, Y):
+    hxx, hxy, hyy = _trig_hessian(X, Y)
     return 2.0 * (hxx * hyy - hxy**2)
 
 
 def _trig_f(x, y):
-    return _trig_lap2(x, y) - _trig_bracket_uu(x, y)
+    # The bracket first: fewer full-size temporaries are alive at once.
+    X, Y = _trig_axis(x), _trig_axis(y)
+    bracket = _trig_bracket_uu(X, Y)
+    return _trig_lap2_of(X, Y) - bracket
 
 
 def _trig_g(x, y):
-    return _trig_lap2(x, y) + 0.5 * _trig_bracket_uu(x, y)
+    X, Y = _trig_axis(x), _trig_axis(y)
+    bracket = _trig_bracket_uu(X, Y)
+    return _trig_lap2_of(X, Y) + 0.5 * bracket
 
 
 _TRIG_EXACT = ExactSolution(

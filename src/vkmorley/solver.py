@@ -16,7 +16,7 @@ the residual, not at an Eisenstat-Walker forcing term near the Newton
 tolerance (SIAM J. Sci. Comput. 17, 1996): that stalls the last step.
 
 A is factorised in a nested-dissection order (George, SIAM J. Numer.
-Anal. 10, 1973).  ``dissection_order`` builds it by recursive coordinate
+Anal. 10, 1973).  ``dissection_order`` builds it by nested coordinate
 bisection of the dof positions (``MorleySpace.dof_coords``), cutting
 along the 0/1 pattern of A, whose values cancel and say nothing about
 adjacency.  Rows and columns are permuted alike, so SuperLU runs in
@@ -103,58 +103,64 @@ class SolveReport:
     krylov_iterations: list[int] = field(default_factory=list)
 
 
-def _bisect(nodes: np.ndarray, coords: np.ndarray, pattern: sp.csr_matrix,
-            in_right: np.ndarray):
-    """Split a node subset into (left, right, separator).
-
-    The subset is cut at the median of its longer coordinate extent; the
-    separator is the set of left-half nodes with a pattern neighbour in
-    the right half, and left excludes it.  in_right is an all-False
-    scratch mask over every node and is all-False again on return.
-    """
-    pts = coords[nodes]
-    axis = int(np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]))
-    ranked = nodes[np.argsort(pts[:, axis], kind="stable")]
-    half = len(nodes) // 2
-    left, right = ranked[:half], ranked[half:]
-
-    starts = pattern.indptr[left]
-    counts = pattern.indptr[left + 1] - starts
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices starts[k] + range(counts[k]) for every k, concatenated."""
     first = np.cumsum(counts) - counts
-    neighbours = pattern.indices[np.repeat(starts - first, counts) + np.arange(counts.sum())]
-    owner = np.repeat(np.arange(half), counts)
-
-    in_right[right] = True
-    on_cut = np.zeros(half, dtype=bool)
-    on_cut[owner[in_right[neighbours]]] = True
-    in_right[right] = False
-    return left[~on_cut], right, left[on_cut]
+    return np.repeat(starts - first, counts) + np.arange(counts.sum())
 
 
 def dissection_order(coords: np.ndarray, pattern: sp.spmatrix) -> np.ndarray:
     """Nested-dissection order of the nodes of a structurally symmetric pattern.
 
     coords (n, 2) places node i in the plane; only the nonzero structure
-    of the n x n matrix pattern is read.  Each subset is ordered as
-    [left, right, separator] (see ``_bisect``), recursively, down to
-    leaves of at most ``_ND_LEAF`` nodes kept in the order they arrive.
-    Returns a permutation of range(n).
+    of the n x n matrix pattern is read.  A subset of more than
+    ``_ND_LEAF`` nodes is sorted stably along its longer coordinate
+    extent and cut at the median; its separator, the left-half nodes
+    with a pattern neighbour in the right half, is ordered last, after
+    the rest of the left half and the right half, each ordered alike.
+    All subsets of one depth are split in one array pass.  Returns a
+    permutation of range(n).
     """
     pattern = pattern.tocsr()
-    in_right = np.zeros(len(coords), dtype=bool)
-    pieces = []
+    n = len(coords)
+    out = np.empty(n, dtype=np.int64)
+    nodes = np.arange(n)  # the current subsets, one after another
+    sizes = np.array([n])
+    offsets = np.array([0])  # where each subset's order starts in out
+    while True:
+        leaf = sizes <= _ND_LEAF
+        in_leaf = np.repeat(leaf, sizes)
+        out[_segments(offsets[leaf], sizes[leaf])] = nodes[in_leaf]
+        nodes, sizes, offsets = nodes[~in_leaf], sizes[~leaf], offsets[~leaf]
+        if not len(sizes):
+            break
 
-    def order(nodes):
-        if len(nodes) <= _ND_LEAF:
-            pieces.append(nodes)
-            return
-        left, right, separator = _bisect(nodes, coords, pattern, in_right)
-        order(left)
-        order(right)
-        pieces.append(separator)
+        starts = np.cumsum(sizes) - sizes
+        part = np.repeat(np.arange(len(sizes)), sizes)
+        pts = coords[nodes]
+        extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        key = np.where((extent[:, 1] > extent[:, 0])[part], pts[:, 1], pts[:, 0])
+        nodes = nodes[np.lexsort((key, part))]
 
-    order(np.arange(len(coords)))
-    return np.concatenate(pieces)
+        half = sizes // 2
+        in_right = np.arange(len(nodes)) - starts[part] >= half[part]
+        # Earlier separators disconnect the subsets of one depth from each
+        # other, so a neighbour in any right half is in the node's own.
+        is_right = np.zeros(n, dtype=bool)
+        is_right[nodes[in_right]] = True
+        left = np.nonzero(~in_right)[0]
+        counts = pattern.indptr[nodes[left] + 1] - pattern.indptr[nodes[left]]
+        neighbours = pattern.indices[_segments(pattern.indptr[nodes[left]], counts)]
+        on_cut = np.zeros(len(nodes), dtype=bool)
+        on_cut[np.repeat(left, counts)[is_right[neighbours]]] = True
+
+        n_cut = np.bincount(part[on_cut], minlength=len(sizes))
+        out[_segments(offsets + sizes - n_cut, n_cut)] = nodes[on_cut]
+        n_left = half - n_cut
+        nodes = nodes[~on_cut]
+        sizes = np.column_stack([n_left, sizes - half]).ravel()
+        offsets = np.column_stack([offsets, offsets + n_left]).ravel()
+    return out
 
 
 def factorise(A: sp.spmatrix, order: np.ndarray):
@@ -256,16 +262,18 @@ def newton_solve(
 
     Without an initial state the decoupled linear solve seeds the
     iteration.  One factor of A per call serves that solve and every
-    Newton step's preconditioner.  The returned report carries the full
-    residual history (including the initial residual), the GMRES
-    iterations of each step and the tolerance applied to the last
+    Newton step's preconditioner.  Below the residual's rounding floor
+    GMRES returns a zero step, so an explicit ``residual_tol`` under that
+    floor ends the iteration unconverged.  The returned report carries
+    the full residual history (including the initial residual), the
+    GMRES iterations of each step and the tolerance applied to the last
     residual.
     """
     config = config or NewtonConfig()
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
     solve = factorise(A, dissection_order(space.dof_coords, A))
-    abs_A = abs(A)
+    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
 
     if initial is None:
         state = biharmonic_guess(space, A, load, solve)
@@ -296,6 +304,10 @@ def newton_solve(
             break
         J = A2 + assemble_linearized_bracket(space, state) if data.include_bracket else A2
         delta, steps = _krylov_solve(J, -r, precond, floor)
+        if steps == 0:
+            # The residual is under its rounding floor but above an
+            # explicit tolerance: no step can lower it further.
+            break
 
         # Backtracking: halve the step while the residual grows; if no
         # tried step decreases it, keep the best one seen.
@@ -325,7 +337,8 @@ def newton_solve(
 
     if not report.converged:
         logger.warning(
-            "Newton did not converge: %d iterations, residual %.3e (tol %.3e)",
-            report.iterations, rnorm, report.tolerance,
+            "Newton did not converge: %d iterations, residual %.3e (tol %.3e, rounding floor "
+            "%.3e), last residuals %s", report.iterations, rnorm, report.tolerance, floor,
+            ", ".join(f"{res:.3e}" for res in report.residuals[-3:]),
         )
     return state, report

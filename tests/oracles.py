@@ -9,7 +9,9 @@ per-entity reference for the batched ``vkmorley.morley.prolongate``,
 ``validate_loop`` for the array ``vkmorley.mesh.validate``, and
 ``linearized_bracket_matrix`` assembles the matrix that
 ``vkmorley.forms.assemble_linearized_bracket`` applies element by
-element.
+element.  ``dissection_order_recursive`` is the subset-at-a-time
+reference for the level-synchronous ``vkmorley.solver.dissection_order``,
+and ``nd_bisect`` its single split.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
 convention, for tests that the convention stays internal, and
 ``random_descent`` draws random marked NVB refinements.  ``zero_state``
@@ -36,6 +38,7 @@ from vkmorley.mesh import (
     uniform_refine,
 )
 from vkmorley.morley import MorleyField, build_space
+from vkmorley.solver import _ND_LEAF
 
 X, Y = sp.symbols("x y")
 MONOMIALS = (sp.Integer(1), X, Y, X**2, X * Y, Y**2)
@@ -339,6 +342,53 @@ def linearized_bracket_matrix(space, state):
     c = np.concatenate([cols[mask] + co for _, co, _ in blocks])
     vals = np.concatenate([local[mask] for _, _, local in blocks])
     return sparse.coo_matrix((vals, (r, c)), shape=(2 * n, 2 * n)).tocsr()
+
+
+def nd_bisect(nodes, coords, pattern, in_right):
+    """Split a node subset into (left, right, separator).
+
+    The subset is cut at the median of its longer coordinate extent; the
+    separator is the set of left-half nodes with a pattern neighbour in
+    the right half, and left excludes it.  in_right is an all-False
+    scratch mask over every node and is all-False again on return.
+    """
+    pts = coords[nodes]
+    axis = int(np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]))
+    ranked = nodes[np.argsort(pts[:, axis], kind="stable")]
+    half = len(nodes) // 2
+    left, right = ranked[:half], ranked[half:]
+
+    starts = pattern.indptr[left]
+    counts = pattern.indptr[left + 1] - starts
+    first = np.cumsum(counts) - counts
+    neighbours = pattern.indices[np.repeat(starts - first, counts) + np.arange(counts.sum())]
+    owner = np.repeat(np.arange(half), counts)
+
+    in_right[right] = True
+    on_cut = np.zeros(half, dtype=bool)
+    on_cut[owner[in_right[neighbours]]] = True
+    in_right[right] = False
+    return left[~on_cut], right, left[on_cut]
+
+
+def dissection_order_recursive(coords, pattern):
+    """Nested dissection one subset at a time: [left, right, separator],
+    recursively, down to leaves of at most ``_ND_LEAF`` nodes."""
+    pattern = pattern.tocsr()
+    in_right = np.zeros(len(coords), dtype=bool)
+    pieces = []
+
+    def order(nodes):
+        if len(nodes) <= _ND_LEAF:
+            pieces.append(nodes)
+            return
+        left, right, separator = nd_bisect(nodes, coords, pattern, in_right)
+        order(left)
+        order(right)
+        pieces.append(separator)
+
+    order(np.arange(len(coords)))
+    return np.concatenate(pieces)
 
 
 def validate_loop(mesh):

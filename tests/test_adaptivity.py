@@ -1,6 +1,7 @@
 """Bulk marking, the adaptive driver loop, and refinement diagnostics."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -336,6 +337,34 @@ class TestUniformDriver:
         for prev, cur in zip(etas, etas[1:]):
             assert cur < prev
         assert etas[-1] < etas[0] / 10
+
+    def test_each_data_callable_evaluated_once_per_level(self):
+        # The load, the estimator and the error norms share the space's
+        # quadrature cache; square-trig's u and v share du and d2u.
+        prob = get_problem("square-trig")
+        calls = {}
+
+        def spy(name, func):
+            def counted(x, y):
+                calls[name] = calls.get(name, 0) + 1
+                return func(x, y)
+            return counted
+
+        du, d2u = spy("du", prob.exact.du), spy("d2u", prob.exact.d2u)
+        spied = dataclasses.replace(
+            prob,
+            data=dataclasses.replace(prob.data, f=spy("f", prob.data.f), g=spy("g", prob.data.g)),
+            exact=dataclasses.replace(prob.exact, du=du, d2u=d2u, dv=du, d2v=d2u),
+        )
+        res = uniform_run(spied, AmfemConfig(delta=0.3, max_levels=1))
+        assert res.report.rows[0].err_energy is not None
+        assert calls == {"f": 1, "g": 1, "du": 1, "d2u": 1}
+
+    def test_history_keeps_no_quadrature_cache(self):
+        res = uniform_run(get_problem("square-trig"),
+                          AmfemConfig(delta=0.5, max_levels=3, keep_history=True))
+        assert len(res.history) == 3
+        assert all(arts.space._quadrature == {} for arts in res.history)
 
 
 # -- refinement diagnostics --------------------------------------------------

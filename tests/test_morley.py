@@ -1,12 +1,14 @@
 """Morley space construction, interpolation, evaluation, prolongation."""
 
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkmorley.mesh import build_initial_mesh, mesh_from_arrays, refine, uniform_refine
+from vkmorley.mesh import MeshError, build_initial_mesh, mesh_from_arrays, refine, uniform_refine
 from vkmorley.morley import (
     MorleyField,
     batch_eval,
@@ -69,6 +71,20 @@ def test_dof_counts_cross_check(domain):
 
 
 # -- local bases -------------------------------------------------------------
+
+
+def test_tiny_triangle_rejected_by_name():
+    # Bisect the triangles at one corner of the square until the
+    # smallest has h below 1e-8: the duality residual exceeds its bound
+    # there, and the message names one of the tiny triangles.
+    mesh = build_initial_mesh("square")
+    corner = int(np.argmin(np.abs(mesh.coords).sum(axis=1)))
+    while mesh.h.min() >= 1e-8:
+        mesh = refine(mesh, np.nonzero((mesh.tri_vertices == corner).any(axis=1))[0])
+    with pytest.raises(MeshError, match=r"triangle \d+: Morley duality residual") as info:
+        build_space(mesh)
+    bad = int(re.search(r"triangle (\d+)", str(info.value)).group(1))
+    assert mesh.h[bad] < 1e-7
 
 
 @pytest.mark.parametrize("coords", [REF_TRI, SKEW_TRI])

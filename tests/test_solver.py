@@ -104,6 +104,15 @@ def test_order_is_a_permutation(domain, pre, steps, constrained, seed):
     np.testing.assert_array_equal(np.sort(order), np.arange(space.n_dofs))
 
 
+@settings(max_examples=60, deadline=None)
+@given(**DESCENTS)
+def test_order_matches_recursive_oracle(domain, pre, steps, constrained, seed):
+    space = descent_space(domain, pre, steps, constrained, seed)
+    A = assemble_bilaplacian(space)
+    np.testing.assert_array_equal(space_order(space, A),
+                                  oc.dissection_order_recursive(space.dof_coords, A))
+
+
 @settings(max_examples=30, deadline=None)
 @given(**DESCENTS)
 def test_every_separator_disconnects_its_halves(domain, pre, steps, constrained, seed):
@@ -118,7 +127,7 @@ def test_every_separator_disconnects_its_halves(domain, pre, steps, constrained,
     def replay(nodes):
         if len(nodes) <= solver._ND_LEAF:
             return [nodes]
-        left, right, separator = solver._bisect(nodes, space.dof_coords, P, in_right)
+        left, right, separator = oc.nd_bisect(nodes, space.dof_coords, P, in_right)
         np.testing.assert_array_equal(
             np.sort(np.concatenate([left, right, separator])), np.sort(nodes))
         assert P[left][:, right].nnz == 0
@@ -395,3 +404,19 @@ def test_newton_logs_each_step_at_debug(caplog):
     for k, message in enumerate(steps):
         assert f"{report.krylov_iterations[k]} GMRES iterations" in message
         assert "tol" in message and "halvings" in message
+
+
+def test_newton_stops_at_the_rounding_floor(caplog):
+    # Below its rounding floor the residual cannot fall to an explicit
+    # tolerance of 1e-13: GMRES returns a zero step, and Newton must end
+    # there instead of halving that step until max_iter.
+    space = square_space(6)
+    assert space.n_dofs == 225
+    caplog.set_level("WARNING", logger="vkmorley.solver")
+    _, report = newton_solve(space, get_problem("square-trig").data,
+                             config=NewtonConfig(residual_tol=1e-13, max_iter=8))
+    assert not report.converged
+    assert report.iterations <= 4 and report.damping_events == 0
+    assert report.residuals[-1] > 1e-13
+    tail = ", ".join(f"{r:.3e}" for r in report.residuals[-3:])
+    assert f"last residuals {tail}" in caplog.text

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import EstimatorReport, estimate, restrict_estimator
-from .forms import _FROB, ProblemData, StatePair, energy_norms
+from .forms import _FROB, ProblemData, energy_norms
 from .mesh import Mesh, build_initial_mesh, mesh_partition, refine, uniform_refine
-from .morley import build_space, prolongate
+from .morley import StatePair, build_space, prolongate
 from .solver import NewtonConfig, SolveReport, newton_solve
 
 __all__ = [
@@ -165,13 +165,13 @@ class RunResult:
     history: list[LevelArtifacts]
 
 
-def _prerefine(mesh: Mesh, delta: float) -> Mesh:
-    guard = 0
+def _prerefine(mesh: Mesh, delta: float, max_ndofs: int) -> Mesh:
+    """Refine uniformly until sqrt(|K|) <= delta, but no mesh over the dof cap."""
     while float(mesh.h.max()) > delta:
+        if mesh.n_triangles > max_ndofs:
+            raise RuntimeError(f"pre-refinement to mesh size {delta} exceeds the dof cap "
+                               f"{max_ndofs} at {mesh.n_triangles} triangles")
         mesh = uniform_refine(mesh)
-        guard += 1
-        if guard > 60:
-            raise ValueError(f"pre-refinement to mesh size {delta} did not terminate")
     return mesh
 
 
@@ -184,7 +184,7 @@ def _rate(prev: LevelRow | None, eta: float, ndofs: int) -> float | None:
 def _run(problem, cfg: AmfemConfig, mode: str) -> RunResult:
     """Shared driver; mode is "adaptive" or "uniform"."""
     data: ProblemData = problem.data
-    mesh = _prerefine(build_initial_mesh(problem.domain), cfg.delta)
+    mesh = _prerefine(build_initial_mesh(problem.domain), cfg.delta, cfg.max_ndofs)
     report = ConvergenceReport(problem.name, mode)
     history: list[LevelArtifacts] = []
     prev_row: LevelRow | None = None
@@ -193,12 +193,7 @@ def _run(problem, cfg: AmfemConfig, mode: str) -> RunResult:
     level = 0
     while True:
         space = build_space(mesh)
-        if prev is None:
-            initial = None
-        else:
-            initial = StatePair(
-                prolongate(prev.state.u, space), prolongate(prev.state.v, space)
-            )
+        initial = None if prev is None else prolongate(prev.state, space)
         state, solve = newton_solve(space, data, initial, cfg.newton)
         if not solve.converged:
             tail = ", ".join(f"{r:.3e}" for r in solve.residuals[-3:])
@@ -306,11 +301,11 @@ def axiom_check(coarse: LevelArtifacts, fine: LevelArtifacts) -> AxiomDiagnostic
     common, coarse_only, fine_only, anc = mesh_partition(coarse.mesh, fine.mesh)
     fspace, cspace = fine.space, coarse.space
 
-    delta_sq = 0.0
-    for cf, ff in ((coarse.state.u, fine.state.u), (coarse.state.v, fine.state.v)):
-        d = fspace.element_hessians(ff.coeffs) - cspace.element_hessians(cf.coeffs)[anc]
-        delta_sq += float(np.einsum("tc,c,t->", d**2, _FROB, fine.mesh.areas))
-    delta = float(np.sqrt(delta_sq))
+    d = (fspace.element_hessians(fine.state.coeffs)
+         - cspace.element_hessians(coarse.state.coeffs)[:, anc])
+    # The u and v sums add as two floats; a block einsum would round differently.
+    delta = float(np.sqrt(sum(float(np.einsum("tc,c,t->", dk**2, _FROB, fine.mesh.areas))
+                              for dk in d)))
 
     fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only)
     common_c = restrict_estimator(coarse.report, common)

@@ -25,11 +25,17 @@ from .solver import NewtonConfig
 logger = logging.getLogger(__name__)
 
 _MODES = ("adaptive", "uniform", "axiom-check")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"cannot read config file {path}: {exc}") from None
     values = {}
-    for ln, raw in enumerate(path.read_text().splitlines(), 1):
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -75,7 +81,10 @@ def parse_args(argv=None) -> argparse.Namespace:
             if not hasattr(args, key):
                 raise SystemExit(f"{args.config}: unknown option {key!r}")
             if isinstance(parser.get_default(key), bool):
-                val = val.lower() in ("1", "true", "yes", "on")
+                if val.lower() not in _BOOLEANS:
+                    raise SystemExit(f"{args.config}: invalid {key} {val!r}; "
+                                     f"choose from {', '.join(_BOOLEANS)}")
+                val = _BOOLEANS[val.lower()]
             defaults[key] = val
         # File values become defaults, so every explicit flag still wins;
         # argparse converts string defaults with each option's type.

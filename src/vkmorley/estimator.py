@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forms import ProblemData, StatePair, vk_bracket
-from .morley import MorleySpace, monomials
+from .forms import ProblemData, vk_bracket
+from .morley import MorleySpace, StatePair, monomials
 from .quadrature import triangle_rule
 
 __all__ = ["EstimatorReport", "estimate", "oscillation", "restrict_estimator"]
@@ -69,9 +69,11 @@ class EstimatorReport:
                 )
 
 
-def _volume_terms(space, Hu: np.ndarray, Hv: np.ndarray, data: ProblemData) -> np.ndarray:
-    """|K|^2 weighted L2 norms of both strong volume residuals."""
+def _volume_terms(space, H: np.ndarray, data: ProblemData) -> np.ndarray:
+    """|K|^2 weighted L2 norms of both strong volume residuals; H is the
+    (2, nt, 3) Hessian block of (u, v)."""
     mesh = space.mesh
+    Hu, Hv = H
     br_uv = vk_bracket(Hu, Hv)
     br_uu = vk_bracket(Hu, Hu)
 
@@ -90,20 +92,19 @@ def _volume_terms(space, Hu: np.ndarray, Hv: np.ndarray, data: ProblemData) -> n
     return mesh.areas**2 * (res1 + res2)
 
 
-def _edge_terms(mesh, Hu: np.ndarray, Hv: np.ndarray) -> np.ndarray:
-    """|K|^(1/2) weighted tangential Hessian jump norms per triangle."""
+def _edge_terms(mesh, H: np.ndarray) -> np.ndarray:
+    """|K|^(1/2) weighted tangential Hessian jump norms per triangle; H is
+    the (2, nt, 3) Hessian block of (u, v)."""
     tau = mesh.edge_tangent
     t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     inner = t1 >= 0
-    jump_sq = np.zeros(mesh.n_edges)
-    for H in (Hu, Hv):
-        # Hessian times tangent, one value per edge side.
-        H0, H1 = H[t0], H[np.where(inner, t1, 0)]
-        jx0 = H0[:, 0] * tau[:, 0] + H0[:, 1] * tau[:, 1]
-        jy0 = H0[:, 1] * tau[:, 0] + H0[:, 2] * tau[:, 1]
-        jx1 = np.where(inner, H1[:, 0] * tau[:, 0] + H1[:, 1] * tau[:, 1], 0.0)
-        jy1 = np.where(inner, H1[:, 1] * tau[:, 0] + H1[:, 2] * tau[:, 1], 0.0)
-        jump_sq += (jx0 - jx1) ** 2 + (jy0 - jy1) ** 2
+    # Hessian times tangent, one value per edge side: (2, ne) each.
+    H0, H1 = H[:, t0], H[:, np.where(inner, t1, 0)]
+    jx0 = H0[..., 0] * tau[:, 0] + H0[..., 1] * tau[:, 1]
+    jy0 = H0[..., 1] * tau[:, 0] + H0[..., 2] * tau[:, 1]
+    jx1 = np.where(inner, H1[..., 0] * tau[:, 0] + H1[..., 1] * tau[:, 1], 0.0)
+    jy1 = np.where(inner, H1[..., 1] * tau[:, 0] + H1[..., 2] * tau[:, 1], 0.0)
+    jump_sq = ((jx0 - jx1) ** 2 + (jy0 - jy1) ** 2).sum(axis=0)
 
     # ||jump||^2 over each edge, summed over the triangle's three edges.
     out = (mesh.edge_length * jump_sq)[mesh.tri_edges].sum(axis=1)
@@ -144,10 +145,9 @@ def estimate(
 ) -> EstimatorReport:
     """Assemble the full indicator report for a solved state."""
     mesh = space.mesh
-    Hu = space.element_hessians(state.u.coeffs)
-    Hv = space.element_hessians(state.v.coeffs)
-    mu_sq = _volume_terms(space, Hu, Hv, data)
-    eta_sq = mu_sq + _edge_terms(mesh, Hu, Hv)
+    H = space.element_hessians(state.coeffs)
+    mu_sq = _volume_terms(space, H, data)
+    eta_sq = mu_sq + _edge_terms(mesh, H)
     osc_sq = oscillation(space, data.f, osc_order, data.quad_degree)
     return EstimatorReport(
         eta_sq=eta_sq,

@@ -28,12 +28,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .morley import MorleyField, MorleySpace, batch_eval, hessians, monomials
+from .morley import MorleySpace, StatePair, batch_eval, hessians, monomials
 from .quadrature import triangle_rule
 
 __all__ = [
     "ProblemData",
-    "StatePair",
     "vk_bracket",
     "assemble_bilaplacian",
     "assemble_load",
@@ -44,6 +43,8 @@ __all__ = [
 
 # Frobenius weights for Hessians stored as (hxx, hxy, hyy).
 _FROB = np.array([1.0, 2.0, 1.0])
+# Quadrature degree of the error norms against an exact solution.
+_ERROR_DEGREE = 6
 
 
 @dataclass
@@ -62,28 +63,6 @@ class ProblemData:
     quad_degree: int = 4
 
 
-@dataclass
-class StatePair:
-    """A deflection/stress pair over one Morley space."""
-
-    u: MorleyField
-    v: MorleyField
-
-    @property
-    def space(self) -> MorleySpace:
-        return self.u.space
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.u.coeffs, self.v.coeffs])
-
-    @staticmethod
-    def from_vector(space: MorleySpace, x: np.ndarray) -> "StatePair":
-        n = space.n_dofs
-        return StatePair(
-            MorleyField(space, x[:n].copy()), MorleyField(space, x[n:].copy())
-        )
-
-
 def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Bracket of Hessians given as (..., 3) rows (hxx, hxy, hyy)."""
     return (
@@ -96,33 +75,21 @@ def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 def assemble_bilaplacian(space: MorleySpace) -> sp.csr_matrix:
     """Scalar piecewise Hessian stiffness matrix (n_dofs square)."""
     H = space.shape_hess  # (nt, 6, 3)
-    local = np.einsum("tic,tjc,c,t->tij", H, H, _FROB, space.mesh.areas)
-    dm = space.dof_map
-    rows = np.broadcast_to(dm[:, :, None], local.shape)
-    cols = np.broadcast_to(dm[:, None, :], local.shape)
-    mask = (rows >= 0) & (cols >= 0)
-    n = space.n_dofs
-    return sp.coo_matrix((local[mask], (rows[mask], cols[mask])), shape=(n, n)).tocsr()
+    return space.scatter_matrix(np.einsum("tic,tjc,c,t->tij", H, H, _FROB, space.mesh.areas))
 
 
 def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     """Load vector of both equations, length 2 n_dofs."""
-    n = space.n_dofs
-    out = np.zeros(2 * n)
     rule = triangle_rule(data.quad_degree)
     pts = space.quadrature_points(rule)  # (nt, q, 2)
     xi = space.local_coords(np.arange(space.mesh.n_triangles)[:, None], pts)
     shapes = np.einsum("tqm,tmi->tqi", monomials(xi), space.coeffs)  # (nt, q, 6)
     warea = rule.weights[None, :] * space.mesh.areas[:, None]
 
-    dm = space.dof_map
-    mask = dm >= 0
-    for offset, func in ((0, data.f), (n, data.g)):
-        if func is None:
-            continue
-        local = np.einsum("tq,tq,tqi->ti", warea, space.values_at(func, rule), shapes)
-        out[offset:offset + n] = np.bincount(dm[mask], weights=local[mask], minlength=n)
-    return out
+    return np.concatenate([
+        np.zeros(space.n_dofs) if func is None else
+        space.scatter(np.einsum("tq,tq,tqi->ti", warea, space.values_at(func, rule), shapes))
+        for func in (data.f, data.g)])
 
 
 def assemble_linearized_bracket(space: MorleySpace, state: StatePair) -> spla.LinearOperator:
@@ -133,28 +100,18 @@ def assemble_linearized_bracket(space: MorleySpace, state: StatePair) -> spla.Li
     blocks SI_K (x) br_K, with SI_K its shape integrals and br_K the
     brackets [w, shape_j] of a frozen field w: -br_v to (p, du), -br_u
     to (p, dv) and br_u to (q, du).  The operator gathers the direction
-    through ``dof_map`` and scatters by ``np.bincount``; it is never
-    assembled.
+    and scatters the result through the space; it is never assembled.
     """
     n = space.n_dofs
     SI = space.shape_integral  # (nt, 6)
-    # [w, shape_j] for the frozen fields, shape (nt, 6).
-    br_u = vk_bracket(space.element_hessians(state.u.coeffs)[:, None, :], space.shape_hess)
-    br_v = vk_bracket(space.element_hessians(state.v.coeffs)[:, None, :], space.shape_hess)
-    dm = space.dof_map
-    mask = dm >= 0
-    rows = dm[mask]
+    # [w, shape_j] for the frozen fields, shape (2, nt, 6).
+    br_u, br_v = vk_bracket(space.element_hessians(state.coeffs)[..., None, :], space.shape_hess)
 
     def matvec(x):
-        # A zero appended to each block serves the constrained slots (-1).
-        du = np.append(x[:n], 0.0)[dm]
-        dv = np.append(x[n:], 0.0)[dm]
+        du, dv = space.gather(np.reshape(x, (2, n)))
         p = -np.einsum("tj,tj->t", br_v, du) - np.einsum("tj,tj->t", br_u, dv)
         q = np.einsum("tj,tj->t", br_u, du)
-        return np.concatenate([
-            np.bincount(rows, weights=(p[:, None] * SI)[mask], minlength=n),
-            np.bincount(rows, weights=(q[:, None] * SI)[mask], minlength=n),
-        ])
+        return space.scatter(np.stack([p, q])[..., None] * SI).ravel()
 
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
 
@@ -170,25 +127,18 @@ def apply_residual(
 
     A is the bilaplacian and load the stacked load vector (length 2n).
     """
-    n = space.n_dofs
-    x = state.to_vector()
-    r = np.concatenate([A @ x[:n], A @ x[n:]]) - load
+    C = state.coeffs
+    # A @ C.T applies A to the (n, 2) block; it rounds like two mat-vecs.
+    r = (A @ C.T).T.ravel() - load
     if data.include_bracket:
-        Hu = space.element_hessians(state.u.coeffs)
-        Hv = space.element_hessians(state.v.coeffs)
-        br_uv = vk_bracket(Hu, Hv)
-        br_uu = vk_bracket(Hu, Hu)
-        SI = space.shape_integral
-        dm = space.dof_map
-        mask = dm >= 0
-        local1 = -br_uv[:, None] * SI  # test block p
-        local2 = 0.5 * br_uu[:, None] * SI  # test block q
-        r[:n] += np.bincount(dm[mask], weights=local1[mask], minlength=n)
-        r[n:] += np.bincount(dm[mask], weights=local2[mask], minlength=n)
+        Hu, Hv = space.element_hessians(C)
+        # Test block p, then test block q.
+        br = np.stack([-vk_bracket(Hu, Hv), 0.5 * vk_bracket(Hu, Hu)])
+        r += space.scatter(br[..., None] * space.shape_integral).ravel()
     return r
 
 
-def energy_norms(space: MorleySpace, state: StatePair, exact, degree: int = 6):
+def energy_norms(space: MorleySpace, state: StatePair, exact):
     """Error norms against a smooth exact pair.
 
     Returns (piecewise H2 seminorm error, piecewise H1 seminorm error,
@@ -198,24 +148,21 @@ def energy_norms(space: MorleySpace, state: StatePair, exact, degree: int = 6):
     shared by u and v is evaluated once.
     """
     mesh = space.mesh
-    rule = triangle_rule(degree)
+    rule = triangle_rule(_ERROR_DEGREE)
     pts = space.quadrature_points(rule)
     warea = rule.weights[None, :] * mesh.areas[:, None]
 
-    pu = space.element_polys(state.u.coeffs)
-    pv = space.element_polys(state.v.coeffs)
-    Hu = hessians(pu, space.scales)
-    Hv = hessians(pv, space.scales)
-    _, gu = batch_eval(space, pu, pts)
-    _, gv = batch_eval(space, pv, pts)
+    polys = space.element_polys(state.coeffs)
+    H = hessians(polys, space.scales)  # (2, nt, 3)
+    _, G = batch_eval(space, polys, pts)  # (2, nt, q, 2)
 
     err2 = 0.0
     errh1 = 0.0
-    for H, G, dfun, hfun in ((Hu, gu, exact.du, exact.d2u), (Hv, gv, exact.dv, exact.d2v)):
-        diff = space.values_at(hfun, rule) - H[:, None, :]
+    for Hk, Gk, dfun, hfun in zip(H, G, (exact.du, exact.dv), (exact.d2u, exact.d2v)):
+        diff = space.values_at(hfun, rule) - Hk[:, None, :]
         err2 += np.einsum("tqc,c,tq->", diff**2, _FROB, warea)
-        gdiff = space.values_at(dfun, rule) - G
+        gdiff = space.values_at(dfun, rule) - Gk
         errh1 += np.einsum("tqc,tq->", gdiff**2, warea)
 
-    energy = np.einsum("tc,c,t->", Hu**2 + Hv**2, _FROB, mesh.areas)
+    energy = np.einsum("tc,c,t->", H[0]**2 + H[1]**2, _FROB, mesh.areas)
     return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))

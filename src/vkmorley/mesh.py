@@ -47,6 +47,8 @@ class MeshError(Exception):
 
 # Local edge k of a triangle joins its local vertices _LOCAL_EDGES[k].
 _LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
+# Width in pixels of the longer side of an SVG mesh image.
+_SVG_WIDTH = 800.0
 
 
 class Mesh:
@@ -378,7 +380,10 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 def read_mesh(path) -> Mesh:
     """Read a morleymesh file; any malformed or truncated input raises MeshError."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not a text file ({exc})") from exc
     rows = [r.strip() for r in text.split("\n") if r.strip()]
     if not rows or rows[0].split() != ["morleymesh", "1"]:
         raise MeshError(f"{path}: not a morleymesh version 1 file")
@@ -433,13 +438,13 @@ def read_mesh(path) -> Mesh:
     return mesh
 
 
-def write_svg(mesh: Mesh, path, width: float = 800.0) -> None:
+def write_svg(mesh: Mesh, path) -> None:
     """Render the triangulation as a standalone SVG image."""
     xmin, ymin = mesh.coords.min(axis=0)
     xmax, ymax = mesh.coords.max(axis=0)
     span = max(xmax - xmin, ymax - ymin, 1e-30)
-    scale = width / span
-    margin = 0.02 * width
+    scale = _SVG_WIDTH / span
+    margin = 0.02 * _SVG_WIDTH
 
     def to_px(p):
         return (

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh, MeshError, compose_ancestors
 from .quadrature import TriangleRule, edge_rule, triangle_points
@@ -28,6 +29,7 @@ from .quadrature import TriangleRule, edge_rule, triangle_points
 __all__ = [
     "MorleySpace",
     "MorleyField",
+    "StatePair",
     "build_space",
     "hessians",
     "interpolate",
@@ -168,18 +170,36 @@ class MorleySpace:
         self.shape_integral = (mesh.areas[:, None] / 3.0) * vals.sum(axis=1)
 
     # -- field algebra -------------------------------------------------------
+    # Only gather, scatter and scatter_matrix read dof_map's -1 in constrained
+    # slots.  Coefficients may carry leading axes, e.g. a StatePair's block.
 
-    def local_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-element dof values, constrained slots as zero: (nt, 6)."""
-        padded = np.concatenate([coeffs, [0.0]])
-        return padded[self.dof_map]
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """Element dof values (..., nt, 6) of coefficients (..., n); zero in
+        constrained slots.  ``np.take`` returns a C-contiguous array, which
+        keeps the einsum rounding of a block equal to that of each row."""
+        padded = np.concatenate([coeffs, np.zeros(coeffs.shape[:-1] + (1,))], axis=-1)
+        return np.take(padded, self.dof_map, axis=-1)
+
+    def scatter(self, local: np.ndarray) -> np.ndarray:
+        """Sum element values (..., nt, 6) into coefficients (..., n), the
+        transpose of ``gather``, adding in element order."""
+        return _bin_sums(self.dof_map.ravel(), local.reshape(local.shape[:-2] + (-1,)),
+                         self.n_dofs)
+
+    def scatter_matrix(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum element matrices (nt, 6, 6) into the sparse n x n matrix."""
+        rows = np.broadcast_to(self.dof_map[:, :, None], local.shape)
+        cols = np.broadcast_to(self.dof_map[:, None, :], local.shape)
+        free = (rows >= 0) & (cols >= 0)
+        n = self.n_dofs
+        return sp.coo_matrix((local[free], (rows[free], cols[free])), shape=(n, n)).tocsr()
 
     def element_polys(self, coeffs: np.ndarray) -> np.ndarray:
-        """Monomial coefficients (centered basis) per element: (nt, 6)."""
-        return np.einsum("tij,tj->ti", self.coeffs, self.local_values(coeffs))
+        """Monomial coefficients (centered basis) per element: (..., nt, 6)."""
+        return np.einsum("tij,...tj->...ti", self.coeffs, self.gather(coeffs))
 
     def element_hessians(self, coeffs: np.ndarray) -> np.ndarray:
-        """Piecewise constant Hessians as (nt, 3) rows (hxx, hxy, hyy)."""
+        """Piecewise constant Hessians as (..., nt, 3) rows (hxx, hxy, hyy)."""
         return hessians(self.element_polys(coeffs), self.scales)
 
     def poly_eval(self, t, polys: np.ndarray, points: np.ndarray):
@@ -206,13 +226,24 @@ class MorleySpace:
         return val, np.stack([gx, gy], axis=-1)
 
 
+def _bin_sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Sums of weights (..., m) into n bins (m,), dropping bin -1: one
+    ``np.bincount`` per leading row, adding in input order from 0.0.  Rows
+    are masked one by one; masking a block's last axis is far slower."""
+    keep = bins >= 0
+    sums = [np.bincount(bins[keep], weights=w[keep], minlength=n)
+            for w in weights.reshape(-1, len(bins))]
+    return np.reshape(sums, weights.shape[:-1] + (n,))
+
+
 def batch_eval(space: MorleySpace, polys: np.ndarray, points: np.ndarray):
     """Evaluate per-element polynomials at per-element point sets.
 
-    polys has shape (nt, 6), points (nt, q, 2); returns values (nt, q)
-    and gradients (nt, q, 2).
+    polys has shape (..., nt, 6), points (nt, q, 2); returns values
+    (..., nt, q) and gradients (..., nt, q, 2).
     """
-    return space.poly_eval(np.arange(space.mesh.n_triangles)[:, None], polys[:, None, :], points)
+    return space.poly_eval(np.arange(space.mesh.n_triangles)[:, None], polys[..., None, :],
+                           points)
 
 
 @dataclass
@@ -221,6 +252,29 @@ class MorleyField:
 
     space: MorleySpace
     coeffs: np.ndarray
+
+
+@dataclass
+class StatePair:
+    """A deflection/stress pair (u, v) over one Morley space."""
+
+    u: MorleyField
+    v: MorleyField
+
+    @property
+    def space(self) -> MorleySpace:
+        return self.u.space
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The (2, n) block of u and v coefficients, a new array."""
+        return np.stack([self.u.coeffs, self.v.coeffs])
+
+    @staticmethod
+    def from_vector(space: MorleySpace, x: np.ndarray) -> "StatePair":
+        """The pair of a 2n vector (u, then v) or of a (2, n) block, copied."""
+        u, v = np.reshape(x, (2, space.n_dofs)).copy()
+        return StatePair(MorleyField(space, u), MorleyField(space, v))
 
 
 def build_space(mesh: Mesh, constrained: bool = True) -> MorleySpace:
@@ -261,14 +315,15 @@ def interpolate(space: MorleySpace, v, grad, edge_points: int = 3) -> MorleyFiel
     return MorleyField(space, coeffs)
 
 
-def prolongate(coarse_field: MorleyField, fine_space: MorleySpace) -> MorleyField:
-    """Carry a coarse Morley field to a refined mesh.
+def prolongate(coarse: MorleyField | StatePair, fine_space: MorleySpace) -> MorleyField | StatePair:
+    """Carry a coarse MorleyField, or a StatePair, to a refined mesh.
 
     Fine vertex dofs average the coarse values from every distinct
     coarse triangle meeting the vertex (two-sided on old edges); fine
     edge dofs average the one-sided coarse mean normal derivatives.  On
     fine triangles strictly inside one coarse triangle the result
-    reproduces the coarse quadratic exactly.
+    reproduces the coarse quadratic exactly.  A pair is carried as its
+    (2, n) block, so the ancestor walk and the pairing run once.
 
     All distinct (fine entity, coarse ancestor) pairs are evaluated in
     one batch.  Each dof then sums its pairs in ascending ancestor id,
@@ -279,13 +334,14 @@ def prolongate(coarse_field: MorleyField, fine_space: MorleySpace) -> MorleyFiel
     product of one gradient with one normal; the expanded
     ``gx*nx + gy*ny`` can differ in the last bit.
     """
-    cspace = coarse_field.space
+    wrap = StatePair.from_vector if isinstance(coarse, StatePair) else MorleyField
+    cspace = coarse.space
     cmesh = cspace.mesh
     fmesh = fine_space.mesh
     if fmesh is cmesh and fine_space.constrained == cspace.constrained:
-        return MorleyField(fine_space, coarse_field.coeffs.copy())
+        return wrap(fine_space, coarse.coeffs.copy())
     anc = compose_ancestors(cmesh, fmesh)
-    polys = cspace.element_polys(coarse_field.coeffs)
+    polys = cspace.element_polys(coarse.coeffs)
     nc = cmesh.n_triangles
 
     def distinct_pairs(entity, ancestor):
@@ -297,13 +353,11 @@ def prolongate(coarse_field: MorleyField, fine_space: MorleySpace) -> MorleyFiel
     has_tri = fmesh.edge_tris >= 0
     e, ea = distinct_pairs(np.nonzero(has_tri)[0], anc[fmesh.edge_tris[has_tri]])
 
-    vals, _ = cspace.poly_eval(va, polys[va], fmesh.coords[v])
-    _, grads = cspace.poly_eval(ea, polys[ea], fine_space._midpoints[e])
+    vals, _ = cspace.poly_eval(va, polys[..., va, :], fmesh.coords[v])
+    _, grads = cspace.poly_eval(ea, polys[..., ea, :], fine_space._midpoints[e])
     slopes = np.vecdot(grads, fine_space.edge_normal[e])
 
     dof = np.concatenate([fine_space.vertex_dof[v], fine_space.edge_dof[e]])
-    weights = np.concatenate([vals, slopes])
-    free = dof >= 0
+    weights = np.concatenate([vals, slopes], axis=-1)
     n = fine_space.n_dofs
-    sums = np.bincount(dof[free], weights=weights[free], minlength=n)
-    return MorleyField(fine_space, sums / np.bincount(dof[free], minlength=n))
+    return wrap(fine_space, _bin_sums(dof, weights, n) / np.bincount(dof[dof >= 0], minlength=n))

@@ -46,62 +46,61 @@ class ManufacturedProblem:
     description: str
 
 
-# -- square-poly: u = v = (x(1-x)y(1-y))^2 ----------------------------------
+# -- separable pairs u = v = S(x) S(y) ---------------------------------------
 
 
-def _P(t):
-    return (t * (1.0 - t)) ** 2
+def _separable(axis):
+    """ExactSolution, f and g of the pair u = v = S(x) S(y).
+
+    axis(t) returns S(t) with its first, second and fourth derivatives
+    (S, S1, S2, S4).  The Hessian, the bilaplacian and the bracket
+    [u, u] = 2 (u_xx u_yy - u_xy^2) are products of those factors.
+    """
+
+    def hessian(X, Y):
+        (S, S1, S2, _), (T, T1, T2, _) = X, Y
+        return S2 * T, S1 * T1, S * T2
+
+    def lap2_of(X, Y):
+        (S, _, S2, S4), (T, _, T2, T4) = X, Y
+        return S4 * T + 2.0 * S2 * T2 + S * T4
+
+    def bracket(X, Y):
+        hxx, hxy, hyy = hessian(X, Y)
+        return 2.0 * (hxx * hyy - hxy**2)
+
+    def u(x, y):
+        return axis(x)[0] * axis(y)[0]
+
+    def du(x, y):
+        (S, S1, _, _), (T, T1, _, _) = axis(x), axis(y)
+        return S1 * T, S * T1
+
+    def d2u(x, y):
+        return hessian(axis(x), axis(y))
+
+    def lap2(x, y):
+        return lap2_of(axis(x), axis(y))
+
+    # The bracket first: fewer full-size temporaries are alive at once.
+    def f(x, y):
+        X, Y = axis(x), axis(y)
+        br = bracket(X, Y)
+        return lap2_of(X, Y) - br
+
+    def g(x, y):
+        X, Y = axis(x), axis(y)
+        br = bracket(X, Y)
+        return lap2_of(X, Y) + 0.5 * br
+
+    exact = ExactSolution(u=u, du=du, d2u=d2u, lap2_u=lap2, v=u, dv=du, d2v=d2u, lap2_v=lap2)
+    return exact, f, g
 
 
-def _P1(t):
-    return 2.0 * t - 6.0 * t**2 + 4.0 * t**3
-
-
-def _P2(t):
-    return 2.0 - 12.0 * t + 12.0 * t**2
-
-
-def _P4(t):
-    return 24.0 * np.ones_like(np.asarray(t, dtype=float))
-
-
-def _poly_u(x, y):
-    return _P(x) * _P(y)
-
-
-def _poly_du(x, y):
-    return _P1(x) * _P(y), _P(x) * _P1(y)
-
-
-def _poly_d2u(x, y):
-    return _P2(x) * _P(y), _P1(x) * _P1(y), _P(x) * _P2(y)
-
-
-def _poly_lap2(x, y):
-    return _P4(x) * _P(y) + 2.0 * _P2(x) * _P2(y) + _P(x) * _P4(y)
-
-
-def _poly_bracket_uu(x, y):
-    # [u, u] = 2 (u_xx u_yy - u_xy^2)
-    hxx, hxy, hyy = _poly_d2u(x, y)
-    return 2.0 * (hxx * hyy - hxy**2)
-
-
-def _poly_f(x, y):
-    return _poly_lap2(x, y) - _poly_bracket_uu(x, y)
-
-
-def _poly_g(x, y):
-    return _poly_lap2(x, y) + 0.5 * _poly_bracket_uu(x, y)
-
-
-_POLY_EXACT = ExactSolution(
-    u=_poly_u, du=_poly_du, d2u=_poly_d2u, lap2_u=_poly_lap2,
-    v=_poly_u, dv=_poly_du, d2v=_poly_d2u, lap2_v=_poly_lap2,
-)
-
-
-# -- square-trig: u = v = sin^2(pi x) sin^2(pi y) ---------------------------
+def _poly_axis(t):
+    """S = (t (1 - t))^2 with its derivatives S1, S2 and S4."""
+    return ((t * (1.0 - t)) ** 2, 2.0 * t - 6.0 * t**2 + 4.0 * t**3,
+            2.0 - 12.0 * t + 12.0 * t**2, 24.0 * np.ones_like(np.asarray(t, dtype=float)))
 
 
 def _trig_axis(t):
@@ -114,55 +113,8 @@ def _trig_axis(t):
             2.0 * np.pi**2 * c2, -8.0 * np.pi**4 * c2)
 
 
-def _trig_u(x, y):
-    return _trig_axis(x)[0] * _trig_axis(y)[0]
-
-
-def _trig_du(x, y):
-    (S, S1, _, _), (T, T1, _, _) = _trig_axis(x), _trig_axis(y)
-    return S1 * T, S * T1
-
-
-def _trig_hessian(X, Y):
-    (S, S1, S2, _), (T, T1, T2, _) = X, Y
-    return S2 * T, S1 * T1, S * T2
-
-
-def _trig_d2u(x, y):
-    return _trig_hessian(_trig_axis(x), _trig_axis(y))
-
-
-def _trig_lap2_of(X, Y):
-    (S, _, S2, S4), (T, _, T2, T4) = X, Y
-    return S4 * T + 2.0 * S2 * T2 + S * T4
-
-
-def _trig_lap2(x, y):
-    return _trig_lap2_of(_trig_axis(x), _trig_axis(y))
-
-
-def _trig_bracket_uu(X, Y):
-    hxx, hxy, hyy = _trig_hessian(X, Y)
-    return 2.0 * (hxx * hyy - hxy**2)
-
-
-def _trig_f(x, y):
-    # The bracket first: fewer full-size temporaries are alive at once.
-    X, Y = _trig_axis(x), _trig_axis(y)
-    bracket = _trig_bracket_uu(X, Y)
-    return _trig_lap2_of(X, Y) - bracket
-
-
-def _trig_g(x, y):
-    X, Y = _trig_axis(x), _trig_axis(y)
-    bracket = _trig_bracket_uu(X, Y)
-    return _trig_lap2_of(X, Y) + 0.5 * bracket
-
-
-_TRIG_EXACT = ExactSolution(
-    u=_trig_u, du=_trig_du, d2u=_trig_d2u, lap2_u=_trig_lap2,
-    v=_trig_u, dv=_trig_du, d2v=_trig_d2u, lap2_v=_trig_lap2,
-)
+_POLY_EXACT, _poly_f, _poly_g = _separable(_poly_axis)
+_TRIG_EXACT, _trig_f, _trig_g = _separable(_trig_axis)
 
 
 def _const_one(x, y):
@@ -196,7 +148,8 @@ def _build_registry() -> dict[str, ManufacturedProblem]:
     reg["biharm-linear"] = ManufacturedProblem(
         name="biharm-linear",
         domain="square",
-        data=ProblemData(f=_poly_lap2, g=_poly_lap2, include_bracket=False),
+        data=ProblemData(f=_POLY_EXACT.lap2_u, g=_POLY_EXACT.lap2_u,
+                         include_bracket=False),
         exact=_POLY_EXACT,
         description="decoupled bilaplacian pair (bracket disabled) with the "
         "polynomial solution",

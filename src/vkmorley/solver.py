@@ -38,13 +38,12 @@ import scipy.sparse.linalg as spla
 
 from .forms import (
     ProblemData,
-    StatePair,
     apply_residual,
     assemble_bilaplacian,
     assemble_linearized_bracket,
     assemble_load,
 )
-from .morley import MorleySpace
+from .morley import MorleySpace, StatePair
 
 __all__ = ["NewtonConfig", "SolveReport", "SolverError", "dissection_order", "factorise",
            "linear_solve", "newton_solve"]
@@ -210,19 +209,16 @@ def biharmonic_guess(space: MorleySpace, A: sp.csr_matrix, load: np.ndarray,
     A is the bilaplacian, load both load blocks (length 2n) and solve
     A's factor (``factorise``), which serves both blocks.
     """
-    n = space.n_dofs
-    u, v = linear_solve(A, load.reshape(2, n).T, solve).T
-    return StatePair.from_vector(space, np.concatenate([u, v]))
+    return StatePair.from_vector(space, linear_solve(A, load.reshape(2, -1).T, solve).T)
 
 
 def _rounding_floor(abs_A: sp.csr_matrix, load: np.ndarray, x: np.ndarray) -> float:
     """eps | |A2| |x| + |load| |: the rounding level of A2 x - load.
 
     A2 is the block bilaplacian diag(A, A), abs_A = |A| entrywise and x
-    the iterate (u block, then v block).
+    the iterate, a 2n vector (u block, then v block) or a (2, n) block.
     """
-    n = abs_A.shape[0]
-    ax = np.concatenate([abs_A @ np.abs(x[:n]), abs_A @ np.abs(x[n:])])
+    ax = (abs_A @ np.abs(np.reshape(x, (2, -1))).T).T.ravel()
     return np.finfo(float).eps * float(np.linalg.norm(ax + np.abs(load)))
 
 
@@ -278,10 +274,10 @@ def newton_solve(
     if initial is None:
         state = biharmonic_guess(space, A, load, solve)
     else:
-        state = StatePair.from_vector(space, initial.to_vector())
+        state = StatePair.from_vector(space, initial.coeffs)
 
     report = SolveReport()
-    x = state.to_vector()
+    x = state.coeffs.ravel()
     r = apply_residual(space, state, data, A, load)
     rnorm = float(np.linalg.norm(r))
     report.residuals.append(rnorm)

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sparse
 import sympy as sp
 
-from vkmorley.forms import StatePair, vk_bracket
+from vkmorley.forms import vk_bracket
 from vkmorley.mesh import (
     Mesh,
     MeshError,
@@ -37,7 +37,7 @@ from vkmorley.mesh import (
     refine,
     uniform_refine,
 )
-from vkmorley.morley import MorleyField, build_space
+from vkmorley.morley import MorleyField, StatePair, build_space
 from vkmorley.solver import _ND_LEAF
 
 X, Y = sp.symbols("x y")

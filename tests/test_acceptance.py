@@ -41,7 +41,6 @@ from vkmorley.adaptivity import AmfemConfig, amfem_run, axiom_check, doerfler_ma
 from vkmorley.estimator import estimate
 from vkmorley.forms import (
     ProblemData,
-    StatePair,
     apply_residual,
     assemble_bilaplacian,
     assemble_load,
@@ -179,9 +178,7 @@ def test_criterion_02_discrete_residual_after_newton():
             space = build_space(mesh)
             initial = None
             if state is not None:
-                initial = StatePair(
-                    prolongate(state.u, space), prolongate(state.v, space)
-                )
+                initial = prolongate(state, space)
             state, report = newton_solve(space, prob.data, initial)
             verify(space, prob.data, state, report)
             mesh = uniform_refine(mesh)
@@ -248,7 +245,7 @@ def test_criterion_05_newton_quadratic_convergence():
         space = build_space(mesh)
         initial = None
         if state is not None:
-            initial = StatePair(prolongate(state.u, space), prolongate(state.v, space))
+            initial = prolongate(state, space)
         state, report = newton_solve(space, prob.data, initial)
         assert report.converged
         if level >= 2:

@@ -181,3 +181,48 @@ def test_config_file_rejects_malformed_line(tmp_path):
     cfg.write_text("just some words\n")
     with pytest.raises(SystemExit):
         parse_args(["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("content", [None, "directory", "utf-16"])
+def test_unreadable_config_file_is_one_line_error(tmp_path, content):
+    cfg = tmp_path / "exp.cfg"
+    if content == "directory":
+        cfg.mkdir()
+    elif content == "utf-16":
+        cfg.write_bytes("levels = 3\n".encode("utf-16"))
+    with pytest.raises(SystemExit, match=r"^cannot read config file .*exp\.cfg: "):
+        parse_args(["--config", str(cfg)])
+
+
+def test_missing_config_file_exits_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "vkmorley", "--config", str(tmp_path / "missing.cfg")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("cannot read config file")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("word,value", [("1", True), ("On", True), ("no", False),
+                                        ("FALSE", False), ("off", False)])
+def test_config_file_booleans(tmp_path, word, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"svg = {word}\n")
+    assert parse_args(["--config", str(cfg)]).svg is value
+
+
+@pytest.mark.parametrize("word", ["maybe", "2", ""])
+def test_config_file_rejects_bad_boolean(tmp_path, word):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"svg = {word}\n")
+    with pytest.raises(SystemExit, match="invalid svg"):
+        parse_args(["--config", str(cfg)])
+
+
+def test_prerefinement_beyond_the_dof_cap_fails_fast(tmp_path, capsys):
+    # delta 1e-4 would need about 26 uniform refinements of the square.
+    code = main(["--delta", "1e-4", "--max-ndofs", "1000", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "exceeds the dof cap 1000" in err[0]

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from vkmorley.estimator import estimate, oscillation, restrict_estimator
-from vkmorley.forms import ProblemData, StatePair
+from vkmorley.forms import ProblemData
 from vkmorley.mesh import build_initial_mesh, uniform_refine
-from vkmorley.morley import MorleyField, build_space, interpolate
+from vkmorley.morley import MorleyField, StatePair, build_space, interpolate
 from vkmorley.quadrature import triangle_points, triangle_rule
 
 import oracles as oc

@@ -432,6 +432,10 @@ def test_read_mesh_rejects_garbage(tmp_path):
         bad.write_text("morleymesh 1\n" + counts)
         with pytest.raises(MeshError, match="at least"):
             read_mesh(bad)
+    # Bytes that are not UTF-8 text.
+    bad.write_bytes(bytes(np.random.default_rng(5).integers(128, 256, 300, dtype=np.uint8)))
+    with pytest.raises(MeshError, match="not a text file"):
+        read_mesh(bad)
 
 
 def test_read_mesh_rejects_truncated_file(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from vkmorley.mesh import MeshError, build_initial_mesh, mesh_from_arrays, refine, uniform_refine
 from vkmorley.morley import (
     MorleyField,
+    StatePair,
     batch_eval,
     build_space,
     interpolate,
@@ -360,3 +361,73 @@ def test_prolongate_reproduces_quadratic_on_every_fine_triangle(domain, pre, ste
     np.testing.assert_allclose(grads[..., 1], dq(x, y)[1], atol=1e-9)
     hess = np.broadcast_to([2 * c[3], c[4], 2 * c[5]], (fine.n_triangles, 3))
     np.testing.assert_allclose(fs.element_hessians(g.coeffs), hess, atol=1e-7)
+
+
+# -- the (u, v) block -------------------------------------------------------
+
+DESCENTS = dict(
+    domain=st.sampled_from(["square", "lshape"]),
+    pre=st.integers(0, 2),
+    steps=st.integers(0, 3),
+    constrained=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _random_pair(rng, space):
+    block = rng.standard_normal((2, space.n_dofs))
+    return StatePair(MorleyField(space, block[0].copy()), MorleyField(space, block[1].copy()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DESCENTS)
+def test_block_element_data_equals_per_field(domain, pre, steps, constrained, seed):
+    # A block must round exactly like its rows: gather returns a
+    # C-contiguous array, and einsum rounds a strided one differently.
+    rng = np.random.default_rng(seed)
+    _, fine = oc.random_descent(rng, domain, pre, steps)
+    space = build_space(fine, constrained=constrained)
+    pair = _random_pair(rng, space)
+    block = pair.coeffs
+    assert block.shape == (2, space.n_dofs)
+    hess = space.element_hessians(block)
+    polys = space.element_polys(block)
+    pts = fine.triangle_coords()
+    vals, grads = batch_eval(space, polys, pts)
+    for k, field in enumerate((pair.u, pair.v)):
+        np.testing.assert_array_equal(hess[k], space.element_hessians(field.coeffs))
+        np.testing.assert_array_equal(polys[k], space.element_polys(field.coeffs))
+        one_vals, one_grads = batch_eval(space, polys[k], pts)
+        np.testing.assert_array_equal(vals[k], one_vals)
+        np.testing.assert_array_equal(grads[k], one_grads)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**{**DESCENTS, "steps": st.integers(1, 3)})
+def test_prolongate_pair_equals_per_field(domain, pre, steps, constrained, seed):
+    rng = np.random.default_rng(seed)
+    coarse, fine = oc.random_descent(rng, domain, pre, steps)
+    cs = build_space(coarse, constrained=constrained)
+    fs = build_space(fine, constrained=constrained)
+    pair = _random_pair(rng, cs)
+    moved = prolongate(pair, fs)
+    assert isinstance(moved, StatePair) and moved.space is fs
+    for field, got in ((pair.u, moved.u), (pair.v, moved.v)):
+        np.testing.assert_array_equal(got.coeffs, prolongate(field, fs).coeffs)
+        np.testing.assert_array_equal(got.coeffs, oc.prolongate_loop(field, fs).coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DESCENTS, lead=st.sampled_from([(), (2,), (3, 2)]))
+def test_scatter_is_the_transpose_of_gather(domain, pre, steps, constrained, seed, lead):
+    rng = np.random.default_rng(seed)
+    _, fine = oc.random_descent(rng, domain, pre, steps)
+    space = build_space(fine, constrained=constrained)
+    x = rng.standard_normal(lead + (space.n_dofs,))
+    L = rng.standard_normal(lead + (fine.n_triangles, 6))
+    gathered = space.gather(x)
+    assert gathered.shape == L.shape and gathered.flags.c_contiguous
+    assert np.all(gathered[..., space.dof_map < 0] == 0.0)
+    scattered = space.scatter(L)
+    assert scattered.shape == x.shape
+    assert (scattered * x).sum() == pytest.approx((L * gathered).sum(), rel=1e-12, abs=1e-12)

@@ -128,6 +128,8 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(args.out)
+    # The directories this run creates, deepest first.
+    created = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -141,6 +143,11 @@ def main(argv=None) -> int:
             result = uniform_run(problem, cfg)
     except RuntimeError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
+        for d in created:
+            try:
+                d.rmdir()  # fails, and stops here, unless d is empty
+            except OSError:
+                break
         return 1
 
     result.report.to_csv(out / "report.csv")

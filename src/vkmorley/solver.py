@@ -11,9 +11,17 @@ solves with that factor, and each Newton step solves J d = -r by GMRES
 by z -> (A^-1 z_u, A^-1 z_v); B is applied element by element, so J is
 never assembled.  At a regular solution B is a compact perturbation
 (Brezzi, Rappaz and Raviart, Numer. Math. 36, 1980), and the iteration
-count does not grow with the mesh.  GMRES stops at the rounding floor of
-the residual, not at an Eisenstat-Walker forcing term near the Newton
-tolerance (SIAM J. Sci. Comput. 17, 1996): that stalls the last step.
+count does not grow with the mesh.
+
+Given the estimator eta (the adaptive driver passes it), Newton stops at
+the discretisation error: once ||r||_{A^-1} <= _LAMBDA eta, the dual norm
+sqrt(r_u . A^-1 r_u + r_v . A^-1 r_v) taken with the same factor, which
+keeps the axioms of adaptivity (Gantner, Haberl, Praetorius and
+Stiftner, IMA J. Numer. Anal. 38, 2018).  Each GMRES solve is then
+forced (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996) to
+_FORCING times the residual that target allows, never below its
+rounding floor.  Without eta, or under an explicit tolerance, Newton
+stops at an algebraic residual bound and GMRES at the rounding floor.
 
 A is factorised in a nested-dissection order (George, SIAM J. Numer.
 Anal. 10, 1973).  ``dissection_order`` builds it by nested coordinate
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +68,10 @@ _PIVOT_THRESH = 0.01
 # GMRES relative tolerance, and restart cycles (of 20 iterations) allowed.
 _GMRES_RTOL = 1e-11
 _GMRES_CYCLES = 10
+# Discretisation stop ||r||_{A^-1} <= _LAMBDA eta, and the fraction of
+# the residual it allows that each GMRES solve is forced to.
+_LAMBDA = 1e-3
+_FORCING = 0.3
 
 
 class SolverError(Exception):
@@ -92,7 +105,11 @@ class NewtonConfig:
 
 @dataclass
 class SolveReport:
-    """Newton history, GMRES iterations per step, and the last tolerance applied."""
+    """Newton history, GMRES iterations per step, and the last tolerance applied.
+
+    tolerance bounds the Euclidean residual, like ``residuals``; rule
+    names the stop it came from, "algebraic" or "discretisation".
+    """
 
     iterations: int = 0
     residuals: list[float] = field(default_factory=list)
@@ -100,6 +117,7 @@ class SolveReport:
     damping_events: int = 0
     tolerance: float = 0.0
     krylov_iterations: list[int] = field(default_factory=list)
+    rule: str = "algebraic"
 
 
 def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -232,19 +250,29 @@ def _default_tolerance(load: np.ndarray, floor: float) -> float:
     return max(1e-10 * float(np.linalg.norm(load)), 1e-12, floor)
 
 
+def _dual_norm(r: np.ndarray, solve) -> float:
+    """||r||_{A^-1} = sqrt(r_u . A^-1 r_u + r_v . A^-1 r_v) of a 2n residual."""
+    R = np.reshape(r, (2, -1)).T
+    return math.sqrt(max(0.0, float(np.sum(R * solve(R)))))
+
+
 def _krylov_solve(J: spla.LinearOperator, b: np.ndarray, precond: spla.LinearOperator,
-                  atol: float) -> tuple[np.ndarray, int]:
+                  atol: float, forced: bool = False) -> tuple[np.ndarray, int]:
     """GMRES solve of J d = b; returns d and the number of iterations.
 
-    Stops at max(_GMRES_RTOL |b|, atol) on the true residual, which is
-    checked again like a direct solve's.
+    GMRES stops once its true residual is at most atol.  That residual is
+    checked again: against atol itself for a forced step, like a direct
+    solve's otherwise.
     """
     steps = []
-    d, info = spla.gmres(J, b, rtol=_GMRES_RTOL, atol=atol, M=precond,
+    d, info = spla.gmres(J, b, rtol=0.0, atol=atol, M=precond,
                          maxiter=_GMRES_CYCLES, callback=steps.append, callback_type="pr_norm")
     if info != 0:
         raise SolverError(f"GMRES did not converge in {len(steps)} iterations")
-    _check_residual(J @ d - b, b, "GMRES")
+    if not forced:
+        _check_residual(J @ d - b, b, "GMRES")
+    elif (resid := float(np.linalg.norm(J @ d - b))) > atol:
+        raise SolverError(f"GMRES residual {resid:.2e} above its forcing target {atol:.2e}")
     return d, len(steps)
 
 
@@ -253,6 +281,8 @@ def newton_solve(
     data: ProblemData,
     initial: StatePair | None = None,
     config: NewtonConfig | None = None,
+    *,
+    estimator: Callable[[StatePair], float] | None = None,
 ) -> tuple[StatePair, SolveReport]:
     """Solve the discrete system by damped Newton iteration.
 
@@ -264,6 +294,11 @@ def newton_solve(
     the full residual history (including the initial residual), the
     GMRES iterations of each step and the tolerance applied to the last
     residual.
+
+    estimator, the estimator eta at a state, is called at every iterate
+    when ``residual_tol`` is None; the iteration then also stops once
+    ||r||_{A^-1} <= _LAMBDA eta, with forced GMRES steps.  The last call
+    is at the returned state.
     """
     config = config or NewtonConfig()
     A = assemble_bilaplacian(space)
@@ -292,14 +327,24 @@ def newton_solve(
     A2 = block_operator(lambda Z: A @ Z)
     precond = block_operator(solve)
     tol = config.residual_tol
+    discretisation = estimator is not None and tol is None
     while True:
         floor = _rounding_floor(abs_A, load, x)
         report.tolerance = _default_tolerance(load, floor) if tol is None else tol
+        gmres_tol, ratio = max(floor, _GMRES_RTOL * rnorm), None
+        if discretisation:
+            # ||r||_{A^-1} <= _LAMBDA eta, as a bound on the Euclidean |r|.
+            eta, dual = estimator(state), _dual_norm(r, solve)
+            allowed = _LAMBDA * eta * rnorm / dual if dual > 0.0 else 0.0
+            report.rule = "discretisation" if allowed > report.tolerance else "algebraic"
+            report.tolerance = max(report.tolerance, allowed)
+            gmres_tol = max(floor, _FORCING * allowed)
+            ratio = dual / eta if eta > 0.0 else math.inf
         report.converged = rnorm <= report.tolerance
         if report.converged or report.iterations >= config.max_iter:
             break
         J = A2 + assemble_linearized_bracket(space, state) if data.include_bracket else A2
-        delta, steps = _krylov_solve(J, -r, precond, floor)
+        delta, steps = _krylov_solve(J, -r, precond, gmres_tol, discretisation)
         if steps == 0:
             # The residual is under its rounding floor but above an
             # explicit tolerance: no step can lower it further.
@@ -323,9 +368,10 @@ def newton_solve(
                 report.damping_events += 1
         if accepted is None:
             accepted = min(tried, key=lambda item: item[0])
-        logger.debug("Newton step %d: residual %.3e -> %.3e (tol %.3e), %d GMRES iterations, "
-                     "%d halvings", report.iterations + 1, rnorm, accepted[0], report.tolerance,
-                     steps, len(tried) - 1)
+        logger.debug("Newton step %d: residual %.3e -> %.3e (tol %.3e, |r|_A^-1/eta %s), "
+                     "GMRES target %.3e, %d GMRES iterations, %d halvings",
+                     report.iterations + 1, rnorm, accepted[0], report.tolerance,
+                     "n/a" if ratio is None else f"{ratio:.3e}", gmres_tol, steps, len(tried) - 1)
         rnorm, x, state, r = accepted
         report.residuals.append(rnorm)
         report.krylov_iterations.append(steps)
@@ -333,8 +379,9 @@ def newton_solve(
 
     if not report.converged:
         logger.warning(
-            "Newton did not converge: %d iterations, residual %.3e (tol %.3e, rounding floor "
-            "%.3e), last residuals %s", report.iterations, rnorm, report.tolerance, floor,
+            "Newton did not converge: %d iterations, residual %.3e (%s tol %.3e, rounding "
+            "floor %.3e), last residuals %s", report.iterations, rnorm, report.rule,
+            report.tolerance, floor,
             ", ".join(f"{res:.3e}" for res in report.residuals[-3:]),
         )
     return state, report

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vkmorley import solver
 from vkmorley.adaptivity import (
     AmfemConfig,
     LevelArtifacts,
@@ -20,11 +21,11 @@ from vkmorley.adaptivity import (
     uniform_run,
 )
 from vkmorley.estimator import estimate
-from vkmorley.forms import ProblemData
+from vkmorley.forms import ProblemData, apply_residual, assemble_bilaplacian, assemble_load
 from vkmorley.mesh import MeshError, build_initial_mesh, uniform_refine
 from vkmorley.morley import build_space
 from vkmorley.problems import ManufacturedProblem, get_problem
-from vkmorley.solver import NewtonConfig, SolveReport
+from vkmorley.solver import NewtonConfig, SolveReport, dissection_order, factorise
 
 import oracles as oc
 
@@ -365,6 +366,85 @@ class TestUniformDriver:
                           AmfemConfig(delta=0.5, max_levels=3, keep_history=True))
         assert len(res.history) == 3
         assert all(arts.space._quadrature == {} for arts in res.history)
+
+
+# -- stopping at the discretisation error -----------------------------------
+
+
+def _dual_residual(arts, data):
+    """||r||_{A^-1} of a level's state, from a fresh bilaplacian and factor."""
+    space = arts.space
+    A = assemble_bilaplacian(space)
+    solve = factorise(A, dissection_order(space.dof_coords, A))
+    r = apply_residual(space, arts.state, data, A, assemble_load(space, data))
+    R = r.reshape(2, -1).T
+    return math.sqrt(float(np.sum(R * solve(R))))
+
+
+@pytest.mark.parametrize("mode,name,cfg", [
+    ("uniform", "square-trig", AmfemConfig(delta=0.5, max_levels=7, keep_history=True)),
+    ("adaptive", "lshape-f1", AmfemConfig(theta=0.3, delta=0.9, max_levels=40,
+                                          max_ndofs=1500, keep_history=True)),
+])
+def test_every_level_solved_to_the_discretisation_error(mode, name, cfg):
+    prob = get_problem(name)
+    res = (uniform_run if mode == "uniform" else amfem_run)(prob, cfg)
+    assert len(res.history) >= 7
+    rules = set()
+    for row, arts in zip(res.report.rows, res.history):
+        assert arts.solve.converged and arts.solve.residuals[-1] <= arts.solve.tolerance
+        assert _dual_residual(arts, prob.data) <= solver._LAMBDA * row.eta
+        # The estimate of Newton's last iterate is the level's own.
+        assert estimate(arts.space, arts.state, prob.data).eta == row.eta
+        rules.add(arts.solve.rule)
+    assert "discretisation" in rules
+
+
+def test_explicit_tolerance_keeps_the_algebraic_newton_steps():
+    # The steps per level this run took when the algebraic rule was the driver's only stop.
+    cfg = AmfemConfig(delta=0.5, max_levels=7, newton=NewtonConfig(residual_tol=1e-9))
+    res = uniform_run(get_problem("square-trig"), cfg)
+    assert [r.newton_iters for r in res.report.rows] == [4, 3, 3, 4, 4, 4, 4]
+
+
+def test_discretisation_stop_takes_fewer_newton_steps():
+    prob = get_problem("square-trig")
+    loose = uniform_run(prob, AmfemConfig(delta=0.5, max_levels=7))
+    tight = uniform_run(prob, AmfemConfig(delta=0.5, max_levels=7,
+                                          newton=NewtonConfig(residual_tol=1e-9)))
+    steps = [r.newton_iters for r in loose.report.rows]
+    assert all(a <= b for a, b in zip(steps, [r.newton_iters for r in tight.report.rows]))
+    assert sum(steps) < sum(r.newton_iters for r in tight.report.rows)
+    for a, b in zip(loose.report.rows, tight.report.rows):
+        assert (a.ntri, a.ndofs, a.marked) == (b.ntri, b.ndofs, b.marked)
+        assert a.eta == pytest.approx(b.eta, rel=10 * solver._LAMBDA)
+
+
+def test_newton_steps_log_the_discretisation_ratio(caplog):
+    caplog.set_level("DEBUG", logger="vkmorley.solver")
+    res = uniform_run(get_problem("square-trig"), AmfemConfig(delta=0.5, max_levels=3))
+    steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+    assert len(steps) == sum(r.newton_iters for r in res.report.rows) > 0
+    assert all("|r|_A^-1/eta " in m and "n/a" not in m and "GMRES target " in m for m in steps)
+
+
+def test_newton_failure_names_the_discretisation_rule():
+    cfg = AmfemConfig(delta=0.5, max_levels=7, newton=NewtonConfig(max_iter=1))
+    with pytest.raises(RuntimeError,
+                       match=r"discretisation tolerance \S+, last residuals \S+, \S+\)"):
+        uniform_run(get_problem("square-trig"), cfg)
+
+
+class TestPrerefinement:
+    def test_refinement_past_the_dof_cap_raises(self):
+        # 2,048 triangles have 3,969 Morley dofs, and delta 0.02 needs 4,096.
+        with pytest.raises(RuntimeError, match="exceeds the dof cap 2100 at 3969 dofs"):
+            uniform_run(get_problem("square-poly"), AmfemConfig(delta=0.02, max_ndofs=2100))
+
+    def test_mesh_at_the_dof_cap_is_kept(self):
+        res = uniform_run(get_problem("square-poly"),
+                          AmfemConfig(delta=0.02, max_levels=1, max_ndofs=8065))
+        assert [(r.ntri, r.ndofs) for r in res.report.rows] == [(4096, 8065)]
 
 
 # -- refinement diagnostics --------------------------------------------------

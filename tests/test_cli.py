@@ -226,3 +226,30 @@ def test_prerefinement_beyond_the_dof_cap_fails_fast(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "exceeds the dof cap 1000" in err[0]
+    assert tmp_path.is_dir()
+
+
+def test_prerefinement_past_the_cap_aborts_before_solving(tmp_path, capsys):
+    # 2,048 triangles already have 3,969 dofs; delta 0.02 needs 4,096.
+    args = ["--problem", "square-poly", "--mode", "uniform", "--delta", "0.02"]
+    code = main(args + ["--max-ndofs", "2100", "--out", str(tmp_path / "over")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("run aborted:")
+    assert main(args + ["--max-ndofs", "8065", "--levels", "1", "--out", str(tmp_path)]) == 0
+    rows = _read_report(tmp_path / "report.csv")
+    assert [r["ndofs"] for r in rows] == ["8065"]
+
+
+def test_aborted_run_removes_the_directories_it_created(tmp_path):
+    out = tmp_path / "runs" / "o1"
+    assert main(["--delta", "1e-4", "--max-ndofs", "1000", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_aborted_run_keeps_a_directory_that_has_content(tmp_path):
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "notes.txt").write_text("mine")
+    assert main(["--delta", "1e-4", "--max-ndofs", "1000",
+                 "--out", str(tmp_path / "runs" / "o1")]) == 1
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == ["notes.txt"]

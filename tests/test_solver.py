@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vkmorley import solver
+from vkmorley.estimator import estimate
 from vkmorley.forms import (
     ProblemData,
     apply_residual,
@@ -419,3 +420,54 @@ def test_newton_stops_at_the_rounding_floor(caplog):
     assert report.residuals[-1] > 1e-13
     tail = ", ".join(f"{r:.3e}" for r in report.residuals[-3:])
     assert f"last residuals {tail}" in caplog.text
+
+
+# -- discretisation stop -----------------------------------------------------
+
+
+def _eta(space, data):
+    return lambda state: estimate(space, state, data).eta
+
+
+def test_discretisation_stop_meets_lambda_eta_with_fewer_gmres_iterations():
+    prob = get_problem("square-trig")
+    space = square_space(6)
+    state, forced = newton_solve(space, prob.data, estimator=_eta(space, prob.data))
+    _, plain = newton_solve(space, prob.data)
+    assert forced.converged and forced.rule == "discretisation"
+    assert forced.residuals[-1] <= forced.tolerance
+    A = assemble_bilaplacian(space)
+    r = apply_residual(space, state, prob.data, A, assemble_load(space, prob.data))
+    R = r.reshape(2, -1).T
+    dual = np.sqrt(np.sum(R * factorise(A, space_order(space, A))(R)))
+    assert dual <= solver._LAMBDA * estimate(space, state, prob.data).eta
+    assert forced.iterations < plain.iterations
+    assert sum(forced.krylov_iterations) < sum(plain.krylov_iterations)
+
+
+def test_explicit_tolerance_ignores_the_estimator():
+    prob = get_problem("square-trig")
+    space = square_space(5)
+    calls = []
+    cfg = NewtonConfig(residual_tol=1e-9)
+    _, seen = newton_solve(space, prob.data, config=cfg,
+                           estimator=lambda state: calls.append(state) or 1.0)
+    _, plain = newton_solve(space, prob.data, config=cfg)
+    assert calls == []
+    assert seen == plain and seen.rule == "algebraic"
+
+
+def test_forced_gmres_step_short_of_its_target_raises(monkeypatch):
+    # GMRES reports success but returns half its step, so the true
+    # residual is about half the right-hand side: far above the target.
+    gmres = spla.gmres
+
+    def short(J, b, **kwargs):
+        d, info = gmres(J, b, **kwargs)
+        return 0.5 * d, info
+
+    monkeypatch.setattr(spla, "gmres", short)
+    prob = get_problem("square-trig")
+    space = square_space(4)
+    with pytest.raises(SolverError, match="above its forcing target"):
+        newton_solve(space, prob.data, estimator=_eta(space, prob.data))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field as dfield
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .estimator import EstimatorReport, estimate, restrict_estimator
 from .forms import _FROB, ProblemData, energy_norms
 from .mesh import Mesh, build_initial_mesh, mesh_partition, refine, uniform_refine
-from .morley import StatePair, build_space, prolongate
+from .morley import MorleySpace, StatePair, build_space, prolongate
 from .solver import NewtonConfig, SolveReport, newton_solve
 
 __all__ = [
@@ -91,7 +92,6 @@ class AmfemConfig:
     max_ndofs: int = 200_000
     osc_order: int = 0
     newton: NewtonConfig = dfield(default_factory=NewtonConfig)
-    keep_history: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
@@ -125,10 +125,10 @@ class LevelRow:
 
 @dataclass
 class LevelArtifacts:
-    """Solved objects for one level, retained when keep_history is set."""
+    """Solved objects for one level, as the drivers pass them to on_level."""
 
     mesh: Mesh
-    space: object
+    space: MorleySpace
     state: StatePair
     report: EstimatorReport
     solve: SolveReport
@@ -164,7 +164,6 @@ class ConvergenceReport:
 class RunResult:
     report: ConvergenceReport
     final: LevelArtifacts
-    history: list[LevelArtifacts]
 
 
 def _prerefine(mesh: Mesh, delta: float, max_ndofs: int) -> Mesh:
@@ -188,17 +187,15 @@ def _rate(prev: LevelRow | None, eta: float, ndofs: int) -> float | None:
     return -float(np.log(eta / prev.eta) / np.log(ndofs / prev.ndofs))
 
 
-def _run(problem, cfg: AmfemConfig, mode: str) -> RunResult:
-    """Shared driver; mode is "adaptive" or "uniform"."""
+def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
+    """Shared driver; mode is "adaptive" or "uniform".  on_level(row, arts), if
+    given, sees each level once its row is final; only the previous level is kept."""
     data: ProblemData = problem.data
     mesh = _prerefine(build_initial_mesh(problem.domain), cfg.delta, cfg.max_ndofs)
     report = ConvergenceReport(problem.name, mode)
-    history: list[LevelArtifacts] = []
-    prev_row: LevelRow | None = None
     prev: LevelArtifacts | None = None
 
-    level = 0
-    while True:
+    for level in count():
         space = build_space(mesh)
         initial = None if prev is None else prolongate(prev.state, space)
         est = None
@@ -238,42 +235,38 @@ def _run(problem, cfg: AmfemConfig, mode: str) -> RunResult:
             err_h1pw=err_h1,
             newton_iters=solve.iterations,
             marked=0,
-            rate_eta=_rate(prev_row, est.eta, space.n_dofs),
+            rate_eta=_rate(report.rows[-1] if report.rows else None, est.eta, space.n_dofs),
         )
         report.rows.append(row)
-        if cfg.keep_history:
-            history.append(arts)
         logger.info(
             "level %d: %d triangles, %d dofs, eta %.4e, %d Newton iterations",
             level, mesh.n_triangles, space.n_dofs, est.eta, solve.iterations,
         )
 
-        if level + 1 >= cfg.max_levels or space.n_dofs >= cfg.max_ndofs:
-            break
-        if est.total_eta_sq <= 0.0:
+        last = level + 1 >= cfg.max_levels or space.n_dofs >= cfg.max_ndofs
+        if not last and est.total_eta_sq <= 0.0:
             logger.info("estimator vanished on level %d; stopping", level)
-            break
-        if mode == "uniform":
-            marked = np.arange(mesh.n_triangles)
-        else:
-            marked = doerfler_mark(est.eta_sq, cfg.theta)
-        row.marked = len(marked)
+            last = True
+        if not last:
+            marked = (np.arange(mesh.n_triangles) if mode == "uniform"
+                      else doerfler_mark(est.eta_sq, cfg.theta))
+            row.marked = len(marked)
+        if on_level is not None:
+            on_level(row, arts)
+        if last:
+            return RunResult(report, arts)
         mesh = refine(mesh, marked)
-        prev_row = row
         prev = arts
-        level += 1
-
-    return RunResult(report, arts, history)
 
 
-def amfem_run(problem, cfg: AmfemConfig | None = None) -> RunResult:
-    """Adaptive run with bulk marking."""
-    return _run(problem, cfg or AmfemConfig(), "adaptive")
+def amfem_run(problem, cfg: AmfemConfig | None = None, on_level=None) -> RunResult:
+    """Adaptive run with bulk marking; on_level(row, arts) sees each solved level."""
+    return _run(problem, cfg or AmfemConfig(), "adaptive", on_level)
 
 
-def uniform_run(problem, cfg: AmfemConfig | None = None) -> RunResult:
-    """Reference run marking every triangle on every level."""
-    return _run(problem, cfg or AmfemConfig(), "uniform")
+def uniform_run(problem, cfg: AmfemConfig | None = None, on_level=None) -> RunResult:
+    """Reference run marking every triangle on every level; on_level as in amfem_run."""
+    return _run(problem, cfg or AmfemConfig(), "uniform", on_level)
 
 
 # -- refinement axiom diagnostics -------------------------------------------

@@ -121,7 +121,6 @@ def main(argv=None) -> int:
             max_ndofs=args.max_ndofs,
             osc_order=args.osc_order,
             newton=NewtonConfig(residual_tol=args.newton_tol),
-            keep_history=True,
         )
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -136,11 +135,24 @@ def main(argv=None) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
 
+    axioms = []  # (pair, diagnostics) rows of axioms.csv
+    prev = None  # the previous level, the only one axiom-check mode holds
+
+    def write_level(row, arts) -> None:
+        nonlocal prev
+        write_mesh(arts.mesh, out / f"mesh_L{row.level}.morleymesh")
+        if args.svg:
+            write_svg(arts.mesh, out / f"mesh_L{row.level}.svg")
+        if args.dump_estimator:
+            arts.report.to_csv(out / f"estimator_L{row.level}.csv")
+        if args.mode == "axiom-check":
+            if prev is not None:
+                axioms.append((row.level - 1, axiom_check(prev, arts)))
+            prev = arts
+
+    run = amfem_run if args.mode == "adaptive" else uniform_run
     try:
-        if args.mode == "adaptive":
-            result = amfem_run(problem, cfg)
-        else:
-            result = uniform_run(problem, cfg)
+        result = run(problem, cfg, write_level)
     except RuntimeError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         for d in created:
@@ -151,18 +163,7 @@ def main(argv=None) -> int:
         return 1
 
     result.report.to_csv(out / "report.csv")
-    for level, arts in enumerate(result.history):
-        write_mesh(arts.mesh, out / f"mesh_L{level}.morleymesh")
-        if args.svg:
-            write_svg(arts.mesh, out / f"mesh_L{level}.svg")
-        if args.dump_estimator:
-            arts.report.to_csv(out / f"estimator_L{level}.csv")
-
     if args.mode == "axiom-check":
-        rows = []
-        for level in range(len(result.history) - 1):
-            diag = axiom_check(result.history[level], result.history[level + 1])
-            rows.append((level, diag))
         with (out / "axioms.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
                  "lambda1_mu_star", "lambda2_mu_star",
                  "eta_refined_coarse", "eta_refined_fine"]
             )
-            for level, d in rows:
+            for level, d in axioms:
                 writer.writerow(
                     [level, f"{d.delta:.17g}",
                      f"{d.lambda1_star:.17g}", f"{d.lambda2_star:.17g}",

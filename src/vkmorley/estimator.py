@@ -148,7 +148,9 @@ def estimate(
     H = space.element_hessians(state.coeffs)
     mu_sq = _volume_terms(space, H, data)
     eta_sq = mu_sq + _edge_terms(mesh, H)
-    osc_sq = oscillation(space, data.f, osc_order, data.quad_degree)
+    # The oscillation does not depend on the state: once per level.
+    osc_sq = space.cached((data.f, osc_order, data.quad_degree),
+                          lambda: oscillation(space, data.f, osc_order, data.quad_degree))
     return EstimatorReport(
         eta_sq=eta_sq,
         mu_sq=mu_sq,

@@ -91,31 +91,34 @@ class MorleySpace:
         self._build_local_bases()
         # Position of each dof: its vertex, or its edge's midpoint.
         self.dof_coords = np.concatenate([mesh.coords[free_v], self._midpoints[free_e]])
-        # Rule degree -> points, (callable, rule degree) -> values.
+        # Rule degree -> points, (callable, rule degree) -> values, and
+        # other per-level data derived from them (see ``cached``).
         self._quadrature: dict = {}
 
     # -- quadrature cache ----------------------------------------------------
 
+    def cached(self, key, compute) -> np.ndarray:
+        """Read-only compute(), computed once per key until release_quadrature."""
+        if key not in self._quadrature:
+            self._quadrature[key] = compute()
+            self._quadrature[key].flags.writeable = False
+        return self._quadrature[key]
+
     def quadrature_points(self, rule: TriangleRule) -> np.ndarray:
         """A rule's physical points on every element, (nt, q, 2); cached per rule."""
-        if rule.degree not in self._quadrature:
-            self._quadrature[rule.degree] = triangle_points(rule, self.mesh.triangle_coords())
-        return self._quadrature[rule.degree]
+        return self.cached(rule.degree, lambda: triangle_points(rule, self.mesh.triangle_coords()))
 
     def values_at(self, func, rule: TriangleRule) -> np.ndarray:
         """Read-only func(x, y) at a rule's points, cached per (func, rule): (nt, q),
         or (nt, q, k) for a func returning a k-tuple such as a gradient."""
-        key = (func, rule.degree)
-        if key not in self._quadrature:
+        def evaluate():
             pts = self.quadrature_points(rule)
             vals = func(pts[..., 0], pts[..., 1])
-            vals = np.stack(vals, axis=-1) if isinstance(vals, tuple) else np.asarray(vals, float)
-            vals.flags.writeable = False
-            self._quadrature[key] = vals
-        return self._quadrature[key]
+            return np.stack(vals, axis=-1) if isinstance(vals, tuple) else np.asarray(vals, float)
+        return self.cached((func, rule.degree), evaluate)
 
     def release_quadrature(self) -> None:
-        """Drop every cached quadrature point set and value array."""
+        """Drop every cached quadrature point set and derived array."""
         self._quadrature.clear()
 
     # -- local bases ---------------------------------------------------------

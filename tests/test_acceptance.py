@@ -214,13 +214,14 @@ def test_criterion_03_linear_biharmonic_rate():
 @pytest.fixture(scope="module")
 def square_uniform_deep():
     start = time.perf_counter()
-    cfg = AmfemConfig(delta=0.75, max_levels=11, keep_history=True)
-    result = uniform_run(get_problem("square-poly"), cfg)
-    return result, time.perf_counter() - start
+    cfg = AmfemConfig(delta=0.75, max_levels=11)
+    levels = []
+    result = uniform_run(get_problem("square-poly"), cfg, lambda row, arts: levels.append(arts))
+    return result, levels, time.perf_counter() - start
 
 
 def test_criterion_04_coupled_rates(square_uniform_deep):
-    result, elapsed = square_uniform_deep
+    result, _, elapsed = square_uniform_deep
     rows = result.report.rows
     assert rows[-1].ndofs <= 100_000
     x, tail = _slope(rows)
@@ -267,7 +268,7 @@ def test_criterion_05_newton_quadratic_convergence():
 
 
 def test_criterion_06_effectivity_stability(square_uniform_deep):
-    result, _ = square_uniform_deep
+    result, _, _ = square_uniform_deep
     rows = result.report.rows[2:6]
     eff = [r.eta / r.err_energy for r in rows]
     ratio = max(eff) / min(eff)
@@ -475,8 +476,8 @@ def test_criterion_10_adaptive_beats_uniform_lshape():
 
 
 def test_criterion_11_axiom_diagnostics_stable(square_uniform_deep):
-    result, _ = square_uniform_deep
-    hist = result.history[2:6]
+    _, levels, _ = square_uniform_deep
+    hist = levels[2:6]
     diags = [axiom_check(a, b) for a, b in zip(hist, hist[1:])]
     lam1 = [d.lambda1_star for d in diags]
     lam2 = [d.lambda2_star for d in diags]

@@ -3,15 +3,17 @@
 import csv
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vkmorley import solver
+from vkmorley import adaptivity, solver
 from vkmorley.adaptivity import (
     AmfemConfig,
+    ConvergenceReport,
     LevelArtifacts,
     LevelRow,
     _rate,
@@ -187,24 +189,36 @@ class TestConfig:
 # -- driver runs -------------------------------------------------------------
 
 
+class Collected(NamedTuple):
+    """A run's result and every level's artifacts, as on_level saw them."""
+
+    report: ConvergenceReport
+    final: LevelArtifacts
+    levels: list[LevelArtifacts]
+
+
+def _collect(run, problem, cfg) -> Collected:
+    levels = []
+    res = run(problem, cfg, lambda row, arts: levels.append(arts))
+    return Collected(res.report, res.final, levels)
+
+
 @pytest.fixture(scope="module")
 def square_adaptive():
-    cfg = AmfemConfig(theta=0.5, delta=0.35, max_levels=8, keep_history=True)
-    return amfem_run(get_problem("square-poly"), cfg), cfg
+    cfg = AmfemConfig(theta=0.5, delta=0.35, max_levels=8)
+    return _collect(amfem_run, get_problem("square-poly"), cfg), cfg
 
 
 @pytest.fixture(scope="module")
 def square_uniform():
-    cfg = AmfemConfig(delta=0.75, max_levels=6, keep_history=True)
-    return uniform_run(get_problem("square-poly"), cfg)
+    cfg = AmfemConfig(delta=0.75, max_levels=6)
+    return _collect(uniform_run, get_problem("square-poly"), cfg)
 
 
 @pytest.fixture(scope="module")
 def lshape_adaptive():
-    cfg = AmfemConfig(
-        theta=0.3, delta=0.9, max_levels=40, max_ndofs=2500, keep_history=True
-    )
-    return amfem_run(get_problem("lshape-f1"), cfg)
+    cfg = AmfemConfig(theta=0.3, delta=0.9, max_levels=40, max_ndofs=2500)
+    return _collect(amfem_run, get_problem("lshape-f1"), cfg)
 
 
 class TestAdaptiveDriver:
@@ -241,7 +255,7 @@ class TestAdaptiveDriver:
 
     def test_marking_matches_bulk_criterion(self, square_adaptive):
         res, cfg = square_adaptive
-        for row, arts in zip(res.report.rows[:-1], res.history):
+        for row, arts in zip(res.report.rows[:-1], res.levels):
             marked = doerfler_mark(arts.report.eta_sq, cfg.theta)
             assert len(marked) == row.marked
             target = cfg.theta * arts.report.total_eta_sq
@@ -252,11 +266,22 @@ class TestAdaptiveDriver:
 
     def test_history_matches_rows(self, square_adaptive):
         res, _ = square_adaptive
-        assert len(res.history) == len(res.report.rows)
-        assert res.final is res.history[-1]
-        for row, arts in zip(res.report.rows, res.history):
+        assert len(res.levels) == len(res.report.rows)
+        assert res.final is res.levels[-1]
+        for row, arts in zip(res.report.rows, res.levels):
             assert arts.mesh.n_triangles == row.ntri
             assert arts.space.n_dofs == row.ndofs
+
+    def test_on_level_sees_each_final_row_once(self):
+        seen = []
+        res = amfem_run(get_problem("square-poly"),
+                        AmfemConfig(theta=0.5, delta=0.35, max_levels=4),
+                        lambda row, arts: seen.append((row, row.marked, arts)))
+        assert len(seen) == len(res.report.rows) == 4
+        for (row, marked, arts), final in zip(seen, res.report.rows):
+            assert row is final and marked == final.marked
+            assert arts.mesh.n_triangles == row.ntri
+        assert seen[-1][2] is res.final
 
     def test_csv_round_trip(self, square_adaptive, tmp_path):
         res, _ = square_adaptive
@@ -279,7 +304,8 @@ class TestAdaptiveDriver:
 
     def test_identical_config_identical_csv(self, square_adaptive, tmp_path):
         res, _ = square_adaptive
-        cfg = AmfemConfig(theta=0.5, delta=0.35, max_levels=8, keep_history=False)
+        # The first run had an on_level sink; this one has none.
+        cfg = AmfemConfig(theta=0.5, delta=0.35, max_levels=8)
         again = amfem_run(get_problem("square-poly"), cfg)
         res.report.to_csv(tmp_path / "first.csv")
         again.report.to_csv(tmp_path / "again.csv")
@@ -287,7 +313,7 @@ class TestAdaptiveDriver:
 
     def test_corner_attracts_refinement(self, lshape_adaptive):
         ratios = []
-        for arts in lshape_adaptive.history:
+        for arts in lshape_adaptive.levels:
             m = arts.mesh
             xy = m.coords[m.tri_vertices]
             touching = (np.hypot(xy[..., 0], xy[..., 1]) < 1e-12).any(axis=1)
@@ -361,11 +387,32 @@ class TestUniformDriver:
         assert res.report.rows[0].err_energy is not None
         assert calls == {"f": 1, "g": 1, "du": 1, "d2u": 1}
 
+    def test_oscillation_projected_once_per_level(self, monkeypatch):
+        # The projection system of osc_order 0 is one 1x1 block per triangle.
+        projections, estimates = [], []
+        solve = np.linalg.solve
+
+        def counted_solve(a, b):
+            if a.shape[-2:] == (1, 1):
+                projections.append(a.shape[0])
+            return solve(a, b)
+
+        def counted_estimate(*args, **kwargs):
+            estimates.append(1)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(adaptivity, "estimate", counted_estimate)
+        res = uniform_run(get_problem("square-trig"), AmfemConfig(delta=0.05, max_levels=1))
+        assert res.report.rows[0].newton_iters >= 2
+        assert len(estimates) == res.report.rows[0].newton_iters + 1
+        assert projections == [res.report.rows[0].ntri]
+
     def test_history_keeps_no_quadrature_cache(self):
-        res = uniform_run(get_problem("square-trig"),
-                          AmfemConfig(delta=0.5, max_levels=3, keep_history=True))
-        assert len(res.history) == 3
-        assert all(arts.space._quadrature == {} for arts in res.history)
+        res = _collect(uniform_run, get_problem("square-trig"),
+                       AmfemConfig(delta=0.5, max_levels=3))
+        assert len(res.levels) == 3
+        assert all(arts.space._quadrature == {} for arts in res.levels)
 
 
 # -- stopping at the discretisation error -----------------------------------
@@ -382,16 +429,16 @@ def _dual_residual(arts, data):
 
 
 @pytest.mark.parametrize("mode,name,cfg", [
-    ("uniform", "square-trig", AmfemConfig(delta=0.5, max_levels=7, keep_history=True)),
+    ("uniform", "square-trig", AmfemConfig(delta=0.5, max_levels=7)),
     ("adaptive", "lshape-f1", AmfemConfig(theta=0.3, delta=0.9, max_levels=40,
-                                          max_ndofs=1500, keep_history=True)),
+                                          max_ndofs=1500)),
 ])
 def test_every_level_solved_to_the_discretisation_error(mode, name, cfg):
     prob = get_problem(name)
-    res = (uniform_run if mode == "uniform" else amfem_run)(prob, cfg)
-    assert len(res.history) >= 7
+    res = _collect(uniform_run if mode == "uniform" else amfem_run, prob, cfg)
+    assert len(res.levels) >= 7
     rules = set()
-    for row, arts in zip(res.report.rows, res.history):
+    for row, arts in zip(res.report.rows, res.levels):
         assert arts.solve.converged and arts.solve.residuals[-1] <= arts.solve.tolerance
         assert _dual_residual(arts, prob.data) <= solver._LAMBDA * row.eta
         # The estimate of Newton's last iterate is the level's own.
@@ -464,7 +511,7 @@ def _unit_load(x, y):
 
 class TestAxiomCheck:
     def test_identical_levels_give_zero(self, square_uniform):
-        art = square_uniform.history[2]
+        art = square_uniform.levels[2]
         diag = axiom_check(art, art)
         assert diag.delta == 0.0
         assert diag.lambda1_star == 0.0
@@ -493,7 +540,7 @@ class TestAxiomCheck:
         assert diag.lambda2_mu_star == 0.0
 
     def test_uniform_pairs_stay_finite_and_stable(self, square_uniform):
-        hist = square_uniform.history
+        hist = square_uniform.levels
         diags = [axiom_check(a, b) for a, b in zip(hist, hist[1:])]
         for d in diags:
             assert d.delta > 0.0
@@ -521,7 +568,7 @@ class TestAxiomCheck:
 
     def test_adaptive_pair_has_nonzero_overlap(self, square_adaptive):
         res, _ = square_adaptive
-        diag = axiom_check(res.history[3], res.history[4])
+        diag = axiom_check(res.levels[3], res.levels[4])
         assert diag.delta > 0.0
         assert diag.eta_common_coarse > 0.0
         assert diag.eta_common_fine > 0.0
@@ -530,4 +577,4 @@ class TestAxiomCheck:
 
     def test_reversed_pair_rejected(self, square_uniform):
         with pytest.raises(MeshError):
-            axiom_check(square_uniform.history[2], square_uniform.history[1])
+            axiom_check(square_uniform.levels[2], square_uniform.levels[1])

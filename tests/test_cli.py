@@ -1,12 +1,16 @@
 """End-to-end checks of the command line driver and its output files."""
 
 import csv
+import dataclasses
+import gc
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from vkmorley import adaptivity
 from vkmorley.cli import main, parse_args
 
 HEADER = "level,ntri,ndofs,eta,mu,osc,err_energy,err_h1pw,newton_iters,marked,rate_eta"
@@ -253,3 +257,45 @@ def test_aborted_run_keeps_a_directory_that_has_content(tmp_path):
     assert main(["--delta", "1e-4", "--max-ndofs", "1000",
                  "--out", str(tmp_path / "runs" / "o1")]) == 1
     assert [p.name for p in (tmp_path / "runs").iterdir()] == ["notes.txt"]
+
+
+def test_abort_after_solved_levels_keeps_their_files(tmp_path, monkeypatch, capsys):
+    solve = adaptivity.newton_solve
+    calls = []
+
+    def failing_on_level_two(*args, **kwargs):
+        state, report = solve(*args, **kwargs)
+        calls.append(report)
+        if len(calls) == 3:
+            report = dataclasses.replace(report, converged=False)
+        return state, report
+
+    monkeypatch.setattr(adaptivity, "newton_solve", failing_on_level_two)
+    out = tmp_path / "runs" / "o1"
+    code = main(["--problem", "square-poly", "--mode", "uniform", "--levels", "5",
+                 "--delta", "0.75", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("run aborted: Newton failed on level 2")
+    assert sorted(p.name for p in out.iterdir()) == ["mesh_L0.morleymesh", "mesh_L1.morleymesh"]
+
+
+def test_axiom_check_run_holds_at_most_one_earlier_level(tmp_path, monkeypatch):
+    build = adaptivity.build_space
+    spaces = []
+    alive = []  # earlier levels' spaces still alive when the next one is built
+
+    def tracked(mesh):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in spaces))
+        space = build(mesh)
+        spaces.append(weakref.ref(space))
+        return space
+
+    monkeypatch.setattr(adaptivity, "build_space", tracked)
+    code = main(["--problem", "square-poly", "--mode", "axiom-check", "--levels", "6",
+                 "--delta", "0.75", "--dump-estimator", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "axioms.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 5
+    assert alive == [0, 1, 1, 1, 1, 1]

@@ -144,6 +144,22 @@ def test_quadratic_load_vanishes_at_order_two():
     assert np.all(oscillation(space, f, 1) > 0)
 
 
+def test_estimate_caches_the_oscillation_until_release():
+    f = lambda x, y: np.sin(3.0 * x) * y
+    space = square_space(2)
+    data = ProblemData(f=f)
+    first = estimate(space, oc.zero_state(space), data, osc_order=1).osc_sq
+    u = interpolate(space, lambda x, y: x * y, lambda x, y: (y, x))
+    second = estimate(space, StatePair(u, u), data, osc_order=1)
+    assert second.osc_sq is first and not first.flags.writeable
+    assert estimate(space, StatePair(u, u), data, osc_order=0).osc_sq is not first
+    space.release_quadrature()
+    again = estimate(space, StatePair(u, u), data, osc_order=1).osc_sq
+    assert again is not first
+    np.testing.assert_array_equal(again, first)
+    np.testing.assert_array_equal(first, oscillation(space, f, 1))
+
+
 def test_oscillation_rejects_bad_order():
     space = square_space(1)
     with pytest.raises(ValueError):

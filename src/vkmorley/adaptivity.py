@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import EstimatorReport, estimate, restrict_estimator
-from .forms import _FROB, ProblemData, energy_norms
+from .forms import ProblemData, energy_norms, frobenius_weighted
 from .mesh import Mesh, build_initial_mesh, mesh_partition, refine, uniform_refine
 from .morley import MorleySpace, StatePair, build_space, prolongate
 from .solver import NewtonConfig, SolveReport, newton_solve
@@ -314,9 +314,7 @@ def axiom_check(coarse: LevelArtifacts, fine: LevelArtifacts) -> AxiomDiagnostic
 
     d = (fspace.element_hessians(fine.state.coeffs)
          - cspace.element_hessians(coarse.state.coeffs)[:, anc])
-    # The u and v sums add as two floats; a block einsum would round differently.
-    delta = float(np.sqrt(sum(float(np.einsum("tc,c,t->", dk**2, _FROB, fine.mesh.areas))
-                              for dk in d)))
+    delta = float(np.sqrt(np.vdot(frobenius_weighted(d, fine.mesh.areas), d)))
 
     fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only)
     common_c = restrict_estimator(coarse.report, common)

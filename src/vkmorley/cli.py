@@ -18,9 +18,9 @@ import sys
 from pathlib import Path
 
 from .adaptivity import AmfemConfig, amfem_run, axiom_check, uniform_run
-from .mesh import write_mesh, write_svg
+from .mesh import MeshError, write_mesh, write_svg
 from .problems import get_problem
-from .solver import NewtonConfig
+from .solver import NewtonConfig, SolverError
 
 logger = logging.getLogger(__name__)
 
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
     run = amfem_run if args.mode == "adaptive" else uniform_run
     try:
         result = run(problem, cfg, write_level)
-    except RuntimeError as exc:
+    except (RuntimeError, MeshError, SolverError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         for d in created:
             try:

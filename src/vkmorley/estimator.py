@@ -15,7 +15,6 @@ elementwise L2 projection of f.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,19 +53,12 @@ class EstimatorReport:
         return float(np.sqrt(self.osc_sq.sum()))
 
     def to_csv(self, path) -> None:
+        """One row per triangle, floats as %.17g, CSV line ends (\\r\\n)."""
+        cols = (self.areas, self.eta_sq, self.mu_sq, self.osc_sq)
+        rows = zip(range(len(self.eta_sq)), *(c.tolist() for c in cols))
         with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["triangle_id", "area", "eta_sq", "mu_sq", "osc_sq"])
-            for t in range(len(self.eta_sq)):
-                writer.writerow(
-                    [
-                        t,
-                        f"{self.areas[t]:.17g}",
-                        f"{self.eta_sq[t]:.17g}",
-                        f"{self.mu_sq[t]:.17g}",
-                        f"{self.osc_sq[t]:.17g}",
-                    ]
-                )
+            fh.write("triangle_id,area,eta_sq,mu_sq,osc_sq\r\n")
+            fh.writelines("%d,%.17g,%.17g,%.17g,%.17g\r\n" % r for r in rows)
 
 
 def _volume_terms(space, H: np.ndarray, data: ProblemData) -> np.ndarray:
@@ -123,17 +115,16 @@ def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> n
         raise ValueError(f"oscillation order must be 0, 1 or 2, got {order}")
 
     rule = triangle_rule(max(quad_degree, 2 * order))
-    wts = rule.weights[None, :]
     fv = space.values_at(func, rule)
 
     xi = space.local_coords(np.arange(mesh.n_triangles)[:, None], space.quadrature_points(rule))
     nb = {0: 1, 1: 3, 2: 6}[order]
     basis = monomials(xi)[..., :nb]  # (nt, q, nb)
 
-    M = np.einsum("tq,tqi,tqj->tij", wts, basis, basis)
-    rhs = np.einsum("tq,tq,tqi->ti", wts, fv, basis)
+    M = (basis.mT * rule.weights) @ basis
+    rhs = ((fv * rule.weights)[:, None, :] @ basis)[:, 0]
     coef = np.linalg.solve(M, rhs[..., None])[..., 0]
-    ff = np.einsum("tq,tq,tq->t", wts, fv, fv)
+    ff = (fv * fv) @ rule.weights
     resid = ff - np.einsum("ti,ti->t", coef, rhs)
     np.clip(resid, 0.0, None, out=resid)
     # h^4 = |K|^2; the quadrature carries one |K| factor for the L2 norm.

@@ -15,8 +15,11 @@ nonlinear part at a state is twice the state-frozen trilinear form,
 which assemble_linearized_bracket applies, element by element, for
 Newton's method.
 
-All element loops are batched; the bilaplacian is assembled from
-triplets in a fixed element order, so repeated runs are bit-identical.
+All element loops are batched: per-element contractions are stacked
+``matmul`` calls, which numpy hands to BLAS one small matrix at a time,
+and every area-weighted Hessian Frobenius product goes through
+``frobenius_weighted``.  The bilaplacian is assembled from triplets in a
+fixed element order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -72,10 +75,22 @@ def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     )
 
 
+def frobenius_weighted(H: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Hessian rows H (..., 3) times the Frobenius weights and weights (...).
+
+    The left factor of every area-weighted Hessian Frobenius product:
+    ``frobenius_weighted(H, w) @ G.mT`` per element, or
+    ``np.vdot(frobenius_weighted(H, w), G)`` summed over all rows.
+    """
+    out = H * _FROB  # exact: the weights are 1 and 2
+    out *= weights[..., None]
+    return out
+
+
 def assemble_bilaplacian(space: MorleySpace) -> sp.csr_matrix:
     """Scalar piecewise Hessian stiffness matrix (n_dofs square)."""
     H = space.shape_hess  # (nt, 6, 3)
-    return space.scatter_matrix(np.einsum("tic,tjc,c,t->tij", H, H, _FROB, space.mesh.areas))
+    return space.scatter_matrix(frobenius_weighted(H, space.mesh.areas[:, None]) @ H.mT)
 
 
 def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
@@ -83,12 +98,12 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     rule = triangle_rule(data.quad_degree)
     pts = space.quadrature_points(rule)  # (nt, q, 2)
     xi = space.local_coords(np.arange(space.mesh.n_triangles)[:, None], pts)
-    shapes = np.einsum("tqm,tmi->tqi", monomials(xi), space.coeffs)  # (nt, q, 6)
+    shapes = monomials(xi) @ space.coeffs  # (nt, q, 6)
     warea = rule.weights[None, :] * space.mesh.areas[:, None]
 
     return np.concatenate([
         np.zeros(space.n_dofs) if func is None else
-        space.scatter(np.einsum("tq,tq,tqi->ti", warea, space.values_at(func, rule), shapes))
+        space.scatter(((warea * space.values_at(func, rule))[:, None, :] @ shapes)[:, 0])
         for func in (data.f, data.g)])
 
 
@@ -160,9 +175,9 @@ def energy_norms(space: MorleySpace, state: StatePair, exact):
     errh1 = 0.0
     for Hk, Gk, dfun, hfun in zip(H, G, (exact.du, exact.dv), (exact.d2u, exact.d2v)):
         diff = space.values_at(hfun, rule) - Hk[:, None, :]
-        err2 += np.einsum("tqc,c,tq->", diff**2, _FROB, warea)
+        err2 += np.vdot(frobenius_weighted(diff, warea), diff)
         gdiff = space.values_at(dfun, rule) - Gk
-        errh1 += np.einsum("tqc,tq->", gdiff**2, warea)
+        errh1 += np.vdot(gdiff * warea[..., None], gdiff)
 
-    energy = np.einsum("tc,c,t->", H[0]**2 + H[1]**2, _FROB, mesh.areas)
+    energy = np.vdot(frobenius_weighted(H, mesh.areas), H)
     return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))

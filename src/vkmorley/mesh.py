@@ -368,14 +368,12 @@ def validate(mesh: Mesh) -> None:
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    lines = ["morleymesh 1", f"vertices {mesh.n_vertices}"]
-    for x, y in mesh.coords:
-        lines.append(f"{x:.17g} {y:.17g}")
-    lines.append(f"triangles {mesh.n_triangles}")
-    for t in range(mesh.n_triangles):
-        v0, v1, v2 = mesh.tri_vertices[t]
-        lines.append(f"{v0} {v1} {v2} {mesh.tri_ref_edge[t]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        fh.write(f"morleymesh 1\nvertices {mesh.n_vertices}\n")
+        fh.writelines("%.17g %.17g\n" % p for p in zip(*mesh.coords.T.tolist()))
+        fh.write(f"triangles {mesh.n_triangles}\n")
+        fh.writelines("%d %d %d %d\n" % t
+                      for t in zip(*mesh.tri_vertices.T.tolist(), mesh.tri_ref_edge.tolist()))
 
 
 def read_mesh(path) -> Mesh:
@@ -446,11 +444,10 @@ def write_svg(mesh: Mesh, path) -> None:
     scale = _SVG_WIDTH / span
     margin = 0.02 * _SVG_WIDTH
 
-    def to_px(p):
-        return (
-            margin + (p[0] - xmin) * scale,
-            margin + (ymax - p[1]) * scale,
-        )
+    px = margin + (mesh.coords[:, 0] - xmin) * scale
+    py = margin + (ymax - mesh.coords[:, 1]) * scale
+    # One row (x0, y0, x1, y1, x2, y2) of pixel corners per triangle.
+    corners = np.stack([px, py], axis=-1)[mesh.tri_vertices].reshape(-1, 6)
 
     w = 2 * margin + (xmax - xmin) * scale
     h = 2 * margin + (ymax - ymin) * scale
@@ -461,13 +458,9 @@ def write_svg(mesh: Mesh, path) -> None:
         f'<rect width="{w:.1f}" height="{h:.1f}" fill="white"/>',
     ]
     sw = max(0.25, min(1.0, 120.0 / max(mesh.n_triangles, 1)))
-    for t in range(mesh.n_triangles):
-        pts = [to_px(mesh.coords[v]) for v in mesh.tri_vertices[t]]
-        d = (
-            f"M {pts[0][0]:.2f} {pts[0][1]:.2f} "
-            f"L {pts[1][0]:.2f} {pts[1][1]:.2f} "
-            f"L {pts[2][0]:.2f} {pts[2][1]:.2f} Z"
-        )
-        parts.append(f'<path d="{d}" fill="none" stroke="#334" stroke-width="{sw:.2f}"/>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    row = ('<path d="M %.2f %.2f L %.2f %.2f L %.2f %.2f Z" fill="none" stroke="#334" '
+           f'stroke-width="{sw:.2f}"/>\n')
+    with Path(path).open("w") as fh:
+        fh.write("\n".join(parts) + "\n")
+        fh.writelines(row % c for c in zip(*corners.T.tolist()))
+        fh.write("</svg>\n")

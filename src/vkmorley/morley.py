@@ -169,8 +169,7 @@ class MorleySpace:
 
         # Integral of each shape function: edge-midpoint rule, exact for
         # quadratics.
-        vals = np.einsum("tkj,tji->tki", monomials(xi_m), C)
-        self.shape_integral = (mesh.areas[:, None] / 3.0) * vals.sum(axis=1)
+        self.shape_integral = (mesh.areas[:, None] / 3.0) * (monomials(xi_m) @ C).sum(axis=1)
 
     # -- field algebra -------------------------------------------------------
     # Only gather, scatter and scatter_matrix read dof_map's -1 in constrained
@@ -178,8 +177,9 @@ class MorleySpace:
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """Element dof values (..., nt, 6) of coefficients (..., n); zero in
-        constrained slots.  ``np.take`` returns a C-contiguous array, which
-        keeps the einsum rounding of a block equal to that of each row."""
+        constrained slots.  ``np.take`` returns a C-contiguous array, so the
+        stacked ``matmul`` of ``element_polys`` sees a block's rows with the
+        strides of a single row, and rounds them alike."""
         padded = np.concatenate([coeffs, np.zeros(coeffs.shape[:-1] + (1,))], axis=-1)
         return np.take(padded, self.dof_map, axis=-1)
 
@@ -199,7 +199,7 @@ class MorleySpace:
 
     def element_polys(self, coeffs: np.ndarray) -> np.ndarray:
         """Monomial coefficients (centered basis) per element: (..., nt, 6)."""
-        return np.einsum("tij,...tj->...ti", self.coeffs, self.gather(coeffs))
+        return (self.coeffs @ self.gather(coeffs)[..., None])[..., 0]
 
     def element_hessians(self, coeffs: np.ndarray) -> np.ndarray:
         """Piecewise constant Hessians as (..., nt, 3) rows (hxx, hxy, hyy)."""

@@ -143,7 +143,7 @@ def triangle_points(rule: TriangleRule, coords: np.ndarray) -> np.ndarray:
 
     coords has shape (ntri, 3, 2); the result has shape (ntri, npts, 2).
     """
-    return np.einsum("qk,tkd->tqd", rule.bary, coords)
+    return rule.bary @ coords
 
 
 def edge_rule(npoints: int = 3) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,14 @@ reference for the level-synchronous ``vkmorley.solver.dissection_order``,
 and ``nd_bisect`` its single split.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
 convention, for tests that the convention stays internal, and
-``random_descent`` draws random marked NVB refinements.  ``zero_state``
+``random_descent`` draws random marked NVB refinements.  The ``*_einsum``
+functions keep the ``np.einsum`` forms of the per-element contractions
+that the package now writes as batched ``matmul`` (quadrature points,
+bilaplacian element matrices, load, oscillation, shape integrals,
+element polynomials, error norms and the axiom distance), and the
+``*_rows`` writers the per-entity formatting of the mesh, SVG and
+estimator files that the package now builds from whole arrays.
+``zero_state``
 is the zero deflection/stress pair.  ``evaluate``,
 ``interior_angles`` and ``mesh_equals`` are inspection tools for
 fields and meshes, and ``check_problem`` checks a registry entry's
@@ -22,7 +29,9 @@ exact data against its loads.
 """
 
 import copy
+import csv
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
@@ -30,6 +39,7 @@ import sympy as sp
 
 from vkmorley.forms import vk_bracket
 from vkmorley.mesh import (
+    _SVG_WIDTH,
     Mesh,
     MeshError,
     build_initial_mesh,
@@ -37,7 +47,8 @@ from vkmorley.mesh import (
     refine,
     uniform_refine,
 )
-from vkmorley.morley import MorleyField, StatePair, build_space
+from vkmorley.morley import MorleyField, StatePair, batch_eval, build_space, hessians, monomials
+from vkmorley.quadrature import triangle_rule
 from vkmorley.solver import _ND_LEAF
 
 X, Y = sp.symbols("x y")
@@ -526,3 +537,136 @@ def check_problem(problem, n_samples=64, seed=7):
         gx, gy = ex.du(bx, by)
         defect = max(defect, float(np.abs(gx).max()), float(np.abs(gy).max()))
     return defect
+
+
+# -- einsum references for the batched matmul kernels ------------------------
+
+FROB = np.array([1.0, 2.0, 1.0])
+
+
+def triangle_points_einsum(rule, coords):
+    return np.einsum("qk,tkd->tqd", rule.bary, coords)
+
+
+def bilaplacian_elements_einsum(space):
+    H = space.shape_hess
+    return np.einsum("tic,tjc,c,t->tij", H, H, FROB, space.mesh.areas)
+
+
+def _local_points(space, rule):
+    pts = triangle_points_einsum(rule, space.mesh.triangle_coords())
+    return pts, space.local_coords(np.arange(space.mesh.n_triangles)[:, None], pts)
+
+
+def load_einsum(space, data):
+    rule = triangle_rule(data.quad_degree)
+    pts, xi = _local_points(space, rule)
+    shapes = np.einsum("tqm,tmi->tqi", monomials(xi), space.coeffs)
+    warea = rule.weights[None, :] * space.mesh.areas[:, None]
+    return np.concatenate([
+        np.zeros(space.n_dofs) if func is None else
+        space.scatter(np.einsum("tq,tq,tqi->ti", warea, func(pts[..., 0], pts[..., 1]), shapes))
+        for func in (data.f, data.g)])
+
+
+def oscillation_einsum(space, func, order, quad_degree=4):
+    rule = triangle_rule(max(quad_degree, 2 * order))
+    pts, xi = _local_points(space, rule)
+    fv = func(pts[..., 0], pts[..., 1])
+    wts = rule.weights[None, :]
+    basis = monomials(xi)[..., :{0: 1, 1: 3, 2: 6}[order]]
+    M = np.einsum("tq,tqi,tqj->tij", wts, basis, basis)
+    rhs = np.einsum("tq,tq,tqi->ti", wts, fv, basis)
+    coef = np.linalg.solve(M, rhs[..., None])[..., 0]
+    resid = np.einsum("tq,tq,tq->t", wts, fv, fv) - np.einsum("ti,ti->t", coef, rhs)
+    np.clip(resid, 0.0, None, out=resid)
+    return space.mesh.areas**3 * resid
+
+
+def shape_integral_einsum(space):
+    mesh = space.mesh
+    xi_m = space.local_coords(np.arange(mesh.n_triangles)[:, None],
+                              space._midpoints[mesh.tri_edges])
+    vals = np.einsum("tkj,tji->tki", monomials(xi_m), space.coeffs)
+    return (mesh.areas[:, None] / 3.0) * vals.sum(axis=1)
+
+
+def element_polys_einsum(space, coeffs):
+    return np.einsum("tij,...tj->...ti", space.coeffs, space.gather(coeffs))
+
+
+def energy_norms_einsum(space, state, exact):
+    rule = triangle_rule(6)
+    pts = triangle_points_einsum(rule, space.mesh.triangle_coords())
+    x, y = pts[..., 0], pts[..., 1]
+    warea = rule.weights[None, :] * space.mesh.areas[:, None]
+    polys = element_polys_einsum(space, state.coeffs)
+    H = hessians(polys, space.scales)
+    _, G = batch_eval(space, polys, pts)
+    err2 = errh1 = 0.0
+    for Hk, Gk, dfun, hfun in zip(H, G, (exact.du, exact.dv), (exact.d2u, exact.d2v)):
+        diff = np.stack(hfun(x, y), axis=-1) - Hk[:, None, :]
+        err2 += np.einsum("tqc,c,tq->", diff**2, FROB, warea)
+        gdiff = np.stack(dfun(x, y), axis=-1) - Gk
+        errh1 += np.einsum("tqc,tq->", gdiff**2, warea)
+    energy = np.einsum("tc,c,t->", H[0]**2 + H[1]**2, FROB, space.mesh.areas)
+    return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))
+
+
+def hessian_distance_einsum(d, areas):
+    """Piecewise H2 norm of a (2, nt, 3) Hessian difference, as axiom_check had it."""
+    return float(np.sqrt(sum(float(np.einsum("tc,c,t->", dk**2, FROB, areas)) for dk in d)))
+
+
+# -- per-entity references for the file writers ------------------------------
+
+
+def write_mesh_rows(mesh, path):
+    lines = ["morleymesh 1", f"vertices {mesh.n_vertices}"]
+    for x, y in mesh.coords:
+        lines.append(f"{x:.17g} {y:.17g}")
+    lines.append(f"triangles {mesh.n_triangles}")
+    for t in range(mesh.n_triangles):
+        v0, v1, v2 = mesh.tri_vertices[t]
+        lines.append(f"{v0} {v1} {v2} {mesh.tri_ref_edge[t]}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_svg_rows(mesh, path):
+    xmin, ymin = mesh.coords.min(axis=0)
+    xmax, ymax = mesh.coords.max(axis=0)
+    span = max(xmax - xmin, ymax - ymin, 1e-30)
+    scale = _SVG_WIDTH / span
+    margin = 0.02 * _SVG_WIDTH
+
+    def to_px(p):
+        return margin + (p[0] - xmin) * scale, margin + (ymax - p[1]) * scale
+
+    w = 2 * margin + (xmax - xmin) * scale
+    h = 2 * margin + (ymax - ymin) * scale
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.1f}" '
+        f'height="{h:.1f}" viewBox="0 0 {w:.1f} {h:.1f}">',
+        f'<rect width="{w:.1f}" height="{h:.1f}" fill="white"/>',
+    ]
+    sw = max(0.25, min(1.0, 120.0 / max(mesh.n_triangles, 1)))
+    for t in range(mesh.n_triangles):
+        pts = [to_px(mesh.coords[v]) for v in mesh.tri_vertices[t]]
+        d = (
+            f"M {pts[0][0]:.2f} {pts[0][1]:.2f} "
+            f"L {pts[1][0]:.2f} {pts[1][1]:.2f} "
+            f"L {pts[2][0]:.2f} {pts[2][1]:.2f} Z"
+        )
+        parts.append(f'<path d="{d}" fill="none" stroke="#334" stroke-width="{sw:.2f}"/>')
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n")
+
+
+def estimator_csv_rows(report, path):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["triangle_id", "area", "eta_sq", "mu_sq", "osc_sq"])
+        for t in range(len(report.eta_sq)):
+            writer.writerow([t, f"{report.areas[t]:.17g}", f"{report.eta_sq[t]:.17g}",
+                             f"{report.mu_sq[t]:.17g}", f"{report.osc_sq[t]:.17g}"])

@@ -12,6 +12,8 @@ import pytest
 
 from vkmorley import adaptivity
 from vkmorley.cli import main, parse_args
+from vkmorley.mesh import MeshError
+from vkmorley.solver import SolverError
 
 HEADER = "level,ntri,ndofs,eta,mu,osc,err_energy,err_h1pw,newton_iters,marked,rate_eta"
 
@@ -278,6 +280,33 @@ def test_abort_after_solved_levels_keeps_their_files(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("run aborted: Newton failed on level 2")
     assert sorted(p.name for p in out.iterdir()) == ["mesh_L0.morleymesh", "mesh_L1.morleymesh"]
+
+
+@pytest.mark.parametrize("error", [MeshError, SolverError])
+@pytest.mark.parametrize("level, kept", [(0, None), (2, ["mesh_L0.morleymesh",
+                                                         "mesh_L1.morleymesh"])])
+def test_domain_error_mid_run_aborts_like_a_failed_solve(tmp_path, monkeypatch, capsys,
+                                                         error, level, kept):
+    build = adaptivity.build_space
+    calls = []
+
+    def failing(mesh):
+        calls.append(mesh)
+        if len(calls) == level + 1:
+            raise error(f"injected on level {level}")
+        return build(mesh)
+
+    monkeypatch.setattr(adaptivity, "build_space", failing)
+    out = tmp_path / "runs" / "o1"
+    code = main(["--problem", "square-poly", "--mode", "uniform", "--levels", "5",
+                 "--delta", "0.75", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"run aborted: injected on level {level}"]
+    if kept is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert sorted(p.name for p in out.iterdir()) == kept
 
 
 def test_axiom_check_run_holds_at_most_one_earlier_level(tmp_path, monkeypatch):

@@ -1,0 +1,170 @@
+"""Batched matmul kernels and whole-array writers against their references.
+
+Each per-element contraction that the package writes as a stacked
+``matmul`` is checked against its ``np.einsum`` form in ``oracles``, on
+random newest-vertex descents of both domains.  The two forms add the
+same products in a different order (BLAS may also fuse multiply-adds),
+so they agree to rounding: every array must match to ``RTOL`` times its
+largest entry, every scalar to ``RTOL`` relative.  The writers must match
+the per-entity formatting they replace byte for byte.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import oracles as oc
+from vkmorley.adaptivity import LevelArtifacts, axiom_check
+from vkmorley.estimator import EstimatorReport, estimate, oscillation
+from vkmorley.forms import ProblemData, assemble_bilaplacian, assemble_load, energy_norms
+from vkmorley.mesh import compose_ancestors, write_mesh, write_svg
+from vkmorley.morley import MorleyField, StatePair, build_space
+from vkmorley.problems import get_problem
+from vkmorley.quadrature import triangle_points, triangle_rule
+
+# About 450 float64 epsilons; measured at most 1.2e-15 over 200 descents
+# (the error norms).
+RTOL = 1e-13
+
+DESCENTS = dict(
+    domain=st.sampled_from(["square", "lshape"]),
+    pre=st.integers(0, 2),
+    steps=st.integers(0, 3),
+    constrained=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _close(got, want, scale=None):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if scale is None:
+        scale = np.abs(want).max() if want.size else 0.0
+    assert np.all(np.abs(got - want) <= RTOL * scale), np.abs(got - want).max() / scale
+
+
+def _pair(rng, space):
+    block = rng.standard_normal((2, space.n_dofs))
+    return StatePair(MorleyField(space, block[0].copy()), MorleyField(space, block[1].copy()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DESCENTS)
+def test_matmul_kernels_match_their_einsum_forms(domain, pre, steps, constrained, seed):
+    rng = np.random.default_rng(seed)
+    coarse, fine = oc.random_descent(rng, domain, pre, steps)
+    space = build_space(fine, constrained=constrained)
+    # Loads with no symmetry, so that neither the load vector nor the
+    # oscillation vanishes up to rounding.
+    data = ProblemData(f=lambda x, y: np.exp(x) * np.cos(3 * y) + x * y,
+                       g=lambda x, y: np.sin(2 * x + y), quad_degree=6)
+
+    for degree in (1, 4, 6, 10):
+        rule = triangle_rule(degree)
+        _close(triangle_points(rule, fine.triangle_coords()),
+               oc.triangle_points_einsum(rule, fine.triangle_coords()))
+    _close(space.shape_integral, oc.shape_integral_einsum(space))
+    _close(assemble_bilaplacian(space).toarray(),
+           space.scatter_matrix(oc.bilaplacian_elements_einsum(space)).toarray())
+    _close(assemble_load(space, data), oc.load_einsum(space, data))
+    # The oscillation is ||f||^2 minus the projection's share of it, so
+    # it is exact only up to rounding of h^4 ||f||^2.
+    rule = triangle_rule(4)
+    pts = oc.triangle_points_einsum(rule, fine.triangle_coords())
+    f_sq = fine.areas**3 * (data.f(pts[..., 0], pts[..., 1])**2 @ rule.weights)
+    for order in (0, 1, 2):
+        _close(oscillation(space, data.f, order, 4),
+               oc.oscillation_einsum(space, data.f, order, 4), f_sq.max())
+
+    pair = _pair(rng, space)
+    for coeffs in (pair.coeffs, pair.u.coeffs):
+        _close(space.element_polys(coeffs), oc.element_polys_einsum(space, coeffs))
+    exact = get_problem("square-trig").exact
+    np.testing.assert_allclose(energy_norms(space, pair, exact),
+                               oc.energy_norms_einsum(space, pair, exact), rtol=RTOL)
+
+    def level(mesh):
+        s = build_space(mesh, constrained=constrained)
+        state = _pair(rng, s)
+        return LevelArtifacts(mesh, s, state, estimate(s, state, data), None)
+
+    lc, lf = level(coarse), level(fine)
+    d = (lf.space.element_hessians(lf.state.coeffs)
+         - lc.space.element_hessians(lc.state.coeffs)[:, compose_ancestors(coarse, fine)])
+    assert axiom_check(lc, lf).delta == pytest.approx(
+        oc.hessian_distance_einsum(d, fine.areas), rel=RTOL)
+
+
+# -- writers -------------------------------------------------------------
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3]
+floats = st.floats(width=64) | st.sampled_from(EDGE_FLOATS)
+ids = st.integers(0, 2**63 - 1) | st.sampled_from([0, 1, 2**31, 2**53 + 1, 2**63 - 1])
+
+
+class _Table:
+    """What write_mesh and write_svg read of a Mesh, from arbitrary arrays."""
+
+    def __init__(self, coords, tri_vertices, tri_ref_edge):
+        self.coords, self.tri_vertices, self.tri_ref_edge = coords, tri_vertices, tri_ref_edge
+        self.n_vertices, self.n_triangles = len(coords), len(tri_vertices)
+
+
+@st.composite
+def tables(draw):
+    nv = draw(st.integers(1, 12))
+    nt = draw(st.integers(0, 12))
+    coords = draw(hnp.arrays(np.float64, (nv, 2), elements=floats))
+    tris = draw(hnp.arrays(np.int64, (nt, 3), elements=ids))
+    ref = draw(hnp.arrays(np.int64, nt, elements=ids))
+    return _Table(coords, tris, ref)
+
+
+def _vertex_ids_in_range(table):
+    # write_svg indexes coords by the triangles' vertex ids.
+    table.tri_vertices = table.tri_vertices % table.n_vertices
+    return table
+
+
+def _same_bytes(tmp_path, new, old, *args):
+    new(*args, tmp_path / "new")
+    old(*args, tmp_path / "old")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=tables())
+def test_write_mesh_matches_per_row_writer(tmp_path_factory, table):
+    _same_bytes(tmp_path_factory.mktemp("mesh"), write_mesh, oc.write_mesh_rows, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=tables().map(_vertex_ids_in_range))
+def test_write_svg_matches_per_row_writer(tmp_path_factory, table):
+    with np.errstate(all="ignore"):
+        _same_bytes(tmp_path_factory.mktemp("svg"), write_svg, oc.write_svg_rows, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cols=st.integers(0, 12).flatmap(
+    lambda n: hnp.arrays(np.float64, (4, n), elements=floats)))
+def test_estimator_csv_matches_csv_writer(tmp_path_factory, cols):
+    report = EstimatorReport(eta_sq=cols[0], mu_sq=cols[1], osc_sq=cols[2], areas=cols[3])
+    _same_bytes(tmp_path_factory.mktemp("csv"), EstimatorReport.to_csv,
+                oc.estimator_csv_rows, report)
+
+
+def test_writers_on_edge_values_and_a_real_mesh(tmp_path):
+    edge = np.array(EDGE_FLOATS)
+    table = _Table(np.column_stack([edge, edge[::-1]]),
+                   np.array([[0, 1, 2], [2**62, 3, 2**63 - 1]]), np.array([2, 2**40]))
+    _same_bytes(tmp_path, write_mesh, oc.write_mesh_rows, table)
+    report = EstimatorReport(*np.stack([edge, edge[::-1], np.roll(edge, 3), -edge]))
+    _same_bytes(tmp_path, EstimatorReport.to_csv, oc.estimator_csv_rows, report)
+    assert (tmp_path / "new").read_bytes().count(b"\r\n") == len(edge) + 1
+
+    mesh = oc.random_descent(np.random.default_rng(3), "lshape", 2, 2)[1]
+    _same_bytes(tmp_path, write_mesh, oc.write_mesh_rows, mesh)
+    _same_bytes(tmp_path, write_svg, oc.write_svg_rows, mesh)

@@ -11,18 +11,33 @@ trace.  The volume part alone is mu^2(K).  An interior edge contributes
 its full jump norm to both adjacent triangles, each weighted by that
 triangle's own |K|^(1/2).  Data oscillation uses h^4 = |K|^2 against an
 elementwise L2 projection of f.
+
+The bracket b of two Morley functions is constant on K, so under a rule
+with weights w (integral over K ~ |K| sum_q w_q) each volume norm splits
+exactly into a mean part and the order-0 oscillation of the data:
+
+    sum_q w_q (b + f_q)^2 = W (b + fbar)^2 + s_f,
+    fbar = sum_q w_q f_q / W,   s_f = sum_q w_q (f_q - fbar)^2,
+
+because sum_q w_q (f_q - fbar) = 0.  W = sum_q w_q is carried rather
+than taken as 1: the tabulated weights are renormalised, but their sum
+is 1 only to rounding (1 - 2e-16 at degree 6).  Likewise
+||[u,u] - 2g||^2 is W (b - 2 gbar)^2 + 4 s_g.  f and g are read only as
+the space's moments (``MorleySpace.moments``), which hold sum_q w_q f_q
+and s_f; the order-0 oscillation is |K|^3 s_f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .forms import ProblemData, vk_bracket
-from .morley import MorleySpace, StatePair, monomials
-from .quadrature import triangle_rule
+from .morley import MorleySpace, StatePair, monomial_terms, reduce_moments
+from .quadrature import triangle_points, triangle_rule
 
 __all__ = ["EstimatorReport", "estimate", "oscillation", "restrict_estimator"]
 
@@ -63,24 +78,23 @@ class EstimatorReport:
 
 def _volume_terms(space, H: np.ndarray, data: ProblemData) -> np.ndarray:
     """|K|^2 weighted L2 norms of both strong volume residuals; H is the
-    (2, nt, 3) Hessian block of (u, v)."""
+    (2, nt, 3) Hessian block of (u, v).  Each norm is its mean part plus
+    the data's spread, from the space's moments (see the module note)."""
     mesh = space.mesh
     Hu, Hv = H
     br_uv = vk_bracket(Hu, Hv)
     br_uu = vk_bracket(Hu, Hu)
 
     rule = triangle_rule(data.quad_degree)
-    wts = rule.weights[None, :]
+    W = rule.weights.sum()
 
-    fv = space.values_at(data.f, rule)
-    res1 = np.einsum("tq,tq->t", wts * (br_uv[:, None] + fv), br_uv[:, None] + fv)
-    res1 = res1 * mesh.areas
+    mf = space.moments(data.f, rule)
+    res1 = (W * (br_uv + mf[:, 0] / W) ** 2 + mf[:, 6]) * mesh.areas
     if data.g is None:
         res2 = br_uu**2 * mesh.areas
     else:
-        gv = space.values_at(data.g, rule)
-        r2 = br_uu[:, None] - 2.0 * gv
-        res2 = np.einsum("tq,tq->t", wts * r2, r2) * mesh.areas
+        mg = space.moments(data.g, rule)
+        res2 = (W * (br_uu - 2.0 * (mg[:, 0] / W)) ** 2 + 4.0 * mg[:, 6]) * mesh.areas
     return mesh.areas**2 * (res1 + res2)
 
 
@@ -108,25 +122,29 @@ def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> n
 
     P_m is the elementwise L2 projection onto polynomials of total
     degree at most order (0, 1 or 2), computed with a quadrature rule
-    exact for the projection system.
+    exact for the projection system.  Order 0 is the moments' spread.
+    Higher orders subtract the share of P_m f beyond the mean,
+    rhs . coef - M_0^2 / W, from it; the right-hand side is the moments
+    and the Gram matrix the moments of each monomial in turn.
     """
     mesh = space.mesh
     if order not in (0, 1, 2):
         raise ValueError(f"oscillation order must be 0, 1 or 2, got {order}")
 
     rule = triangle_rule(max(quad_degree, 2 * order))
-    fv = space.values_at(func, rule)
-
-    xi = space.local_coords(np.arange(mesh.n_triangles)[:, None], space.quadrature_points(rule))
-    nb = {0: 1, 1: 3, 2: 6}[order]
-    basis = monomials(xi)[..., :nb]  # (nt, q, nb)
-
-    M = (basis.mT * rule.weights) @ basis
-    rhs = ((fv * rule.weights)[:, None, :] @ basis)[:, 0]
-    coef = np.linalg.solve(M, rhs[..., None])[..., 0]
-    ff = (fv * fv) @ rule.weights
-    resid = ff - np.einsum("ti,ti->t", coef, rhs)
-    np.clip(resid, 0.0, None, out=resid)
+    mom = space.moments(func, rule)
+    resid = mom[:, 6]
+    if order > 0:
+        nb = 3 * order
+        pts = triangle_points(rule, mesh.triangle_coords())
+        xi = space.local_coords(np.arange(mesh.n_triangles)[:, None], pts)
+        x, y = xi[..., 0], xi[..., 1]
+        M = np.stack([reduce_moments(term, x, y, rule.weights)[:, :nb]
+                      for term in islice(monomial_terms(x, y), nb)], axis=1)
+        rhs = mom[:, :nb]
+        coef = np.linalg.solve(M, rhs[..., None])[..., 0]
+        beyond_mean = np.einsum("ti,ti->t", coef, rhs) - mom[:, 0] ** 2 / rule.weights.sum()
+        resid = np.clip(resid - beyond_mean, 0.0, None)
     # h^4 = |K|^2; the quadrature carries one |K| factor for the L2 norm.
     return mesh.areas**2 * mesh.areas * resid
 
@@ -140,7 +158,7 @@ def estimate(
     mu_sq = _volume_terms(space, H, data)
     eta_sq = mu_sq + _edge_terms(mesh, H)
     # The oscillation does not depend on the state: once per level.
-    osc_sq = space.cached((data.f, osc_order, data.quad_degree),
+    osc_sq = space.cached(("oscillation", data.f, osc_order, data.quad_degree),
                           lambda: oscillation(space, data.f, osc_order, data.quad_degree))
     return EstimatorReport(
         eta_sq=eta_sq,

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .morley import MorleySpace, StatePair, batch_eval, hessians, monomials
+from .morley import MorleySpace, StatePair, batch_eval, hessians
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -94,16 +94,17 @@ def assemble_bilaplacian(space: MorleySpace) -> sp.csr_matrix:
 
 
 def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
-    """Load vector of both equations, length 2 n_dofs."""
-    rule = triangle_rule(data.quad_degree)
-    pts = space.quadrature_points(rule)  # (nt, q, 2)
-    xi = space.local_coords(np.arange(space.mesh.n_triangles)[:, None], pts)
-    shapes = monomials(xi) @ space.coeffs  # (nt, q, 6)
-    warea = rule.weights[None, :] * space.mesh.areas[:, None]
+    """Load vector of both equations, length 2 n_dofs.
 
+    The load of shape function i on K is |K| sum_k M_k C_ki, with M the
+    quadratic moments of the data (``MorleySpace.moments``) and C the
+    element's monomial coefficients.
+    """
+    rule = triangle_rule(data.quad_degree)
     return np.concatenate([
         np.zeros(space.n_dofs) if func is None else
-        space.scatter(((warea * space.values_at(func, rule))[:, None, :] @ shapes)[:, 0])
+        space.scatter(space.mesh.areas[:, None]
+                      * (space.moments(func, rule)[:, None, :6] @ space.coeffs)[:, 0])
         for func in (data.f, data.g)])
 
 

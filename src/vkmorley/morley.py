@@ -33,17 +33,46 @@ __all__ = [
     "build_space",
     "hessians",
     "interpolate",
+    "monomial_terms",
     "monomials",
     "prolongate",
+    "reduce_moments",
 ]
 
 _DUALITY_TOL = 1e-10
 
 
+def monomial_terms(x: np.ndarray, y: np.ndarray):
+    """The quadratic monomials 1, x, y, x^2, xy, y^2 of coordinate arrays, one
+    array at a time."""
+    yield np.ones_like(x)
+    yield x
+    yield y
+    yield x * x
+    yield x * y
+    yield y * y
+
+
 def monomials(xi: np.ndarray) -> np.ndarray:
-    """Quadratic monomials (1, x, y, x^2, xy, y^2) of points (..., 2)."""
-    x, y = xi[..., 0], xi[..., 1]
-    return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
+    """Quadratic monomials (1, x, y, x^2, xy, y^2) of points (..., 2), stacked."""
+    return np.stack(list(monomial_terms(xi[..., 0], xi[..., 1])), axis=-1)
+
+
+def reduce_moments(values: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """Per-element moments (nt, 7) of values (nt, q) at centred points x, y (nt, q).
+
+    Columns 0-5 are sum_q w_q v_q m_k(x_q, y_q) over ``monomial_terms``;
+    column 6 is the spread sum_q w_q (v_q - vbar)^2 about the element
+    mean vbar = column 0 / sum(w).  Each column is one weighted sum of
+    (nt, q) products, so no (nt, q, 6) array is built.
+    """
+    out = np.empty((len(values), 7))
+    for k, term in enumerate(monomial_terms(x, y)):
+        out[:, k] = (values * term) @ weights
+    dev = values - (out[:, 0] / weights.sum())[:, None]
+    out[:, 6] = (dev * dev) @ weights
+    return out
 
 
 def hessians(polys: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -91,22 +120,42 @@ class MorleySpace:
         self._build_local_bases()
         # Position of each dof: its vertex, or its edge's midpoint.
         self.dof_coords = np.concatenate([mesh.coords[free_v], self._midpoints[free_e]])
-        # Rule degree -> points, (callable, rule degree) -> values, and
-        # other per-level data derived from them (see ``cached``).
+        # Per-level data: load moments, error-norm points and values, and
+        # arrays derived from them (see ``cached``).
         self._quadrature: dict = {}
 
-    # -- quadrature cache ----------------------------------------------------
+    # -- per-level cache -----------------------------------------------------
 
     def cached(self, key, compute) -> np.ndarray:
-        """Read-only compute(), computed once per key until release_quadrature."""
+        """Read-only compute(), computed once per key until release_quadrature.
+
+        Each load function is cached only as its moments, (nt, 7) per
+        (callable, rule) (``moments``): the load, the estimator's volume
+        terms and its oscillation read nothing else, so no array with a
+        quadrature axis stays alive while a level's factor is.  Quadrature
+        points and values at them, (nt, q) and wider (``quadrature_points``,
+        ``values_at``), serve the error norms, which run after the solve.
+        """
         if key not in self._quadrature:
             self._quadrature[key] = compute()
             self._quadrature[key].flags.writeable = False
         return self._quadrature[key]
 
+    def moments(self, func, rule: TriangleRule) -> np.ndarray:
+        """Read-only moments (nt, 7) of func(x, y) under a rule (see
+        ``reduce_moments``), cached per (func, rule).  func is evaluated once;
+        its points and values are not kept."""
+        def reduce():
+            pts = triangle_points(rule, self.mesh.triangle_coords())
+            values = np.broadcast_to(func(pts[..., 0], pts[..., 1]), pts.shape[:-1])
+            xi = self.local_coords(np.arange(self.mesh.n_triangles)[:, None], pts)
+            return reduce_moments(values, xi[..., 0], xi[..., 1], rule.weights)
+        return self.cached(("moments", func, rule.degree), reduce)
+
     def quadrature_points(self, rule: TriangleRule) -> np.ndarray:
         """A rule's physical points on every element, (nt, q, 2); cached per rule."""
-        return self.cached(rule.degree, lambda: triangle_points(rule, self.mesh.triangle_coords()))
+        return self.cached(("points", rule.degree),
+                           lambda: triangle_points(rule, self.mesh.triangle_coords()))
 
     def values_at(self, func, rule: TriangleRule) -> np.ndarray:
         """Read-only func(x, y) at a rule's points, cached per (func, rule): (nt, q),
@@ -115,10 +164,10 @@ class MorleySpace:
             pts = self.quadrature_points(rule)
             vals = func(pts[..., 0], pts[..., 1])
             return np.stack(vals, axis=-1) if isinstance(vals, tuple) else np.asarray(vals, float)
-        return self.cached((func, rule.degree), evaluate)
+        return self.cached(("values", func, rule.degree), evaluate)
 
     def release_quadrature(self) -> None:
-        """Drop every cached quadrature point set and derived array."""
+        """Drop every cached array."""
         self._quadrature.clear()
 
     # -- local bases ---------------------------------------------------------

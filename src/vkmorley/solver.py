@@ -20,8 +20,11 @@ keeps the axioms of adaptivity (Gantner, Haberl, Praetorius and
 Stiftner, IMA J. Numer. Anal. 38, 2018).  Each GMRES solve is then
 forced (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996) to
 _FORCING times the residual that target allows, never below its
-rounding floor.  Without eta, or under an explicit tolerance, Newton
-stops at an algebraic residual bound and GMRES at the rounding floor.
+rounding floor.  The dual norm solves the step's right-hand side -r with
+the factor, so it also answers the two preconditioner calls GMRES makes
+on -r before its first iteration.  Without eta, or under an explicit
+tolerance, Newton stops at an algebraic residual bound and GMRES at the
+rounding floor.
 
 A is factorised in a nested-dissection order (George, SIAM J. Numer.
 Anal. 10, 1973).  ``dissection_order`` builds it by nested coordinate
@@ -250,10 +253,13 @@ def _default_tolerance(load: np.ndarray, floor: float) -> float:
     return max(1e-10 * float(np.linalg.norm(load)), 1e-12, floor)
 
 
-def _dual_norm(r: np.ndarray, solve) -> float:
-    """||r||_{A^-1} = sqrt(r_u . A^-1 r_u + r_v . A^-1 r_v) of a 2n residual."""
-    R = np.reshape(r, (2, -1)).T
-    return math.sqrt(max(0.0, float(np.sum(R * solve(R)))))
+def _dual_norm(r: np.ndarray, solve) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """||r||_{A^-1} = sqrt(r_u . A^-1 r_u + r_v . A^-1 r_v) of a 2n residual, and
+    the (n, 2) block B of the Newton step's right-hand side -r with A^-1 B.
+    The norm is taken from B, as negation is exact."""
+    B = -np.reshape(r, (2, -1)).T
+    X = solve(B)
+    return math.sqrt(max(0.0, float(np.sum(B * X)))), (B, X)
 
 
 def _krylov_solve(J: spla.LinearOperator, b: np.ndarray, precond: spla.LinearOperator,
@@ -324,8 +330,18 @@ def newton_solve(
         return spla.LinearOperator(
             (2 * n, 2 * n), matvec=lambda z: apply(np.reshape(z, (2, n)).T).T.ravel(), dtype=float)
 
+    # The dual norm has solved the step's right-hand side block already, and
+    # GMRES preconditions it twice before its first iteration (for its norm,
+    # then as its first basis vector): the seed (B, A^-1 B) answers both.
+    seed = None
+
+    def seeded_solve(Z):
+        if seed is not None and np.array_equal(Z, seed[0]):
+            return seed[1].copy()
+        return solve(Z)
+
     A2 = block_operator(lambda Z: A @ Z)
-    precond = block_operator(solve)
+    precond = block_operator(seeded_solve)
     tol = config.residual_tol
     discretisation = estimator is not None and tol is None
     while True:
@@ -334,7 +350,8 @@ def newton_solve(
         gmres_tol, ratio = max(floor, _GMRES_RTOL * rnorm), None
         if discretisation:
             # ||r||_{A^-1} <= _LAMBDA eta, as a bound on the Euclidean |r|.
-            eta, dual = estimator(state), _dual_norm(r, solve)
+            eta = estimator(state)
+            dual, seed = _dual_norm(r, solve)
             allowed = _LAMBDA * eta * rnorm / dual if dual > 0.0 else 0.0
             report.rule = "discretisation" if allowed > report.tolerance else "algebraic"
             report.tolerance = max(report.tolerance, allowed)

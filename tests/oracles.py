@@ -20,7 +20,10 @@ that the package now writes as batched ``matmul`` (quadrature points,
 bilaplacian element matrices, load, oscillation, shape integrals,
 element polynomials, error norms and the axiom distance), and the
 ``*_rows`` writers the per-entity formatting of the mesh, SVG and
-estimator files that the package now builds from whole arrays.
+estimator files that the package now builds from whole arrays.  The
+``*_pointwise`` functions keep the load, the estimator's volume terms
+and the oscillation as sums over data values at every quadrature point,
+which the package now reads from per-element moments.
 ``zero_state``
 is the zero deflection/stress pair.  ``evaluate``,
 ``interior_angles`` and ``mesh_equals`` are inspection tools for
@@ -616,6 +619,57 @@ def energy_norms_einsum(space, state, exact):
 def hessian_distance_einsum(d, areas):
     """Piecewise H2 norm of a (2, nt, 3) Hessian difference, as axiom_check had it."""
     return float(np.sqrt(sum(float(np.einsum("tc,c,t->", dk**2, FROB, areas)) for dk in d)))
+
+
+# -- pointwise references for the moment kernels -----------------------------
+# The load, the estimator's volume terms and the oscillation as they were
+# written against data values at every quadrature point, (nt, q), before
+# the space kept the data only as per-element moments.
+
+
+def _values(func, pts):
+    return np.broadcast_to(func(pts[..., 0], pts[..., 1]), pts.shape[:-1])
+
+
+def load_pointwise(space, data):
+    rule = triangle_rule(data.quad_degree)
+    pts, xi = _local_points(space, rule)
+    shapes = monomials(xi) @ space.coeffs  # (nt, q, 6)
+    warea = rule.weights[None, :] * space.mesh.areas[:, None]
+    return np.concatenate([
+        np.zeros(space.n_dofs) if func is None else
+        space.scatter(((warea * _values(func, pts))[:, None, :] @ shapes)[:, 0])
+        for func in (data.f, data.g)])
+
+
+def volume_terms_pointwise(space, state, data):
+    areas = space.mesh.areas
+    Hu, Hv = space.element_hessians(state.coeffs)
+    br_uv, br_uu = vk_bracket(Hu, Hv), vk_bracket(Hu, Hu)
+    rule = triangle_rule(data.quad_degree)
+    pts, _ = _local_points(space, rule)
+    wts = rule.weights[None, :]
+    r1 = br_uv[:, None] + _values(data.f, pts)
+    res1 = np.einsum("tq,tq->t", wts * r1, r1) * areas
+    if data.g is None:
+        res2 = br_uu**2 * areas
+    else:
+        r2 = br_uu[:, None] - 2.0 * _values(data.g, pts)
+        res2 = np.einsum("tq,tq->t", wts * r2, r2) * areas
+    return areas**2 * (res1 + res2)
+
+
+def oscillation_pointwise(space, func, order, quad_degree=4):
+    rule = triangle_rule(max(quad_degree, 2 * order))
+    pts, xi = _local_points(space, rule)
+    fv = _values(func, pts)
+    basis = monomials(xi)[..., :{0: 1, 1: 3, 2: 6}[order]]  # (nt, q, nb)
+    M = (basis.mT * rule.weights) @ basis
+    rhs = ((fv * rule.weights)[:, None, :] @ basis)[:, 0]
+    coef = np.linalg.solve(M, rhs[..., None])[..., 0]
+    resid = (fv * fv) @ rule.weights - np.einsum("ti,ti->t", coef, rhs)
+    np.clip(resid, 0.0, None, out=resid)
+    return space.mesh.areas**3 * resid
 
 
 # -- per-entity references for the file writers ------------------------------

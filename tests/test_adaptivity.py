@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vkmorley import adaptivity, solver
+from vkmorley import adaptivity, morley, solver
 from vkmorley.adaptivity import (
     AmfemConfig,
     ConvergenceReport,
@@ -387,26 +387,62 @@ class TestUniformDriver:
         assert res.report.rows[0].err_energy is not None
         assert calls == {"f": 1, "g": 1, "du": 1, "d2u": 1}
 
-    def test_oscillation_projected_once_per_level(self, monkeypatch):
-        # The projection system of osc_order 0 is one 1x1 block per triangle.
-        projections, estimates = [], []
-        solve = np.linalg.solve
+    def test_load_reduced_to_moments_once_per_level(self, monkeypatch):
+        # f and g are each reduced to their moments once per level, however
+        # many iterates Newton estimates: the load, the volume terms and the
+        # oscillation all read the cached moments.
+        reductions, estimates = [], []
+        reduce = morley.reduce_moments
 
-        def counted_solve(a, b):
-            if a.shape[-2:] == (1, 1):
-                projections.append(a.shape[0])
-            return solve(a, b)
+        def counted_reduce(values, *args):
+            reductions.append(values.shape[0])
+            return reduce(values, *args)
 
         def counted_estimate(*args, **kwargs):
             estimates.append(1)
             return estimate(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(morley, "reduce_moments", counted_reduce)
         monkeypatch.setattr(adaptivity, "estimate", counted_estimate)
-        res = uniform_run(get_problem("square-trig"), AmfemConfig(delta=0.05, max_levels=1))
-        assert res.report.rows[0].newton_iters >= 2
-        assert len(estimates) == res.report.rows[0].newton_iters + 1
-        assert projections == [res.report.rows[0].ntri]
+        res = uniform_run(get_problem("square-trig"), AmfemConfig(delta=0.05, max_levels=2))
+        rows = res.report.rows
+        assert rows[0].newton_iters >= 2
+        assert len(estimates) == sum(r.newton_iters + 1 for r in rows)
+        assert reductions == [rows[0].ntri] * 2 + [rows[1].ntri] * 2
+
+    @pytest.mark.parametrize("osc_order", [0, 2])
+    def test_no_quadrature_axis_cached_under_the_factor(self, monkeypatch, osc_order):
+        # Every estimate inside Newton runs while the level's factor is
+        # alive, and so does the end of the solve: the space may then hold
+        # per-element moments and indicators, (nt,) or (nt, k <= 7), but no
+        # array with a quadrature axis.
+        seen = []
+
+        def check(space):
+            nt = space.mesh.n_triangles
+            for key, arr in space._quadrature.items():
+                assert arr.shape[0] == nt and arr.ndim <= 2, key
+                assert arr.ndim == 1 or arr.shape[1] <= 7, (key, arr.shape)
+            seen.append(len(space._quadrature))
+
+        def checked_estimate(space, *args, **kwargs):
+            report = estimate(space, *args, **kwargs)
+            check(space)
+            return report
+
+        def checked_solve(space, *args, **kwargs):
+            out = newton_solve(space, *args, **kwargs)
+            check(space)
+            return out
+
+        newton_solve = adaptivity.newton_solve
+        monkeypatch.setattr(adaptivity, "estimate", checked_estimate)
+        monkeypatch.setattr(adaptivity, "newton_solve", checked_solve)
+        res = uniform_run(get_problem("square-trig"),
+                          AmfemConfig(delta=0.3, max_levels=3, osc_order=osc_order))
+        assert len(res.report.rows) == 3
+        # f's and g's moments and the oscillation.
+        assert seen and max(seen) == 3
 
     def test_history_keeps_no_quadrature_cache(self):
         res = _collect(uniform_run, get_problem("square-trig"),

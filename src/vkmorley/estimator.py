@@ -37,7 +37,7 @@ import numpy as np
 
 from .forms import ProblemData, vk_bracket
 from .morley import MorleySpace, StatePair, monomial_terms, reduce_moments
-from .quadrature import triangle_points, triangle_rule
+from .quadrature import triangle_rule
 
 __all__ = ["EstimatorReport", "estimate", "oscillation", "restrict_estimator"]
 
@@ -136,8 +136,7 @@ def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> n
     resid = mom[:, 6]
     if order > 0:
         nb = 3 * order
-        pts = triangle_points(rule, mesh.triangle_coords())
-        xi = space.local_coords(np.arange(mesh.n_triangles)[:, None], pts)
+        _, xi = space.rule_points(rule)
         x, y = xi[..., 0], xi[..., 1]
         M = np.stack([reduce_moments(term, x, y, rule.weights)[:, :nb]
                       for term in islice(monomial_terms(x, y), nb)], axis=1)

@@ -16,11 +16,13 @@ initial choice of refinement edges, so neighbours need not agree on the
 edge they share.
 
 Meshes are immutable after construction: refine() returns a new mesh
-that records, per triangle, the ancestor triangle in the input mesh.
+that records, per triangle, the ancestor triangle in the input mesh, and
+holds that mesh only by weak reference, so no mesh keeps another alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ __all__ = [
     "mesh_from_arrays",
     "refine",
     "uniform_refine",
-    "compose_ancestors",
+    "ancestor_map",
     "mesh_partition",
     "read_mesh",
     "write_mesh",
@@ -73,7 +75,7 @@ class Mesh:
         if ancestors is None:
             ancestors = np.arange(nt, dtype=np.int64)
         self.ancestors = np.ascontiguousarray(ancestors, dtype=np.int64)
-        self.parent = parent
+        self.parent = None if parent is None else weakref.ref(parent)
         self._build_topology()
 
     # -- construction helpers ------------------------------------------------
@@ -242,7 +244,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     leaves whole, in their previous relative order, and then the two
     children of each split triangle in parent order, (r, p, m) before
     (r, m, q).  The result's ``ancestors`` maps each triangle to its
-    triangle in ``mesh``.
+    triangle in ``mesh``, and its ``parent`` is a weak reference to ``mesh``.
 
     ``marked`` holds integer triangle ids (duplicates allowed); boolean
     masks and non-integer values raise MeshError.
@@ -304,31 +306,25 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     return refine(mesh, range(mesh.n_triangles))
 
 
-def compose_ancestors(coarse: Mesh, fine: Mesh) -> np.ndarray:
-    """Map every triangle of ``fine`` to its ancestor triangle in ``coarse``.
-
-    Follows the parent chain through any number of refine() calls.
-    """
-    anc = np.arange(fine.n_triangles, dtype=np.int64)
-    m = fine
-    while m is not coarse:
-        if m.parent is None:
-            raise MeshError("fine mesh does not descend from the coarse mesh")
-        anc = m.ancestors[anc]
-        m = m.parent
-    return anc
+def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
+    """Map every triangle of ``fine`` to its ancestor in ``coarse``; ``fine`` must be
+    ``coarse`` or the mesh one refine() call made from it, else MeshError."""
+    if fine is coarse:
+        return np.arange(fine.n_triangles, dtype=np.int64)
+    if fine.parent is None or fine.parent() is not coarse:
+        raise MeshError("fine mesh is neither the coarse mesh nor its direct refinement")
+    return fine.ancestors
 
 
 def mesh_partition(coarse: Mesh, fine: Mesh):
-    """Split triangle sets of an ancestor/descendant mesh pair.
+    """Split the triangles of a mesh and its one-step refinement (``ancestor_map``).
 
     Returns sorted id arrays (common, coarse_only, fine_only) and anc:
     common holds coarse ids of triangles surviving unchanged,
     coarse_only the refined coarse ids, fine_only the fine ids of newly
-    created triangles, and anc (``compose_ancestors``) the coarse
-    ancestor of every fine triangle.
+    created triangles, and anc the coarse ancestor of every fine triangle.
     """
-    anc = compose_ancestors(coarse, fine)
+    anc = ancestor_map(coarse, fine)
     unchanged = fine.tri_generation == coarse.tri_generation[anc]
     common = np.unique(anc[unchanged])
     coarse_only = np.setdiff1d(np.arange(coarse.n_triangles), common)

@@ -10,10 +10,11 @@ Each element's six shape functions are found by solving the 6x6 duality
 system against quadratic monomials written in centered coordinates
 (x - c) / h.  The centring makes the vertex rows scale-free, but the
 edge rows (normal derivatives) stay in physical units, so the system's
-condition number grows like 1/h.  The only guard is the per-triangle
-duality residual, which rejects triangles with h below about 6.5e-7 and
-names the worst.  Edge functionals are taken directly against the global
-edge normal, so no per-element sign flip is needed.
+condition number grows like 1/h.  The only guard, the per-triangle
+duality residual |S(DC - I)S^-1| with S = diag(1, 1, 1, h, h, h), is free
+of units: it rejects degenerate shapes (a needle of width 1e-9), not
+small triangles, and names the worst.  Edge functionals are taken
+directly against the global edge normal, so no sign flip is needed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, MeshError, compose_ancestors
+from .mesh import Mesh, MeshError, ancestor_map
 from .quadrature import TriangleRule, edge_rule, triangle_points
 
 __all__ = [
@@ -146,11 +147,15 @@ class MorleySpace:
         ``reduce_moments``), cached per (func, rule).  func is evaluated once;
         its points and values are not kept."""
         def reduce():
-            pts = triangle_points(rule, self.mesh.triangle_coords())
+            pts, xi = self.rule_points(rule)
             values = np.broadcast_to(func(pts[..., 0], pts[..., 1]), pts.shape[:-1])
-            xi = self.local_coords(np.arange(self.mesh.n_triangles)[:, None], pts)
             return reduce_moments(values, xi[..., 0], xi[..., 1], rule.weights)
         return self.cached(("moments", func, rule.degree), reduce)
+
+    def rule_points(self, rule: TriangleRule):
+        """A rule's physical and centred (``local_coords``) points, (nt, q, 2) each."""
+        pts = triangle_points(rule, self.mesh.triangle_coords())
+        return pts, self.local_coords(np.arange(self.mesh.n_triangles)[:, None], pts)
 
     def quadrature_points(self, rule: TriangleRule) -> np.ndarray:
         """A rule's physical points on every element, (nt, q, 2); cached per rule."""
@@ -205,7 +210,8 @@ class MorleySpace:
             self.coeffs = np.linalg.solve(D, eye)
         except np.linalg.LinAlgError as exc:
             raise MeshError(f"singular Morley duality system: {exc}") from exc
-        resid = np.abs(D @ self.coeffs - eye).max(axis=(1, 2))
+        S = np.where(np.arange(6) < 3, 1.0, s)  # the scaling S of the module docstring
+        resid = np.abs((D @ self.coeffs - eye) * S[:, :, None] / S[:, None, :]).max(axis=(1, 2))
         # Written so that a NaN residual is rejected too.
         if not np.all(resid <= _DUALITY_TOL):
             bad = int(np.argmax(np.nan_to_num(resid, nan=np.inf)))
@@ -368,14 +374,14 @@ def interpolate(space: MorleySpace, v, grad, edge_points: int = 3) -> MorleyFiel
 
 
 def prolongate(coarse: MorleyField | StatePair, fine_space: MorleySpace) -> MorleyField | StatePair:
-    """Carry a coarse MorleyField, or a StatePair, to a refined mesh.
+    """Carry a coarse MorleyField, or a StatePair, to the same or the refined mesh.
 
     Fine vertex dofs average the coarse values from every distinct
     coarse triangle meeting the vertex (two-sided on old edges); fine
     edge dofs average the one-sided coarse mean normal derivatives.  On
     fine triangles strictly inside one coarse triangle the result
-    reproduces the coarse quadratic exactly.  A pair is carried as its
-    (2, n) block, so the ancestor walk and the pairing run once.
+    reproduces the coarse quadratic exactly.  The fine mesh is the coarse
+    one or its refinement (``ancestor_map``); a pair is carried as its (2, n) block.
 
     All distinct (fine entity, coarse ancestor) pairs are evaluated in
     one batch.  Each dof then sums its pairs in ascending ancestor id,
@@ -392,7 +398,7 @@ def prolongate(coarse: MorleyField | StatePair, fine_space: MorleySpace) -> Morl
     fmesh = fine_space.mesh
     if fmesh is cmesh and fine_space.constrained == cspace.constrained:
         return wrap(fine_space, coarse.coeffs.copy())
-    anc = compose_ancestors(cmesh, fmesh)
+    anc = ancestor_map(cmesh, fmesh)
     polys = cspace.element_polys(coarse.coeffs)
     nc = cmesh.n_triangles
 

@@ -13,7 +13,8 @@ element.  ``dissection_order_recursive`` is the subset-at-a-time
 reference for the level-synchronous ``vkmorley.solver.dissection_order``,
 and ``nd_bisect`` its single split.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
-convention, for tests that the convention stays internal, and
+convention, for tests that the convention stays internal,
+``reparent`` composes several refinement steps into one, and
 ``random_descent`` draws random marked NVB refinements.  The ``*_einsum``
 functions keep the ``np.einsum`` forms of the per-element contractions
 that the package now writes as batched ``matmul`` (quadrature points,
@@ -46,7 +47,7 @@ from vkmorley.mesh import (
     Mesh,
     MeshError,
     build_initial_mesh,
-    compose_ancestors,
+    ancestor_map,
     refine,
     uniform_refine,
 )
@@ -156,7 +157,7 @@ def prolongate_loop(coarse_field, fine_space):
     fmesh = fine_space.mesh
     if fmesh is cmesh and fine_space.constrained == cspace.constrained:
         return MorleyField(fine_space, coarse_field.coeffs.copy())
-    anc = compose_ancestors(cmesh, fmesh)
+    anc = ancestor_map(cmesh, fmesh)
     polys = cspace.element_polys(coarse_field.coeffs)
 
     vert_tris = [[] for _ in range(fmesh.n_vertices)]
@@ -444,16 +445,35 @@ def reversed_edge_space(mesh, constrained=True):
     return build_space(flipped, constrained=constrained)
 
 
+def reparent(coarse, meshes):
+    """The last of ``meshes`` rebuilt as a direct refinement of ``coarse``.
+
+    ``meshes`` are successive refine() results starting from ``coarse``;
+    the rebuilt mesh maps each triangle to its ancestor in ``coarse`` and
+    has ``coarse`` as its parent, so the package's one-step ancestry
+    relates the two.  No meshes: ``coarse`` itself.
+    """
+    if not meshes:
+        return coarse
+    fine, anc = coarse, np.arange(coarse.n_triangles, dtype=np.int64)
+    for child in meshes:
+        fine, anc = child, anc[ancestor_map(fine, child)]
+    return Mesh(fine.coords, fine.tri_vertices, fine.tri_ref_edge, fine.tri_generation, anc,
+                parent=coarse)
+
+
 def random_descent(rng, domain, pre, steps):
-    """A coarse mesh and a descendant after ``steps`` random marked refinements."""
+    """A coarse mesh and a descendant after ``steps`` random marked refinements,
+    reparented onto the coarse mesh (``reparent``)."""
     coarse = build_initial_mesh(domain)
     for _ in range(pre):
         coarse = uniform_refine(coarse)
-    fine = coarse
+    meshes = []
     for _ in range(steps):
+        fine = meshes[-1] if meshes else coarse
         n = fine.n_triangles
-        fine = refine(fine, rng.choice(n, size=rng.integers(1, n + 1), replace=False))
-    return coarse, fine
+        meshes.append(refine(fine, rng.choice(n, size=rng.integers(1, n + 1), replace=False)))
+    return coarse, reparent(coarse, meshes)
 
 
 def evaluate(field, t, points, tol=1e-10):

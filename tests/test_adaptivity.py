@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import gc
 import math
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -229,6 +231,18 @@ class TestAdaptiveDriver:
         assert rows[0].eta == 0.0
         assert rows[0].marked == 0
         assert rows[0].ndofs == 1
+
+    def test_run_keeps_no_earlier_mesh_alive(self):
+        first = []
+
+        def keep_first(row, arts):
+            if row.level == 0:
+                first.append(weakref.ref(arts.mesh))
+
+        res = amfem_run(get_problem("square-poly"), AmfemConfig(max_levels=3), keep_first)
+        gc.collect()
+        assert len(res.report.rows) == 3
+        assert first[0]() is None
 
     def test_estimator_decreases(self, square_adaptive):
         res, _ = square_adaptive

@@ -22,7 +22,7 @@ import oracles as oc
 from vkmorley.adaptivity import LevelArtifacts, axiom_check
 from vkmorley.estimator import EstimatorReport, estimate, oscillation
 from vkmorley.forms import ProblemData, assemble_bilaplacian, assemble_load, energy_norms
-from vkmorley.mesh import compose_ancestors, write_mesh, write_svg
+from vkmorley.mesh import ancestor_map, write_mesh, write_svg
 from vkmorley.morley import MorleyField, StatePair, build_space
 from vkmorley.problems import get_problem
 from vkmorley.quadrature import triangle_points, triangle_rule
@@ -95,7 +95,7 @@ def test_matmul_kernels_match_their_einsum_forms(domain, pre, steps, constrained
 
     lc, lf = level(coarse), level(fine)
     d = (lf.space.element_hessians(lf.state.coeffs)
-         - lc.space.element_hessians(lc.state.coeffs)[:, compose_ancestors(coarse, fine)])
+         - lc.space.element_hessians(lc.state.coeffs)[:, ancestor_map(coarse, fine)])
     assert axiom_check(lc, lf).delta == pytest.approx(
         oc.hessian_distance_einsum(d, fine.areas), rel=RTOL)
 

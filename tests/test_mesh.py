@@ -1,5 +1,7 @@
 """Mesh construction, bisection refinement, and partition bookkeeping."""
 
+import gc
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -359,8 +361,11 @@ def test_partition_keeps_untouched_triangles():
 
 
 def test_partition_across_two_refinement_steps():
+    # The package relates a mesh only to its one-step refinement; the
+    # oracle composes the two steps into one.
     m = build_initial_mesh("square")
-    f = uniform_refine(uniform_refine(m))
+    f1 = uniform_refine(m)
+    f = oc.reparent(m, [f1, uniform_refine(f1)])
     common, coarse_only, fine_only, _ = mesh_partition(m, f)
     assert len(common) == 0
     assert len(fine_only) == 8
@@ -371,6 +376,24 @@ def test_partition_requires_descendant():
     b = build_initial_mesh("lshape")
     with pytest.raises(MeshError):
         mesh_partition(a, b)
+
+
+def test_partition_rejects_a_two_step_descendant():
+    # Ancestry spans one refine() call: a grandchild is refused by name,
+    # not indexed with the wrong ancestor map.
+    m = build_initial_mesh("square")
+    with pytest.raises(MeshError, match="direct refinement"):
+        mesh_partition(m, uniform_refine(uniform_refine(m)))
+
+
+def test_refined_mesh_keeps_no_ancestor_alive():
+    mesh = build_initial_mesh("lshape")
+    initial = weakref.ref(mesh)
+    for _ in range(5):
+        mesh = refine(mesh, [0])
+    gc.collect()
+    assert initial() is None
+    assert mesh.parent() is None
 
 
 @settings(max_examples=40, deadline=None)

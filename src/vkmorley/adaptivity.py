@@ -136,8 +136,6 @@ class LevelArtifacts:
 
 @dataclass
 class ConvergenceReport:
-    problem: str
-    mode: str
     rows: list[LevelRow] = dfield(default_factory=list)
 
     def to_csv(self, path) -> None:
@@ -189,7 +187,7 @@ def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
     given, sees each level once its row is final; only the previous level is kept."""
     data: ProblemData = problem.data
     mesh = _prerefine(build_initial_mesh(problem.domain), cfg.delta, cfg.max_ndofs)
-    report = ConvergenceReport(problem.name, mode)
+    report = ConvergenceReport()
     prev: LevelArtifacts | None = None
 
     for level in count():

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .morley import MorleySpace, StatePair, batch_eval, hessians
+from .morley import MorleySpace, StatePair, gradients, hessians
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -160,24 +160,26 @@ def energy_norms(space: MorleySpace, state: StatePair, exact):
     Returns (piecewise H2 seminorm error, piecewise H1 seminorm error,
     piecewise H2 seminorm of the discrete state).  exact provides
     vectorized du, d2u, dv, d2v callables; Hessians as (hxx, hxy, hyy).
-    Their values come from the space's quadrature cache, so a callable
-    shared by u and v is evaluated once.
+    Each distinct callable is evaluated once at the rule's points, so one
+    shared by u and v is evaluated once; nothing is cached in the space.
     """
     mesh = space.mesh
     rule = triangle_rule(_ERROR_DEGREE)
-    pts = space.quadrature_points(rule)
+    pts, xi = space.rule_points(rule)
     warea = rule.weights[None, :] * mesh.areas[:, None]
 
     polys = space.element_polys(state.coeffs)
     H = hessians(polys, space.scales)  # (2, nt, 3)
-    _, G = batch_eval(space, polys, pts)  # (2, nt, q, 2)
+    G = gradients(polys[..., None, :], xi[..., 0], xi[..., 1]) / space.scales[:, None, None]
+    at_points = {func: np.stack(func(pts[..., 0], pts[..., 1]), axis=-1)
+                 for func in {exact.du, exact.d2u, exact.dv, exact.d2v}}
 
     err2 = 0.0
     errh1 = 0.0
     for Hk, Gk, dfun, hfun in zip(H, G, (exact.du, exact.dv), (exact.d2u, exact.d2v)):
-        diff = space.values_at(hfun, rule) - Hk[:, None, :]
+        diff = at_points[hfun] - Hk[:, None, :]
         err2 += np.vdot(frobenius_weighted(diff, warea), diff)
-        gdiff = space.values_at(dfun, rule) - Gk
+        gdiff = at_points[dfun] - Gk
         errh1 += np.vdot(gdiff * warea[..., None], gdiff)
 
     energy = np.vdot(frobenius_weighted(H, mesh.areas), H)

@@ -8,10 +8,11 @@ mean normal derivatives over interior edges.
 
 Each element's six shape functions are found by solving the 6x6 duality
 system against quadratic monomials written in centered coordinates
-(x - c) / h.  The centring makes the vertex rows scale-free, but the
-edge rows (normal derivatives) stay in physical units, so the system's
-condition number grows like 1/h.  The only guard, the per-triangle
-duality residual |S(DC - I)S^-1| with S = diag(1, 1, 1, h, h, h), is free
+(x - c) / h, whose values, first and second derivatives are written once
+(``monomial_terms``, ``gradients``, ``hessians``).  The centring makes the
+vertex rows scale-free, but the edge rows (normal derivatives) stay in
+physical units, so the system's condition number grows like 1/h.  The
+only guard, the per-triangle duality residual |S(DC - I)S^-1| with S = diag(1, 1, 1, h, h, h), is free
 of units: it rejects degenerate shapes (a needle of width 1e-9), not
 small triangles, and names the worst.  Edge functionals are taken
 directly against the global edge normal, so no sign flip is needed.
@@ -32,6 +33,7 @@ __all__ = [
     "MorleyField",
     "StatePair",
     "build_space",
+    "gradients",
     "hessians",
     "interpolate",
     "monomial_terms",
@@ -76,6 +78,15 @@ def reduce_moments(values: np.ndarray, x: np.ndarray, y: np.ndarray,
     return out
 
 
+def gradients(polys: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradients (..., 2) of centered quadratics (..., 6) at centred points x, y,
+    in centred units: the first derivatives of ``monomial_terms``.  polys'
+    coefficients broadcast against x and y."""
+    c = polys
+    return np.stack([c[..., 1] + 2.0 * c[..., 3] * x + c[..., 4] * y,
+                     c[..., 2] + c[..., 4] * x + 2.0 * c[..., 5] * y], axis=-1)
+
+
 def hessians(polys: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Constant Hessians of centered quadratics as (..., 3) rows (hxx, hxy, hyy).
 
@@ -106,7 +117,6 @@ class MorleySpace:
             free_e = np.arange(ne)
         self.vertex_dof[free_v] = np.arange(len(free_v))
         self.edge_dof[free_e] = len(free_v) + np.arange(len(free_e))
-        self.n_vertex_dofs = len(free_v)
         self.n_dofs = len(free_v) + len(free_e)
 
         self.dof_map = np.empty((nt, 6), dtype=np.int64)
@@ -121,8 +131,8 @@ class MorleySpace:
         self._build_local_bases()
         # Position of each dof: its vertex, or its edge's midpoint.
         self.dof_coords = np.concatenate([mesh.coords[free_v], self._midpoints[free_e]])
-        # Per-level data: load moments, error-norm points and values, and
-        # arrays derived from them (see ``cached``).
+        # Per-level data: load moments and arrays derived from them (see
+        # ``cached``).
         self._quadrature: dict = {}
 
     # -- per-level cache -----------------------------------------------------
@@ -133,9 +143,7 @@ class MorleySpace:
         Each load function is cached only as its moments, (nt, 7) per
         (callable, rule) (``moments``): the load, the estimator's volume
         terms and its oscillation read nothing else, so no array with a
-        quadrature axis stays alive while a level's factor is.  Quadrature
-        points and values at them, (nt, q) and wider (``quadrature_points``,
-        ``values_at``), serve the error norms, which run after the solve.
+        quadrature axis stays alive while a level's factor is.
         """
         if key not in self._quadrature:
             self._quadrature[key] = compute()
@@ -156,20 +164,6 @@ class MorleySpace:
         """A rule's physical and centred (``local_coords``) points, (nt, q, 2) each."""
         pts = triangle_points(rule, self.mesh.triangle_coords())
         return pts, self.local_coords(np.arange(self.mesh.n_triangles)[:, None], pts)
-
-    def quadrature_points(self, rule: TriangleRule) -> np.ndarray:
-        """A rule's physical points on every element, (nt, q, 2); cached per rule."""
-        return self.cached(("points", rule.degree),
-                           lambda: triangle_points(rule, self.mesh.triangle_coords()))
-
-    def values_at(self, func, rule: TriangleRule) -> np.ndarray:
-        """Read-only func(x, y) at a rule's points, cached per (func, rule): (nt, q),
-        or (nt, q, k) for a func returning a k-tuple such as a gradient."""
-        def evaluate():
-            pts = self.quadrature_points(rule)
-            vals = func(pts[..., 0], pts[..., 1])
-            return np.stack(vals, axis=-1) if isinstance(vals, tuple) else np.asarray(vals, float)
-        return self.cached(("values", func, rule.degree), evaluate)
 
     def release_quadrature(self) -> None:
         """Drop every cached array."""
@@ -195,15 +189,11 @@ class MorleySpace:
 
         D = np.empty((nt, 6, 6))
         D[:, 0:3, :] = monomials(xi_v)
-        nx, ny = normals[..., 0], normals[..., 1]
-        xm, ym = xi_m[..., 0], xi_m[..., 1]
+        # Column k of the edge rows: the normal derivative of monomial k at
+        # each edge midpoint, (6, nt, 3) before the axes are moved.
         s = self.scales[:, None]
-        D[:, 3:6, 0] = 0.0
-        D[:, 3:6, 1] = nx / s
-        D[:, 3:6, 2] = ny / s
-        D[:, 3:6, 3] = 2.0 * xm * nx / s
-        D[:, 3:6, 4] = (ym * nx + xm * ny) / s
-        D[:, 3:6, 5] = 2.0 * ym * ny / s
+        grads = gradients(np.eye(6)[:, None, None, :], xi_m[..., 0], xi_m[..., 1])
+        D[:, 3:6, :] = np.moveaxis(np.vecdot(grads, normals) / s, 0, -1)
 
         eye = np.broadcast_to(np.eye(6), (nt, 6, 6))
         try:
@@ -260,28 +250,17 @@ class MorleySpace:
         """Piecewise constant Hessians as (..., nt, 3) rows (hxx, hxy, hyy)."""
         return hessians(self.element_polys(coeffs), self.scales)
 
-    def poly_eval(self, t, polys: np.ndarray, points: np.ndarray):
-        """Evaluate centered-monomial polynomials at physical points.
-
-        Returns (values, gradients); polys has shape (..., 6) matching t,
-        which is one element id or an array of ids broadcasting against
-        the leading axes of points.
-        """
+    def poly_values(self, t, polys: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Values sum_k c_k m_k (``monomial_terms``) of polys (..., 6) at physical
+        points (..., 2) of elements t, ids broadcasting against points[..., 0]."""
         xi = self.local_coords(t, points)
-        x, y = xi[..., 0], xi[..., 1]
-        c = polys
-        val = (
-            c[..., 0]
-            + c[..., 1] * x
-            + c[..., 2] * y
-            + c[..., 3] * x * x
-            + c[..., 4] * x * y
-            + c[..., 5] * y * y
-        )
-        s = self.scales[t]
-        gx = (c[..., 1] + 2.0 * c[..., 3] * x + c[..., 4] * y) / s
-        gy = (c[..., 2] + c[..., 4] * x + 2.0 * c[..., 5] * y) / s
-        return val, np.stack([gx, gy], axis=-1)
+        return sum(polys[..., k] * term
+                   for k, term in enumerate(monomial_terms(xi[..., 0], xi[..., 1])))
+
+    def poly_gradients(self, t, polys: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Physical gradients (..., 2), ``gradients`` over h; as ``poly_values``."""
+        xi = self.local_coords(t, points)
+        return gradients(polys, xi[..., 0], xi[..., 1]) / self.scales[t][..., None]
 
 
 def _bin_sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -292,16 +271,6 @@ def _bin_sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     sums = [np.bincount(bins[keep], weights=w[keep], minlength=n)
             for w in weights.reshape(-1, len(bins))]
     return np.reshape(sums, weights.shape[:-1] + (n,))
-
-
-def batch_eval(space: MorleySpace, polys: np.ndarray, points: np.ndarray):
-    """Evaluate per-element polynomials at per-element point sets.
-
-    polys has shape (..., nt, 6), points (nt, q, 2); returns values
-    (..., nt, q) and gradients (..., nt, q, 2).
-    """
-    return space.poly_eval(np.arange(space.mesh.n_triangles)[:, None], polys[..., None, :],
-                           points)
 
 
 @dataclass
@@ -411,8 +380,8 @@ def prolongate(coarse: MorleyField | StatePair, fine_space: MorleySpace) -> Morl
     has_tri = fmesh.edge_tris >= 0
     e, ea = distinct_pairs(np.nonzero(has_tri)[0], anc[fmesh.edge_tris[has_tri]])
 
-    vals, _ = cspace.poly_eval(va, polys[..., va, :], fmesh.coords[v])
-    _, grads = cspace.poly_eval(ea, polys[..., ea, :], fine_space._midpoints[e])
+    vals = cspace.poly_values(va, polys[..., va, :], fmesh.coords[v])
+    grads = cspace.poly_gradients(ea, polys[..., ea, :], fine_space._midpoints[e])
     slopes = np.vecdot(grads, fine_space.edge_normal[e])
 
     dof = np.concatenate([fine_space.vertex_dof[v], fine_space.edge_dof[e]])

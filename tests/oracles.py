@@ -15,7 +15,11 @@ and ``nd_bisect`` its single split.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
 convention, for tests that the convention stays internal,
 ``reparent`` composes several refinement steps into one, and
-``random_descent`` draws random marked NVB refinements.  The ``*_einsum``
+``random_descent`` draws random marked NVB refinements.
+``duality_coeffs_by_hand`` keeps the duality system's edge rows written
+out monomial by monomial, and ``monomial_gradients`` the gradients of
+element quadratics from a derivative table, both apart from
+``vkmorley.morley.gradients``.  The ``*_einsum``
 functions keep the ``np.einsum`` forms of the per-element contractions
 that the package now writes as batched ``matmul`` (quadrature points,
 bilaplacian element matrices, load, oscillation, shape integrals,
@@ -51,7 +55,7 @@ from vkmorley.mesh import (
     refine,
     uniform_refine,
 )
-from vkmorley.morley import MorleyField, StatePair, batch_eval, build_space, hessians, monomials
+from vkmorley.morley import MorleyField, StatePair, build_space, hessians, monomials
 from vkmorley.quadrature import triangle_rule
 from vkmorley.solver import _ND_LEAF
 
@@ -172,8 +176,7 @@ def prolongate_loop(coarse_field, fine_space):
         pt = fmesh.coords[v]
         total = 0.0
         for a in ancestors:
-            val, _ = cspace.poly_eval(a, polys[a], pt[None, :])
-            total += float(val[0])
+            total += float(cspace.poly_values(a, polys[a], pt[None, :])[0])
         coeffs[fine_space.vertex_dof[v]] = total / len(ancestors)
 
     for e in np.nonzero(fine_space.edge_dof >= 0)[0]:
@@ -185,8 +188,7 @@ def prolongate_loop(coarse_field, fine_space):
         nu = fine_space.edge_normal[e]
         total = 0.0
         for a in ancestors:
-            _, grad = cspace.poly_eval(a, polys[a], mid[None, :])
-            total += float(grad[0] @ nu)
+            total += float(cspace.poly_gradients(a, polys[a], mid[None, :])[0] @ nu)
         coeffs[fine_space.edge_dof[e]] = total / len(ancestors)
 
     return MorleyField(fine_space, coeffs)
@@ -494,7 +496,8 @@ def evaluate(field, t, points, tol=1e-10):
         raise ValueError(f"point outside triangle {t}")
 
     polys = space.element_polys(field.coeffs)[t]
-    val, grad = space.poly_eval(t, polys, pts)
+    val = space.poly_values(t, polys, pts)
+    grad = space.poly_gradients(t, polys, pts)
     hess = space.element_hessians(field.coeffs)[t]
     if np.ndim(points) == 1:
         return val[0], grad[0], hess
@@ -625,7 +628,7 @@ def energy_norms_einsum(space, state, exact):
     warea = rule.weights[None, :] * space.mesh.areas[:, None]
     polys = element_polys_einsum(space, state.coeffs)
     H = hessians(polys, space.scales)
-    _, G = batch_eval(space, polys, pts)
+    G = monomial_gradients(polys, space, pts)
     err2 = errh1 = 0.0
     for Hk, Gk, dfun, hfun in zip(H, G, (exact.du, exact.dv), (exact.d2u, exact.d2v)):
         diff = np.stack(hfun(x, y), axis=-1) - Hk[:, None, :]
@@ -634,6 +637,42 @@ def energy_norms_einsum(space, state, exact):
         errh1 += np.einsum("tqc,tq->", gdiff**2, warea)
     energy = np.einsum("tc,c,t->", H[0]**2 + H[1]**2, FROB, space.mesh.areas)
     return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))
+
+
+def monomial_gradients(polys, space, pts):
+    """Physical gradients (..., nt, q, 2) of centred element quadratics
+    (..., nt, 6) at points (nt, q, 2), contracted against the derivative
+    table of (1, x, y, x^2, xy, y^2) rather than through the package."""
+    h = space.scales[:, None]
+    x, y = ((pts - space.centers[:, None, :]) / h[..., None]).transpose(2, 0, 1)
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    dx = np.stack([zero, one, zero, 2.0 * x, y, zero], axis=-1)
+    dy = np.stack([zero, zero, one, zero, x, 2.0 * y], axis=-1)
+    return np.stack([np.einsum("...ti,tqi->...tq", polys, d) / h for d in (dx, dy)], axis=-1)
+
+
+def duality_coeffs_by_hand(space):
+    """Shape coefficients from the duality system with its edge rows written
+    out monomial by monomial, as ``MorleySpace`` built them before it took
+    them from ``vkmorley.morley.gradients``."""
+    mesh = space.mesh
+    nt = mesh.n_triangles
+    own = np.arange(nt)[:, None]
+    xi_v = space.local_coords(own, mesh.triangle_coords())
+    xi_m = space.local_coords(own, space._midpoints[mesh.tri_edges])
+    normals = space.edge_normal[mesh.tri_edges]
+    D = np.empty((nt, 6, 6))
+    D[:, 0:3, :] = monomials(xi_v)
+    nx, ny = normals[..., 0], normals[..., 1]
+    xm, ym = xi_m[..., 0], xi_m[..., 1]
+    s = space.scales[:, None]
+    D[:, 3:6, 0] = 0.0
+    D[:, 3:6, 1] = nx / s
+    D[:, 3:6, 2] = ny / s
+    D[:, 3:6, 3] = 2.0 * xm * nx / s
+    D[:, 3:6, 4] = (ym * nx + xm * ny) / s
+    D[:, 3:6, 5] = 2.0 * ym * ny / s
+    return np.linalg.solve(D, np.broadcast_to(np.eye(6), (nt, 6, 6)))
 
 
 def hessian_distance_einsum(d, areas):

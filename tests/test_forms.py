@@ -17,7 +17,7 @@ from vkmorley.forms import (
     vk_bracket,
 )
 from vkmorley.mesh import build_initial_mesh, mesh_from_arrays, uniform_refine
-from vkmorley.morley import MorleyField, StatePair, batch_eval, build_space, interpolate
+from vkmorley.morley import MorleyField, StatePair, build_space, interpolate
 from vkmorley.quadrature import triangle_points, triangle_rule
 
 import oracles as oc
@@ -164,6 +164,12 @@ def test_trilinear_symmetric_in_first_two_arguments():
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
+def element_values(space, coeffs, pts):
+    """Values (nt, q) of a field's element polynomials at points (nt, q, 2)."""
+    own = np.arange(space.mesh.n_triangles)[:, None]
+    return space.poly_values(own, space.element_polys(coeffs)[:, None, :], pts)
+
+
 def test_trilinear_matches_independent_quadrature():
     # recompute 2 B_pw by degree-8 quadrature from raw element data:
     # brackets of exact Hessians times pointwise test values
@@ -178,7 +184,7 @@ def test_trilinear_matches_independent_quadrature():
     def ip(hess_a, hess_b, field_c):
         # integral of [a, b] c over the mesh; the bracket is constant
         br = vk_bracket(hess_a, hess_b)
-        vals, _ = batch_eval(space, space.element_polys(field_c.coeffs), pts)
+        vals = element_values(space, field_c.coeffs, pts)
         return float(np.einsum("t,tq,tq->", br, vals, warea))
 
     Hu = space.element_hessians(psi.u.coeffs)
@@ -259,7 +265,7 @@ def test_residual_includes_quadratic_terms():
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        vals, _ = batch_eval(space, space.element_polys(e), pts)
+        vals = element_values(space, e, pts)
         want[i] = -np.einsum("t,tq,tq->", br_uv, vals, warea)
         want[n + i] = 0.5 * np.einsum("t,tq,tq->", br_uu, vals, warea)
     np.testing.assert_allclose(got, want, atol=1e-12)

@@ -16,7 +16,7 @@ from vkmorley.forms import (
     assemble_bilaplacian,
     assemble_load,
 )
-from vkmorley.mesh import build_initial_mesh, uniform_refine
+from vkmorley.mesh import build_initial_mesh, refine, uniform_refine
 from vkmorley.morley import build_space, prolongate
 from vkmorley.problems import get_problem
 from vkmorley.solver import (
@@ -79,6 +79,18 @@ def test_singular_system_raises():
     M = sp.csr_matrix(np.zeros((3, 3)))
     with pytest.raises(SolverError):
         linear_solve(M, np.ones(3), factorise(M, np.arange(3)))
+
+
+def test_solve_off_its_rounding_floor_raises():
+    # A factor that returns x (1 + 1e-8) leaves a residual about 1e-8 |b|,
+    # some 10^7 times the rounding floor of the system.
+    space = square_space(3)
+    A = assemble_bilaplacian(space)
+    solve = factorise(A, space_order(space, A))
+    b = np.ones(space.n_dofs)
+    linear_solve(A, b, solve)
+    with pytest.raises(SolverError, match="times its rounding floor, above 100"):
+        linear_solve(A, b, lambda rhs: solve(rhs) * (1.0 + 1e-8))
 
 
 # -- dissection_order -------------------------------------------------------
@@ -356,6 +368,29 @@ def test_newton_config_rejects_bad_values(kwargs):
         NewtonConfig(**kwargs)
 
 
+def graded_space():
+    """657 dofs: the square refined uniformly five times, then the triangles
+    at its centre vertex bisected until the smallest h is below 1e-6."""
+    mesh = build_initial_mesh("square")
+    for _ in range(5):
+        mesh = uniform_refine(mesh)
+    centre = int(np.argmin(np.linalg.norm(mesh.coords - 0.5, axis=1)))
+    while mesh.h.min() >= 1e-6:
+        mesh = refine(mesh, np.nonzero((mesh.tri_vertices == centre).any(axis=1))[0])
+    return build_space(mesh)
+
+
+@pytest.mark.parametrize("name", ["biharm-linear", "square-poly"])
+def test_newton_solves_on_a_deeply_graded_mesh(name):
+    # The decoupled guess leaves a residual near 1e-5, within 1.5 times its
+    # rounding floor, which an absolute bound of 1e-9 max(1, |b|) rejected.
+    space = graded_space()
+    assert space.n_dofs == 657
+    _, report = newton_solve(space, get_problem(name).data)
+    assert report.converged
+    assert report.residuals[-1] <= report.tolerance
+
+
 # -- Newton-Krylov -----------------------------------------------------------
 
 
@@ -472,6 +507,20 @@ def test_forced_gmres_step_short_of_its_target_raises(monkeypatch):
     space = square_space(4)
     with pytest.raises(SolverError, match="above its forcing target"):
         newton_solve(space, prob.data, estimator=_eta(space, prob.data))
+
+
+def test_unforced_gmres_step_short_of_its_target_raises(monkeypatch):
+    # Without the estimator GMRES is held to the same rule: its true
+    # residual must meet the tolerance it was given.
+    gmres = spla.gmres
+
+    def short(J, b, **kwargs):
+        d, info = gmres(J, b, **kwargs)
+        return 0.5 * d, info
+
+    monkeypatch.setattr(spla, "gmres", short)
+    with pytest.raises(SolverError, match="above its forcing target"):
+        newton_solve(square_space(4), get_problem("square-trig").data)
 
 
 def test_gmres_seeded_with_the_dual_norm_solve(monkeypatch):

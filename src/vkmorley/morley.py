@@ -129,8 +129,6 @@ class MorleySpace:
             mesh.coords[mesh.edge_vertices[:, 0]] + mesh.coords[mesh.edge_vertices[:, 1]]
         )
         self._build_local_bases()
-        # Position of each dof: its vertex, or its edge's midpoint.
-        self.dof_coords = np.concatenate([mesh.coords[free_v], self._midpoints[free_e]])
         # Per-level data: load moments and arrays derived from them (see
         # ``cached``).
         self._quadrature: dict = {}
@@ -217,8 +215,9 @@ class MorleySpace:
         self.shape_integral = (mesh.areas[:, None] / 3.0) * (monomials(xi_m) @ C).sum(axis=1)
 
     # -- field algebra -------------------------------------------------------
-    # Only gather, scatter and scatter_matrix read dof_map's -1 in constrained
-    # slots.  Coefficients may carry leading axes, e.g. a StatePair's block.
+    # Only gather, scatter, scatter_matrix and solver.dissection_order read
+    # dof_map's -1 in constrained slots.  Coefficients may carry leading
+    # axes, e.g. a StatePair's block.
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """Element dof values (..., nt, 6) of coefficients (..., n); zero in
@@ -235,12 +234,17 @@ class MorleySpace:
                          self.n_dofs)
 
     def scatter_matrix(self, local: np.ndarray) -> sp.csr_matrix:
-        """Sum element matrices (nt, 6, 6) into the sparse n x n matrix."""
+        """Sum element matrices (nt, 6, 6) into the sparse n x n matrix.
+
+        Sums that cancel to exactly zero are not stored: adding 0.0 changes
+        no product, and the sparse LU then skips them."""
         rows = np.broadcast_to(self.dof_map[:, :, None], local.shape)
         cols = np.broadcast_to(self.dof_map[:, None, :], local.shape)
         free = (rows >= 0) & (cols >= 0)
         n = self.n_dofs
-        return sp.coo_matrix((local[free], (rows[free], cols[free])), shape=(n, n)).tocsr()
+        M = sp.coo_matrix((local[free], (rows[free], cols[free])), shape=(n, n)).tocsr()
+        M.eliminate_zeros()
+        return M
 
     def element_polys(self, coeffs: np.ndarray) -> np.ndarray:
         """Monomial coefficients (centered basis) per element: (..., nt, 6)."""

@@ -27,15 +27,17 @@ tolerance, Newton stops at an algebraic residual bound and GMRES at the
 rounding floor.
 
 A is factorised in a nested-dissection order (George, SIAM J. Numer.
-Anal. 10, 1973).  ``dissection_order`` builds it by nested coordinate
-bisection of the dof positions (``MorleySpace.dof_coords``), cutting
-along the 0/1 pattern of A, whose values cancel and say nothing about
-adjacency.  Rows and columns are permuted alike, so SuperLU runs in
-symmetric mode with no column ordering of its own: it keeps a diagonal
-pivot at least ``_PIVOT_THRESH`` times the largest entry of its column,
-which preserves the order's fill, and pivots off the diagonal otherwise.
-That trades stability for fill, so every solve checks its residual
-against the rule it was asked to meet: a direct solve against
+Anal. 10, 1973).  ``dissection_order`` dissects the mesh, not the
+matrix: it bisects sets of triangles at their median centroid and takes
+as separator the dofs on triangles of both halves, the interface
+vertices and edges.  A couples two dofs only through a triangle they
+share, so the order reads only the space, and each separator
+disconnects its halves.  Rows and columns are permuted alike, so SuperLU
+runs in symmetric mode with no column ordering of its own: it keeps a
+diagonal pivot at least ``_PIVOT_THRESH`` times the largest entry of its
+column, which preserves the order's fill, and pivots off the diagonal
+otherwise.  That trades stability for fill, so every solve checks its
+residual against the rule it was asked to meet: a direct solve against
 ``_FLOOR_FACTOR`` times its rounding floor, a GMRES solve against the
 tolerance GMRES was given.
 """
@@ -136,57 +138,64 @@ def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - first, counts) + np.arange(counts.sum())
 
 
-def dissection_order(coords: np.ndarray, pattern: sp.spmatrix) -> np.ndarray:
-    """Nested-dissection order of the nodes of a structurally symmetric pattern.
+def dissection_order(space: MorleySpace) -> np.ndarray:
+    """Nested-dissection order of a Morley space's dofs, by triangle bisection.
 
-    coords (n, 2) places node i in the plane; only the nonzero structure
-    of the n x n matrix pattern is read.  A subset of more than
-    ``_ND_LEAF`` nodes is sorted stably along its longer coordinate
-    extent and cut at the median; its separator, the left-half nodes
-    with a pattern neighbour in the right half, is ordered last, after
-    the rest of the left half and the right half, each ordered alike.
-    All subsets of one depth are split in one array pass.  Returns a
-    permutation of range(n).
+    A subset of triangles with more than ``_ND_LEAF`` unnumbered dofs is
+    sorted stably by centroid along its longer centroid extent and split
+    at its median triangle.  Its separator, the unnumbered dofs on
+    triangles of both halves, is ordered last, after the dofs of the left
+    half and then of the right half, each ordered alike; leaves and
+    separators list their dofs in ascending id.  Two dofs are coupled only
+    through a triangle they share, so each separator disconnects its
+    halves.  All subsets of one depth are split in one array pass.
+    Returns a permutation of range(n_dofs).
     """
-    pattern = pattern.tocsr()
-    n = len(coords)
+    n = space.n_dofs
+    flat = space.dof_map.ravel()
+    # Each dof's triangles, grouped by dof from first[dof] on; every free
+    # dof lies on some triangle.
+    slots = np.argsort(flat, kind="stable")[np.count_nonzero(flat < 0):]
+    tri_of_slot = slots // 6
+    first = np.searchsorted(flat[slots], np.arange(n))
+    label = np.zeros(len(space.dof_map), dtype=np.int64)
+
     out = np.empty(n, dtype=np.int64)
-    nodes = np.arange(n)  # the current subsets, one after another
+    dofs = np.arange(n)  # the unnumbered dofs of each subset, one subset after another
     sizes = np.array([n])
     offsets = np.array([0])  # where each subset's order starts in out
+    tris = np.arange(len(space.dof_map))  # each subset's triangles, likewise
+    n_tris = np.array([len(tris)])
     while True:
         leaf = sizes <= _ND_LEAF
-        in_leaf = np.repeat(leaf, sizes)
-        out[_segments(offsets[leaf], sizes[leaf])] = nodes[in_leaf]
-        nodes, sizes, offsets = nodes[~in_leaf], sizes[~leaf], offsets[~leaf]
+        out[_segments(offsets[leaf], sizes[leaf])] = dofs[np.repeat(leaf, sizes)]
+        dofs, tris = dofs[np.repeat(~leaf, sizes)], tris[np.repeat(~leaf, n_tris)]
+        sizes, offsets, n_tris = sizes[~leaf], offsets[~leaf], n_tris[~leaf]
         if not len(sizes):
             break
 
-        starts = np.cumsum(sizes) - sizes
-        part = np.repeat(np.arange(len(sizes)), sizes)
-        pts = coords[nodes]
+        starts = np.cumsum(n_tris) - n_tris
+        part = np.repeat(np.arange(len(sizes)), n_tris)
+        pts = space.centers[tris]
         extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
         key = np.where((extent[:, 1] > extent[:, 0])[part], pts[:, 1], pts[:, 0])
-        nodes = nodes[np.lexsort((key, part))]
+        tris = tris[np.lexsort((key, part))]
+        half = n_tris // 2
+        # Subset p's left-half triangles get label 2p, its right-half ones
+        # 2p + 1.  Earlier separators hold every dof on triangles of two
+        # subsets, so an unnumbered dof's labels are all 2p or 2p + 1.
+        label[tris] = 2 * part + (np.arange(len(tris)) - starts[part] >= half[part])
+        labels = label[tri_of_slot]
+        low = np.minimum.reduceat(labels, first)[dofs]
+        on_cut = low != np.maximum.reduceat(labels, first)[dofs]
 
-        half = sizes // 2
-        in_right = np.arange(len(nodes)) - starts[part] >= half[part]
-        # Earlier separators disconnect the subsets of one depth from each
-        # other, so a neighbour in any right half is in the node's own.
-        is_right = np.zeros(n, dtype=bool)
-        is_right[nodes[in_right]] = True
-        left = np.nonzero(~in_right)[0]
-        counts = pattern.indptr[nodes[left] + 1] - pattern.indptr[nodes[left]]
-        neighbours = pattern.indices[_segments(pattern.indptr[nodes[left]], counts)]
-        on_cut = np.zeros(len(nodes), dtype=bool)
-        on_cut[np.repeat(left, counts)[is_right[neighbours]]] = True
-
-        n_cut = np.bincount(part[on_cut], minlength=len(sizes))
-        out[_segments(offsets + sizes - n_cut, n_cut)] = nodes[on_cut]
-        n_left = half - n_cut
-        nodes = nodes[~on_cut]
-        sizes = np.column_stack([n_left, sizes - half]).ravel()
-        offsets = np.column_stack([offsets, offsets + n_left]).ravel()
+        n_cut = np.bincount(low[on_cut] // 2, minlength=len(sizes))
+        out[_segments(offsets + sizes - n_cut, n_cut)] = dofs[on_cut]
+        low, dofs = low[~on_cut], dofs[~on_cut]
+        dofs = dofs[np.argsort(low, kind="stable")]
+        sizes = np.bincount(low, minlength=2 * len(sizes))
+        offsets = np.column_stack([offsets, offsets + sizes[0::2]]).ravel()
+        n_tris = np.column_stack([half, n_tris - half]).ravel()
     return out
 
 
@@ -312,7 +321,7 @@ def newton_solve(
     config = config or NewtonConfig()
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
-    solve = factorise(A, dissection_order(space.dof_coords, A))
+    solve = factorise(A, dissection_order(space))
     abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
 
     if initial is None:

@@ -11,7 +11,7 @@ per-entity reference for the batched ``vkmorley.morley.prolongate``,
 ``vkmorley.forms.assemble_linearized_bracket`` applies element by
 element.  ``dissection_order_recursive`` is the subset-at-a-time
 reference for the level-synchronous ``vkmorley.solver.dissection_order``,
-and ``nd_bisect`` its single split.
+and ``triangle_bisect`` its single split.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
 convention, for tests that the convention stays internal,
 ``reparent`` composes several refinement steps into one, and
@@ -361,50 +361,51 @@ def linearized_bracket_matrix(space, state):
     return sparse.coo_matrix((vals, (r, c)), shape=(2 * n, 2 * n)).tocsr()
 
 
-def nd_bisect(nodes, coords, pattern, in_right):
-    """Split a node subset into (left, right, separator).
+def triangle_bisect(space, tris, numbered):
+    """Split a triangle subset into (left, right, separator).
 
-    The subset is cut at the median of its longer coordinate extent; the
-    separator is the set of left-half nodes with a pattern neighbour in
-    the right half, and left excludes it.  in_right is an all-False
-    scratch mask over every node and is all-False again on return.
+    The triangles are sorted stably by centroid along the longer extent
+    of their centroids and cut at the median triangle; the separator is
+    the sorted array of dofs not yet numbered (numbered, a mask over every
+    dof) that lie on triangles of both halves.
     """
-    pts = coords[nodes]
+    pts = space.centers[tris]
     axis = int(np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]))
-    ranked = nodes[np.argsort(pts[:, axis], kind="stable")]
-    half = len(nodes) // 2
+    ranked = tris[np.argsort(pts[:, axis], kind="stable")]
+    half = len(tris) // 2
     left, right = ranked[:half], ranked[half:]
-
-    starts = pattern.indptr[left]
-    counts = pattern.indptr[left + 1] - starts
-    first = np.cumsum(counts) - counts
-    neighbours = pattern.indices[np.repeat(starts - first, counts) + np.arange(counts.sum())]
-    owner = np.repeat(np.arange(half), counts)
-
-    in_right[right] = True
-    on_cut = np.zeros(half, dtype=bool)
-    on_cut[owner[in_right[neighbours]]] = True
-    in_right[right] = False
-    return left[~on_cut], right, left[on_cut]
+    on_left, on_right = (set(space.dof_map[side].ravel()) for side in (left, right))
+    separator = sorted(d for d in on_left & on_right if d >= 0 and not numbered[d])
+    return left, right, np.array(separator, dtype=np.int64)
 
 
-def dissection_order_recursive(coords, pattern):
-    """Nested dissection one subset at a time: [left, right, separator],
-    recursively, down to leaves of at most ``_ND_LEAF`` nodes."""
-    pattern = pattern.tocsr()
-    in_right = np.zeros(len(coords), dtype=bool)
+def open_dofs(space, tris, numbered):
+    """The sorted dofs on triangles tris that are not yet numbered."""
+    dofs = np.unique(space.dof_map[tris])
+    dofs = dofs[dofs >= 0]
+    return dofs[~numbered[dofs]]
+
+
+def dissection_order_recursive(space):
+    """Nested dissection one triangle subset at a time: the left half's
+    dofs, the right half's, then the separator, recursively, down to
+    leaves of at most ``_ND_LEAF`` dofs."""
+    numbered = np.zeros(space.n_dofs, dtype=bool)
     pieces = []
 
-    def order(nodes):
-        if len(nodes) <= _ND_LEAF:
-            pieces.append(nodes)
+    def order(tris):
+        dofs = open_dofs(space, tris, numbered)
+        if len(dofs) <= _ND_LEAF:
+            numbered[dofs] = True
+            pieces.append(dofs)
             return
-        left, right, separator = nd_bisect(nodes, coords, pattern, in_right)
+        left, right, separator = triangle_bisect(space, tris, numbered)
+        numbered[separator] = True
         order(left)
         order(right)
         pieces.append(separator)
 
-    order(np.arange(len(coords)))
+    order(np.arange(space.mesh.n_triangles))
     return np.concatenate(pieces)
 
 

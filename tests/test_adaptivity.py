@@ -472,7 +472,7 @@ def _dual_residual(arts, data):
     """||r||_{A^-1} of a level's state, from a fresh bilaplacian and factor."""
     space = arts.space
     A = assemble_bilaplacian(space)
-    solve = factorise(A, dissection_order(space.dof_coords, A))
+    solve = factorise(A, dissection_order(space))
     r = apply_residual(space, arts.state, data, A, assemble_load(space, data))
     R = r.reshape(2, -1).T
     return math.sqrt(float(np.sum(R * solve(R))))

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from vkmorley.forms import (
     assemble_linearized_bracket,
     assemble_load,
     energy_norms,
+    frobenius_weighted,
     vk_bracket,
 )
 from vkmorley.mesh import build_initial_mesh, mesh_from_arrays, uniform_refine
@@ -62,6 +64,21 @@ def test_bilaplacian_zero_action_and_symmetry():
     A = assemble_bilaplacian(space)
     assert np.all(A @ np.zeros(space.n_dofs) == 0.0)
     assert abs(A - A.T).max() <= 1e-12
+
+
+def test_bilaplacian_stores_no_cancelled_entry():
+    # On the uniform square many couplings cancel to exactly zero.  A keeps
+    # every other sum of the element matrices, bit for bit.
+    space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
+    A = assemble_bilaplacian(space)
+    H = space.shape_hess
+    local = frobenius_weighted(H, space.mesh.areas[:, None]) @ H.mT
+    rows, cols = np.broadcast_arrays(space.dof_map[:, :, None], space.dof_map[:, None, :])
+    free = (rows >= 0) & (cols >= 0)
+    kept = sparse.coo_matrix((local[free], (rows[free], cols[free])), shape=A.shape).tocsr()
+    assert np.all(A.data != 0.0)
+    assert kept.nnz > A.nnz
+    np.testing.assert_array_equal(A.toarray(), kept.toarray())
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])

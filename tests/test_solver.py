@@ -1,5 +1,7 @@
 """Newton iteration and the sparse linear solve."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vkmorley import solver
-from vkmorley.adaptivity import AmfemConfig, uniform_run
+from vkmorley.adaptivity import AmfemConfig, amfem_run, uniform_run
 from vkmorley.estimator import estimate
 from vkmorley.forms import (
     ProblemData,
@@ -39,10 +41,6 @@ def square_space(levels):
     return build_space(mesh)
 
 
-def space_order(space, A):
-    return dissection_order(space.dof_coords, A)
-
-
 # -- linear_solve ------------------------------------------------------------
 
 
@@ -58,7 +56,7 @@ def test_spd_block_agrees_with_cg():
     A = assemble_bilaplacian(space)
     rng = np.random.default_rng(21)
     b = rng.standard_normal(space.n_dofs)
-    x = linear_solve(A, b, factorise(A, space_order(space, A)))
+    x = linear_solve(A, b, factorise(A, dissection_order(space)))
     xcg, info = spla.cg(A, b, rtol=1e-13, maxiter=5000)
     assert info == 0
     np.testing.assert_allclose(x, xcg, atol=1e-9 * max(1.0, abs(xcg).max()))
@@ -86,7 +84,7 @@ def test_solve_off_its_rounding_floor_raises():
     # some 10^7 times the rounding floor of the system.
     space = square_space(3)
     A = assemble_bilaplacian(space)
-    solve = factorise(A, space_order(space, A))
+    solve = factorise(A, dissection_order(space))
     b = np.ones(space.n_dofs)
     linear_solve(A, b, solve)
     with pytest.raises(SolverError, match="times its rounding floor, above 100"):
@@ -113,43 +111,65 @@ def descent_space(domain, pre, steps, constrained, seed):
 @given(**DESCENTS)
 def test_order_is_a_permutation(domain, pre, steps, constrained, seed):
     space = descent_space(domain, pre, steps, constrained, seed)
-    order = space_order(space, assemble_bilaplacian(space))
-    np.testing.assert_array_equal(np.sort(order), np.arange(space.n_dofs))
+    np.testing.assert_array_equal(np.sort(dissection_order(space)), np.arange(space.n_dofs))
 
 
 @settings(max_examples=60, deadline=None)
 @given(**DESCENTS)
 def test_order_matches_recursive_oracle(domain, pre, steps, constrained, seed):
     space = descent_space(domain, pre, steps, constrained, seed)
-    A = assemble_bilaplacian(space)
-    np.testing.assert_array_equal(space_order(space, A),
-                                  oc.dissection_order_recursive(space.dof_coords, A))
+    np.testing.assert_array_equal(dissection_order(space), oc.dissection_order_recursive(space))
+
+
+def triangle_graph(space):
+    """0/1 matrix joining every two dofs that share a triangle of dof_map."""
+    rows = np.repeat(space.dof_map, 6, axis=1).ravel()
+    cols = np.tile(space.dof_map, 6).ravel()
+    free = (rows >= 0) & (cols >= 0)
+    n = space.n_dofs
+    return sp.csr_matrix((np.ones(free.sum()), (rows[free], cols[free])), shape=(n, n))
 
 
 @settings(max_examples=30, deadline=None)
 @given(**DESCENTS)
 def test_every_separator_disconnects_its_halves(domain, pre, steps, constrained, seed):
-    # Replay the recursion one split at a time.  The graph is the 0/1
-    # pattern of A; its values are replaced by ones so that no entry
-    # that cancels to zero hides an edge.
+    # Replay the recursion one split at a time.  The graph joins the dofs
+    # that share a triangle: A couples no others, and its own pattern
+    # drops entries that cancel to zero, so it is not the true structure.
     space = descent_space(domain, pre, steps, constrained, seed)
-    A = assemble_bilaplacian(space)
-    P = sp.csr_matrix((np.ones_like(A.data), A.indices, A.indptr), shape=A.shape)
-    in_right = np.zeros(space.n_dofs, dtype=bool)
+    P = triangle_graph(space)
+    assert np.all(P[assemble_bilaplacian(space).nonzero()])
+    numbered = np.zeros(space.n_dofs, dtype=bool)
 
-    def replay(nodes):
-        if len(nodes) <= solver._ND_LEAF:
-            return [nodes]
-        left, right, separator = oc.nd_bisect(nodes, space.dof_coords, P, in_right)
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate([left, right, separator])), np.sort(nodes))
-        assert P[left][:, right].nnz == 0
-        assert P[right][:, left].nnz == 0
+    def replay(tris):
+        dofs = oc.open_dofs(space, tris, numbered)
+        if len(dofs) <= solver._ND_LEAF:
+            numbered[dofs] = True
+            return [dofs]
+        left, right, separator = oc.triangle_bisect(space, tris, numbered)
+        on_left, on_right = (oc.open_dofs(space, half, numbered) for half in (left, right))
+        np.testing.assert_array_equal(np.union1d(on_left, on_right), dofs)
+        np.testing.assert_array_equal(separator, np.intersect1d(on_left, on_right))
+        numbered[separator] = True
+        left_only, right_only = (np.setdiff1d(side, separator) for side in (on_left, on_right))
+        assert P[left_only][:, right_only].nnz == 0
         return replay(left) + replay(right) + [separator]
 
-    order = np.concatenate(replay(np.arange(space.n_dofs)))
-    assert not in_right.any()
-    np.testing.assert_array_equal(order, space_order(space, A))
+    order = np.concatenate(replay(np.arange(space.mesh.n_triangles)))
+    assert numbered.all()
+    np.testing.assert_array_equal(order, dissection_order(space))
+
+
+def factor_fill(M, order):
+    """L + U nonzeros of the one factor ``factorise`` makes of M in an order."""
+    factors = []
+    splu = spla.splu
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spla, "splu",
+                      lambda A, **kwargs: factors.append(splu(A, **kwargs)) or factors[-1])
+        factorise(M, order)
+    assert len(factors) == 1
+    return factors[0].L.nnz + factors[0].U.nnz
 
 
 @pytest.fixture(scope="module")
@@ -166,12 +186,12 @@ def trig_jacobian():
     space = build_space(mesh)
     A = assemble_bilaplacian(space)
     load = assemble_load(space, prob.data)
-    guess = biharmonic_guess(space, A, load, factorise(A, space_order(space, A)))
+    guess = biharmonic_guess(space, A, load, factorise(A, dissection_order(space)))
     J = (sp.block_diag((A, A)) + oc.linearized_bracket_matrix(space, guess)).tocsc()
     rhs = -apply_residual(space, guess, prob.data, A, load)
     n = space.n_dofs
     order2 = np.empty(2 * n, dtype=np.int64)
-    order2[0::2] = space_order(space, A)
+    order2[0::2] = dissection_order(space)
     order2[1::2] = order2[0::2] + n
     return J, rhs, order2
 
@@ -183,21 +203,31 @@ def test_ordered_jacobian_solve_matches_default_splu(trig_jacobian):
     assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
-def test_ordered_jacobian_fill_below_colamd(trig_jacobian, monkeypatch):
-    J, rhs, order2 = trig_jacobian
+def test_ordered_jacobian_fill_below_colamd(trig_jacobian):
+    J, _, order2 = trig_jacobian
     colamd = spla.splu(J)
-    factors = []
-    splu = spla.splu
+    assert factor_fill(J, order2) < colamd.L.nnz + colamd.U.nnz
 
-    def spy(M, **kwargs):
-        factors.append(splu(M, **kwargs))
-        return factors[-1]
 
-    monkeypatch.setattr(spla, "splu", spy)
-    linear_solve(J, rhs, factorise(J, order2))
-    assert len(factors) == 1
-    fill = factors[0].L.nnz + factors[0].U.nnz
-    assert fill < colamd.L.nnz + colamd.U.nnz
+def lshape_adaptive_space():
+    """The last mesh of the adaptive lshape-f1 run capped at 3,000 dofs (3,119)."""
+    cfg = AmfemConfig(theta=0.3, delta=0.9, max_ndofs=3000, max_levels=500)
+    return amfem_run(get_problem("lshape-f1"), cfg).final.space
+
+
+# Each bound lies between the fill per dof of the triangle-bisection order
+# and that of a coordinate bisection of the dof positions, which cuts
+# through both ends of the interface edges: 28.6 and 73.1 on the square
+# bisected 9 times, 55.0 and 79.3 bisected 10 times, 66.0 and 74.8 on the
+# adaptive mesh.
+@pytest.mark.parametrize("build,bound", [(partial(square_space, 9), 50.0),
+                                         (partial(square_space, 10), 67.0),
+                                         (lshape_adaptive_space, 70.0)],
+                         ids=["square-9", "square-10", "lshape-adaptive"])
+def test_factor_fill_per_dof(build, bound):
+    space = build()
+    fill = factor_fill(assemble_bilaplacian(space), dissection_order(space))
+    assert fill / space.n_dofs <= bound
 
 
 # -- newton_solve ------------------------------------------------------------
@@ -228,7 +258,7 @@ def test_biharmonic_mode_is_one_newton_step():
     n = space.n_dofs
     np.testing.assert_allclose(
         state.u.coeffs,
-        linear_solve(A, load[:n], factorise(A, space_order(space, A))),
+        linear_solve(A, load[:n], factorise(A, dissection_order(space))),
         atol=1e-11,
     )
     # with the bracket off the Galerkin identity holds to machine terms
@@ -278,7 +308,7 @@ def test_biharmonic_guess_solves_decoupled_system():
     space = square_space(2)
     A = assemble_bilaplacian(space)
     load = assemble_load(space, prob.data)
-    guess = biharmonic_guess(space, A, load, factorise(A, space_order(space, A)))
+    guess = biharmonic_guess(space, A, load, factorise(A, dissection_order(space)))
     n = space.n_dofs
     np.testing.assert_allclose(A @ guess.u.coeffs, load[:n], atol=1e-10)
     np.testing.assert_allclose(A @ guess.v.coeffs, load[n:], atol=1e-10)
@@ -291,7 +321,7 @@ def test_biharmonic_guess_factorises_once(monkeypatch):
     load = assemble_load(space, prob.data)
     n = space.n_dofs
     assert np.any(load[n:])
-    order = space_order(space, A)
+    order = dissection_order(space)
     separate = [linear_solve(A, load[:n], factorise(A, order)),
                 linear_solve(A, load[n:], factorise(A, order))]
     calls = []
@@ -308,7 +338,7 @@ def test_block_rhs_solves_each_column():
     A = assemble_bilaplacian(space)
     rng = np.random.default_rng(23)
     B = rng.standard_normal((space.n_dofs, 3))
-    solve = factorise(A, space_order(space, A))
+    solve = factorise(A, dissection_order(space))
     X = linear_solve(A, B, solve)
     assert X.shape == B.shape
     for k in range(3):
@@ -475,7 +505,7 @@ def test_discretisation_stop_meets_lambda_eta_with_fewer_gmres_iterations():
     A = assemble_bilaplacian(space)
     r = apply_residual(space, state, prob.data, A, assemble_load(space, prob.data))
     R = r.reshape(2, -1).T
-    dual = np.sqrt(np.sum(R * factorise(A, space_order(space, A))(R)))
+    dual = np.sqrt(np.sum(R * factorise(A, dissection_order(space))(R)))
     assert dual <= solver._LAMBDA * estimate(space, state, prob.data).eta
     assert forced.iterations < plain.iterations
     assert sum(forced.krylov_iterations) < sum(plain.krylov_iterations)

@@ -184,16 +184,16 @@ def _rate(prev: LevelRow | None, eta: float, ndofs: int) -> float | None:
 
 def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
     """Shared driver; mode is "adaptive" or "uniform".  on_level(row, arts), if
-    given, sees each level once its row is final; only the previous level is kept."""
+    given, sees each level once its row is final; a level dies once prolongated."""
     data: ProblemData = problem.data
     mesh = _prerefine(build_initial_mesh(problem.domain), cfg.delta, cfg.max_ndofs)
     report = ConvergenceReport()
-    prev: LevelArtifacts | None = None
+    arts: LevelArtifacts | None = None
 
     for level in count():
         space = build_space(mesh)
-        initial = None if prev is None else prolongate(prev.state, space)
-        est = None
+        initial = None if arts is None else prolongate(arts.state, space)
+        arts = state = est = None  # the previous level is dead before this level's solve
 
         def eta_at(iterate: StatePair) -> float:
             # Newton's last call is at the state it returns.
@@ -251,7 +251,6 @@ def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
         if last:
             return RunResult(report, arts)
         mesh = refine(mesh, marked)
-        prev = arts
 
 
 def amfem_run(problem, cfg: AmfemConfig | None = None, on_level=None) -> RunResult:

@@ -192,27 +192,33 @@ class MorleySpace:
         s = self.scales[:, None]
         grads = gradients(np.eye(6)[:, None, None, :], xi_m[..., 0], xi_m[..., 1])
         D[:, 3:6, :] = np.moveaxis(np.vecdot(grads, normals) / s, 0, -1)
+        del grads
 
-        eye = np.broadcast_to(np.eye(6), (nt, 6, 6))
         try:
-            self.coeffs = np.linalg.solve(D, eye)
+            C = self.coeffs = np.linalg.solve(D, np.broadcast_to(np.eye(6), (nt, 6, 6)))
         except np.linalg.LinAlgError as exc:
             raise MeshError(f"singular Morley duality system: {exc}") from exc
         S = np.where(np.arange(6) < 3, 1.0, s)  # the scaling S of the module docstring
-        resid = np.abs((D @ self.coeffs - eye) * S[:, :, None] / S[:, None, :]).max(axis=(1, 2))
+        # |S(DC - I)S^-1| in the formula's order, in place over D, which is
+        # not needed again.
+        R = np.subtract(D @ C, np.eye(6), out=D)
+        R *= S[:, :, None]
+        R /= S[:, None, :]
+        resid = np.abs(R, out=R).max(axis=(1, 2))
         # Written so that a NaN residual is rejected too.
         if not np.all(resid <= _DUALITY_TOL):
             bad = int(np.argmax(np.nan_to_num(resid, nan=np.inf)))
             raise MeshError(f"triangle {bad}: Morley duality residual {resid[bad]:.2e} "
                             f"exceeds {_DUALITY_TOL} (h {self.scales[bad]:.2e})")
 
-        C = self.coeffs
-        # (nt, 6, 3): one Hessian row per shape function.
-        self.shape_hess = hessians(np.swapaxes(C, 1, 2), self.scales[:, None])
-
         # Integral of each shape function: edge-midpoint rule, exact for
         # quadratics.
         self.shape_integral = (mesh.areas[:, None] / 3.0) * (monomials(xi_m) @ C).sum(axis=1)
+
+    @property
+    def shape_hess(self) -> np.ndarray:
+        """(nt, 6, 3): one Hessian row per shape function, derived from coeffs."""
+        return hessians(np.swapaxes(self.coeffs, 1, 2), self.scales[:, None])
 
     # -- field algebra -------------------------------------------------------
     # Only gather, scatter, scatter_matrix and solver.dissection_order read
@@ -237,14 +243,15 @@ class MorleySpace:
         """Sum element matrices (nt, 6, 6) into the sparse n x n matrix.
 
         Sums that cancel to exactly zero are not stored: adding 0.0 changes
-        no product, and the sparse LU then skips them."""
+        no product, and the sparse LU then skips them.  The COO sum leaves
+        data and indices as views of longer buffers; the copy owns nnz each."""
         rows = np.broadcast_to(self.dof_map[:, :, None], local.shape)
         cols = np.broadcast_to(self.dof_map[:, None, :], local.shape)
         free = (rows >= 0) & (cols >= 0)
         n = self.n_dofs
         M = sp.coo_matrix((local[free], (rows[free], cols[free])), shape=(n, n)).tocsr()
         M.eliminate_zeros()
-        return M
+        return M.copy()
 
     def element_polys(self, coeffs: np.ndarray) -> np.ndarray:
         """Monomial coefficients (centered basis) per element: (..., nt, 6)."""

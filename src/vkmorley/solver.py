@@ -28,9 +28,10 @@ rounding floor.
 
 A is factorised in a nested-dissection order (George, SIAM J. Numer.
 Anal. 10, 1973).  ``dissection_order`` dissects the mesh, not the
-matrix: it bisects sets of triangles at their median centroid and takes
-as separator the dofs on triangles of both halves, the interface
-vertices and edges.  A couples two dofs only through a triangle they
+matrix: it bisects sets of triangles at their median centroid, down to
+leaves of ``_ND_LEAF`` = 8 dofs (4 gives about the same fill, 16 more),
+and takes as separator the dofs on triangles of both halves, the
+interface vertices and edges.  A couples two dofs only through a triangle they
 share, so the order reads only the space, and each separator
 disconnects its halves.  Rows and columns are permuted alike, so SuperLU
 runs in symmetric mode with no column ordering of its own: it keeps a
@@ -38,7 +39,8 @@ diagonal pivot at least ``_PIVOT_THRESH`` times the largest entry of its
 column, which preserves the order's fill, and pivots off the diagonal
 otherwise.  That trades stability for fill, so every solve checks its
 residual against the rule it was asked to meet: a direct solve against
-``_FLOOR_FACTOR`` times its rounding floor, a GMRES solve against the
+``_FLOOR_FACTOR`` times its rounding floor eps | |A| |x| + |b| |, with
+|A| read from A's own arrays at each check, a GMRES solve against the
 tolerance GMRES was given.
 """
 
@@ -73,7 +75,7 @@ logger = logging.getLogger(__name__)
 # factor's accuracy lands orders of magnitude above it.
 _FLOOR_FACTOR = 100.0
 # Subsets of at most this many dofs are not split further.
-_ND_LEAF = 16
+_ND_LEAF = 8
 # SuperLU keeps the diagonal pivot if it is at least this fraction of
 # the largest entry in its column.
 _PIVOT_THRESH = 0.01
@@ -96,9 +98,9 @@ class NewtonConfig:
 
     residual_tol is an absolute bound on the residual norm.  None picks
     the default rule of ``_default_tolerance``, re-evaluated at every
-    iterate.  Damping halves the step at most max_halvings times; if the
-    residual still grows the full remaining step is taken and the event
-    is counted.
+    iterate.  Damping halves the step at most max_halvings times, each
+    halving a damping event; if the residual still grows the trial with
+    the smallest residual is taken.
     """
 
     residual_tol: float | None = None
@@ -230,7 +232,7 @@ def linear_solve(A: sp.spmatrix, b: np.ndarray, solve) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SolverError("linear solve produced non-finite values")
     resid = np.linalg.norm(A @ x - b, axis=0)
-    floor = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b), axis=0)
+    floor = np.finfo(float).eps * np.linalg.norm(_abs_product(A, x) + np.abs(b), axis=0)
     ratio = np.max(resid / np.maximum(floor, np.finfo(float).tiny))
     if ratio > _FLOOR_FACTOR:
         raise SolverError(f"linear solve residual {np.max(resid):.2e} is {ratio:.3g} times its "
@@ -248,13 +250,19 @@ def biharmonic_guess(space: MorleySpace, A: sp.csr_matrix, load: np.ndarray,
     return StatePair.from_vector(space, linear_solve(A, load.reshape(2, -1).T, solve).T)
 
 
-def _rounding_floor(abs_A: sp.csr_matrix, load: np.ndarray, x: np.ndarray) -> float:
+def _abs_product(A: sp.spmatrix, X: np.ndarray) -> np.ndarray:
+    """|A| |X|, summed as ``abs(A) @ np.abs(X)`` for CSR or CSC A; no |A| is kept."""
+    A = A if A.format in ("csr", "csc") else A.tocsr()
+    return type(A)((np.abs(A.data), A.indices, A.indptr), shape=A.shape) @ np.abs(X)
+
+
+def _rounding_floor(A: sp.csr_matrix, load: np.ndarray, x: np.ndarray) -> float:
     """eps | |A2| |x| + |load| |: the rounding level of A2 x - load.
 
-    A2 is the block bilaplacian diag(A, A), abs_A = |A| entrywise and x
-    the iterate, a 2n vector (u block, then v block) or a (2, n) block.
+    A2 is the block bilaplacian diag(A, A) and x the iterate, a 2n vector
+    (u block, then v block) or a (2, n) block.
     """
-    ax = (abs_A @ np.abs(np.reshape(x, (2, -1))).T).T.ravel()
+    ax = _abs_product(A, np.reshape(x, (2, -1)).T).T.ravel()
     return np.finfo(float).eps * float(np.linalg.norm(ax + np.abs(load)))
 
 
@@ -294,6 +302,18 @@ def _krylov_solve(J: spla.LinearOperator, b: np.ndarray, precond: spla.LinearOpe
     return d, len(steps)
 
 
+def _backtrack(attempt: Callable[[float], tuple], rnorm: float, max_halvings: int):
+    """The first trial attempt(2^-k) under rnorm in norm (item 0), else the first smallest; k."""
+    best = None
+    for halving in range(max_halvings + 1):
+        trial = attempt(0.5**halving)
+        if trial[0] < rnorm:
+            return trial, halving
+        if best is None or trial[0] < best[0]:
+            best = trial
+    return best, max_halvings
+
+
 def newton_solve(
     space: MorleySpace,
     data: ProblemData,
@@ -322,7 +342,6 @@ def newton_solve(
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
     solve = factorise(A, dissection_order(space))
-    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
 
     if initial is None:
         state = biharmonic_guess(space, A, load, solve)
@@ -330,7 +349,6 @@ def newton_solve(
         state = StatePair.from_vector(space, initial.coeffs)
 
     report = SolveReport()
-    x = state.coeffs.ravel()
     r = apply_residual(space, state, data, A, load)
     rnorm = float(np.linalg.norm(r))
     report.residuals.append(rnorm)
@@ -357,7 +375,7 @@ def newton_solve(
     tol = config.residual_tol
     discretisation = estimator is not None and tol is None
     while True:
-        floor = _rounding_floor(abs_A, load, x)
+        floor = _rounding_floor(A, load, state.coeffs)
         report.tolerance = _default_tolerance(load, floor) if tol is None else tol
         gmres_tol, ratio = max(floor, _GMRES_RTOL * rnorm), None
         if discretisation:
@@ -379,29 +397,18 @@ def newton_solve(
             # explicit tolerance: no step can lower it further.
             break
 
-        # Backtracking: halve the step while the residual grows; if no
-        # tried step decreases it, keep the best one seen.
-        alpha = 1.0
-        tried = []
-        accepted = None
-        for halving in range(config.max_halvings + 1):
-            trial_x = x + alpha * delta
-            trial_state = StatePair.from_vector(space, trial_x)
+        def attempt(alpha):
+            trial_state = StatePair.from_vector(space, state.coeffs.ravel() + alpha * delta)
             trial_r = apply_residual(space, trial_state, data, A, load)
-            tried.append((float(np.linalg.norm(trial_r)), trial_x, trial_state, trial_r))
-            if tried[-1][0] < rnorm:
-                accepted = tried[-1]
-                break
-            if halving < config.max_halvings:
-                alpha *= 0.5
-                report.damping_events += 1
-        if accepted is None:
-            accepted = min(tried, key=lambda item: item[0])
+            return float(np.linalg.norm(trial_r)), trial_state, trial_r
+
+        accepted, halvings = _backtrack(attempt, rnorm, config.max_halvings)
+        report.damping_events += halvings
         logger.debug("Newton step %d: residual %.3e -> %.3e (tol %.3e, |r|_A^-1/eta %s), "
                      "GMRES target %.3e, %d GMRES iterations, %d halvings",
                      report.iterations + 1, rnorm, accepted[0], report.tolerance,
-                     "n/a" if ratio is None else f"{ratio:.3e}", gmres_tol, steps, len(tried) - 1)
-        rnorm, x, state, r = accepted
+                     "n/a" if ratio is None else f"{ratio:.3e}", gmres_tol, steps, halvings)
+        rnorm, state, r = accepted
         report.residuals.append(rnorm)
         report.krylov_iterations.append(steps)
         report.iterations += 1

@@ -16,6 +16,8 @@ and ``triangle_bisect`` its single split.
 convention, for tests that the convention stays internal,
 ``reparent`` composes several refinement steps into one, and
 ``random_descent`` draws random marked NVB refinements.
+``backtrack_keep_all`` is the damping loop that kept every trial, the
+reference for ``vkmorley.solver._backtrack``.
 ``duality_coeffs_by_hand`` keeps the duality system's edge rows written
 out monomial by monomial, and ``monomial_gradients`` the gradients of
 element quadratics from a derivative table, both apart from
@@ -784,3 +786,24 @@ def estimator_csv_rows(report, path):
         for t in range(len(report.eta_sq)):
             writer.writerow([t, f"{report.areas[t]:.17g}", f"{report.eta_sq[t]:.17g}",
                              f"{report.mu_sq[t]:.17g}", f"{report.osc_sq[t]:.17g}"])
+
+
+def backtrack_keep_all(attempt, rnorm, max_halvings):
+    """Newton damping keeping every trial: the first of attempt(1),
+    attempt(1/2), ... whose norm (item 0) is below rnorm, else ``min`` over
+    all of them; and the number of halvings made."""
+    alpha = 1.0
+    tried = []
+    accepted = None
+    halvings = 0
+    for halving in range(max_halvings + 1):
+        tried.append(attempt(alpha))
+        if tried[-1][0] < rnorm:
+            accepted = tried[-1]
+            break
+        if halving < max_halvings:
+            alpha *= 0.5
+            halvings += 1
+    if accepted is None:
+        accepted = min(tried, key=lambda item: item[0])
+    return accepted, halvings

@@ -244,6 +244,23 @@ class TestAdaptiveDriver:
         assert len(res.report.rows) == 3
         assert first[0]() is None
 
+    @pytest.mark.parametrize("run", [amfem_run, uniform_run])
+    def test_previous_level_is_dead_when_the_next_solve_starts(self, monkeypatch, run):
+        # Once its state is prolongated, nothing of a level outlives it
+        # through the next level's factorisation.
+        spaces = []
+
+        def spy(space, *args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in spaces)
+            spaces.append(weakref.ref(space))
+            return newton_solve(space, *args, **kwargs)
+
+        newton_solve = adaptivity.newton_solve
+        monkeypatch.setattr(adaptivity, "newton_solve", spy)
+        res = run(get_problem("square-poly"), AmfemConfig(max_levels=3))
+        assert len(res.report.rows) == len(spaces) == 3
+
     def test_estimator_decreases(self, square_adaptive):
         res, _ = square_adaptive
         etas = [r.eta for r in res.report.rows]

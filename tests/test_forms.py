@@ -81,6 +81,17 @@ def test_bilaplacian_stores_no_cancelled_entry():
     np.testing.assert_array_equal(A.toarray(), kept.toarray())
 
 
+def test_bilaplacian_owns_exactly_nnz_entries():
+    # The COO sum leaves data and indices as views of buffers as long as
+    # the triplets; A keeps only what it stores.
+    space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
+    A = assemble_bilaplacian(space)
+    for arr in (A.data, A.indices):
+        while arr.base is not None:
+            arr = arr.base
+        assert np.asarray(arr).size == A.nnz
+
+
 @pytest.mark.parametrize("domain", ["square", "lshape"])
 def test_bilaplacian_is_positive_definite(domain):
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh(domain))))

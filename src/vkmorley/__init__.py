@@ -7,7 +7,7 @@ Doerfler marking, and newest-vertex bisection.
 """
 
 from .mesh import Mesh, MeshError, build_initial_mesh, refine, uniform_refine, mesh_partition
-from .morley import MorleySpace, MorleyField, StatePair, build_space, interpolate, prolongate
+from .morley import MorleySpace, MorleyField, build_space, interpolate, prolongate
 from .forms import ProblemData
 from .solver import NewtonConfig, SolveReport, factorise, newton_solve, linear_solve
 from .estimator import EstimatorReport, estimate, oscillation, restrict_estimator
@@ -26,7 +26,6 @@ __all__ = [
     "build_space",
     "interpolate",
     "prolongate",
-    "StatePair",
     "ProblemData",
     "NewtonConfig",
     "SolveReport",

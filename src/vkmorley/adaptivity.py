@@ -25,7 +25,7 @@ import numpy as np
 from .estimator import EstimatorReport, estimate, restrict_estimator
 from .forms import ProblemData, energy_norms, frobenius_weighted
 from .mesh import Mesh, build_initial_mesh, mesh_partition, refine, uniform_refine
-from .morley import MorleySpace, StatePair, build_space, prolongate
+from .morley import MorleyField, MorleySpace, build_space, prolongate
 from .solver import NewtonConfig, SolveReport, newton_solve
 
 __all__ = [
@@ -129,7 +129,7 @@ class LevelArtifacts:
 
     mesh: Mesh
     space: MorleySpace
-    state: StatePair
+    state: MorleyField
     report: EstimatorReport
     solve: SolveReport
 
@@ -195,7 +195,7 @@ def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
         initial = None if arts is None else prolongate(arts.state, space)
         arts = state = est = None  # the previous level is dead before this level's solve
 
-        def eta_at(iterate: StatePair) -> float:
+        def eta_at(iterate: MorleyField) -> float:
             # Newton's last call is at the state it returns.
             nonlocal est
             est = estimate(space, iterate, data, cfg.osc_order)

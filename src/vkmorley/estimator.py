@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .forms import ProblemData, vk_bracket
-from .morley import MorleySpace, StatePair, monomial_terms, reduce_moments
+from .morley import MorleyField, MorleySpace, monomial_terms, reduce_moments
 from .quadrature import triangle_rule
 
 __all__ = ["EstimatorReport", "estimate", "oscillation", "restrict_estimator"]
@@ -149,7 +149,7 @@ def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> n
 
 
 def estimate(
-    space: MorleySpace, state: StatePair, data: ProblemData, osc_order: int = 0
+    space: MorleySpace, state: MorleyField, data: ProblemData, osc_order: int = 0
 ) -> EstimatorReport:
     """Assemble the full indicator report for a solved state."""
     mesh = space.mesh

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .morley import MorleySpace, StatePair, gradients, hessians
+from .morley import MorleyField, MorleySpace, gradients, hessians
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -108,7 +108,7 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
         for func in (data.f, data.g)])
 
 
-def assemble_linearized_bracket(space: MorleySpace, state: StatePair) -> spla.LinearOperator:
+def assemble_linearized_bracket(space: MorleySpace, state: MorleyField) -> spla.LinearOperator:
     """Derivative of the quadratic bracket terms at a state (2n square operator).
 
     Row blocks are test functions (p, q), column blocks the direction
@@ -134,7 +134,7 @@ def assemble_linearized_bracket(space: MorleySpace, state: StatePair) -> spla.Li
 
 def apply_residual(
     space: MorleySpace,
-    state: StatePair,
+    state: MorleyField,
     data: ProblemData,
     A: sp.csr_matrix,
     load: np.ndarray,
@@ -154,7 +154,7 @@ def apply_residual(
     return r
 
 
-def energy_norms(space: MorleySpace, state: StatePair, exact):
+def energy_norms(space: MorleySpace, state: MorleyField, exact):
     """Error norms against a smooth exact pair.
 
     Returns (piecewise H2 seminorm error, piecewise H1 seminorm error,

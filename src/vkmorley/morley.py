@@ -31,7 +31,6 @@ from .quadrature import TriangleRule, edge_rule, triangle_points
 __all__ = [
     "MorleySpace",
     "MorleyField",
-    "StatePair",
     "build_space",
     "gradients",
     "hessians",
@@ -104,7 +103,6 @@ class MorleySpace:
     def __init__(self, mesh: Mesh, constrained: bool = True):
         self.mesh = mesh
         self.constrained = constrained
-        self.edge_normal = mesh.edge_normal
 
         nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
         self.vertex_dof = np.full(nv, -1, dtype=np.int64)
@@ -183,7 +181,7 @@ class MorleySpace:
         own = np.arange(nt)[:, None]
         xi_v = self.local_coords(own, mesh.triangle_coords())
         xi_m = self.local_coords(own, self._midpoints[mesh.tri_edges])
-        normals = self.edge_normal[mesh.tri_edges]
+        normals = mesh.edge_normal[mesh.tri_edges]
 
         D = np.empty((nt, 6, 6))
         D[:, 0:3, :] = monomials(xi_v)
@@ -223,7 +221,7 @@ class MorleySpace:
     # -- field algebra -------------------------------------------------------
     # Only gather, scatter, scatter_matrix and solver.dissection_order read
     # dof_map's -1 in constrained slots.  Coefficients may carry leading
-    # axes, e.g. a StatePair's block.
+    # axes, e.g. the (2, n) block of the state (u, v).
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """Element dof values (..., nt, 6) of coefficients (..., n); zero in
@@ -286,33 +284,20 @@ def _bin_sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class MorleyField:
-    """Coefficients of one scalar Morley function."""
+    """Coefficients of Morley functions on one space: (n,) for one function, a
+    C-contiguous (2, n) block for the deflection/stress state, whose rows
+    ``u`` and ``v`` are views."""
 
     space: MorleySpace
     coeffs: np.ndarray
 
-
-@dataclass
-class StatePair:
-    """A deflection/stress pair (u, v) over one Morley space."""
-
-    u: MorleyField
-    v: MorleyField
+    @property
+    def u(self) -> "MorleyField":
+        return MorleyField(self.space, self.coeffs[0])
 
     @property
-    def space(self) -> MorleySpace:
-        return self.u.space
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The (2, n) block of u and v coefficients, a new array."""
-        return np.stack([self.u.coeffs, self.v.coeffs])
-
-    @staticmethod
-    def from_vector(space: MorleySpace, x: np.ndarray) -> "StatePair":
-        """The pair of a 2n vector (u, then v) or of a (2, n) block, copied."""
-        u, v = np.reshape(x, (2, space.n_dofs)).copy()
-        return StatePair(MorleyField(space, u), MorleyField(space, v))
+    def v(self) -> "MorleyField":
+        return MorleyField(self.space, self.coeffs[1])
 
 
 def build_space(mesh: Mesh, constrained: bool = True) -> MorleySpace:
@@ -346,22 +331,22 @@ def interpolate(space: MorleySpace, v, grad, edge_points: int = 3) -> MorleyFiel
             p = a + t * (b - a)
             gx, gy = grad(p[:, 0], p[:, 1])
             acc += w * (
-                np.asarray(gx, dtype=float) * space.edge_normal[eidx, 0]
-                + np.asarray(gy, dtype=float) * space.edge_normal[eidx, 1]
+                np.asarray(gx, dtype=float) * mesh.edge_normal[eidx, 0]
+                + np.asarray(gy, dtype=float) * mesh.edge_normal[eidx, 1]
             )
         coeffs[space.edge_dof[eidx]] = acc
     return MorleyField(space, coeffs)
 
 
-def prolongate(coarse: MorleyField | StatePair, fine_space: MorleySpace) -> MorleyField | StatePair:
-    """Carry a coarse MorleyField, or a StatePair, to the same or the refined mesh.
+def prolongate(coarse: MorleyField, fine_space: MorleySpace) -> MorleyField:
+    """Carry a coarse MorleyField, (n,) or a (2, n) block, to the same or the refined mesh.
 
     Fine vertex dofs average the coarse values from every distinct
     coarse triangle meeting the vertex (two-sided on old edges); fine
     edge dofs average the one-sided coarse mean normal derivatives.  On
     fine triangles strictly inside one coarse triangle the result
     reproduces the coarse quadratic exactly.  The fine mesh is the coarse
-    one or its refinement (``ancestor_map``); a pair is carried as its (2, n) block.
+    one or its refinement (``ancestor_map``); a block is carried in one pass.
 
     All distinct (fine entity, coarse ancestor) pairs are evaluated in
     one batch.  Each dof then sums its pairs in ascending ancestor id,
@@ -372,12 +357,11 @@ def prolongate(coarse: MorleyField | StatePair, fine_space: MorleySpace) -> Morl
     product of one gradient with one normal; the expanded
     ``gx*nx + gy*ny`` can differ in the last bit.
     """
-    wrap = StatePair.from_vector if isinstance(coarse, StatePair) else MorleyField
     cspace = coarse.space
     cmesh = cspace.mesh
     fmesh = fine_space.mesh
     if fmesh is cmesh and fine_space.constrained == cspace.constrained:
-        return wrap(fine_space, coarse.coeffs.copy())
+        return MorleyField(fine_space, coarse.coeffs.copy())
     anc = ancestor_map(cmesh, fmesh)
     polys = cspace.element_polys(coarse.coeffs)
     nc = cmesh.n_triangles
@@ -393,9 +377,10 @@ def prolongate(coarse: MorleyField | StatePair, fine_space: MorleySpace) -> Morl
 
     vals = cspace.poly_values(va, polys[..., va, :], fmesh.coords[v])
     grads = cspace.poly_gradients(ea, polys[..., ea, :], fine_space._midpoints[e])
-    slopes = np.vecdot(grads, fine_space.edge_normal[e])
+    slopes = np.vecdot(grads, fmesh.edge_normal[e])
 
     dof = np.concatenate([fine_space.vertex_dof[v], fine_space.edge_dof[e]])
     weights = np.concatenate([vals, slopes], axis=-1)
     n = fine_space.n_dofs
-    return wrap(fine_space, _bin_sums(dof, weights, n) / np.bincount(dof[dof >= 0], minlength=n))
+    counts = np.bincount(dof[dof >= 0], minlength=n)
+    return MorleyField(fine_space, _bin_sums(dof, weights, n) / counts)

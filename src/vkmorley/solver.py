@@ -62,7 +62,7 @@ from .forms import (
     assemble_linearized_bracket,
     assemble_load,
 )
-from .morley import MorleySpace, StatePair
+from .morley import MorleyField, MorleySpace
 
 __all__ = ["NewtonConfig", "SolveReport", "SolverError", "dissection_order", "factorise",
            "linear_solve", "newton_solve"]
@@ -241,13 +241,14 @@ def linear_solve(A: sp.spmatrix, b: np.ndarray, solve) -> np.ndarray:
 
 
 def biharmonic_guess(space: MorleySpace, A: sp.csr_matrix, load: np.ndarray,
-                     solve) -> StatePair:
+                     solve) -> MorleyField:
     """Initial state from the decoupled linear problem (brackets off).
 
     A is the bilaplacian, load both load blocks (length 2n) and solve
     A's factor (``factorise``), which serves both blocks.
     """
-    return StatePair.from_vector(space, linear_solve(A, load.reshape(2, -1).T, solve).T)
+    X = linear_solve(A, load.reshape(2, -1).T, solve)
+    return MorleyField(space, np.ascontiguousarray(X.T))
 
 
 def _abs_product(A: sp.spmatrix, X: np.ndarray) -> np.ndarray:
@@ -317,21 +318,21 @@ def _backtrack(attempt: Callable[[float], tuple], rnorm: float, max_halvings: in
 def newton_solve(
     space: MorleySpace,
     data: ProblemData,
-    initial: StatePair | None = None,
+    initial: MorleyField | None = None,
     config: NewtonConfig | None = None,
     *,
-    estimator: Callable[[StatePair], float] | None = None,
-) -> tuple[StatePair, SolveReport]:
+    estimator: Callable[[MorleyField], float] | None = None,
+) -> tuple[MorleyField, SolveReport]:
     """Solve the discrete system by damped Newton iteration.
 
-    Without an initial state the decoupled linear solve seeds the
-    iteration.  One factor of A per call serves that solve and every
-    Newton step's preconditioner.  Below the residual's rounding floor
-    GMRES returns a zero step, so an explicit ``residual_tol`` under that
-    floor ends the iteration unconverged.  The returned report carries
-    the full residual history (including the initial residual), the
-    GMRES iterations of each step and the tolerance applied to the last
-    residual.
+    Without an initial state, a (2, n) block on space (else ValueError),
+    the decoupled linear solve seeds the iteration.  One factor of A per
+    call serves that solve and every Newton step's preconditioner.  Below
+    the residual's rounding floor GMRES returns a zero step, so an
+    explicit ``residual_tol`` under that floor ends the iteration
+    unconverged.  The returned report carries the full residual history
+    (including the initial residual), the GMRES iterations of each step
+    and the tolerance applied to the last residual.
 
     estimator, the estimator eta at a state, is called at every iterate
     when ``residual_tol`` is None; the iteration then also stops once
@@ -339,6 +340,10 @@ def newton_solve(
     is at the returned state.
     """
     config = config or NewtonConfig()
+    n = space.n_dofs
+    if initial is not None and (initial.space is not space or initial.coeffs.shape != (2, n)):
+        raise ValueError(f"seed of shape {initial.coeffs.shape} on {initial.space.n_dofs} "
+                         f"dofs, not (2, {n}) on this space of {n} dofs")
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
     solve = factorise(A, dissection_order(space))
@@ -346,14 +351,12 @@ def newton_solve(
     if initial is None:
         state = biharmonic_guess(space, A, load, solve)
     else:
-        state = StatePair.from_vector(space, initial.coeffs)
+        state = MorleyField(space, initial.coeffs.copy())
 
     report = SolveReport()
     r = apply_residual(space, state, data, A, load)
     rnorm = float(np.linalg.norm(r))
     report.residuals.append(rnorm)
-
-    n = space.n_dofs
 
     def block_operator(apply):
         # The u and v halves of a 2n vector as the columns of an (n, 2) block.
@@ -398,7 +401,7 @@ def newton_solve(
             break
 
         def attempt(alpha):
-            trial_state = StatePair.from_vector(space, state.coeffs.ravel() + alpha * delta)
+            trial_state = MorleyField(space, state.coeffs + alpha * delta.reshape(2, n))
             trial_r = apply_residual(space, trial_state, data, A, load)
             return float(np.linalg.norm(trial_r)), trial_state, trial_r
 

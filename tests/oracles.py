@@ -57,7 +57,7 @@ from vkmorley.mesh import (
     refine,
     uniform_refine,
 )
-from vkmorley.morley import MorleyField, StatePair, build_space, hessians, monomials
+from vkmorley.morley import MorleyField, build_space, hessians, monomials
 from vkmorley.quadrature import triangle_rule
 from vkmorley.solver import _ND_LEAF
 
@@ -187,7 +187,7 @@ def prolongate_loop(coarse_field, fine_space):
         mid = 0.5 * (
             fmesh.coords[fmesh.edge_vertices[e, 0]] + fmesh.coords[fmesh.edge_vertices[e, 1]]
         )
-        nu = fine_space.edge_normal[e]
+        nu = fmesh.edge_normal[e]
         total = 0.0
         for a in ancestors:
             total += float(cspace.poly_gradients(a, polys[a], mid[None, :])[0] @ nu)
@@ -435,7 +435,7 @@ def validate_loop(mesh):
 def zero_state(space):
     """The zero deflection/stress pair on a space."""
     n = space.n_dofs
-    return StatePair(MorleyField(space, np.zeros(n)), MorleyField(space, np.zeros(n)))
+    return MorleyField(space, np.zeros((2, n)))
 
 
 def reversed_edge_space(mesh, constrained=True):
@@ -663,7 +663,7 @@ def duality_coeffs_by_hand(space):
     own = np.arange(nt)[:, None]
     xi_v = space.local_coords(own, mesh.triangle_coords())
     xi_m = space.local_coords(own, space._midpoints[mesh.tri_edges])
-    normals = space.edge_normal[mesh.tri_edges]
+    normals = mesh.edge_normal[mesh.tri_edges]
     D = np.empty((nt, 6, 6))
     D[:, 0:3, :] = monomials(xi_v)
     nx, ny = normals[..., 0], normals[..., 1]

@@ -8,7 +8,7 @@ import pytest
 from vkmorley.estimator import estimate, oscillation, restrict_estimator
 from vkmorley.forms import ProblemData
 from vkmorley.mesh import build_initial_mesh, uniform_refine
-from vkmorley.morley import MorleyField, StatePair, build_space, interpolate
+from vkmorley.morley import MorleyField, build_space, interpolate
 from vkmorley.quadrature import triangle_points, triangle_rule
 
 import oracles as oc
@@ -47,7 +47,7 @@ def test_constant_hessian_state_hand_values():
     space = square_space(0, constrained=False)
     u = interpolate(space, lambda x, y: 0.5 * x * x, lambda x, y: (x, 0.0 * y))
     v = interpolate(space, lambda x, y: 0.5 * y * y, lambda x, y: (0.0 * x, y))
-    rep = estimate(space, StatePair(u, v), ProblemData(f=ZERO))
+    rep = estimate(space, MorleyField(space, np.stack([u.coeffs, v.coeffs])), ProblemData(f=ZERO))
     # volume: |K|^2 * |K| * [u,v]^2 = 1/8; edges: two unit boundary
     # edges contribute 1 each, scaled by |K|^(1/2)
     want = 0.125 + np.sqrt(0.5) * 2.0
@@ -59,10 +59,7 @@ def test_interior_jumps_detect_kinks():
     # a generic discrete field kinks across interior edges, so eta > mu
     space = square_space(2)
     rng = np.random.default_rng(30)
-    state = StatePair(
-        MorleyField(space, rng.standard_normal(space.n_dofs)),
-        MorleyField(space, rng.standard_normal(space.n_dofs)),
-    )
+    state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
     rep = estimate(space, state, ProblemData(f=ZERO))
     assert np.all(rep.eta_sq >= rep.mu_sq)
     assert rep.eta > rep.mu
@@ -71,10 +68,7 @@ def test_interior_jumps_detect_kinks():
 def test_estimator_nonnegative_and_totals_consistent():
     space = square_space(3)
     rng = np.random.default_rng(31)
-    state = StatePair(
-        MorleyField(space, rng.standard_normal(space.n_dofs)),
-        MorleyField(space, rng.standard_normal(space.n_dofs)),
-    )
+    state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
     rep = estimate(space, state, ProblemData(f=lambda x, y: x * y))
     assert np.all(rep.eta_sq >= 0) and np.all(rep.mu_sq >= 0) and np.all(rep.osc_sq >= 0)
     assert rep.total_eta_sq == pytest.approx(rep.eta_sq.sum(), rel=1e-15)
@@ -104,7 +98,8 @@ def test_estimator_invariant_under_edge_orientation():
     reports = []
     for rev in (False, True):
         space = oc.reversed_edge_space(mesh) if rev else build_space(mesh)
-        state = StatePair(interpolate(space, fu, du), interpolate(space, fv, dv))
+        state = MorleyField(space, np.stack([interpolate(space, fu, du).coeffs,
+                                             interpolate(space, fv, dv).coeffs]))
         reports.append(estimate(space, state, data).eta_sq)
     np.testing.assert_allclose(reports[0], reports[1], rtol=1e-12, atol=1e-14)
 
@@ -150,11 +145,12 @@ def test_estimate_caches_the_oscillation_until_release():
     data = ProblemData(f=f)
     first = estimate(space, oc.zero_state(space), data, osc_order=1).osc_sq
     u = interpolate(space, lambda x, y: x * y, lambda x, y: (y, x))
-    second = estimate(space, StatePair(u, u), data, osc_order=1)
+    uu = MorleyField(space, np.stack([u.coeffs, u.coeffs]))
+    second = estimate(space, uu, data, osc_order=1)
     assert second.osc_sq is first and not first.flags.writeable
-    assert estimate(space, StatePair(u, u), data, osc_order=0).osc_sq is not first
+    assert estimate(space, uu, data, osc_order=0).osc_sq is not first
     space.release_quadrature()
-    again = estimate(space, StatePair(u, u), data, osc_order=1).osc_sq
+    again = estimate(space, uu, data, osc_order=1).osc_sq
     assert again is not first
     np.testing.assert_array_equal(again, first)
     np.testing.assert_array_equal(first, oscillation(space, f, 1))
@@ -199,10 +195,7 @@ def test_restrict_full_set_is_total():
 def test_restrict_complementary_subsets_add_up():
     space = square_space(3)
     rng = np.random.default_rng(33)
-    state = StatePair(
-        MorleyField(space, rng.standard_normal(space.n_dofs)),
-        MorleyField(space, rng.standard_normal(space.n_dofs)),
-    )
+    state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
     rep = estimate(space, state, ProblemData(f=ONE))
     nt = space.mesh.n_triangles
     part = rng.choice(nt, size=nt // 3, replace=False)

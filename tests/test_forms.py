@@ -19,7 +19,7 @@ from vkmorley.forms import (
     vk_bracket,
 )
 from vkmorley.mesh import build_initial_mesh, mesh_from_arrays, uniform_refine
-from vkmorley.morley import MorleyField, StatePair, build_space, interpolate
+from vkmorley.morley import MorleyField, build_space, interpolate
 from vkmorley.quadrature import triangle_points, triangle_rule
 
 import oracles as oc
@@ -31,10 +31,7 @@ SQUARE_TRIS = (
 
 
 def random_state(space, rng):
-    return StatePair(
-        MorleyField(space, rng.standard_normal(space.n_dofs)),
-        MorleyField(space, rng.standard_normal(space.n_dofs)),
-    )
+    return MorleyField(space, rng.standard_normal((2, space.n_dofs)))
 
 
 # -- bracket -----------------------------------------------------------------
@@ -236,7 +233,7 @@ def test_single_element_bracket_entry_hand_value():
     )
     u = interpolate(space, lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0 * y))
     v = interpolate(space, lambda x, y: y * y, lambda x, y: (0.0 * x, 2.0 * y))
-    state = StatePair(u, v)
+    state = MorleyField(space, np.stack([u.coeffs, v.coeffs]))
     n = space.n_dofs
     M = assemble_linearized_bracket(space, state) @ np.eye(2 * n)
     for j in range(6):
@@ -348,21 +345,10 @@ def test_energy_norms_reproduce_interpolated_quadratic():
     )
     u = interpolate(space, q, dq)
     v = interpolate(space, lambda x, y: 0.0 * x, lambda x, y: (0.0 * x, 0.0 * y))
-    e2, e1, en = energy_norms(space, StatePair(u, v), quadratic_exact(c))
+    e2, e1, en = energy_norms(space, MorleyField(space, np.stack([u.coeffs, v.coeffs])),
+                              quadratic_exact(c))
     assert e2 <= 1e-10 and e1 <= 1e-10
     # |||u|||^2 = |K| (4 cxx^2 + 2 cxy^2 + 4 cyy^2)
     area = space.mesh.areas[0]
     want = np.sqrt(area * (4 * c[3] ** 2 + 2 * c[4] ** 2 + 4 * c[5] ** 2))
     assert en == pytest.approx(want, rel=1e-12)
-
-
-def test_state_vector_roundtrip():
-    space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    rng = np.random.default_rng(18)
-    state = random_state(space, rng)
-    assert state.coeffs.shape == (2, space.n_dofs)
-    for x in (state.coeffs.ravel(), state.coeffs):
-        back = StatePair.from_vector(space, x)
-        np.testing.assert_array_equal(back.u.coeffs, state.u.coeffs)
-        np.testing.assert_array_equal(back.v.coeffs, state.v.coeffs)
-        assert not np.shares_memory(back.u.coeffs, x)

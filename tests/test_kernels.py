@@ -23,7 +23,7 @@ from vkmorley.adaptivity import LevelArtifacts, axiom_check
 from vkmorley.estimator import EstimatorReport, estimate, oscillation
 from vkmorley.forms import ProblemData, assemble_bilaplacian, assemble_load, energy_norms
 from vkmorley.mesh import ancestor_map, write_mesh, write_svg
-from vkmorley.morley import MorleyField, StatePair, build_space
+from vkmorley.morley import MorleyField, build_space
 from vkmorley.problems import get_problem
 from vkmorley.quadrature import triangle_points, triangle_rule
 
@@ -49,8 +49,7 @@ def _close(got, want, scale=None):
 
 
 def _pair(rng, space):
-    block = rng.standard_normal((2, space.n_dofs))
-    return StatePair(MorleyField(space, block[0].copy()), MorleyField(space, block[1].copy()))
+    return MorleyField(space, rng.standard_normal((2, space.n_dofs)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -118,7 +117,7 @@ def test_moment_kernels_match_their_pointwise_forms(domain, pre, steps, constrai
 
     _close(assemble_load(space, data), oc.load_pointwise(space, data))
     block = scale * rng.standard_normal((2, space.n_dofs))
-    pair = StatePair(MorleyField(space, block[0].copy()), MorleyField(space, block[1].copy()))
+    pair = MorleyField(space, block)
     want = oc.volume_terms_pointwise(space, pair, data)
     np.testing.assert_allclose(estimate(space, pair, data).mu_sq, want, rtol=RTOL)
     # The pointwise oscillation is ||f||^2 minus the projection's share

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vkmorley.mesh import MeshError, build_initial_mesh, mesh_from_arrays, refine, uniform_refine
 from vkmorley.morley import (
     MorleyField,
-    StatePair,
     build_space,
     interpolate,
     prolongate,
@@ -110,7 +109,7 @@ def test_duality_identity(coords):
             unit[i] = 1.0
             poly = space.coeffs[0] @ unit
             grad = space.poly_gradients(0, poly, mid[None])
-            got = float(grad[0] @ space.edge_normal[e])
+            got = float(grad[0] @ mesh.edge_normal[e])
             assert got == pytest.approx(1.0 if i == k + 3 else 0.0, abs=1e-12)
 
 
@@ -252,7 +251,7 @@ def test_edge_normal_mean_continuity():
     inner = np.nonzero(~mesh.edge_is_boundary)[0]
     for e in inner:
         mid = 0.5 * mesh.coords[mesh.edge_vertices[e]].sum(axis=0)
-        nu = space.edge_normal[e]
+        nu = mesh.edge_normal[e]
         t0, t1 = mesh.edge_tris[e]
         _, g0, _ = evaluate(f, t0, mid[None])
         _, g1, _ = evaluate(f, t1, mid[None])
@@ -389,8 +388,17 @@ DESCENTS = dict(
 
 
 def _random_pair(rng, space):
-    block = rng.standard_normal((2, space.n_dofs))
-    return StatePair(MorleyField(space, block[0].copy()), MorleyField(space, block[1].copy()))
+    return MorleyField(space, rng.standard_normal((2, space.n_dofs)))
+
+
+def test_state_rows_are_views_of_the_block():
+    space = build_space(uniform_refine(build_initial_mesh("square")))
+    state = _random_pair(np.random.default_rng(18), space)
+    for k, field in enumerate((state.u, state.v)):
+        assert field.space is space and field.coeffs.shape == (space.n_dofs,)
+        assert np.shares_memory(field.coeffs, state.coeffs)
+        field.coeffs[0] = 7.0 + k
+    assert state.coeffs[:, 0].tolist() == [7.0, 8.0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -427,10 +435,11 @@ def test_prolongate_pair_equals_per_field(domain, pre, steps, constrained, seed)
     fs = build_space(fine, constrained=constrained)
     pair = _random_pair(rng, cs)
     moved = prolongate(pair, fs)
-    assert isinstance(moved, StatePair) and moved.space is fs
-    for field, got in ((pair.u, moved.u), (pair.v, moved.v)):
-        np.testing.assert_array_equal(got.coeffs, prolongate(field, fs).coeffs)
-        np.testing.assert_array_equal(got.coeffs, oc.prolongate_loop(field, fs).coeffs)
+    assert isinstance(moved, MorleyField) and moved.space is fs
+    assert moved.coeffs.shape == (2, fs.n_dofs)
+    for row, field in zip(moved.coeffs, (pair.u, pair.v)):
+        np.testing.assert_array_equal(row, prolongate(field, fs).coeffs)
+        np.testing.assert_array_equal(row, oc.prolongate_loop(field, fs).coeffs)
 
 
 @settings(max_examples=30, deadline=None)

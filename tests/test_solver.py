@@ -20,7 +20,7 @@ from vkmorley.forms import (
     assemble_load,
 )
 from vkmorley.mesh import build_initial_mesh, refine, uniform_refine
-from vkmorley.morley import build_space, prolongate
+from vkmorley.morley import MorleyField, build_space, prolongate
 from vkmorley.problems import get_problem
 from vkmorley.solver import (
     NewtonConfig,
@@ -266,6 +266,35 @@ def test_biharmonic_mode_is_one_newton_step():
     # with the bracket off the Galerkin identity holds to machine terms
     r = apply_residual(space, state, prob.data, A, load)
     assert np.linalg.norm(r) <= 1e-11 * max(1.0, np.linalg.norm(load))
+
+
+def test_newton_solve_rejects_a_seed_of_another_space():
+    mesh = uniform_refine(uniform_refine(build_initial_mesh("square")))
+    space = build_space(mesh)
+    n = space.n_dofs
+    data = get_problem("square-poly").data
+    finer = square_space(3)
+    seeds = [oc.zero_state(oc.reversed_edge_space(mesh)),  # same dof count
+             oc.zero_state(finer),
+             MorleyField(space, np.zeros(2 * n))]
+    for seed in seeds:
+        with pytest.raises(ValueError, match=rf"{seed.space.n_dofs} dofs.*\(2, {n}\).* {n} dofs"):
+            newton_solve(space, data, initial=seed)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["zero-seed", "solved-seed"])
+def test_newton_state_is_a_new_c_block(seeded):
+    # The solved seed takes no step, the zero seed one.
+    prob = get_problem("biharm-linear")
+    space = square_space(3)
+    initial = newton_solve(space, prob.data)[0] if seeded else oc.zero_state(space)
+    before = initial.coeffs.copy()
+    state, report = newton_solve(space, prob.data, initial=initial)
+    assert report.iterations == (0 if seeded else 1)
+    assert state.space is space and state.coeffs.shape == (2, space.n_dofs)
+    assert state.coeffs.flags.c_contiguous
+    assert not np.shares_memory(state.coeffs, initial.coeffs)
+    np.testing.assert_array_equal(initial.coeffs, before)
 
 
 def test_converged_residual_below_tolerance():

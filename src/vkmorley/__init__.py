@@ -9,7 +9,7 @@ Doerfler marking, and newest-vertex bisection.
 from .mesh import Mesh, MeshError, build_initial_mesh, refine, uniform_refine, mesh_partition
 from .morley import MorleySpace, MorleyField, build_space, interpolate, prolongate
 from .forms import ProblemData
-from .solver import NewtonConfig, SolveReport, factorise, newton_solve, linear_solve
+from .solver import SolveReport, factorise, newton_solve, linear_solve
 from .estimator import EstimatorReport, estimate, oscillation, restrict_estimator
 from .adaptivity import AmfemConfig, ConvergenceReport, doerfler_mark, amfem_run, uniform_run
 from .problems import registry
@@ -27,7 +27,6 @@ __all__ = [
     "interpolate",
     "prolongate",
     "ProblemData",
-    "NewtonConfig",
     "SolveReport",
     "newton_solve",
     "factorise",

@@ -26,7 +26,7 @@ from .estimator import EstimatorReport, estimate, restrict_estimator
 from .forms import ProblemData, energy_norms, frobenius_weighted
 from .mesh import Mesh, build_initial_mesh, mesh_partition, refine, uniform_refine
 from .morley import MorleyField, MorleySpace, build_space, prolongate
-from .solver import NewtonConfig, SolveReport, newton_solve
+from .solver import SolveReport, check_tolerance, newton_solve
 
 __all__ = [
     "AmfemConfig",
@@ -91,7 +91,7 @@ class AmfemConfig:
     max_levels: int = 10
     max_ndofs: int = 200_000
     osc_order: int = 0
-    newton: NewtonConfig = dfield(default_factory=NewtonConfig)
+    newton_tol: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
@@ -106,6 +106,7 @@ class AmfemConfig:
             raise ValueError(f"dof cap must be at least 1, got {self.max_ndofs}")
         if self.osc_order not in (0, 1, 2):
             raise ValueError(f"oscillation order must be 0, 1 or 2, got {self.osc_order}")
+        check_tolerance(self.newton_tol)
 
 
 @dataclass
@@ -198,10 +199,11 @@ def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
         def eta_at(iterate: MorleyField) -> float:
             # Newton's last call is at the state it returns.
             nonlocal est
-            est = estimate(space, iterate, data, cfg.osc_order)
+            est = estimate(iterate, data, cfg.osc_order)
             return est.eta
 
-        state, solve = newton_solve(space, data, initial, cfg.newton, estimator=eta_at)
+        state, solve = newton_solve(space, data, initial, residual_tol=cfg.newton_tol,
+                                    estimator=eta_at)
         if not solve.converged:
             tail = ", ".join(f"{r:.3e}" for r in solve.residuals[-3:])
             raise RuntimeError(
@@ -210,10 +212,10 @@ def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
                 f"{solve.rule} tolerance {solve.tolerance:.3e}, last residuals {tail})"
             )
         if est is None:
-            est = estimate(space, state, data, cfg.osc_order)
+            est = estimate(state, data, cfg.osc_order)
 
         if problem.exact is not None:
-            err_energy, err_h1, _ = energy_norms(space, state, problem.exact)
+            err_energy, err_h1, _ = energy_norms(state, problem.exact)
         else:
             err_energy = err_h1 = None
         space.release_quadrature()

@@ -20,7 +20,7 @@ from pathlib import Path
 from .adaptivity import AmfemConfig, amfem_run, axiom_check, uniform_run
 from .mesh import MeshError, write_mesh, write_svg
 from .problems import get_problem
-from .solver import NewtonConfig, SolverError
+from .solver import SolverError
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=10, help="maximum number of levels")
     p.add_argument("--max-ndofs", type=int, default=200_000)
     p.add_argument("--newton-tol", type=float, default=None,
-                   help="absolute Newton residual tolerance (default: load-scaled)")
+                   help="absolute bound on the Euclidean Newton residual, replacing the "
+                        "default stop ||r||_{A^-1} <= 1e-3 eta at the discretisation error")
     p.add_argument("--osc-order", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--dump-estimator", action="store_true",
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
             max_levels=args.levels,
             max_ndofs=args.max_ndofs,
             osc_order=args.osc_order,
-            newton=NewtonConfig(residual_tol=args.newton_tol),
+            newton_tol=args.newton_tol,
         )
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

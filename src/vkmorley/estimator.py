@@ -148,14 +148,12 @@ def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> n
     return mesh.areas**2 * mesh.areas * resid
 
 
-def estimate(
-    space: MorleySpace, state: MorleyField, data: ProblemData, osc_order: int = 0
-) -> EstimatorReport:
-    """Assemble the full indicator report for a solved state."""
-    mesh = space.mesh
+def estimate(state: MorleyField, data: ProblemData, osc_order: int = 0) -> EstimatorReport:
+    """Assemble the full indicator report for a solved state, on the state's space."""
+    space = state.space
     H = space.element_hessians(state.coeffs)
     mu_sq = _volume_terms(space, H, data)
-    eta_sq = mu_sq + _edge_terms(mesh, H)
+    eta_sq = mu_sq + _edge_terms(space.mesh, H)
     # The oscillation does not depend on the state: once per level.
     osc_sq = space.cached(("oscillation", data.f, osc_order, data.quad_degree),
                           lambda: oscillation(space, data.f, osc_order, data.quad_degree))
@@ -163,7 +161,7 @@ def estimate(
         eta_sq=eta_sq,
         mu_sq=mu_sq,
         osc_sq=osc_sq,
-        areas=mesh.areas.copy(),
+        areas=space.mesh.areas.copy(),
     )
 
 

@@ -108,7 +108,7 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
         for func in (data.f, data.g)])
 
 
-def assemble_linearized_bracket(space: MorleySpace, state: MorleyField) -> spla.LinearOperator:
+def assemble_linearized_bracket(state: MorleyField) -> spla.LinearOperator:
     """Derivative of the quadratic bracket terms at a state (2n square operator).
 
     Row blocks are test functions (p, q), column blocks the direction
@@ -116,8 +116,9 @@ def assemble_linearized_bracket(space: MorleySpace, state: MorleyField) -> spla.
     blocks SI_K (x) br_K, with SI_K its shape integrals and br_K the
     brackets [w, shape_j] of a frozen field w: -br_v to (p, du), -br_u
     to (p, dv) and br_u to (q, du).  The operator gathers the direction
-    and scatters the result through the space; it is never assembled.
+    and scatters the result through the state's space; it is never assembled.
     """
+    space = state.space
     n = space.n_dofs
     SI = space.shape_integral  # (nt, 6)
     # [w, shape_j] for the frozen fields, shape (2, nt, 6).
@@ -133,17 +134,16 @@ def assemble_linearized_bracket(space: MorleySpace, state: MorleyField) -> spla.
 
 
 def apply_residual(
-    space: MorleySpace,
     state: MorleyField,
     data: ProblemData,
     A: sp.csr_matrix,
     load: np.ndarray,
 ) -> np.ndarray:
-    """Residual vector of the discrete system at a state (length 2n).
+    """Residual vector of the discrete system at a state, on its space (length 2n).
 
     A is the bilaplacian and load the stacked load vector (length 2n).
     """
-    C = state.coeffs
+    space, C = state.space, state.coeffs
     # A @ C.T applies A to the (n, 2) block; it rounds like two mat-vecs.
     r = (A @ C.T).T.ravel() - load
     if data.include_bracket:
@@ -154,8 +154,8 @@ def apply_residual(
     return r
 
 
-def energy_norms(space: MorleySpace, state: MorleyField, exact):
-    """Error norms against a smooth exact pair.
+def energy_norms(state: MorleyField, exact):
+    """Error norms of a state against a smooth exact pair, on the state's space.
 
     Returns (piecewise H2 seminorm error, piecewise H1 seminorm error,
     piecewise H2 seminorm of the discrete state).  exact provides
@@ -163,10 +163,10 @@ def energy_norms(space: MorleySpace, state: MorleyField, exact):
     Each distinct callable is evaluated once at the rule's points, so one
     shared by u and v is evaluated once; nothing is cached in the space.
     """
-    mesh = space.mesh
+    space = state.space
     rule = triangle_rule(_ERROR_DEGREE)
     pts, xi = space.rule_points(rule)
-    warea = rule.weights[None, :] * mesh.areas[:, None]
+    warea = rule.weights[None, :] * space.mesh.areas[:, None]
 
     polys = space.element_polys(state.coeffs)
     H = hessians(polys, space.scales)  # (2, nt, 3)
@@ -182,5 +182,5 @@ def energy_norms(space: MorleySpace, state: MorleyField, exact):
         gdiff = at_points[dfun] - Gk
         errh1 += np.vdot(gdiff * warea[..., None], gdiff)
 
-    energy = np.vdot(frobenius_weighted(H, mesh.areas), H)
+    energy = np.vdot(frobenius_weighted(H, space.mesh.areas), H)
     return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))

@@ -64,7 +64,7 @@ from .forms import (
 )
 from .morley import MorleyField, MorleySpace
 
-__all__ = ["NewtonConfig", "SolveReport", "SolverError", "dissection_order", "factorise",
+__all__ = ["SolveReport", "SolverError", "dissection_order", "factorise",
            "linear_solve", "newton_solve"]
 
 logger = logging.getLogger(__name__)
@@ -86,35 +86,19 @@ _GMRES_CYCLES = 10
 # the residual it allows that each GMRES solve is forced to.
 _LAMBDA = 1e-3
 _FORCING = 0.3
+# Newton steps allowed per solve, and step halvings per damped step.
+_MAX_ITER = 20
+_MAX_HALVINGS = 6
 
 
 class SolverError(Exception):
     """Raised for singular systems or unusable linear solves."""
 
 
-@dataclass
-class NewtonConfig:
-    """Newton iteration controls.
-
-    residual_tol is an absolute bound on the residual norm.  None picks
-    the default rule of ``_default_tolerance``, re-evaluated at every
-    iterate.  Damping halves the step at most max_halvings times, each
-    halving a damping event; if the residual still grows the trial with
-    the smallest residual is taken.
-    """
-
-    residual_tol: float | None = None
-    max_iter: int = 20
-    max_halvings: int = 6
-
-    def __post_init__(self) -> None:
-        tol = self.residual_tol
-        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"Newton tolerance must be finite and positive, got {tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"need at least one Newton iteration, got {self.max_iter}")
-        if self.max_halvings < 0:
-            raise ValueError(f"damping halvings must be non-negative, got {self.max_halvings}")
+def check_tolerance(tol: float | None) -> None:
+    """Reject an explicit Newton tolerance that is not finite and positive."""
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"Newton tolerance must be finite and positive, got {tol}")
 
 
 @dataclass
@@ -206,13 +190,14 @@ def factorise(A: sp.spmatrix, order: np.ndarray):
 
     A is factorised as A[order][:, order] (rows and columns permuted
     alike); solve takes and returns vectors, or (n, k) blocks, in A's
-    own numbering.
+    own numbering.  A singular A, or memory run out in the permutation or
+    in SuperLU (MemoryError, or SystemError), raises SolverError.
     """
     try:
         lu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
                        diag_pivot_thresh=_PIVOT_THRESH, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    except (RuntimeError, MemoryError, SystemError) as exc:
+        raise SolverError(f"sparse factorization of {A.shape[0]} dofs failed: {exc!r}") from exc
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = np.empty_like(b, dtype=float)
@@ -319,27 +304,30 @@ def newton_solve(
     space: MorleySpace,
     data: ProblemData,
     initial: MorleyField | None = None,
-    config: NewtonConfig | None = None,
     *,
+    residual_tol: float | None = None,
     estimator: Callable[[MorleyField], float] | None = None,
 ) -> tuple[MorleyField, SolveReport]:
     """Solve the discrete system by damped Newton iteration.
 
     Without an initial state, a (2, n) block on space (else ValueError),
     the decoupled linear solve seeds the iteration.  One factor of A per
-    call serves that solve and every Newton step's preconditioner.  Below
-    the residual's rounding floor GMRES returns a zero step, so an
-    explicit ``residual_tol`` under that floor ends the iteration
-    unconverged.  The returned report carries the full residual history
-    (including the initial residual), the GMRES iterations of each step
-    and the tolerance applied to the last residual.
+    call serves that solve and the preconditioner of each of at most
+    ``_MAX_ITER`` Newton steps.  A step whose residual grows is halved up
+    to ``_MAX_HALVINGS`` times, each a damping event, and else the
+    smallest trial is taken.  The report's residuals start at the seed's.
+
+    residual_tol, finite and positive (else ValueError), bounds the
+    Euclidean residual; None picks ``_default_tolerance`` at each iterate.
+    Below the residual's rounding floor GMRES returns a zero step, so an
+    explicit residual_tol under that floor ends the iteration unconverged.
 
     estimator, the estimator eta at a state, is called at every iterate
     when ``residual_tol`` is None; the iteration then also stops once
     ||r||_{A^-1} <= _LAMBDA eta, with forced GMRES steps.  The last call
     is at the returned state.
     """
-    config = config or NewtonConfig()
+    check_tolerance(residual_tol)
     n = space.n_dofs
     if initial is not None and (initial.space is not space or initial.coeffs.shape != (2, n)):
         raise ValueError(f"seed of shape {initial.coeffs.shape} on {initial.space.n_dofs} "
@@ -354,7 +342,7 @@ def newton_solve(
         state = MorleyField(space, initial.coeffs.copy())
 
     report = SolveReport()
-    r = apply_residual(space, state, data, A, load)
+    r = apply_residual(state, data, A, load)
     rnorm = float(np.linalg.norm(r))
     report.residuals.append(rnorm)
 
@@ -375,11 +363,10 @@ def newton_solve(
 
     A2 = block_operator(lambda Z: A @ Z)
     precond = block_operator(seeded_solve)
-    tol = config.residual_tol
-    discretisation = estimator is not None and tol is None
+    discretisation = estimator is not None and residual_tol is None
     while True:
         floor = _rounding_floor(A, load, state.coeffs)
-        report.tolerance = _default_tolerance(load, floor) if tol is None else tol
+        report.tolerance = residual_tol or _default_tolerance(load, floor)
         gmres_tol, ratio = max(floor, _GMRES_RTOL * rnorm), None
         if discretisation:
             # ||r||_{A^-1} <= _LAMBDA eta, as a bound on the Euclidean |r|.
@@ -391,9 +378,9 @@ def newton_solve(
             gmres_tol = max(floor, _FORCING * allowed)
             ratio = dual / eta if eta > 0.0 else math.inf
         report.converged = rnorm <= report.tolerance
-        if report.converged or report.iterations >= config.max_iter:
+        if report.converged or report.iterations >= _MAX_ITER:
             break
-        J = A2 + assemble_linearized_bracket(space, state) if data.include_bracket else A2
+        J = A2 + assemble_linearized_bracket(state) if data.include_bracket else A2
         delta, steps = _krylov_solve(J, -r, precond, gmres_tol)
         if steps == 0:
             # The residual is under its rounding floor but above an
@@ -402,10 +389,10 @@ def newton_solve(
 
         def attempt(alpha):
             trial_state = MorleyField(space, state.coeffs + alpha * delta.reshape(2, n))
-            trial_r = apply_residual(space, trial_state, data, A, load)
+            trial_r = apply_residual(trial_state, data, A, load)
             return float(np.linalg.norm(trial_r)), trial_state, trial_r
 
-        accepted, halvings = _backtrack(attempt, rnorm, config.max_halvings)
+        accepted, halvings = _backtrack(attempt, rnorm, _MAX_HALVINGS)
         report.damping_events += halvings
         logger.debug("Newton step %d: residual %.3e -> %.3e (tol %.3e, |r|_A^-1/eta %s), "
                      "GMRES target %.3e, %d GMRES iterations, %d halvings",

@@ -160,7 +160,7 @@ def test_criterion_02_discrete_residual_after_newton():
         load = assemble_load(space, data)
         bound = 1e-10 * max(1.0, float(np.linalg.norm(load)))
         A = assemble_bilaplacian(space)
-        res = float(np.linalg.norm(apply_residual(space, state, data, A, load)))
+        res = float(np.linalg.norm(apply_residual(state, data, A, load)))
         worst = max(worst, res / bound)
         checked += 1
         assert res <= bound, f"residual {res:.3e} above {bound:.3e}"
@@ -386,7 +386,7 @@ def test_criterion_09_volume_term_reduction():
         mu2 = []
         for mesh in (coarse, fine):
             space = build_space(mesh)
-            report = estimate(space, oc.zero_state(space), data)
+            report = estimate(oc.zero_state(space), data)
             mu2.append(float(report.mu_sq.sum()))
         rels.append(abs(mu2[1] - mu2[0] / 4.0) / (mu2[0] / 4.0))
     _verdict(

@@ -29,7 +29,7 @@ from vkmorley.forms import ProblemData, apply_residual, assemble_bilaplacian, as
 from vkmorley.mesh import MeshError, build_initial_mesh, uniform_refine
 from vkmorley.morley import build_space
 from vkmorley.problems import ManufacturedProblem, get_problem
-from vkmorley.solver import NewtonConfig, SolveReport, dissection_order, factorise
+from vkmorley.solver import SolveReport, dissection_order, factorise
 
 import oracles as oc
 
@@ -360,16 +360,16 @@ class TestAdaptiveDriver:
             parsed = list(csv.DictReader(fh))
         assert all(rec["err_energy"] == "" and rec["err_h1pw"] == "" for rec in parsed)
 
-    def test_newton_failure_aborts_with_diagnostic(self):
-        cfg = AmfemConfig(
-            delta=0.35, newton=NewtonConfig(max_iter=1, residual_tol=1e-14)
-        )
+    def test_newton_failure_aborts_with_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 1)
+        cfg = AmfemConfig(delta=0.35, newton_tol=1e-14)
         with pytest.raises(RuntimeError, match="Newton"):
             amfem_run(get_problem("square-poly"), cfg)
 
 
-    def test_newton_failure_message_carries_tolerance_and_history(self):
-        cfg = AmfemConfig(delta=0.35, newton=NewtonConfig(max_iter=2, residual_tol=1e-30))
+    def test_newton_failure_message_carries_tolerance_and_history(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 2)
+        cfg = AmfemConfig(delta=0.35, newton_tol=1e-30)
         with pytest.raises(RuntimeError, match=r"tolerance 1\.000e-30, last residuals \S+, \S+, \S+\)"):
             amfem_run(get_problem("square-poly"), cfg)
 
@@ -456,9 +456,9 @@ class TestUniformDriver:
                 assert arr.ndim == 1 or arr.shape[1] <= 7, (key, arr.shape)
             seen.append(len(space._quadrature))
 
-        def checked_estimate(space, *args, **kwargs):
-            report = estimate(space, *args, **kwargs)
-            check(space)
+        def checked_estimate(state, *args, **kwargs):
+            report = estimate(state, *args, **kwargs)
+            check(state.space)
             return report
 
         def checked_solve(space, *args, **kwargs):
@@ -490,7 +490,7 @@ def _dual_residual(arts, data):
     space = arts.space
     A = assemble_bilaplacian(space)
     solve = factorise(A, dissection_order(space))
-    r = apply_residual(space, arts.state, data, A, assemble_load(space, data))
+    r = apply_residual(arts.state, data, A, assemble_load(space, data))
     R = r.reshape(2, -1).T
     return math.sqrt(float(np.sum(R * solve(R))))
 
@@ -509,14 +509,14 @@ def test_every_level_solved_to_the_discretisation_error(mode, name, cfg):
         assert arts.solve.converged and arts.solve.residuals[-1] <= arts.solve.tolerance
         assert _dual_residual(arts, prob.data) <= solver._LAMBDA * row.eta
         # The estimate of Newton's last iterate is the level's own.
-        assert estimate(arts.space, arts.state, prob.data).eta == row.eta
+        assert estimate(arts.state, prob.data).eta == row.eta
         rules.add(arts.solve.rule)
     assert "discretisation" in rules
 
 
 def test_explicit_tolerance_keeps_the_algebraic_newton_steps():
     # The steps per level this run took when the algebraic rule was the driver's only stop.
-    cfg = AmfemConfig(delta=0.5, max_levels=7, newton=NewtonConfig(residual_tol=1e-9))
+    cfg = AmfemConfig(delta=0.5, max_levels=7, newton_tol=1e-9)
     res = uniform_run(get_problem("square-trig"), cfg)
     assert [r.newton_iters for r in res.report.rows] == [4, 3, 3, 4, 4, 4, 4]
 
@@ -524,8 +524,7 @@ def test_explicit_tolerance_keeps_the_algebraic_newton_steps():
 def test_discretisation_stop_takes_fewer_newton_steps():
     prob = get_problem("square-trig")
     loose = uniform_run(prob, AmfemConfig(delta=0.5, max_levels=7))
-    tight = uniform_run(prob, AmfemConfig(delta=0.5, max_levels=7,
-                                          newton=NewtonConfig(residual_tol=1e-9)))
+    tight = uniform_run(prob, AmfemConfig(delta=0.5, max_levels=7, newton_tol=1e-9))
     steps = [r.newton_iters for r in loose.report.rows]
     assert all(a <= b for a, b in zip(steps, [r.newton_iters for r in tight.report.rows]))
     assert sum(steps) < sum(r.newton_iters for r in tight.report.rows)
@@ -542,11 +541,11 @@ def test_newton_steps_log_the_discretisation_ratio(caplog):
     assert all("|r|_A^-1/eta " in m and "n/a" not in m and "GMRES target " in m for m in steps)
 
 
-def test_newton_failure_names_the_discretisation_rule():
-    cfg = AmfemConfig(delta=0.5, max_levels=7, newton=NewtonConfig(max_iter=1))
+def test_newton_failure_names_the_discretisation_rule(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_ITER", 1)
     with pytest.raises(RuntimeError,
                        match=r"discretisation tolerance \S+, last residuals \S+, \S+\)"):
-        uniform_run(get_problem("square-trig"), cfg)
+        uniform_run(get_problem("square-trig"), AmfemConfig(delta=0.5, max_levels=7))
 
 
 class TestPrerefinement:
@@ -568,7 +567,7 @@ def _frozen_artifacts(mesh):
     """Zero-state artifacts with unit load, for closed-form scaling checks."""
     space = build_space(mesh)
     state = oc.zero_state(space)
-    report = estimate(space, state, ProblemData(f=_unit_load))
+    report = estimate(state, ProblemData(f=_unit_load))
     return LevelArtifacts(mesh, space, state, report, SolveReport(converged=True))
 
 

@@ -9,6 +9,7 @@ import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
+import scipy.sparse.linalg as spla
 
 from vkmorley import adaptivity
 from vkmorley.cli import main, parse_args
@@ -27,9 +28,12 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    out = capsys.readouterr().out
+    out = " ".join(capsys.readouterr().out.split())
     assert "--problem" in out
     assert "--theta" in out
+    # --newton-tol names the stop it replaces.
+    assert "replacing the default stop ||r||_{A^-1} <= 1e-3 eta" in out
+    assert "load-scaled" not in out
 
 
 def test_module_entry_point():
@@ -307,6 +311,23 @@ def test_domain_error_mid_run_aborts_like_a_failed_solve(tmp_path, monkeypatch, 
         assert list(tmp_path.iterdir()) == []
     else:
         assert sorted(p.name for p in out.iterdir()) == kept
+
+
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError, SystemError])
+def test_failed_factorisation_aborts_the_run(tmp_path, monkeypatch, capsys, error):
+    # SuperLU reports running out of memory as any of these; each ends the
+    # run like a failed solve, not in a traceback.
+    def splu(A, **kwargs):
+        raise error("out of memory")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    out = tmp_path / "runs" / "o1"
+    code = main(["--problem", "square-poly", "--levels", "1", "--delta", "0.5",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("run aborted: sparse factorization of 5 dofs")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_axiom_check_run_holds_at_most_one_earlier_level(tmp_path, monkeypatch):

@@ -29,14 +29,14 @@ def square_space(levels=0, constrained=True):
 
 def test_zero_state_zero_load_gives_zero():
     space = square_space(2)
-    rep = estimate(space, oc.zero_state(space), ProblemData(f=ZERO))
+    rep = estimate(oc.zero_state(space), ProblemData(f=ZERO))
     assert rep.eta == 0.0 and rep.mu == 0.0 and rep.osc == 0.0
 
 
 def test_unit_load_zero_state_closed_form():
     # eta^2(K) = |K|^2 ||f||_K^2 = |K|^3 with f = 1 and no jumps
     space = square_space(0)
-    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
     np.testing.assert_allclose(rep.eta_sq, [0.125, 0.125], atol=1e-15)
     np.testing.assert_array_equal(rep.mu_sq, rep.eta_sq)
 
@@ -47,7 +47,7 @@ def test_constant_hessian_state_hand_values():
     space = square_space(0, constrained=False)
     u = interpolate(space, lambda x, y: 0.5 * x * x, lambda x, y: (x, 0.0 * y))
     v = interpolate(space, lambda x, y: 0.5 * y * y, lambda x, y: (0.0 * x, y))
-    rep = estimate(space, MorleyField(space, np.stack([u.coeffs, v.coeffs])), ProblemData(f=ZERO))
+    rep = estimate(MorleyField(space, np.stack([u.coeffs, v.coeffs])), ProblemData(f=ZERO))
     # volume: |K|^2 * |K| * [u,v]^2 = 1/8; edges: two unit boundary
     # edges contribute 1 each, scaled by |K|^(1/2)
     want = 0.125 + np.sqrt(0.5) * 2.0
@@ -60,7 +60,7 @@ def test_interior_jumps_detect_kinks():
     space = square_space(2)
     rng = np.random.default_rng(30)
     state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
-    rep = estimate(space, state, ProblemData(f=ZERO))
+    rep = estimate(state, ProblemData(f=ZERO))
     assert np.all(rep.eta_sq >= rep.mu_sq)
     assert rep.eta > rep.mu
 
@@ -69,7 +69,7 @@ def test_estimator_nonnegative_and_totals_consistent():
     space = square_space(3)
     rng = np.random.default_rng(31)
     state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
-    rep = estimate(space, state, ProblemData(f=lambda x, y: x * y))
+    rep = estimate(state, ProblemData(f=lambda x, y: x * y))
     assert np.all(rep.eta_sq >= 0) and np.all(rep.mu_sq >= 0) and np.all(rep.osc_sq >= 0)
     assert rep.total_eta_sq == pytest.approx(rep.eta_sq.sum(), rel=1e-15)
     assert rep.eta == pytest.approx(np.sqrt(rep.eta_sq.sum()), rel=1e-15)
@@ -81,8 +81,8 @@ def test_volume_part_quarters_under_uniform_refinement():
     coarse = square_space(2)
     fine = build_space(uniform_refine(coarse.mesh))
     data = ProblemData(f=ONE)
-    mu_c = estimate(coarse, oc.zero_state(coarse), data).mu_sq.sum()
-    mu_f = estimate(fine, oc.zero_state(fine), data).mu_sq.sum()
+    mu_c = estimate(oc.zero_state(coarse), data).mu_sq.sum()
+    mu_f = estimate(oc.zero_state(fine), data).mu_sq.sum()
     assert mu_f == pytest.approx(mu_c / 4.0, rel=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_estimator_invariant_under_edge_orientation():
         space = oc.reversed_edge_space(mesh) if rev else build_space(mesh)
         state = MorleyField(space, np.stack([interpolate(space, fu, du).coeffs,
                                              interpolate(space, fv, dv).coeffs]))
-        reports.append(estimate(space, state, data).eta_sq)
+        reports.append(estimate(state, data).eta_sq)
     np.testing.assert_allclose(reports[0], reports[1], rtol=1e-12, atol=1e-14)
 
 
@@ -143,14 +143,14 @@ def test_estimate_caches_the_oscillation_until_release():
     f = lambda x, y: np.sin(3.0 * x) * y
     space = square_space(2)
     data = ProblemData(f=f)
-    first = estimate(space, oc.zero_state(space), data, osc_order=1).osc_sq
+    first = estimate(oc.zero_state(space), data, osc_order=1).osc_sq
     u = interpolate(space, lambda x, y: x * y, lambda x, y: (y, x))
     uu = MorleyField(space, np.stack([u.coeffs, u.coeffs]))
-    second = estimate(space, uu, data, osc_order=1)
+    second = estimate(uu, data, osc_order=1)
     assert second.osc_sq is first and not first.flags.writeable
-    assert estimate(space, uu, data, osc_order=0).osc_sq is not first
+    assert estimate(uu, data, osc_order=0).osc_sq is not first
     space.release_quadrature()
-    again = estimate(space, uu, data, osc_order=1).osc_sq
+    again = estimate(uu, data, osc_order=1).osc_sq
     assert again is not first
     np.testing.assert_array_equal(again, first)
     np.testing.assert_array_equal(first, oscillation(space, f, 1))
@@ -181,13 +181,13 @@ def test_smooth_bump_oscillation_decays_fast():
 
 def test_restrict_empty_is_zero():
     space = square_space(2)
-    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
     assert restrict_estimator(rep, [])["eta_sq"] == 0.0
 
 
 def test_restrict_full_set_is_total():
     space = square_space(2)
-    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
     got = restrict_estimator(rep, range(space.mesh.n_triangles))
     assert got["eta_sq"] == pytest.approx(rep.total_eta_sq, rel=1e-15)
 
@@ -196,7 +196,7 @@ def test_restrict_complementary_subsets_add_up():
     space = square_space(3)
     rng = np.random.default_rng(33)
     state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
-    rep = estimate(space, state, ProblemData(f=ONE))
+    rep = estimate(state, ProblemData(f=ONE))
     nt = space.mesh.n_triangles
     part = rng.choice(nt, size=nt // 3, replace=False)
     rest = sorted(set(range(nt)) - set(int(t) for t in part))
@@ -209,7 +209,7 @@ def test_restrict_complementary_subsets_add_up():
 
 def test_restrict_rejects_out_of_range():
     space = square_space(1)
-    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
     with pytest.raises(ValueError):
         restrict_estimator(rep, [99])
 
@@ -219,7 +219,7 @@ def test_restrict_rejects_out_of_range():
 
 def test_report_csv_roundtrip(tmp_path):
     space = square_space(2)
-    rep = estimate(space, oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
     path = tmp_path / "est.csv"
     rep.to_csv(path)
     with path.open() as fh:

@@ -146,7 +146,7 @@ def test_unit_load_on_single_dof_space_matches_symbolic_oracle():
 
 def test_linearized_bracket_zero_state():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    M = assemble_linearized_bracket(space, oc.zero_state(space))
+    M = assemble_linearized_bracket(oc.zero_state(space))
     assert abs(M @ np.eye(2 * space.n_dofs)).max() == 0.0
 
 
@@ -154,7 +154,7 @@ def test_linearized_bracket_block_structure():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
     rng = np.random.default_rng(12)
     n = space.n_dofs
-    M = assemble_linearized_bracket(space, random_state(space, rng)) @ np.eye(2 * n)
+    M = assemble_linearized_bracket(random_state(space, rng)) @ np.eye(2 * n)
     assert np.all(M[n:, n:] == 0.0)
     np.testing.assert_array_equal(M[n:, :n], -M[:n, n:])
 
@@ -165,7 +165,7 @@ def test_linearized_bracket_operator_matches_assembled_matrix(constrained):
                         constrained=constrained)
     state = random_state(space, np.random.default_rng(15))
     n = space.n_dofs
-    M = assemble_linearized_bracket(space, state)
+    M = assemble_linearized_bracket(state)
     assert M.shape == (2 * n, 2 * n)
     applied = M @ np.eye(2 * n)
     reference = oc.linearized_bracket_matrix(space, state).toarray()
@@ -175,7 +175,7 @@ def test_linearized_bracket_operator_matches_assembled_matrix(constrained):
 
 def trilinear(space, psi, theta, phi):
     """Scalar 2 B_pw(psi, theta, phi) through the linearized bracket."""
-    M = assemble_linearized_bracket(space, psi)
+    M = assemble_linearized_bracket(psi)
     return float(phi.coeffs.ravel() @ (M @ theta.coeffs.ravel()))
 
 
@@ -235,7 +235,7 @@ def test_single_element_bracket_entry_hand_value():
     v = interpolate(space, lambda x, y: y * y, lambda x, y: (0.0 * x, 2.0 * y))
     state = MorleyField(space, np.stack([u.coeffs, v.coeffs]))
     n = space.n_dofs
-    M = assemble_linearized_bracket(space, state) @ np.eye(2 * n)
+    M = assemble_linearized_bracket(state) @ np.eye(2 * n)
     for j in range(6):
         Hj = space.shape_hess[0, j]
         for i in range(6):
@@ -251,7 +251,7 @@ def test_residual_all_zero():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
     data = ProblemData(f=lambda x, y: 0.0 * x)
     r = apply_residual(
-        space, oc.zero_state(space), data, assemble_bilaplacian(space), assemble_load(space, data)
+        oc.zero_state(space), data, assemble_bilaplacian(space), assemble_load(space, data)
     )
     assert np.all(r == 0.0)
 
@@ -260,7 +260,7 @@ def test_residual_at_zero_state_is_minus_load():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
     data = ProblemData(f=lambda x, y: 1.0 + x * y, g=lambda x, y: x - y)
     r = apply_residual(
-        space, oc.zero_state(space), data, assemble_bilaplacian(space), assemble_load(space, data)
+        oc.zero_state(space), data, assemble_bilaplacian(space), assemble_load(space, data)
     )
     np.testing.assert_array_equal(r, -assemble_load(space, data))
 
@@ -277,7 +277,7 @@ def test_residual_includes_quadratic_terms():
     n = space.n_dofs
     x = state.coeffs.ravel()
     linear = np.concatenate([A @ x[:n], A @ x[n:]]) - load
-    got = apply_residual(space, state, data, A, load) - linear
+    got = apply_residual(state, data, A, load) - linear
 
     rule = triangle_rule(8)
     pts = triangle_points(rule, space.mesh.triangle_coords())
@@ -306,7 +306,7 @@ def test_include_bracket_false_drops_coupling():
     n = space.n_dofs
     x = state.coeffs.ravel()
     want = np.concatenate([A @ x[:n], A @ x[n:]]) - load
-    np.testing.assert_array_equal(apply_residual(space, state, data, A, load), want)
+    np.testing.assert_array_equal(apply_residual(state, data, A, load), want)
 
 
 # -- norms -------------------------------------------------------------------
@@ -328,7 +328,7 @@ def quadratic_exact(c):
 
 def test_energy_norms_zero_everything():
     space = build_space(uniform_refine(build_initial_mesh("square")))
-    e2, e1, en = energy_norms(space, oc.zero_state(space), quadratic_exact([0] * 6))
+    e2, e1, en = energy_norms(oc.zero_state(space), quadratic_exact([0] * 6))
     assert e2 == 0.0 and e1 == 0.0 and en == 0.0
 
 
@@ -345,7 +345,7 @@ def test_energy_norms_reproduce_interpolated_quadratic():
     )
     u = interpolate(space, q, dq)
     v = interpolate(space, lambda x, y: 0.0 * x, lambda x, y: (0.0 * x, 0.0 * y))
-    e2, e1, en = energy_norms(space, MorleyField(space, np.stack([u.coeffs, v.coeffs])),
+    e2, e1, en = energy_norms(MorleyField(space, np.stack([u.coeffs, v.coeffs])),
                               quadratic_exact(c))
     assert e2 <= 1e-10 and e1 <= 1e-10
     # |||u|||^2 = |K| (4 cxx^2 + 2 cxy^2 + 4 cyy^2)

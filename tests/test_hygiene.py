@@ -4,11 +4,15 @@ Every name in a module's ``__all__`` (and in the package's) must exist,
 so a removed function cannot linger as an export.  Every module-level
 private function, class or constant in ``src/vkmorley`` must be read by
 package code other than its own definition, so a helper whose last
-caller went away is deleted with it rather than kept for tests.
+caller went away is deleted with it rather than kept for tests.  No
+exported function takes a space beside a state that already carries
+one, and every run setting is one the command line sets.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -77,3 +81,36 @@ def test_every_private_module_name_is_used():
             if not used:
                 unused.append(f"{path.name}:{stmt.lineno} {name}")
     assert not unused, f"private names read only by their own definition: {unused}"
+
+
+def test_no_exported_function_takes_a_space_beside_a_state():
+    # A MorleyField carries its space, so a second space argument could only
+    # name another one.  newton_solve keeps its space: its seed may be None.
+    both = set()
+    for module in MODULES:
+        mod = importlib.import_module(module)
+        for name in getattr(mod, "__all__", []):
+            obj = getattr(mod, name)
+            if not inspect.isfunction(obj):
+                continue
+            params = inspect.signature(obj).parameters.values()
+            if (any(p.name == "space" for p in params)
+                    and any("MorleyField" in str(p.annotation) for p in params)):
+                both.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert both == {"vkmorley.solver.newton_solve"}
+
+
+def test_every_run_setting_is_set_from_the_command_line(tmp_path, monkeypatch):
+    # A setting that only tests could set would be a test-only hook.
+    from vkmorley import cli
+    from vkmorley.adaptivity import AmfemConfig
+
+    bound = []
+
+    def spy(*args, **kwargs):
+        bound.append(set(inspect.signature(AmfemConfig).bind(*args, **kwargs).arguments))
+        return AmfemConfig(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "AmfemConfig", spy)
+    assert cli.main(["--levels", "1", "--delta", "0.5", "--out", str(tmp_path)]) == 0
+    assert bound == [{f.name for f in dataclasses.fields(AmfemConfig)}]

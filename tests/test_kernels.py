@@ -84,13 +84,13 @@ def test_matmul_kernels_match_their_einsum_forms(domain, pre, steps, constrained
     for coeffs in (pair.coeffs, pair.u.coeffs):
         _close(space.element_polys(coeffs), oc.element_polys_einsum(space, coeffs))
     exact = get_problem("square-trig").exact
-    np.testing.assert_allclose(energy_norms(space, pair, exact),
+    np.testing.assert_allclose(energy_norms(pair, exact),
                                oc.energy_norms_einsum(space, pair, exact), rtol=RTOL)
 
     def level(mesh):
         s = build_space(mesh, constrained=constrained)
         state = _pair(rng, s)
-        return LevelArtifacts(mesh, s, state, estimate(s, state, data), None)
+        return LevelArtifacts(mesh, s, state, estimate(state, data), None)
 
     lc, lf = level(coarse), level(fine)
     d = (lf.space.element_hessians(lf.state.coeffs)
@@ -119,7 +119,7 @@ def test_moment_kernels_match_their_pointwise_forms(domain, pre, steps, constrai
     block = scale * rng.standard_normal((2, space.n_dofs))
     pair = MorleyField(space, block)
     want = oc.volume_terms_pointwise(space, pair, data)
-    np.testing.assert_allclose(estimate(space, pair, data).mu_sq, want, rtol=RTOL)
+    np.testing.assert_allclose(estimate(pair, data).mu_sq, want, rtol=RTOL)
     # The pointwise oscillation is ||f||^2 minus the projection's share
     # of it, exact only up to rounding of h^4 ||f||^2.
     rule = triangle_rule(4)

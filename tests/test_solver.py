@@ -23,7 +23,6 @@ from vkmorley.mesh import build_initial_mesh, refine, uniform_refine
 from vkmorley.morley import MorleyField, build_space, prolongate
 from vkmorley.problems import get_problem
 from vkmorley.solver import (
-    NewtonConfig,
     SolverError,
     biharmonic_guess,
     dissection_order,
@@ -189,7 +188,7 @@ def trig_jacobian():
     load = assemble_load(space, prob.data)
     guess = biharmonic_guess(space, A, load, factorise(A, dissection_order(space)))
     J = (sp.block_diag((A, A)) + oc.linearized_bracket_matrix(space, guess)).tocsc()
-    rhs = -apply_residual(space, guess, prob.data, A, load)
+    rhs = -apply_residual(guess, prob.data, A, load)
     n = space.n_dofs
     order2 = np.empty(2 * n, dtype=np.int64)
     order2[0::2] = dissection_order(space)
@@ -264,7 +263,7 @@ def test_biharmonic_mode_is_one_newton_step():
         atol=1e-11,
     )
     # with the bracket off the Galerkin identity holds to machine terms
-    r = apply_residual(space, state, prob.data, A, load)
+    r = apply_residual(state, prob.data, A, load)
     assert np.linalg.norm(r) <= 1e-11 * max(1.0, np.linalg.norm(load))
 
 
@@ -304,7 +303,7 @@ def test_converged_residual_below_tolerance():
     assert report.converged
     load = np.linalg.norm(assemble_load(space, prob.data))
     r = apply_residual(
-        space, state, prob.data, assemble_bilaplacian(space), assemble_load(space, prob.data)
+        state, prob.data, assemble_bilaplacian(space), assemble_load(space, prob.data)
     )
     assert np.linalg.norm(r) <= report.tolerance
     assert report.tolerance <= 1e-10 * max(1.0, load)
@@ -376,11 +375,25 @@ def test_block_rhs_solves_each_column():
         np.testing.assert_array_equal(X[:, k], linear_solve(A, B[:, k], solve))
 
 
-def test_max_iter_reports_nonconvergence():
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError, SystemError])
+def test_failed_factorisation_raises_solver_error(monkeypatch, error):
+    # A singular factor, or SuperLU or the permutation running out of
+    # memory, is a SolverError naming the dofs.
+    def splu(A, **kwargs):
+        raise error("injected")
+
+    space = square_space(2)
+    A = assemble_bilaplacian(space)
+    monkeypatch.setattr(spla, "splu", splu)
+    with pytest.raises(SolverError, match=rf"of {space.n_dofs} dofs failed: {error.__name__}"):
+        factorise(A, dissection_order(space))
+
+
+def test_max_iter_reports_nonconvergence(monkeypatch):
     prob = get_problem("square-poly")
     space = square_space(2)
-    cfg = NewtonConfig(max_iter=1, residual_tol=1e-14)
-    _, report = newton_solve(space, prob.data, config=cfg)
+    monkeypatch.setattr(solver, "_MAX_ITER", 1)
+    _, report = newton_solve(space, prob.data, residual_tol=1e-14)
     assert not report.converged
     assert report.iterations == 1
 
@@ -409,7 +422,7 @@ def test_default_tolerance_rule_at_the_iterate():
     assert floor > 10 * 1e-10 * np.linalg.norm(load)
     assert floor == pytest.approx(rule(big), rel=1e-12)
     # An explicit tolerance is used as given.
-    _, report = newton_solve(space, prob.data, config=NewtonConfig(residual_tol=1e-9))
+    _, report = newton_solve(space, prob.data, residual_tol=1e-9)
     assert report.converged and report.tolerance == 1e-9
 
 
@@ -475,11 +488,11 @@ def test_forced_damping_matches_the_keep_all_loop(monkeypatch, caplog, scale):
     caplog.set_level("DEBUG", logger="vkmorley.solver")
     space = square_space(4)
     data = get_problem("square-trig").data
-    cfg = NewtonConfig(max_iter=4)
+    monkeypatch.setattr(solver, "_MAX_ITER", 4)
 
     def run():
         caplog.clear()
-        state, report = newton_solve(space, data, config=cfg)
+        state, report = newton_solve(space, data)
         steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
         return state, report, steps
 
@@ -498,13 +511,15 @@ def test_forced_damping_matches_the_keep_all_loop(monkeypatch, caplog, scale):
         {"residual_tol": float("inf")},
         {"residual_tol": 0.0},
         {"residual_tol": -1.0},
-        {"max_iter": 0},
-        {"max_halvings": -1},
     ],
 )
 def test_newton_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        NewtonConfig(**kwargs)
+    # Both places a Newton tolerance enters share one check.
+    message = "Newton tolerance must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        newton_solve(square_space(1), get_problem("square-poly").data, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        AmfemConfig(newton_tol=kwargs["residual_tol"])
 
 
 def graded_space():
@@ -581,15 +596,15 @@ def test_newton_logs_each_step_at_debug(caplog):
         assert "tol" in message and "halvings" in message
 
 
-def test_newton_stops_at_the_rounding_floor(caplog):
+def test_newton_stops_at_the_rounding_floor(caplog, monkeypatch):
     # Below its rounding floor the residual cannot fall to an explicit
     # tolerance of 1e-13: GMRES returns a zero step, and Newton must end
-    # there instead of halving that step until max_iter.
+    # there instead of halving that step until _MAX_ITER.
     space = square_space(6)
     assert space.n_dofs == 225
     caplog.set_level("WARNING", logger="vkmorley.solver")
-    _, report = newton_solve(space, get_problem("square-trig").data,
-                             config=NewtonConfig(residual_tol=1e-13, max_iter=8))
+    monkeypatch.setattr(solver, "_MAX_ITER", 8)
+    _, report = newton_solve(space, get_problem("square-trig").data, residual_tol=1e-13)
     assert not report.converged
     assert report.iterations <= 4 and report.damping_events == 0
     assert report.residuals[-1] > 1e-13
@@ -600,22 +615,22 @@ def test_newton_stops_at_the_rounding_floor(caplog):
 # -- discretisation stop -----------------------------------------------------
 
 
-def _eta(space, data):
-    return lambda state: estimate(space, state, data).eta
+def _eta(data):
+    return lambda state: estimate(state, data).eta
 
 
 def test_discretisation_stop_meets_lambda_eta_with_fewer_gmres_iterations():
     prob = get_problem("square-trig")
     space = square_space(6)
-    state, forced = newton_solve(space, prob.data, estimator=_eta(space, prob.data))
+    state, forced = newton_solve(space, prob.data, estimator=_eta(prob.data))
     _, plain = newton_solve(space, prob.data)
     assert forced.converged and forced.rule == "discretisation"
     assert forced.residuals[-1] <= forced.tolerance
     A = assemble_bilaplacian(space)
-    r = apply_residual(space, state, prob.data, A, assemble_load(space, prob.data))
+    r = apply_residual(state, prob.data, A, assemble_load(space, prob.data))
     R = r.reshape(2, -1).T
     dual = np.sqrt(np.sum(R * factorise(A, dissection_order(space))(R)))
-    assert dual <= solver._LAMBDA * estimate(space, state, prob.data).eta
+    assert dual <= solver._LAMBDA * estimate(state, prob.data).eta
     assert forced.iterations < plain.iterations
     assert sum(forced.krylov_iterations) < sum(plain.krylov_iterations)
 
@@ -624,10 +639,9 @@ def test_explicit_tolerance_ignores_the_estimator():
     prob = get_problem("square-trig")
     space = square_space(5)
     calls = []
-    cfg = NewtonConfig(residual_tol=1e-9)
-    _, seen = newton_solve(space, prob.data, config=cfg,
+    _, seen = newton_solve(space, prob.data, residual_tol=1e-9,
                            estimator=lambda state: calls.append(state) or 1.0)
-    _, plain = newton_solve(space, prob.data, config=cfg)
+    _, plain = newton_solve(space, prob.data, residual_tol=1e-9)
     assert calls == []
     assert seen == plain and seen.rule == "algebraic"
 
@@ -645,7 +659,7 @@ def test_forced_gmres_step_short_of_its_target_raises(monkeypatch):
     prob = get_problem("square-trig")
     space = square_space(4)
     with pytest.raises(SolverError, match="above its forcing target"):
-        newton_solve(space, prob.data, estimator=_eta(space, prob.data))
+        newton_solve(space, prob.data, estimator=_eta(prob.data))
 
 
 def test_unforced_gmres_step_short_of_its_target_raises(monkeypatch):

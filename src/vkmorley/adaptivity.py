@@ -33,6 +33,7 @@ __all__ = [
     "LevelRow",
     "ConvergenceReport",
     "LevelArtifacts",
+    "AxiomLevel",
     "RunResult",
     "AxiomDiagnostics",
     "doerfler_mark",
@@ -133,6 +134,20 @@ class LevelArtifacts:
     state: MorleyField
     report: EstimatorReport
     solve: SolveReport
+
+    @property
+    def hessians(self) -> np.ndarray:
+        """The state's (2, nt, 3) element Hessians."""
+        return self.space.element_hessians(self.state.coeffs)
+
+
+@dataclass
+class AxiomLevel:
+    """What ``axiom_check`` reads of a level, without its space and state."""
+
+    mesh: Mesh
+    hessians: np.ndarray
+    report: EstimatorReport
 
 
 @dataclass
@@ -295,10 +310,11 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def axiom_check(coarse: LevelArtifacts, fine: LevelArtifacts) -> AxiomDiagnostics:
+def axiom_check(coarse: LevelArtifacts | AxiomLevel,
+                fine: LevelArtifacts | AxiomLevel) -> AxiomDiagnostics:
     """Compare indicator restrictions across one refinement step.
 
-    Both states must be discrete solutions on their own meshes; the
+    Each level is read only as an ``AxiomLevel``.  Both states must be discrete solutions on their own meshes; the
     drivers solve each level up to ||r||_{A^-1} <= 1e-3 eta, an algebraic
     error far below the discretisation error that these quotients see.
     The distance is the piecewise H2 seminorm of their difference,
@@ -306,10 +322,7 @@ def axiom_check(coarse: LevelArtifacts, fine: LevelArtifacts) -> AxiomDiagnostic
     triangle through its ancestor.
     """
     common, coarse_only, fine_only, anc = mesh_partition(coarse.mesh, fine.mesh)
-    fspace, cspace = fine.space, coarse.space
-
-    d = (fspace.element_hessians(fine.state.coeffs)
-         - cspace.element_hessians(coarse.state.coeffs)[:, anc])
+    d = fine.hessians - coarse.hessians[:, anc]
     delta = float(np.sqrt(np.vdot(frobenius_weighted(d, fine.mesh.areas), d)))
 
     fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only)

@@ -17,7 +17,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .adaptivity import AmfemConfig, amfem_run, axiom_check, uniform_run
+from .adaptivity import AmfemConfig, AxiomLevel, amfem_run, axiom_check, uniform_run
 from .mesh import MeshError, write_mesh, write_svg
 from .problems import get_problem
 from .solver import SolverError
@@ -25,6 +25,9 @@ from .solver import SolverError
 logger = logging.getLogger(__name__)
 
 _MODES = ("adaptive", "uniform", "axiom-check")
+# The AxiomDiagnostics fields written to axioms.csv, after the pair's level.
+_AXIOM_COLUMNS = ("delta", "lambda1_star", "lambda2_star", "lambda1_mu_star", "lambda2_mu_star",
+                  "eta_refined_coarse", "eta_refined_fine")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -137,7 +140,7 @@ def main(argv=None) -> int:
         return 2
 
     axioms = []  # (pair, diagnostics) rows of axioms.csv
-    prev = None  # the previous level, the only one axiom-check mode holds
+    prev = None  # what axiom_check reads of the previous level: no space, no state
 
     def write_level(row, arts) -> None:
         nonlocal prev
@@ -149,7 +152,7 @@ def main(argv=None) -> int:
         if args.mode == "axiom-check":
             if prev is not None:
                 axioms.append((row.level - 1, axiom_check(prev, arts)))
-            prev = arts
+            prev = AxiomLevel(arts.mesh, arts.hessians, arts.report)
 
     run = amfem_run if args.mode == "adaptive" else uniform_run
     try:
@@ -167,18 +170,9 @@ def main(argv=None) -> int:
     if args.mode == "axiom-check":
         with (out / "axioms.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["pair", "delta", "lambda1_star", "lambda2_star",
-                 "lambda1_mu_star", "lambda2_mu_star",
-                 "eta_refined_coarse", "eta_refined_fine"]
-            )
-            for level, d in axioms:
-                writer.writerow(
-                    [level, f"{d.delta:.17g}",
-                     f"{d.lambda1_star:.17g}", f"{d.lambda2_star:.17g}",
-                     f"{d.lambda1_mu_star:.17g}", f"{d.lambda2_mu_star:.17g}",
-                     f"{d.eta_refined_coarse:.17g}", f"{d.eta_refined_fine:.17g}"]
-                )
+            writer.writerow(["pair", *_AXIOM_COLUMNS])
+            writer.writerows([level, *(f"{getattr(d, c):.17g}" for c in _AXIOM_COLUMNS)]
+                             for level, d in axioms)
         logger.info("wrote %s", out / "axioms.csv")
 
     logger.info("wrote %s", out / "report.csv")

@@ -23,7 +23,7 @@ because sum_q w_q (f_q - fbar) = 0.  W = sum_q w_q is carried rather
 than taken as 1: the tabulated weights are renormalised, but their sum
 is 1 only to rounding (1 - 2e-16 at degree 6).  Likewise
 ||[u,u] - 2g||^2 is W (b - 2 gbar)^2 + 4 s_g.  f and g are read only as
-the space's moments (``MorleySpace.moments``), which hold sum_q w_q f_q
+the space's moments (``ProblemData.moments``), which hold sum_q w_q f_q
 and s_f; the order-0 oscillation is |K|^3 s_f.
 """
 
@@ -85,15 +85,13 @@ def _volume_terms(space, H: np.ndarray, data: ProblemData) -> np.ndarray:
     br_uv = vk_bracket(Hu, Hv)
     br_uu = vk_bracket(Hu, Hu)
 
-    rule = triangle_rule(data.quad_degree)
-    W = rule.weights.sum()
+    W = triangle_rule(data.quad_degree).weights.sum()
 
-    mf = space.moments(data.f, rule)
+    mf, mg = data.moments(space)
     res1 = (W * (br_uv + mf[:, 0] / W) ** 2 + mf[:, 6]) * mesh.areas
-    if data.g is None:
+    if mg is None:
         res2 = br_uu**2 * mesh.areas
     else:
-        mg = space.moments(data.g, rule)
         res2 = (W * (br_uu - 2.0 * (mg[:, 0] / W)) ** 2 + 4.0 * mg[:, 6]) * mesh.areas
     return mesh.areas**2 * (res1 + res2)
 
@@ -125,21 +123,23 @@ def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> n
     exact for the projection system.  Order 0 is the moments' spread.
     Higher orders subtract the share of P_m f beyond the mean,
     rhs . coef - M_0^2 / W, from it; the right-hand side is the moments
-    and the Gram matrix the moments of each monomial in turn.
+    and the Gram matrix the moments of each monomial in turn, reduced
+    chunk by chunk over ``rule_points``.
     """
     mesh = space.mesh
     if order not in (0, 1, 2):
         raise ValueError(f"oscillation order must be 0, 1 or 2, got {order}")
 
     rule = triangle_rule(max(quad_degree, 2 * order))
-    mom = space.moments(func, rule)
+    [mom] = space.moments([func], rule)
     resid = mom[:, 6]
     if order > 0:
         nb = 3 * order
-        _, xi = space.rule_points(rule)
-        x, y = xi[..., 0], xi[..., 1]
-        M = np.stack([reduce_moments(term, x, y, rule.weights)[:, :nb]
-                      for term in islice(monomial_terms(x, y), nb)], axis=1)
+        M = np.empty((mesh.n_triangles, nb, nb))
+        for t, _, xi in space.rule_points(rule):
+            x, y = xi[..., 0], xi[..., 1]
+            M[t] = np.stack([reduce_moments(term, x, y, rule.weights)[:, :nb]
+                             for term in islice(monomial_terms(x, y), nb)], axis=1)
         rhs = mom[:, :nb]
         coef = np.linalg.solve(M, rhs[..., None])[..., 0]
         beyond_mean = np.einsum("ti,ti->t", coef, rhs) - mom[:, 0] ** 2 / rule.weights.sum()

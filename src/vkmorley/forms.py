@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .morley import MorleyField, MorleySpace, gradients, hessians
+from .morley import MorleyField, MorleySpace, gradients, hessians, joint_evaluator
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -55,15 +55,25 @@ class ProblemData:
     """Right-hand sides and assembly options for one plate problem.
 
     f and g take numpy coordinate arrays and return arrays; g may be
-    None for a zero load on the stress equation.  include_bracket turns
-    the nonlinear coupling off, reducing the system to two decoupled
-    bilaplacian problems (a linear debugging mode).
+    None for a zero load on the stress equation.  joint(x, y), if given,
+    returns the values of f and g at once (set it with them).
+    include_bracket turns the nonlinear coupling off, reducing the
+    system to two decoupled bilaplacian problems (a linear debugging mode).
     """
 
     f: Callable
     g: Callable | None = None
     include_bracket: bool = True
     quad_degree: int = 4
+    joint: Callable | None = None
+
+    def moments(self, space: MorleySpace) -> tuple:
+        """Read-only moments (nt, 7) of f and of g (None for an unset g) under
+        the data's rule, from one ``MorleySpace.moments`` walk."""
+        rule = triangle_rule(self.quad_degree)
+        if self.g is None:
+            return space.moments([self.f], rule, self.joint)[0], None
+        return tuple(space.moments([self.f, self.g], rule, self.joint))
 
 
 def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -97,15 +107,13 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
     """Load vector of both equations, length 2 n_dofs.
 
     The load of shape function i on K is |K| sum_k M_k C_ki, with M the
-    quadratic moments of the data (``MorleySpace.moments``) and C the
+    quadratic moments of the data (``ProblemData.moments``) and C the
     element's monomial coefficients.
     """
-    rule = triangle_rule(data.quad_degree)
     return np.concatenate([
-        np.zeros(space.n_dofs) if func is None else
-        space.scatter(space.mesh.areas[:, None]
-                      * (space.moments(func, rule)[:, None, :6] @ space.coeffs)[:, 0])
-        for func in (data.f, data.g)])
+        np.zeros(space.n_dofs) if m is None else
+        space.scatter(space.mesh.areas[:, None] * (m[:, None, :6] @ space.coeffs)[:, 0])
+        for m in data.moments(space)])
 
 
 def assemble_linearized_bracket(state: MorleyField) -> spla.LinearOperator:
@@ -159,28 +167,28 @@ def energy_norms(state: MorleyField, exact):
 
     Returns (piecewise H2 seminorm error, piecewise H1 seminorm error,
     piecewise H2 seminorm of the discrete state).  exact provides
-    vectorized du, d2u, dv, d2v callables; Hessians as (hxx, hxy, hyy).
-    Each distinct callable is evaluated once at the rule's points, so one
-    shared by u and v is evaluated once; nothing is cached in the space.
+    vectorized du, d2u, dv, d2v callables, Hessians as (hxx, hxy, hyy),
+    and may provide joint(x, y) returning all four at once (default
+    ``joint_evaluator``).  The rule's points are walked in ``rule_points``'
+    chunks, so no whole-mesh array with a quadrature axis is built.
     """
     space = state.space
     rule = triangle_rule(_ERROR_DEGREE)
-    pts, xi = space.rule_points(rule)
-    warea = rule.weights[None, :] * space.mesh.areas[:, None]
-
+    evaluate = (getattr(exact, "joint", None)
+                or joint_evaluator([exact.du, exact.d2u, exact.dv, exact.d2v]))
     polys = space.element_polys(state.coeffs)
     H = hessians(polys, space.scales)  # (2, nt, 3)
-    G = gradients(polys[..., None, :], xi[..., 0], xi[..., 1]) / space.scales[:, None, None]
-    at_points = {func: np.stack(func(pts[..., 0], pts[..., 1]), axis=-1)
-                 for func in {exact.du, exact.d2u, exact.dv, exact.d2v}}
 
-    err2 = 0.0
-    errh1 = 0.0
-    for Hk, Gk, dfun, hfun in zip(H, G, (exact.du, exact.dv), (exact.d2u, exact.d2v)):
-        diff = at_points[hfun] - Hk[:, None, :]
-        err2 += np.vdot(frobenius_weighted(diff, warea), diff)
-        gdiff = at_points[dfun] - Gk
-        errh1 += np.vdot(gdiff * warea[..., None], gdiff)
+    err2 = errh1 = 0.0
+    for t, pts, xi in space.rule_points(rule):
+        warea = rule.weights[None, :] * space.mesh.areas[t, None]
+        G = gradients(polys[:, t, None, :], xi[..., 0], xi[..., 1]) / space.scales[t, None, None]
+        du, d2u, dv, d2v = evaluate(pts[..., 0], pts[..., 1])
+        for Hk, Gk, d1, d2 in zip(H[:, t], G, (du, dv), (d2u, d2v)):
+            diff = np.stack(d2, axis=-1) - Hk[:, None, :]
+            err2 += np.vdot(frobenius_weighted(diff, warea), diff)
+            gdiff = np.stack(d1, axis=-1) - Gk
+            errh1 += np.vdot(gdiff * warea[..., None], gdiff)
 
     energy = np.vdot(frobenius_weighted(H, space.mesh.areas), H)
     return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))

@@ -35,6 +35,7 @@ __all__ = [
     "gradients",
     "hessians",
     "interpolate",
+    "joint_evaluator",
     "monomial_terms",
     "monomials",
     "prolongate",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 _DUALITY_TOL = 1e-10
+# Elements per chunk of every quadrature walk (``MorleySpace.rule_points``):
+# a chunk's (k, q) temporaries stay at a few MB, and meshes of up to 2,048
+# triangles take one chunk, so they pay no per-chunk overhead.
+_CHUNK = 2048
 
 
 def monomial_terms(x: np.ndarray, y: np.ndarray):
@@ -75,6 +80,14 @@ def reduce_moments(values: np.ndarray, x: np.ndarray, y: np.ndarray,
     dev = values - (out[:, 0] / weights.sum())[:, None]
     out[:, 6] = (dev * dev) @ weights
     return out
+
+
+def joint_evaluator(funcs):
+    """(x, y) -> the values of the callables funcs, each distinct one evaluated once."""
+    def evaluate(x, y):
+        values = {func: func(x, y) for func in dict.fromkeys(funcs)}
+        return [values[func] for func in funcs]
+    return evaluate
 
 
 def gradients(polys: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -138,28 +151,41 @@ class MorleySpace:
 
         Each load function is cached only as its moments, (nt, 7) per
         (callable, rule) (``moments``): the load, the estimator's volume
-        terms and its oscillation read nothing else, so no array with a
-        quadrature axis stays alive while a level's factor is.
+        terms and its oscillation read nothing else, and each chunk's
+        points and values die with it, so no array with a quadrature axis
+        stays alive while a level's factor is.
         """
         if key not in self._quadrature:
             self._quadrature[key] = compute()
             self._quadrature[key].flags.writeable = False
         return self._quadrature[key]
 
-    def moments(self, func, rule: TriangleRule) -> np.ndarray:
-        """Read-only moments (nt, 7) of func(x, y) under a rule (see
-        ``reduce_moments``), cached per (func, rule).  func is evaluated once;
-        its points and values are not kept."""
-        def reduce():
-            pts, xi = self.rule_points(rule)
-            values = np.broadcast_to(func(pts[..., 0], pts[..., 1]), pts.shape[:-1])
-            return reduce_moments(values, xi[..., 0], xi[..., 1], rule.weights)
-        return self.cached(("moments", func, rule.degree), reduce)
+    def moments(self, funcs, rule: TriangleRule, joint=None) -> list[np.ndarray]:
+        """Read-only moments (nt, 7) of each callable in funcs under a rule (see
+        ``reduce_moments``), cached per (callable, rule).  If any is missing,
+        all are computed in one walk over ``rule_points``' chunks: joint(x, y)
+        returns every func's values at once (default ``joint_evaluator``), and
+        each chunk's rows are those of one whole-mesh ``reduce_moments``."""
+        keys = [("moments", func, rule.degree) for func in funcs]
+        if not all(key in self._quadrature for key in keys):
+            out = np.empty((len(funcs), self.mesh.n_triangles, 7))
+            evaluate = joint or joint_evaluator(funcs)
+            for t, pts, xi in self.rule_points(rule):
+                for m, values in zip(out, evaluate(pts[..., 0], pts[..., 1])):
+                    m[t] = reduce_moments(np.broadcast_to(values, pts.shape[:-1]),
+                                          xi[..., 0], xi[..., 1], rule.weights)
+            for key, m in zip(keys, out):
+                self.cached(key, lambda: m)
+        return [self._quadrature[key] for key in keys]
 
     def rule_points(self, rule: TriangleRule):
-        """A rule's physical and centred (``local_coords``) points, (nt, q, 2) each."""
-        pts = triangle_points(rule, self.mesh.triangle_coords())
-        return pts, self.local_coords(np.arange(self.mesh.n_triangles)[:, None], pts)
+        """Yield (elements, physical points, centred (``local_coords``) points)
+        for consecutive slices of at most _CHUNK elements, points (k, q, 2)."""
+        mesh = self.mesh
+        for start in range(0, mesh.n_triangles, _CHUNK):
+            t = slice(start, start + _CHUNK)
+            pts = triangle_points(rule, mesh.coords[mesh.tri_vertices[t]])
+            yield t, pts, self.local_coords(np.arange(start, start + len(pts))[:, None], pts)
 
     def release_quadrature(self) -> None:
         """Drop every cached array."""

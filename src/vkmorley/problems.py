@@ -35,6 +35,7 @@ class ExactSolution:
     dv: Callable
     d2v: Callable
     lap2_v: Callable
+    joint: Callable | None = None  # (x, y) -> (du, d2u, dv, d2v) at once
 
 
 @dataclass
@@ -49,12 +50,14 @@ class ManufacturedProblem:
 # -- separable pairs u = v = S(x) S(y) ---------------------------------------
 
 
-def _separable(axis):
-    """ExactSolution, f and g of the pair u = v = S(x) S(y).
+def _separable(axis, quad_degree=4):
+    """ExactSolution and ProblemData of the pair u = v = S(x) S(y).
 
     axis(t) returns S(t) with its first, second and fourth derivatives
     (S, S1, S2, S4).  The Hessian, the bilaplacian and the bracket
-    [u, u] = 2 (u_xx u_yy - u_xy^2) are products of those factors.
+    [u, u] = 2 (u_xx u_yy - u_xy^2) are products of those factors.  One
+    axis call per coordinate serves f and g together (``loads``, before
+    the LU factor) and du and d2u together (``derivatives``, after it).
     """
 
     def hessian(X, Y):
@@ -72,9 +75,13 @@ def _separable(axis):
     def u(x, y):
         return axis(x)[0] * axis(y)[0]
 
+    def derivatives(x, y):
+        X, Y = axis(x), axis(y)
+        grad, hess = (X[1] * Y[0], X[0] * Y[1]), hessian(X, Y)
+        return grad, hess, grad, hess
+
     def du(x, y):
-        (S, S1, _, _), (T, T1, _, _) = axis(x), axis(y)
-        return S1 * T, S * T1
+        return derivatives(x, y)[0]
 
     def d2u(x, y):
         return hessian(axis(x), axis(y))
@@ -82,19 +89,21 @@ def _separable(axis):
     def lap2(x, y):
         return lap2_of(axis(x), axis(y))
 
-    # The bracket first: fewer full-size temporaries are alive at once.
-    def f(x, y):
+    def loads(x, y):
         X, Y = axis(x), axis(y)
-        br = bracket(X, Y)
-        return lap2_of(X, Y) - br
+        br, lap2 = bracket(X, Y), lap2_of(X, Y)
+        del X, Y  # no axis factor is alive while f and g are formed
+        return lap2 - br, lap2 + 0.5 * br
+
+    def f(x, y):
+        return loads(x, y)[0]
 
     def g(x, y):
-        X, Y = axis(x), axis(y)
-        br = bracket(X, Y)
-        return lap2_of(X, Y) + 0.5 * br
+        return loads(x, y)[1]
 
-    exact = ExactSolution(u=u, du=du, d2u=d2u, lap2_u=lap2, v=u, dv=du, d2v=d2u, lap2_v=lap2)
-    return exact, f, g
+    exact = ExactSolution(u=u, du=du, d2u=d2u, lap2_u=lap2, v=u, dv=du, d2v=d2u, lap2_v=lap2,
+                          joint=derivatives)
+    return exact, ProblemData(f=f, g=g, quad_degree=quad_degree, joint=loads)
 
 
 def _poly_axis(t):
@@ -113,51 +122,30 @@ def _trig_axis(t):
             2.0 * np.pi**2 * c2, -8.0 * np.pi**4 * c2)
 
 
-_POLY_EXACT, _poly_f, _poly_g = _separable(_poly_axis)
-_TRIG_EXACT, _trig_f, _trig_g = _separable(_trig_axis)
+_POLY_EXACT, _POLY_DATA = _separable(_poly_axis)
+_TRIG_EXACT, _TRIG_DATA = _separable(_trig_axis, quad_degree=6)
 
 
 def _const_one(x, y):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def _build_registry() -> dict[str, ManufacturedProblem]:
-    reg = {}
-    reg["square-poly"] = ManufacturedProblem(
-        name="square-poly",
-        domain="square",
-        data=ProblemData(f=_poly_f, g=_poly_g),
-        exact=_POLY_EXACT,
-        description="smooth polynomial pair on the unit square",
-    )
-    reg["square-trig"] = ManufacturedProblem(
-        name="square-trig",
-        domain="square",
-        data=ProblemData(f=_trig_f, g=_trig_g, quad_degree=6),
-        exact=_TRIG_EXACT,
-        description="smooth trigonometric pair on the unit square",
-    )
-    reg["lshape-f1"] = ManufacturedProblem(
-        name="lshape-f1",
-        domain="lshape",
-        data=ProblemData(f=_const_one, g=None),
-        exact=None,
-        description="unit load on the L-shaped domain; corner singularity, "
-        "no closed-form solution",
-    )
-    reg["biharm-linear"] = ManufacturedProblem(
-        name="biharm-linear",
-        domain="square",
-        data=ProblemData(f=_POLY_EXACT.lap2_u, g=_POLY_EXACT.lap2_u,
-                         include_bracket=False),
-        exact=_POLY_EXACT,
-        description="decoupled bilaplacian pair (bracket disabled) with the "
-        "polynomial solution",
-    )
-    return reg
-
-
-registry: dict[str, ManufacturedProblem] = _build_registry()
+registry: dict[str, ManufacturedProblem] = {problem.name: problem for problem in [
+    ManufacturedProblem(name="square-poly", domain="square", data=_POLY_DATA, exact=_POLY_EXACT,
+                        description="smooth polynomial pair on the unit square"),
+    ManufacturedProblem(name="square-trig", domain="square", data=_TRIG_DATA, exact=_TRIG_EXACT,
+                        description="smooth trigonometric pair on the unit square"),
+    ManufacturedProblem(name="lshape-f1", domain="lshape",
+                        data=ProblemData(f=_const_one, g=None), exact=None,
+                        description="unit load on the L-shaped domain; corner singularity, "
+                        "no closed-form solution"),
+    ManufacturedProblem(name="biharm-linear", domain="square",
+                        data=ProblemData(f=_POLY_EXACT.lap2_u, g=_POLY_EXACT.lap2_u,
+                                         include_bracket=False),
+                        exact=_POLY_EXACT,
+                        description="decoupled bilaplacian pair (bracket disabled) with the "
+                        "polynomial solution"),
+]}
 
 
 def get_problem(name: str) -> ManufacturedProblem:

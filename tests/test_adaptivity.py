@@ -29,6 +29,7 @@ from vkmorley.forms import ProblemData, apply_residual, assemble_bilaplacian, as
 from vkmorley.mesh import MeshError, build_initial_mesh, uniform_refine
 from vkmorley.morley import build_space
 from vkmorley.problems import ManufacturedProblem, get_problem
+from vkmorley.quadrature import triangle_rule
 from vkmorley.solver import SolveReport, dissection_order, factorise
 
 import oracles as oc
@@ -396,32 +397,41 @@ class TestUniformDriver:
             assert cur < prev
         assert etas[-1] < etas[0] / 10
 
-    def test_each_data_callable_evaluated_once_per_level(self):
+    def test_each_data_callable_evaluated_once_per_level(self, monkeypatch):
         # The load, the estimator and the error norms share the space's
-        # quadrature cache; square-trig's u and v share du and d2u.
+        # quadrature cache.  Each field group is evaluated by its joint
+        # evaluator at each of a level's rule points once: f with g, and du
+        # with d2u, which square-trig's u and v share.  Small chunks make
+        # every level take several.
+        monkeypatch.setattr(morley, "_CHUNK", 7)
         prob = get_problem("square-trig")
-        calls = {}
+        points = {}
 
-        def spy(name, func):
+        def spy(name, joint):
             def counted(x, y):
-                calls[name] = calls.get(name, 0) + 1
-                return func(x, y)
+                points[name] = points.get(name, 0) + x.size
+                return joint(x, y)
             return counted
 
-        du, d2u = spy("du", prob.exact.du), spy("d2u", prob.exact.d2u)
         spied = dataclasses.replace(
             prob,
-            data=dataclasses.replace(prob.data, f=spy("f", prob.data.f), g=spy("g", prob.data.g)),
-            exact=dataclasses.replace(prob.exact, du=du, d2u=d2u, dv=du, d2v=d2u),
+            data=dataclasses.replace(prob.data, joint=spy("f/g", prob.data.joint)),
+            exact=dataclasses.replace(prob.exact, joint=spy("du/d2u", prob.exact.joint)),
         )
-        res = uniform_run(spied, AmfemConfig(delta=0.3, max_levels=1))
-        assert res.report.rows[0].err_energy is not None
-        assert calls == {"f": 1, "g": 1, "du": 1, "d2u": 1}
+        res = uniform_run(spied, AmfemConfig(delta=0.3, max_levels=2))
+        assert all(r.err_energy is not None for r in res.report.rows)
+        assert res.report.rows[0].ntri > 7
+        q = len(triangle_rule(6).weights)
+        want = q * sum(r.ntri for r in res.report.rows)
+        assert points == {"f/g": want, "du/d2u": want}
 
     def test_load_reduced_to_moments_once_per_level(self, monkeypatch):
         # f and g are each reduced to their moments once per level, however
         # many iterates Newton estimates: the load, the volume terms and the
-        # oscillation all read the cached moments.
+        # oscillation all read the cached moments.  The reductions walk each
+        # level's triangles in consecutive chunks, f and g once per chunk.
+        chunk = 100
+        monkeypatch.setattr(morley, "_CHUNK", chunk)
         reductions, estimates = [], []
         reduce = morley.reduce_moments
 
@@ -439,7 +449,9 @@ class TestUniformDriver:
         rows = res.report.rows
         assert rows[0].newton_iters >= 2
         assert len(estimates) == sum(r.newton_iters + 1 for r in rows)
-        assert reductions == [rows[0].ntri] * 2 + [rows[1].ntri] * 2
+        assert rows[0].ntri % chunk != 0
+        assert reductions == [min(chunk, r.ntri - start) for r in rows
+                              for start in range(0, r.ntri, chunk) for _ in "fg"]
 
     @pytest.mark.parametrize("osc_order", [0, 2])
     def test_no_quadrature_axis_cached_under_the_factor(self, monkeypatch, osc_order):

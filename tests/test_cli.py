@@ -331,9 +331,13 @@ def test_failed_factorisation_aborts_the_run(tmp_path, monkeypatch, capsys, erro
 
 
 def test_axiom_check_run_holds_at_most_one_earlier_level(tmp_path, monkeypatch):
-    build = adaptivity.build_space
+    # The previous level's space is alive while the next one is built (its
+    # state is prolongated), but no earlier space is while Newton solves:
+    # axiom-check mode keeps only the mesh, Hessians and indicators.
+    build, solve = adaptivity.build_space, adaptivity.newton_solve
     spaces = []
     alive = []  # earlier levels' spaces still alive when the next one is built
+    at_solve = []  # earlier levels' spaces still alive when it is solved
 
     def tracked(mesh):
         gc.collect()
@@ -342,10 +346,17 @@ def test_axiom_check_run_holds_at_most_one_earlier_level(tmp_path, monkeypatch):
         spaces.append(weakref.ref(space))
         return space
 
+    def tracked_solve(space, *args, **kwargs):
+        gc.collect()
+        at_solve.append(sum(ref() is not None for ref in spaces[:-1]))
+        return solve(space, *args, **kwargs)
+
     monkeypatch.setattr(adaptivity, "build_space", tracked)
+    monkeypatch.setattr(adaptivity, "newton_solve", tracked_solve)
     code = main(["--problem", "square-poly", "--mode", "axiom-check", "--levels", "6",
                  "--delta", "0.75", "--dump-estimator", "--out", str(tmp_path)])
     assert code == 0
     with open(tmp_path / "axioms.csv", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 5
     assert alive == [0, 1, 1, 1, 1, 1]
+    assert at_solve == [0] * 6

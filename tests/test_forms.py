@@ -1,5 +1,6 @@
 """Bilinear/trilinear form assembly against symbolic and quadrature oracles."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from vkmorley.forms import (
 )
 from vkmorley.mesh import build_initial_mesh, mesh_from_arrays, uniform_refine
 from vkmorley.morley import MorleyField, build_space, interpolate
+from vkmorley.problems import get_problem
 from vkmorley.quadrature import triangle_points, triangle_rule
 
 import oracles as oc
@@ -324,6 +326,27 @@ def quadratic_exact(c):
         dv=lambda x, y: (0.0 * x, 0.0 * y),
         d2v=lambda x, y: (0.0 * x, 0.0 * x, 0.0 * x),
     )
+
+
+# Traced peak of the error norms on the square bisected 12 times (8,192
+# triangles): 17.7 MB when the rule's points and the exact derivatives
+# were evaluated on the whole mesh at once, 7.9 MB in chunks of 2,048
+# elements.
+def test_energy_norms_traced_peak():
+    mesh = build_initial_mesh("square")
+    for _ in range(12):
+        mesh = uniform_refine(mesh)
+    space = build_space(mesh)
+    assert space.mesh.n_triangles == 8192
+    state = random_state(space, np.random.default_rng(12))
+    exact = get_problem("square-trig").exact
+    tracemalloc.start()
+    try:
+        energy_norms(state, exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.0 * 2**20
 
 
 def test_energy_norms_zero_everything():

@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles as oc
-from vkmorley.adaptivity import LevelArtifacts, axiom_check
+from vkmorley import morley
+from vkmorley.adaptivity import AxiomLevel, LevelArtifacts, axiom_check
 from vkmorley.estimator import EstimatorReport, estimate, oscillation
 from vkmorley.forms import ProblemData, assemble_bilaplacian, assemble_load, energy_norms
-from vkmorley.mesh import ancestor_map, write_mesh, write_svg
-from vkmorley.morley import MorleyField, build_space
+from vkmorley.mesh import (ancestor_map, build_initial_mesh, refine, uniform_refine,
+                           write_mesh, write_svg)
+from vkmorley.morley import MorleyField, build_space, reduce_moments
 from vkmorley.problems import get_problem
 from vkmorley.quadrature import triangle_points, triangle_rule
 
@@ -201,3 +203,71 @@ def test_writers_on_edge_values_and_a_real_mesh(tmp_path):
     mesh = oc.random_descent(np.random.default_rng(3), "lshape", 2, 2)[1]
     _same_bytes(tmp_path, write_mesh, oc.write_mesh_rows, mesh)
     _same_bytes(tmp_path, write_svg, oc.write_svg_rows, mesh)
+
+
+# -- element chunks ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def chunked_levels():
+    # An adaptive L-shape pair whose fine mesh spans several chunks, the
+    # last one partial, with a random (u, v) pair on each level.
+    coarse = build_initial_mesh("lshape")
+    while coarse.n_triangles <= 2 * morley._CHUNK:
+        coarse = uniform_refine(coarse)
+    fine = refine(coarse, np.arange(0, coarse.n_triangles, 5))
+    assert fine.n_triangles % morley._CHUNK != 0
+    rng = np.random.default_rng(23)
+    data = get_problem("square-trig").data
+    levels = []
+    for mesh in (coarse, fine):
+        space = build_space(mesh)
+        state = _pair(rng, space)
+        levels.append(LevelArtifacts(mesh, space, state, estimate(state, data), None))
+    return levels
+
+
+def _whole_mesh_moments(space, func, rule):
+    pts = triangle_points(rule, space.mesh.triangle_coords())
+    xi = space.local_coords(np.arange(space.mesh.n_triangles)[:, None], pts)
+    values = np.broadcast_to(func(pts[..., 0], pts[..., 1]), pts.shape[:-1])
+    return reduce_moments(values, xi[..., 0], xi[..., 1], rule.weights)
+
+
+def test_chunked_moments_equal_one_whole_mesh_reduction(chunked_levels):
+    # Joint (square-trig) and per-field (the default evaluator) data alike.
+    space = build_space(chunked_levels[1].mesh)
+    trig = get_problem("square-trig").data
+    plain = ProblemData(f=lambda x, y: np.exp(x) * np.cos(3 * y), g=lambda x, y: x * y)
+    for data in (trig, plain):
+        rule = triangle_rule(data.quad_degree)
+        for m, func in zip(data.moments(space), (data.f, data.g)):
+            assert np.array_equal(m, _whole_mesh_moments(space, func, rule))
+
+
+def test_chunked_oscillation_equals_one_chunk(chunked_levels, monkeypatch):
+    space = build_space(chunked_levels[1].mesh)
+    f = get_problem("square-trig").data.f
+    chunked = [oscillation(space, f, order, 6) for order in (1, 2)]
+    space.release_quadrature()
+    monkeypatch.setattr(morley, "_CHUNK", space.mesh.n_triangles)
+    for order, got in zip((1, 2), chunked):
+        assert np.array_equal(got, oscillation(space, f, order, 6))
+
+
+def test_chunked_energy_norms_match_the_einsum_form(chunked_levels):
+    exact = get_problem("square-trig").exact
+    for level in chunked_levels:
+        np.testing.assert_allclose(energy_norms(level.state, exact),
+                                   oc.energy_norms_einsum(level.space, level.state, exact),
+                                   rtol=1e-13)
+
+
+def test_axiom_level_gives_the_quotients_of_the_full_level(chunked_levels):
+    coarse, fine = chunked_levels
+    def small(level):
+        return AxiomLevel(level.mesh, level.hessians, level.report)
+
+    want = axiom_check(coarse, fine)
+    assert axiom_check(small(coarse), fine) == want
+    assert axiom_check(small(coarse), small(fine)) == want

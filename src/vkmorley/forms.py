@@ -56,9 +56,11 @@ class ProblemData:
 
     f and g take numpy coordinate arrays and return arrays; g may be
     None for a zero load on the stress equation.  joint(x, y), if given,
-    returns the values of f and g at once (set it with them).
-    include_bracket turns the nonlinear coupling off, reducing the
-    system to two decoupled bilaplacian problems (a linear debugging mode).
+    returns the values of f and g at once (set it with them); one that
+    records them as its ``funcs`` attribute is not used once f or g is
+    replaced.  include_bracket turns the nonlinear coupling off, reducing
+    the system to two decoupled bilaplacian problems (a linear debugging
+    mode).
     """
 
     f: Callable
@@ -70,10 +72,15 @@ class ProblemData:
     def moments(self, space: MorleySpace) -> tuple:
         """Read-only moments (nt, 7) of f and of g (None for an unset g) under
         the data's rule, from one ``MorleySpace.moments`` walk."""
-        rule = triangle_rule(self.quad_degree)
-        if self.g is None:
-            return space.moments([self.f], rule, self.joint)[0], None
-        return tuple(space.moments([self.f, self.g], rule, self.joint))
+        funcs = (self.f,) if self.g is None else (self.f, self.g)
+        out = space.moments(funcs, triangle_rule(self.quad_degree), _joint_for(self.joint, funcs))
+        return (out[0], None) if self.g is None else tuple(out)
+
+
+def _joint_for(joint: Callable | None, funcs: tuple) -> Callable | None:
+    """joint, unless it records the callables it evaluates as ``funcs`` and
+    those are not funcs: a joint evaluator stands only for its own fields."""
+    return joint if getattr(joint, "funcs", funcs) == funcs else None
 
 
 def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -169,13 +176,14 @@ def energy_norms(state: MorleyField, exact):
     piecewise H2 seminorm of the discrete state).  exact provides
     vectorized du, d2u, dv, d2v callables, Hessians as (hxx, hxy, hyy),
     and may provide joint(x, y) returning all four at once (default
-    ``joint_evaluator``).  The rule's points are walked in ``rule_points``'
-    chunks, so no whole-mesh array with a quadrature axis is built.
+    ``joint_evaluator``, also when ``_joint_for`` drops it).  The rule's
+    points are walked in ``rule_points``' chunks, so no whole-mesh array
+    with a quadrature axis is built.
     """
     space = state.space
     rule = triangle_rule(_ERROR_DEGREE)
-    evaluate = (getattr(exact, "joint", None)
-                or joint_evaluator([exact.du, exact.d2u, exact.dv, exact.d2v]))
+    funcs = (exact.du, exact.d2u, exact.dv, exact.d2v)
+    evaluate = _joint_for(getattr(exact, "joint", None), funcs) or joint_evaluator(funcs)
     polys = space.element_polys(state.coeffs)
     H = hessians(polys, space.scales)  # (2, nt, 3)
 

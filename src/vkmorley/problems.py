@@ -57,7 +57,9 @@ def _separable(axis, quad_degree=4):
     (S, S1, S2, S4).  The Hessian, the bilaplacian and the bracket
     [u, u] = 2 (u_xx u_yy - u_xy^2) are products of those factors.  One
     axis call per coordinate serves f and g together (``loads``, before
-    the LU factor) and du and d2u together (``derivatives``, after it).
+    the LU factor) and du and d2u together (``derivatives``, after it);
+    each records the callables it stands for as ``funcs``, so that data
+    with f, g or du replaced evaluate the new ones.
     """
 
     def hessian(X, Y):
@@ -101,6 +103,7 @@ def _separable(axis, quad_degree=4):
     def g(x, y):
         return loads(x, y)[1]
 
+    loads.funcs, derivatives.funcs = (f, g), (du, d2u, du, d2u)
     exact = ExactSolution(u=u, du=du, d2u=d2u, lap2_u=lap2, v=u, dv=du, d2v=d2u, lap2_v=lap2,
                           joint=derivatives)
     return exact, ProblemData(f=f, g=g, quad_degree=quad_degree, joint=loads)

@@ -33,15 +33,27 @@ leaves of ``_ND_LEAF`` = 8 dofs (4 gives about the same fill, 16 more),
 and takes as separator the dofs on triangles of both halves, the
 interface vertices and edges.  A couples two dofs only through a triangle they
 share, so the order reads only the space, and each separator
-disconnects its halves.  Rows and columns are permuted alike, so SuperLU
-runs in symmetric mode with no column ordering of its own: it keeps a
-diagonal pivot at least ``_PIVOT_THRESH`` times the largest entry of its
-column, which preserves the order's fill, and pivots off the diagonal
-otherwise.  That trades stability for fill, so every solve checks its
-residual against the rule it was asked to meet: a direct solve against
-``_FLOOR_FACTOR`` times its rounding floor eps | |A| |x| + |b| |, with
-|A| read from A's own arrays at each check, a GMRES solve against the
-tolerance GMRES was given.
+disconnects its halves.
+
+``factorise`` factors the permuted A scaled symmetrically by its
+diagonal, D^-1/2 A D^-1/2 with D = diag(A) (van der Sluis, Numer. Math.
+14, 1969), whose diagonal is all ones, and ``solve`` unscales.  On a
+graded mesh A's vertex-dof diagonal spans 8e3-2e9 while its edge-dof
+diagonal stays within 4-8; unscaled, SuperLU left the diagonal hundreds
+of times per factor (598 times at 33,177 dofs), and scaled, not once.
+Rows and columns are permuted alike, so SuperLU runs in symmetric mode
+with no column ordering of its own, in one-column panels
+(``_PANEL_SIZE``), which keep the fill of wider ones, factor faster and
+need no per-panel work arrays.  As a safety net it keeps a diagonal
+pivot only while it is at least ``_PIVOT_THRESH`` times the largest
+entry of its column, and pivots off the diagonal otherwise, which
+breaks the order and adds fill (Demmel, Eisenstat, Gilbert, Li and Liu,
+SIAM J. Matrix Anal. Appl. 20, 1999).
+That trades stability for fill, so every solve checks its residual
+against the rule it was asked to meet, on the unscaled A: a direct
+solve against ``_FLOOR_FACTOR`` times its rounding floor
+eps | |A| |x| + |b| |, with |A| read from A's own arrays at each check,
+a GMRES solve against the tolerance GMRES was given.
 """
 
 from __future__ import annotations
@@ -79,6 +91,8 @@ _ND_LEAF = 8
 # SuperLU keeps the diagonal pivot if it is at least this fraction of
 # the largest entry in its column.
 _PIVOT_THRESH = 0.01
+# SuperLU's panel width in columns.
+_PANEL_SIZE = 1
 # GMRES relative tolerance, and restart cycles (of 20 iterations) allowed.
 _GMRES_RTOL = 1e-11
 _GMRES_CYCLES = 10
@@ -188,20 +202,35 @@ def dissection_order(space: MorleySpace) -> np.ndarray:
 def factorise(A: sp.spmatrix, order: np.ndarray):
     """Factorise A once in a symmetric order; returns x = solve(b) for A x = b.
 
-    A is factorised as A[order][:, order] (rows and columns permuted
-    alike); solve takes and returns vectors, or (n, k) blocks, in A's
-    own numbering.  A singular A, or memory run out in the permutation or
-    in SuperLU (MemoryError, or SystemError), raises SolverError.
+    A is factorised as S A[order][:, order] S with S = diag(A[order])^-1/2
+    (rows and columns permuted alike, then scaled to a unit diagonal in
+    place), in panels of ``_PANEL_SIZE`` columns; solve takes and returns
+    vectors, or (n, k) blocks, in A's own numbering, as
+    x[order] = S LU^-1 (S b[order]).  A diagonal entry that is not finite
+    and positive raises SolverError naming its dof, before any scaling.
+    A singular A, or memory run out in the permutation or in SuperLU
+    (MemoryError, or SystemError), raises SolverError.
     """
+    n = A.shape[0]
+    diag = A.diagonal()
+    bad = np.flatnonzero(~(np.isfinite(diag) & (diag > 0.0)))
+    if len(bad):
+        raise SolverError(f"diagonal entry {float(diag[bad[0]])!r} at dof {bad[0]} of {n} "
+                          "dofs is not finite and positive")
+    s = 1.0 / np.sqrt(diag[order])
     try:
-        lu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
-                       diag_pivot_thresh=_PIVOT_THRESH, options=dict(SymmetricMode=True))
+        M = A.tocsr()[order][:, order].tocsc()
+        M.data *= s[M.indices]
+        M.data *= np.repeat(s, np.diff(M.indptr))
+        lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESH,
+                       panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True))
     except (RuntimeError, MemoryError, SystemError) as exc:
-        raise SolverError(f"sparse factorization of {A.shape[0]} dofs failed: {exc!r}") from exc
+        raise SolverError(f"sparse factorization of {n} dofs failed: {exc!r}") from exc
 
     def solve(b: np.ndarray) -> np.ndarray:
+        w = s if np.ndim(b) == 1 else s[:, None]
         x = np.empty_like(b, dtype=float)
-        x[order] = lu.solve(b[order])
+        x[order] = w * lu.solve(w * b[order])
         return x
     return solve
 

@@ -1,5 +1,6 @@
 """Bilinear/trilinear form assembly against symbolic and quadrature oracles."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -141,6 +142,40 @@ def test_unit_load_on_single_dof_space_matches_symbolic_oracle():
     )
     assert load[0] == pytest.approx(float(want), rel=1e-12)
     assert load[1] == 0.0
+
+
+@pytest.mark.parametrize("field", ["f", "g"])
+def test_replaced_load_is_evaluated(field):
+    # The registry's joint evaluator stands for its own f and g only, so a
+    # load replaced on a copy of its data is the one integrated.
+    data = get_problem("square-trig").data
+    calls = []
+
+    def new_load(x, y):
+        calls.append(x.size)
+        return np.exp(x) * y
+
+    mesh = uniform_refine(uniform_refine(build_initial_mesh("square")))
+    loads = {"f": data.f, "g": data.g, field: new_load}
+    load = assemble_load(build_space(mesh), dataclasses.replace(data, **{field: new_load}))
+    assert calls
+    plain = ProblemData(**loads, quad_degree=data.quad_degree)
+    np.testing.assert_array_equal(load, assemble_load(build_space(mesh), plain))
+
+
+def test_replaced_exact_derivative_is_evaluated():
+    # Likewise the exact solution's joint evaluator, in the error norms.
+    exact = get_problem("square-trig").exact
+    space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
+    state = random_state(space, np.random.default_rng(3))
+
+    def du(x, y):
+        du_x, du_y = exact.du(x, y)
+        return du_x + 1.0, du_y
+
+    replaced = energy_norms(state, dataclasses.replace(exact, du=du))
+    assert replaced == energy_norms(state, dataclasses.replace(exact, du=du, joint=None))
+    assert replaced[1] != energy_norms(state, exact)[1]
 
 
 # -- linearized bracket ------------------------------------------------------

@@ -1,7 +1,7 @@
 """Newton iteration and the sparse linear solve."""
 
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -73,10 +73,42 @@ def test_random_sparse_system_agrees_with_dense():
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 def test_singular_system_raises():
     M = sp.csr_matrix(np.zeros((3, 3)))
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="at dof 0 of 3 dofs"):
         linear_solve(M, np.ones(3), factorise(M, np.arange(3)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+def test_bad_diagonal_raises_naming_its_dof(entry):
+    # The factor scales by diag(A)^-1/2, so an entry that is not finite
+    # and positive is refused before any scaling, and named.
+    M = sp.diags([-np.ones(5), 4.0 * np.ones(6), -np.ones(5)], [-1, 0, 1], format="lil")
+    M[3, 3] = entry
+    with pytest.raises(SolverError, match=rf"diagonal entry {entry!r} at dof 3 of 6 dofs"):
+        factorise(M.tocsr(), np.arange(6)[::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), density=st.floats(0.05, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_badly_scaled_spd_system_agrees_with_dense(n, density, seed):
+    # D B D with B symmetric, diagonally dominant and of unit diagonal, and
+    # D spreading diag(A) over 1e-6 to 1e6: the residual check accepts the
+    # solve, which matches a dense solve in the norm D scales to B's.
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=density, random_state=rng, data_rvs=rng.standard_normal)
+    R = sp.triu(R, 1) + sp.triu(R, 1).T
+    B = R + sp.diags(abs(R).sum(axis=1).A1 + 1.0)
+    d = rng.permutation(np.r_[-3.0, 3.0, rng.uniform(-3.0, 3.0, n - 2)])
+    scale = 10.0**d / np.sqrt(B.diagonal())
+    A = sp.csr_matrix(sp.diags(scale) @ B @ sp.diags(scale))
+    np.testing.assert_allclose([A.diagonal().min(), A.diagonal().max()], [1e-6, 1e6], rtol=1e-12)
+    b = rng.standard_normal(n)
+    x = linear_solve(A, b, factorise(A, rng.permutation(n)))
+    expected = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm((x - expected) / scale) <= 1e-10 * np.linalg.norm(expected / scale)
 
 
 def test_solve_off_its_rounding_floor_raises():
@@ -160,8 +192,8 @@ def test_every_separator_disconnects_its_halves(domain, pre, steps, constrained,
     np.testing.assert_array_equal(order, dissection_order(space))
 
 
-def factor_fill(M, order):
-    """L + U nonzeros of the one factor ``factorise`` makes of M in an order."""
+def captured_factor(M, order):
+    """The one SuperLU factor ``factorise`` makes of M in an order."""
     factors = []
     splu = spla.splu
     with pytest.MonkeyPatch.context() as patch:
@@ -169,7 +201,13 @@ def factor_fill(M, order):
                       lambda A, **kwargs: factors.append(splu(A, **kwargs)) or factors[-1])
         factorise(M, order)
     assert len(factors) == 1
-    return factors[0].L.nnz + factors[0].U.nnz
+    return factors[0]
+
+
+def factor_fill(M, order):
+    """L + U nonzeros of the one factor ``factorise`` makes of M in an order."""
+    lu = captured_factor(M, order)
+    return lu.L.nnz + lu.U.nnz
 
 
 @pytest.fixture(scope="module")
@@ -209,10 +247,22 @@ def test_ordered_jacobian_fill_below_colamd(trig_jacobian):
     assert factor_fill(J, order2) < colamd.L.nnz + colamd.U.nnz
 
 
-def lshape_adaptive_space():
-    """The last mesh of the adaptive lshape-f1 run capped at 3,000 dofs (3,119)."""
-    cfg = AmfemConfig(theta=0.3, delta=0.9, max_ndofs=3000, max_levels=500)
+@cache
+def lshape_adaptive_space(cap=3000):
+    """The last mesh of the adaptive lshape-f1 run (theta 0.3, delta 0.9)
+    capped at cap dofs: 3,119 dofs at 3,000, 10,679 at 10^4."""
+    cfg = AmfemConfig(theta=0.3, delta=0.9, max_ndofs=cap, max_levels=500)
     return amfem_run(get_problem("lshape-f1"), cfg).final.space
+
+
+def test_graded_factor_pivots_only_on_the_diagonal():
+    # On this mesh A's vertex-dof diagonal spans 3.6e3-3.4e7 and its
+    # edge-dof diagonal 4-8; unscaled, SuperLU pivoted off the diagonal
+    # 126 times.
+    space = lshape_adaptive_space(10_000)
+    assert space.n_dofs == 10_679
+    lu = captured_factor(assemble_bilaplacian(space), dissection_order(space))
+    np.testing.assert_array_equal(lu.perm_r, np.arange(space.n_dofs))
 
 
 # Each bound lies between the fill per dof of the triangle-bisection order
@@ -220,11 +270,14 @@ def lshape_adaptive_space():
 # through both ends of the interface edges: 28.6 and 73.1 on the square
 # bisected 9 times, 55.0 and 79.3 bisected 10 times, 66.0 and 74.8 on the
 # adaptive mesh.  Those were leaves of 16 dofs; leaves of 8 reach 25.9,
-# 49.7 and 62.2, and each bound now lies between the two leaf sizes.
+# 49.7 and 62.2, and each bound now lies between the two leaf sizes.  On
+# the adaptive mesh capped at 10^4 dofs the scaled factor reaches 72.4,
+# and the unscaled one 78.3 with its 126 off-diagonal pivots.
 @pytest.mark.parametrize("build,bound", [(partial(square_space, 9), 27.0),
                                          (partial(square_space, 10), 52.0),
-                                         (lshape_adaptive_space, 64.0)],
-                         ids=["square-9", "square-10", "lshape-adaptive"])
+                                         (lshape_adaptive_space, 64.0),
+                                         (partial(lshape_adaptive_space, 10_000), 75.0)],
+                         ids=["square-9", "square-10", "lshape-adaptive", "lshape-adaptive-10k"])
 def test_factor_fill_per_dof(build, bound):
     space = build()
     fill = factor_fill(assemble_bilaplacian(space), dissection_order(space))

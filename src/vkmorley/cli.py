@@ -45,7 +45,12 @@ def _parse_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise SystemExit(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise SystemExit(f"{path}:{ln}: duplicate key {key!r}")
+        if key == "config":
+            raise SystemExit(f"{path}:{ln}: a config file cannot set 'config'")
+        values[key] = val.strip()
     return values
 
 

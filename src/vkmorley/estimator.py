@@ -115,12 +115,13 @@ def _edge_terms(mesh, H: np.ndarray) -> np.ndarray:
     return np.sqrt(mesh.areas) * out
 
 
-def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> np.ndarray:
-    """Per-triangle squared data oscillation h^4 ||f - P_m f||^2.
+def oscillation(space: MorleySpace, data: ProblemData, order: int) -> np.ndarray:
+    """Per-triangle squared data oscillation h^4 ||f - P_m f||^2 of data's f.
 
     P_m is the elementwise L2 projection onto polynomials of total
     degree at most order (0, 1 or 2), computed with a quadrature rule
-    exact for the projection system.  Order 0 is the moments' spread.
+    exact for the projection system, from f's moments in the cache entry
+    of data.loads (``MorleySpace.moments``).  Order 0 is their spread.
     Higher orders subtract the share of P_m f beyond the mean,
     rhs . coef - M_0^2 / W, from it; the right-hand side is the moments
     and the Gram matrix the moments of each monomial in turn, reduced
@@ -130,8 +131,8 @@ def oscillation(space: MorleySpace, func, order: int, quad_degree: int = 4) -> n
     if order not in (0, 1, 2):
         raise ValueError(f"oscillation order must be 0, 1 or 2, got {order}")
 
-    rule = triangle_rule(max(quad_degree, 2 * order))
-    [mom] = space.moments([func], rule)
+    rule = triangle_rule(max(data.quad_degree, 2 * order))
+    mom = space.moments(data.loads, rule)[0]
     resid = mom[:, 6]
     if order > 0:
         nb = 3 * order
@@ -155,8 +156,8 @@ def estimate(state: MorleyField, data: ProblemData, osc_order: int = 0) -> Estim
     mu_sq = _volume_terms(space, H, data)
     eta_sq = mu_sq + _edge_terms(space.mesh, H)
     # The oscillation does not depend on the state: once per level.
-    osc_sq = space.cached(("oscillation", data.f, osc_order, data.quad_degree),
-                          lambda: oscillation(space, data.f, osc_order, data.quad_degree))
+    osc_sq = space.cached(("oscillation", data.loads, osc_order, data.quad_degree),
+                          lambda: oscillation(space, data, osc_order))
     return EstimatorReport(
         eta_sq=eta_sq,
         mu_sq=mu_sq,

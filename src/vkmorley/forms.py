@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .morley import MorleyField, MorleySpace, gradients, hessians, joint_evaluator
+from .morley import MorleyField, MorleySpace, gradients, hessians
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -54,33 +54,20 @@ _ERROR_DEGREE = 6
 class ProblemData:
     """Right-hand sides and assembly options for one plate problem.
 
-    f and g take numpy coordinate arrays and return arrays; g may be
-    None for a zero load on the stress equation.  joint(x, y), if given,
-    returns the values of f and g at once (set it with them); one that
-    records them as its ``funcs`` attribute is not used once f or g is
-    replaced.  include_bracket turns the nonlinear coupling off, reducing
-    the system to two decoupled bilaplacian problems (a linear debugging
-    mode).
+    loads(x, y) takes numpy coordinate arrays and returns the values of f
+    and g at once; g is None for a zero load on the stress equation.
+    include_bracket turns the nonlinear coupling off, reducing the system
+    to two decoupled bilaplacian problems (a linear debugging mode).
     """
 
-    f: Callable
-    g: Callable | None = None
+    loads: Callable
     include_bracket: bool = True
     quad_degree: int = 4
-    joint: Callable | None = None
 
     def moments(self, space: MorleySpace) -> tuple:
-        """Read-only moments (nt, 7) of f and of g (None for an unset g) under
-        the data's rule, from one ``MorleySpace.moments`` walk."""
-        funcs = (self.f,) if self.g is None else (self.f, self.g)
-        out = space.moments(funcs, triangle_rule(self.quad_degree), _joint_for(self.joint, funcs))
-        return (out[0], None) if self.g is None else tuple(out)
-
-
-def _joint_for(joint: Callable | None, funcs: tuple) -> Callable | None:
-    """joint, unless it records the callables it evaluates as ``funcs`` and
-    those are not funcs: a joint evaluator stands only for its own fields."""
-    return joint if getattr(joint, "funcs", funcs) == funcs else None
+        """Read-only moments (nt, 7) of f and of g (None for a zero g) under
+        the data's rule (``MorleySpace.moments``)."""
+        return space.moments(self.loads, triangle_rule(self.quad_degree))
 
 
 def vk_bracket(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -173,17 +160,14 @@ def energy_norms(state: MorleyField, exact):
     """Error norms of a state against a smooth exact pair, on the state's space.
 
     Returns (piecewise H2 seminorm error, piecewise H1 seminorm error,
-    piecewise H2 seminorm of the discrete state).  exact provides
-    vectorized du, d2u, dv, d2v callables, Hessians as (hxx, hxy, hyy),
-    and may provide joint(x, y) returning all four at once (default
-    ``joint_evaluator``, also when ``_joint_for`` drops it).  The rule's
-    points are walked in ``rule_points``' chunks, so no whole-mesh array
-    with a quadrature axis is built.
+    piecewise H2 seminorm of the discrete state).  exact(x, y) is
+    vectorized and returns du, d2u, dv and d2v at once, gradients as
+    (ux, uy) and Hessians as (hxx, hxy, hyy).  The rule's points are
+    walked in ``rule_points``' chunks, so no whole-mesh array with a
+    quadrature axis is built.
     """
     space = state.space
     rule = triangle_rule(_ERROR_DEGREE)
-    funcs = (exact.du, exact.d2u, exact.dv, exact.d2v)
-    evaluate = _joint_for(getattr(exact, "joint", None), funcs) or joint_evaluator(funcs)
     polys = space.element_polys(state.coeffs)
     H = hessians(polys, space.scales)  # (2, nt, 3)
 
@@ -191,7 +175,7 @@ def energy_norms(state: MorleyField, exact):
     for t, pts, xi in space.rule_points(rule):
         warea = rule.weights[None, :] * space.mesh.areas[t, None]
         G = gradients(polys[:, t, None, :], xi[..., 0], xi[..., 1]) / space.scales[t, None, None]
-        du, d2u, dv, d2v = evaluate(pts[..., 0], pts[..., 1])
+        du, d2u, dv, d2v = exact(pts[..., 0], pts[..., 1])
         for Hk, Gk, d1, d2 in zip(H[:, t], G, (du, dv), (d2u, d2v)):
             diff = np.stack(d2, axis=-1) - Hk[:, None, :]
             err2 += np.vdot(frobenius_weighted(diff, warea), diff)

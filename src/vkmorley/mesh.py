@@ -421,6 +421,8 @@ def read_mesh(path) -> Mesh:
                 raise MeshError(f"{path}: refinement edge {r} out of range")
             refs.append(r)
             i += 1
+        if i < len(rows):
+            raise MeshError(f"{path}: unexpected line {rows[i]!r} after the last triangle")
         mesh = Mesh(
             np.asarray(coords, dtype=float).reshape(nv, 2),
             np.asarray(tris, dtype=np.int64).reshape(nt, 3),

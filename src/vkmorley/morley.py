@@ -35,7 +35,6 @@ __all__ = [
     "gradients",
     "hessians",
     "interpolate",
-    "joint_evaluator",
     "monomial_terms",
     "monomials",
     "prolongate",
@@ -80,14 +79,6 @@ def reduce_moments(values: np.ndarray, x: np.ndarray, y: np.ndarray,
     dev = values - (out[:, 0] / weights.sum())[:, None]
     out[:, 6] = (dev * dev) @ weights
     return out
-
-
-def joint_evaluator(funcs):
-    """(x, y) -> the values of the callables funcs, each distinct one evaluated once."""
-    def evaluate(x, y):
-        values = {func: func(x, y) for func in dict.fromkeys(funcs)}
-        return [values[func] for func in funcs]
-    return evaluate
 
 
 def gradients(polys: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -149,34 +140,38 @@ class MorleySpace:
     def cached(self, key, compute) -> np.ndarray:
         """Read-only compute(), computed once per key until release_quadrature.
 
-        Each load function is cached only as its moments, (nt, 7) per
-        (callable, rule) (``moments``): the load, the estimator's volume
-        terms and its oscillation read nothing else, and each chunk's
-        points and values die with it, so no array with a quadrature axis
-        stays alive while a level's factor is.
+        The data enter only as their moments (``moments``): the load, the
+        estimator's volume terms and its oscillation read nothing else,
+        and each chunk's points and values die with it, so no array with a
+        quadrature axis stays alive while a level's factor is.
         """
         if key not in self._quadrature:
             self._quadrature[key] = compute()
             self._quadrature[key].flags.writeable = False
         return self._quadrature[key]
 
-    def moments(self, funcs, rule: TriangleRule, joint=None) -> list[np.ndarray]:
-        """Read-only moments (nt, 7) of each callable in funcs under a rule (see
-        ``reduce_moments``), cached per (callable, rule).  If any is missing,
-        all are computed in one walk over ``rule_points``' chunks: joint(x, y)
-        returns every func's values at once (default ``joint_evaluator``), and
-        each chunk's rows are those of one whole-mesh ``reduce_moments``."""
-        keys = [("moments", func, rule.degree) for func in funcs]
-        if not all(key in self._quadrature for key in keys):
-            out = np.empty((len(funcs), self.mesh.n_triangles, 7))
-            evaluate = joint or joint_evaluator(funcs)
+    def moments(self, loads, rule: TriangleRule) -> tuple:
+        """Read-only moments (nt, 7) under a rule (see ``reduce_moments``) of
+        each field loads(x, y) returns, None for a None field, cached per
+        (loads, rule degree).  One walk over ``rule_points``' chunks calls
+        loads once per chunk; each chunk's rows are those of one whole-mesh
+        ``reduce_moments``."""
+        key = ("moments", loads, rule.degree)
+        if key not in self._quadrature:
+            out = None
             for t, pts, xi in self.rule_points(rule):
-                for m, values in zip(out, evaluate(pts[..., 0], pts[..., 1])):
-                    m[t] = reduce_moments(np.broadcast_to(values, pts.shape[:-1]),
-                                          xi[..., 0], xi[..., 1], rule.weights)
-            for key, m in zip(keys, out):
-                self.cached(key, lambda: m)
-        return [self._quadrature[key] for key in keys]
+                values = loads(pts[..., 0], pts[..., 1])
+                out = out or [None if v is None else np.empty((self.mesh.n_triangles, 7))
+                              for v in values]
+                for m, v in zip(out, values):
+                    if m is not None:
+                        m[t] = reduce_moments(np.broadcast_to(v, pts.shape[:-1]),
+                                              xi[..., 0], xi[..., 1], rule.weights)
+            for m in out:
+                if m is not None:
+                    m.flags.writeable = False
+            self._quadrature[key] = tuple(out)
+        return self._quadrature[key]
 
     def rule_points(self, rule: TriangleRule):
         """Yield (elements, physical points, centred (``local_coords``) points)

@@ -5,10 +5,13 @@ Manufactured cases prescribe the pair (u, v) and carry right-hand sides
     f = Lap^2 u - [u, v],      g = Lap^2 v + 1/2 [u, u],
 
 derived symbolically offline (docs/derive_loads.py) and hard-coded here
-in factored form.  Each exact solution also exposes its gradient,
-Hessian (as hxx, hxy, hyy), and bilaplacian so that tests can confirm
-the transcription: plugging the exact fields into the strong residual
-must give zero, and clamped boundary data must hold.
+in factored form.  Each field group is one callable: the data's
+``loads(x, y)`` returns f and g, and a problem's ``exact(x, y)`` returns
+the gradients and Hessians (as hxx, hxy, hyy) of u and v, which the
+error norms read.  The tests rebuild u, v and the bilaplacian from the
+same axis factors to confirm the transcription: plugging the exact
+fields into the strong residual must give zero, and clamped boundary
+data must hold.
 
 All callables are vectorized over numpy arrays.
 """
@@ -22,20 +25,7 @@ import numpy as np
 
 from .forms import ProblemData
 
-__all__ = ["ExactSolution", "ManufacturedProblem", "registry", "get_problem"]
-
-
-@dataclass
-class ExactSolution:
-    u: Callable
-    du: Callable
-    d2u: Callable
-    lap2_u: Callable
-    v: Callable
-    dv: Callable
-    d2v: Callable
-    lap2_v: Callable
-    joint: Callable | None = None  # (x, y) -> (du, d2u, dv, d2v) at once
+__all__ = ["ManufacturedProblem", "registry", "get_problem"]
 
 
 @dataclass
@@ -43,23 +33,22 @@ class ManufacturedProblem:
     name: str
     domain: str
     data: ProblemData
-    exact: ExactSolution | None
+    exact: Callable | None  # (x, y) -> (du, d2u, dv, d2v)
     description: str
 
 
 # -- separable pairs u = v = S(x) S(y) ---------------------------------------
 
 
-def _separable(axis, quad_degree=4):
-    """ExactSolution and ProblemData of the pair u = v = S(x) S(y).
+def _separable(axis, quad_degree=4, include_bracket=True):
+    """Exact derivatives and ProblemData of the pair u = v = S(x) S(y).
 
     axis(t) returns S(t) with its first, second and fourth derivatives
     (S, S1, S2, S4).  The Hessian, the bilaplacian and the bracket
     [u, u] = 2 (u_xx u_yy - u_xy^2) are products of those factors.  One
     axis call per coordinate serves f and g together (``loads``, before
-    the LU factor) and du and d2u together (``derivatives``, after it);
-    each records the callables it stands for as ``funcs``, so that data
-    with f, g or du replaced evaluate the new ones.
+    the LU factor) and du and d2u together (``derivatives``, after it).
+    Without the bracket, f and g are both the bilaplacian.
     """
 
     def hessian(X, Y):
@@ -74,39 +63,21 @@ def _separable(axis, quad_degree=4):
         hxx, hxy, hyy = hessian(X, Y)
         return 2.0 * (hxx * hyy - hxy**2)
 
-    def u(x, y):
-        return axis(x)[0] * axis(y)[0]
-
     def derivatives(x, y):
         X, Y = axis(x), axis(y)
         grad, hess = (X[1] * Y[0], X[0] * Y[1]), hessian(X, Y)
         return grad, hess, grad, hess
 
-    def du(x, y):
-        return derivatives(x, y)[0]
-
-    def d2u(x, y):
-        return hessian(axis(x), axis(y))
-
-    def lap2(x, y):
-        return lap2_of(axis(x), axis(y))
-
     def loads(x, y):
         X, Y = axis(x), axis(y)
-        br, lap2 = bracket(X, Y), lap2_of(X, Y)
+        lap2 = lap2_of(X, Y)
+        if not include_bracket:
+            return lap2, lap2
+        br = bracket(X, Y)
         del X, Y  # no axis factor is alive while f and g are formed
         return lap2 - br, lap2 + 0.5 * br
 
-    def f(x, y):
-        return loads(x, y)[0]
-
-    def g(x, y):
-        return loads(x, y)[1]
-
-    loads.funcs, derivatives.funcs = (f, g), (du, d2u, du, d2u)
-    exact = ExactSolution(u=u, du=du, d2u=d2u, lap2_u=lap2, v=u, dv=du, d2v=d2u, lap2_v=lap2,
-                          joint=derivatives)
-    return exact, ProblemData(f=f, g=g, quad_degree=quad_degree, joint=loads)
+    return derivatives, ProblemData(loads, include_bracket, quad_degree)
 
 
 def _poly_axis(t):
@@ -127,10 +98,11 @@ def _trig_axis(t):
 
 _POLY_EXACT, _POLY_DATA = _separable(_poly_axis)
 _TRIG_EXACT, _TRIG_DATA = _separable(_trig_axis, quad_degree=6)
+_, _BIHARM_DATA = _separable(_poly_axis, include_bracket=False)
 
 
-def _const_one(x, y):
-    return np.ones_like(np.asarray(x, dtype=float))
+def _unit_load(x, y):
+    return np.ones_like(np.asarray(x, dtype=float)), None
 
 
 registry: dict[str, ManufacturedProblem] = {problem.name: problem for problem in [
@@ -139,12 +111,10 @@ registry: dict[str, ManufacturedProblem] = {problem.name: problem for problem in
     ManufacturedProblem(name="square-trig", domain="square", data=_TRIG_DATA, exact=_TRIG_EXACT,
                         description="smooth trigonometric pair on the unit square"),
     ManufacturedProblem(name="lshape-f1", domain="lshape",
-                        data=ProblemData(f=_const_one, g=None), exact=None,
+                        data=ProblemData(_unit_load), exact=None,
                         description="unit load on the L-shaped domain; corner singularity, "
                         "no closed-form solution"),
-    ManufacturedProblem(name="biharm-linear", domain="square",
-                        data=ProblemData(f=_POLY_EXACT.lap2_u, g=_POLY_EXACT.lap2_u,
-                                         include_bracket=False),
+    ManufacturedProblem(name="biharm-linear", domain="square", data=_BIHARM_DATA,
                         exact=_POLY_EXACT,
                         description="decoupled bilaplacian pair (bracket disabled) with the "
                         "polynomial solution"),

@@ -34,20 +34,24 @@ which the package now reads from per-element moments.
 ``zero_state``
 is the zero deflection/stress pair.  ``evaluate``,
 ``interior_angles`` and ``mesh_equals`` are inspection tools for
-fields and meshes, and ``check_problem`` checks a registry entry's
-exact data against its loads.
+fields and meshes.  ``load_data`` builds a ``ProblemData`` from separate
+f and g.  ``EXACT_FIELDS`` holds the exact u, v and bilaplacians of the
+registry's manufactured pairs, which the solver never reads, and
+``check_problem`` checks a registry entry's exact derivatives and loads
+against them.
 """
 
 import copy
 import csv
 from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sparse
 import sympy as sp
 
-from vkmorley.forms import vk_bracket
+from vkmorley.forms import ProblemData, vk_bracket
 from vkmorley.mesh import (
     _SVG_WIDTH,
     Mesh,
@@ -58,6 +62,7 @@ from vkmorley.mesh import (
     uniform_refine,
 )
 from vkmorley.morley import MorleyField, build_space, hessians, monomials
+from vkmorley.problems import _poly_axis, _trig_axis
 from vkmorley.quadrature import triangle_rule
 from vkmorley.solver import _ND_LEAF
 
@@ -530,6 +535,30 @@ def mesh_equals(a, b):
     )
 
 
+def load_data(f, g=None, **options):
+    """ProblemData whose loads evaluate the separate callables f and g
+    (None for a zero g)."""
+    return ProblemData(lambda x, y: (f(x, y), None if g is None else g(x, y)), **options)
+
+
+def _separable_fields(axis):
+    """u = v = S(x) S(y) and their bilaplacian, from the axis factors
+    (S, S1, S2, S4) of ``vkmorley.problems``."""
+    def u(x, y):
+        return axis(x)[0] * axis(y)[0]
+
+    def lap2(x, y):
+        (S, _, S2, S4), (T, _, T2, T4) = axis(x), axis(y)
+        return S4 * T + 2.0 * S2 * T2 + S * T4
+
+    return SimpleNamespace(u=u, v=u, lap2_u=lap2, lap2_v=lap2)
+
+
+EXACT_FIELDS = {"square-poly": _separable_fields(_poly_axis),
+                "square-trig": _separable_fields(_trig_axis),
+                "biharm-linear": _separable_fields(_poly_axis)}
+
+
 def check_problem(problem, n_samples=64, seed=7):
     """Max strong-residual and boundary defect of the exact data.
 
@@ -544,16 +573,16 @@ def check_problem(problem, n_samples=64, seed=7):
         y = rng.uniform(0.05, 0.95, n_samples)
     else:
         raise ValueError(f"no sampler for domain {problem.domain!r}")
-    ex = problem.exact
-    uxx, uxy, uyy = ex.d2u(x, y)
-    vxx, vxy, vyy = ex.d2v(x, y)
+    ex = EXACT_FIELDS[problem.name]
+    _, (uxx, uxy, uyy), _, (vxx, vxy, vyy) = problem.exact(x, y)
     if problem.data.include_bracket:
         br_uv = uxx * vyy + uyy * vxx - 2.0 * uxy * vxy
         br_uu = 2.0 * (uxx * uyy - uxy**2)
     else:
         br_uv = br_uu = np.zeros_like(x)
-    r1 = ex.lap2_u(x, y) - br_uv - problem.data.f(x, y)
-    gv = problem.data.g(x, y) if problem.data.g is not None else 0.0
+    f, g = problem.data.loads(x, y)
+    r1 = ex.lap2_u(x, y) - br_uv - f
+    gv = g if g is not None else 0.0
     r2 = ex.lap2_v(x, y) + 0.5 * br_uu - gv
     defect = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
 
@@ -563,7 +592,7 @@ def check_problem(problem, n_samples=64, seed=7):
     one = np.ones_like(s)
     for bx, by in ((s, zero), (s, one), (zero, s), (one, s)):
         defect = max(defect, float(np.abs(ex.u(bx, by)).max()))
-        gx, gy = ex.du(bx, by)
+        gx, gy = problem.exact(bx, by)[0]
         defect = max(defect, float(np.abs(gx).max()), float(np.abs(gy).max()))
     return defect
 
@@ -593,9 +622,9 @@ def load_einsum(space, data):
     shapes = np.einsum("tqm,tmi->tqi", monomials(xi), space.coeffs)
     warea = rule.weights[None, :] * space.mesh.areas[:, None]
     return np.concatenate([
-        np.zeros(space.n_dofs) if func is None else
-        space.scatter(np.einsum("tq,tq,tqi->ti", warea, func(pts[..., 0], pts[..., 1]), shapes))
-        for func in (data.f, data.g)])
+        np.zeros(space.n_dofs) if values is None else
+        space.scatter(np.einsum("tq,tq,tqi->ti", warea, values, shapes))
+        for values in data.loads(pts[..., 0], pts[..., 1])])
 
 
 def oscillation_einsum(space, func, order, quad_degree=4):
@@ -632,11 +661,12 @@ def energy_norms_einsum(space, state, exact):
     polys = element_polys_einsum(space, state.coeffs)
     H = hessians(polys, space.scales)
     G = monomial_gradients(polys, space, pts)
+    du, d2u, dv, d2v = exact(x, y)
     err2 = errh1 = 0.0
-    for Hk, Gk, dfun, hfun in zip(H, G, (exact.du, exact.dv), (exact.d2u, exact.d2v)):
-        diff = np.stack(hfun(x, y), axis=-1) - Hk[:, None, :]
+    for Hk, Gk, d1, d2 in zip(H, G, (du, dv), (d2u, d2v)):
+        diff = np.stack(d2, axis=-1) - Hk[:, None, :]
         err2 += np.einsum("tqc,c,tq->", diff**2, FROB, warea)
-        gdiff = np.stack(dfun(x, y), axis=-1) - Gk
+        gdiff = np.stack(d1, axis=-1) - Gk
         errh1 += np.einsum("tqc,tq->", gdiff**2, warea)
     energy = np.einsum("tc,c,t->", H[0]**2 + H[1]**2, FROB, space.mesh.areas)
     return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))
@@ -693,15 +723,21 @@ def _values(func, pts):
     return np.broadcast_to(func(pts[..., 0], pts[..., 1]), pts.shape[:-1])
 
 
+def _load_values(data, pts):
+    """Values (nt, q) of f and of g (None for a zero g) at points (nt, q, 2)."""
+    return [None if v is None else np.broadcast_to(v, pts.shape[:-1])
+            for v in data.loads(pts[..., 0], pts[..., 1])]
+
+
 def load_pointwise(space, data):
     rule = triangle_rule(data.quad_degree)
     pts, xi = _local_points(space, rule)
     shapes = monomials(xi) @ space.coeffs  # (nt, q, 6)
     warea = rule.weights[None, :] * space.mesh.areas[:, None]
     return np.concatenate([
-        np.zeros(space.n_dofs) if func is None else
-        space.scatter(((warea * _values(func, pts))[:, None, :] @ shapes)[:, 0])
-        for func in (data.f, data.g)])
+        np.zeros(space.n_dofs) if values is None else
+        space.scatter(((warea * values)[:, None, :] @ shapes)[:, 0])
+        for values in _load_values(data, pts)])
 
 
 def volume_terms_pointwise(space, state, data):
@@ -711,12 +747,13 @@ def volume_terms_pointwise(space, state, data):
     rule = triangle_rule(data.quad_degree)
     pts, _ = _local_points(space, rule)
     wts = rule.weights[None, :]
-    r1 = br_uv[:, None] + _values(data.f, pts)
+    f, g = _load_values(data, pts)
+    r1 = br_uv[:, None] + f
     res1 = np.einsum("tq,tq->t", wts * r1, r1) * areas
-    if data.g is None:
+    if g is None:
         res2 = br_uu**2 * areas
     else:
-        r2 = br_uu[:, None] - 2.0 * _values(data.g, pts)
+        r2 = br_uu[:, None] - 2.0 * g
         res2 = np.einsum("tq,tq->t", wts * r2, r2) * areas
     return areas**2 * (res1 + res2)
 

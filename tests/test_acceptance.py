@@ -40,7 +40,6 @@ from scipy.optimize import brentq
 from vkmorley.adaptivity import AmfemConfig, amfem_run, axiom_check, doerfler_mark, uniform_run
 from vkmorley.estimator import estimate
 from vkmorley.forms import (
-    ProblemData,
     apply_residual,
     assemble_bilaplacian,
     assemble_load,
@@ -378,7 +377,7 @@ def test_criterion_09_volume_term_reduction():
     def unit(x, y):
         return np.ones_like(np.asarray(x, dtype=float))
 
-    data = ProblemData(f=unit)
+    data = oc.load_data(unit)
     rels = []
     for domain in ("square", "lshape"):
         coarse = build_initial_mesh(domain)

@@ -25,7 +25,7 @@ from vkmorley.adaptivity import (
     uniform_run,
 )
 from vkmorley.estimator import estimate
-from vkmorley.forms import ProblemData, apply_residual, assemble_bilaplacian, assemble_load
+from vkmorley.forms import apply_residual, assemble_bilaplacian, assemble_load
 from vkmorley.mesh import MeshError, build_initial_mesh, uniform_refine
 from vkmorley.morley import build_space
 from vkmorley.problems import ManufacturedProblem, get_problem
@@ -42,7 +42,7 @@ def _zero_load(x, y):
 ZERO_PROBLEM = ManufacturedProblem(
     name="zero-load",
     domain="square",
-    data=ProblemData(f=_zero_load),
+    data=oc.load_data(_zero_load),
     exact=None,
     description="homogeneous data; the discrete solution vanishes",
 )
@@ -398,25 +398,25 @@ class TestUniformDriver:
         assert etas[-1] < etas[0] / 10
 
     def test_each_data_callable_evaluated_once_per_level(self, monkeypatch):
-        # The load, the estimator and the error norms share the space's
-        # quadrature cache.  Each field group is evaluated by its joint
-        # evaluator at each of a level's rule points once: f with g, and du
-        # with d2u, which square-trig's u and v share.  Small chunks make
+        # The load and the estimator share the space's quadrature cache.
+        # Each field group is one callable, evaluated at each of a level's
+        # rule points once: the loads f and g, and the exact derivatives du
+        # and d2u, which square-trig's u and v share.  Small chunks make
         # every level take several.
         monkeypatch.setattr(morley, "_CHUNK", 7)
         prob = get_problem("square-trig")
         points = {}
 
-        def spy(name, joint):
+        def spy(name, func):
             def counted(x, y):
                 points[name] = points.get(name, 0) + x.size
-                return joint(x, y)
+                return func(x, y)
             return counted
 
         spied = dataclasses.replace(
             prob,
-            data=dataclasses.replace(prob.data, joint=spy("f/g", prob.data.joint)),
-            exact=dataclasses.replace(prob.exact, joint=spy("du/d2u", prob.exact.joint)),
+            data=dataclasses.replace(prob.data, loads=spy("f/g", prob.data.loads)),
+            exact=spy("du/d2u", prob.exact),
         )
         res = uniform_run(spied, AmfemConfig(delta=0.3, max_levels=2))
         assert all(r.err_energy is not None for r in res.report.rows)
@@ -463,10 +463,14 @@ class TestUniformDriver:
 
         def check(space):
             nt = space.mesh.n_triangles
-            for key, arr in space._quadrature.items():
+            # A moments entry holds one array per field, None for a zero g.
+            arrays = [(key, arr) for key, value in space._quadrature.items()
+                      for arr in (value if isinstance(value, tuple) else (value,))
+                      if arr is not None]
+            for key, arr in arrays:
                 assert arr.shape[0] == nt and arr.ndim <= 2, key
                 assert arr.ndim == 1 or arr.shape[1] <= 7, (key, arr.shape)
-            seen.append(len(space._quadrature))
+            seen.append(len(arrays))
 
         def checked_estimate(state, *args, **kwargs):
             report = estimate(state, *args, **kwargs)
@@ -579,7 +583,7 @@ def _frozen_artifacts(mesh):
     """Zero-state artifacts with unit load, for closed-form scaling checks."""
     space = build_space(mesh)
     state = oc.zero_state(space)
-    report = estimate(state, ProblemData(f=_unit_load))
+    report = estimate(state, oc.load_data(_unit_load))
     return LevelArtifacts(mesh, space, state, report, SolveReport(converged=True))
 
 

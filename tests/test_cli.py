@@ -176,6 +176,19 @@ def test_config_file_rejects_unknown_key(tmp_path):
         parse_args(["--config", str(cfg)])
 
 
+def test_config_file_rejects_repeated_and_config_keys(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("levels = 2\n# again\nlevels=3\n")
+    with pytest.raises(SystemExit, match=r"exp\.cfg:3: duplicate key 'levels'$"):
+        parse_args(["--config", str(cfg)])
+    cfg.write_text("dump-estimator = true\ndump_estimator = false\n")
+    with pytest.raises(SystemExit, match=r"exp\.cfg:2: duplicate key 'dump_estimator'$"):
+        parse_args(["--config", str(cfg)])
+    cfg.write_text("levels = 2\nconfig = other.cfg\n")
+    with pytest.raises(SystemExit, match=r"exp\.cfg:2: .*'config'$"):
+        parse_args(["--config", str(cfg)])
+
+
 def test_config_file_rejects_bad_mode(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("mode = sideways\n")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vkmorley.estimator import estimate, oscillation, restrict_estimator
-from vkmorley.forms import ProblemData
 from vkmorley.mesh import build_initial_mesh, uniform_refine
 from vkmorley.morley import MorleyField, build_space, interpolate
 from vkmorley.quadrature import triangle_points, triangle_rule
@@ -29,14 +28,14 @@ def square_space(levels=0, constrained=True):
 
 def test_zero_state_zero_load_gives_zero():
     space = square_space(2)
-    rep = estimate(oc.zero_state(space), ProblemData(f=ZERO))
+    rep = estimate(oc.zero_state(space), oc.load_data(ZERO))
     assert rep.eta == 0.0 and rep.mu == 0.0 and rep.osc == 0.0
 
 
 def test_unit_load_zero_state_closed_form():
     # eta^2(K) = |K|^2 ||f||_K^2 = |K|^3 with f = 1 and no jumps
     space = square_space(0)
-    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), oc.load_data(ONE))
     np.testing.assert_allclose(rep.eta_sq, [0.125, 0.125], atol=1e-15)
     np.testing.assert_array_equal(rep.mu_sq, rep.eta_sq)
 
@@ -47,7 +46,7 @@ def test_constant_hessian_state_hand_values():
     space = square_space(0, constrained=False)
     u = interpolate(space, lambda x, y: 0.5 * x * x, lambda x, y: (x, 0.0 * y))
     v = interpolate(space, lambda x, y: 0.5 * y * y, lambda x, y: (0.0 * x, y))
-    rep = estimate(MorleyField(space, np.stack([u.coeffs, v.coeffs])), ProblemData(f=ZERO))
+    rep = estimate(MorleyField(space, np.stack([u.coeffs, v.coeffs])), oc.load_data(ZERO))
     # volume: |K|^2 * |K| * [u,v]^2 = 1/8; edges: two unit boundary
     # edges contribute 1 each, scaled by |K|^(1/2)
     want = 0.125 + np.sqrt(0.5) * 2.0
@@ -60,7 +59,7 @@ def test_interior_jumps_detect_kinks():
     space = square_space(2)
     rng = np.random.default_rng(30)
     state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
-    rep = estimate(state, ProblemData(f=ZERO))
+    rep = estimate(state, oc.load_data(ZERO))
     assert np.all(rep.eta_sq >= rep.mu_sq)
     assert rep.eta > rep.mu
 
@@ -69,7 +68,7 @@ def test_estimator_nonnegative_and_totals_consistent():
     space = square_space(3)
     rng = np.random.default_rng(31)
     state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
-    rep = estimate(state, ProblemData(f=lambda x, y: x * y))
+    rep = estimate(state, oc.load_data(lambda x, y: x * y))
     assert np.all(rep.eta_sq >= 0) and np.all(rep.mu_sq >= 0) and np.all(rep.osc_sq >= 0)
     assert rep.total_eta_sq == pytest.approx(rep.eta_sq.sum(), rel=1e-15)
     assert rep.eta == pytest.approx(np.sqrt(rep.eta_sq.sum()), rel=1e-15)
@@ -80,7 +79,7 @@ def test_volume_part_quarters_under_uniform_refinement():
     # refinement divides the total by 4
     coarse = square_space(2)
     fine = build_space(uniform_refine(coarse.mesh))
-    data = ProblemData(f=ONE)
+    data = oc.load_data(ONE)
     mu_c = estimate(oc.zero_state(coarse), data).mu_sq.sum()
     mu_f = estimate(oc.zero_state(fine), data).mu_sq.sum()
     assert mu_f == pytest.approx(mu_c / 4.0, rel=1e-12)
@@ -90,7 +89,7 @@ def test_estimator_invariant_under_edge_orientation():
     # the same smooth pair interpolated under both edge-normal
     # conventions is the same discrete function
     mesh = uniform_refine(uniform_refine(build_initial_mesh("square")))
-    data = ProblemData(f=ONE)
+    data = oc.load_data(ONE)
     fu = lambda x, y: x * x * y + y * y
     du = lambda x, y: (2.0 * x * y, x * x + 2.0 * y)
     fv = lambda x, y: x * y * y - 0.3 * x * x
@@ -110,15 +109,15 @@ def test_estimator_invariant_under_edge_orientation():
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_constant_load_has_no_oscillation(order):
     space = square_space(2)
-    osc = oscillation(space, ONE, order)
+    osc = oscillation(space, oc.load_data(ONE), order)
     np.testing.assert_allclose(osc, 0.0, atol=1e-15)
 
 
 def test_linear_load_orders():
     f = lambda x, y: 2.0 * x - y + 0.5
-    space = square_space(2)
-    np.testing.assert_allclose(oscillation(space, f, 1), 0.0, atol=1e-14)
-    osc0 = oscillation(space, f, 0)
+    space, data = square_space(2), oc.load_data(f)
+    np.testing.assert_allclose(oscillation(space, data, 1), 0.0, atol=1e-14)
+    osc0 = oscillation(space, data, 0)
     assert np.all(osc0 > 0)
 
     # independent mean-based projection at degree 4
@@ -134,15 +133,15 @@ def test_linear_load_orders():
 
 def test_quadratic_load_vanishes_at_order_two():
     f = lambda x, y: 1.0 + x * x - 3.0 * x * y + y * y
-    space = square_space(2)
-    np.testing.assert_allclose(oscillation(space, f, 2), 0.0, atol=1e-13)
-    assert np.all(oscillation(space, f, 1) > 0)
+    space, data = square_space(2), oc.load_data(f)
+    np.testing.assert_allclose(oscillation(space, data, 2), 0.0, atol=1e-13)
+    assert np.all(oscillation(space, data, 1) > 0)
 
 
 def test_estimate_caches_the_oscillation_until_release():
     f = lambda x, y: np.sin(3.0 * x) * y
     space = square_space(2)
-    data = ProblemData(f=f)
+    data = oc.load_data(f)
     first = estimate(oc.zero_state(space), data, osc_order=1).osc_sq
     u = interpolate(space, lambda x, y: x * y, lambda x, y: (y, x))
     uu = MorleyField(space, np.stack([u.coeffs, u.coeffs]))
@@ -153,13 +152,13 @@ def test_estimate_caches_the_oscillation_until_release():
     again = estimate(uu, data, osc_order=1).osc_sq
     assert again is not first
     np.testing.assert_array_equal(again, first)
-    np.testing.assert_array_equal(first, oscillation(space, f, 1))
+    np.testing.assert_array_equal(first, oscillation(space, data, 1))
 
 
 def test_oscillation_rejects_bad_order():
     space = square_space(1)
     with pytest.raises(ValueError):
-        oscillation(space, ONE, 3)
+        oscillation(space, oc.load_data(ONE), 3)
 
 
 def test_smooth_bump_oscillation_decays_fast():
@@ -167,7 +166,7 @@ def test_smooth_bump_oscillation_decays_fast():
     mesh = uniform_refine(uniform_refine(build_initial_mesh("square")))
     totals = []
     for _ in range(4):
-        osc = oscillation(build_space(mesh), f, 0)
+        osc = oscillation(build_space(mesh), oc.load_data(f), 0)
         totals.append(np.sqrt(osc.sum()))
         mesh = uniform_refine(uniform_refine(mesh))
     # two bisection passes per step halve h once
@@ -181,13 +180,13 @@ def test_smooth_bump_oscillation_decays_fast():
 
 def test_restrict_empty_is_zero():
     space = square_space(2)
-    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), oc.load_data(ONE))
     assert restrict_estimator(rep, [])["eta_sq"] == 0.0
 
 
 def test_restrict_full_set_is_total():
     space = square_space(2)
-    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), oc.load_data(ONE))
     got = restrict_estimator(rep, range(space.mesh.n_triangles))
     assert got["eta_sq"] == pytest.approx(rep.total_eta_sq, rel=1e-15)
 
@@ -196,7 +195,7 @@ def test_restrict_complementary_subsets_add_up():
     space = square_space(3)
     rng = np.random.default_rng(33)
     state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
-    rep = estimate(state, ProblemData(f=ONE))
+    rep = estimate(state, oc.load_data(ONE))
     nt = space.mesh.n_triangles
     part = rng.choice(nt, size=nt // 3, replace=False)
     rest = sorted(set(range(nt)) - set(int(t) for t in part))
@@ -209,7 +208,7 @@ def test_restrict_complementary_subsets_add_up():
 
 def test_restrict_rejects_out_of_range():
     space = square_space(1)
-    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), oc.load_data(ONE))
     with pytest.raises(ValueError):
         restrict_estimator(rep, [99])
 
@@ -219,7 +218,7 @@ def test_restrict_rejects_out_of_range():
 
 def test_report_csv_roundtrip(tmp_path):
     space = square_space(2)
-    rep = estimate(oc.zero_state(space), ProblemData(f=ONE))
+    rep = estimate(oc.zero_state(space), oc.load_data(ONE))
     path = tmp_path / "est.csv"
     rep.to_csv(path)
     with path.open() as fh:

@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vkmorley.forms import (
-    ProblemData,
     apply_residual,
     assemble_bilaplacian,
     assemble_linearized_bracket,
@@ -118,13 +116,13 @@ def test_single_dof_stiffness_matches_symbolic_oracle():
 
 def test_load_zero_f():
     space = build_space(uniform_refine(build_initial_mesh("square")))
-    data = ProblemData(f=lambda x, y: 0.0 * x)
+    data = oc.load_data(lambda x, y: 0.0 * x)
     assert np.all(assemble_load(space, data) == 0.0)
 
 
 def test_load_second_block_zero_without_g():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    data = ProblemData(f=lambda x, y: np.exp(x) + y)
+    data = oc.load_data(lambda x, y: np.exp(x) + y)
     load = assemble_load(space, data)
     n = space.n_dofs
     assert np.all(load[n:] == 0.0)
@@ -133,7 +131,7 @@ def test_load_second_block_zero_without_g():
 
 def test_unit_load_on_single_dof_space_matches_symbolic_oracle():
     space = build_space(build_initial_mesh("square"))
-    data = ProblemData(f=lambda x, y: np.ones_like(x))
+    data = oc.load_data(lambda x, y: np.ones_like(x))
     load = assemble_load(space, data)
     phi0 = oc.morley_basis(SQUARE_TRIS[0])[4]
     phi1 = oc.morley_basis(SQUARE_TRIS[1])[5]
@@ -144,10 +142,11 @@ def test_unit_load_on_single_dof_space_matches_symbolic_oracle():
     assert load[1] == 0.0
 
 
-@pytest.mark.parametrize("field", ["f", "g"])
+@pytest.mark.parametrize("field", [0, 1], ids=["f", "g"])
 def test_replaced_load_is_evaluated(field):
-    # The registry's joint evaluator stands for its own f and g only, so a
-    # load replaced on a copy of its data is the one integrated.
+    # The space caches moments per loads callable, so loads replaced on a
+    # copy of data that the space has already integrated are integrated
+    # anew.
     data = get_problem("square-trig").data
     calls = []
 
@@ -155,27 +154,21 @@ def test_replaced_load_is_evaluated(field):
         calls.append(x.size)
         return np.exp(x) * y
 
+    def new_loads(x, y):
+        fg = list(data.loads(x, y))
+        fg[field] = new_load(x, y)
+        return tuple(fg)
+
     mesh = uniform_refine(uniform_refine(build_initial_mesh("square")))
-    loads = {"f": data.f, "g": data.g, field: new_load}
-    load = assemble_load(build_space(mesh), dataclasses.replace(data, **{field: new_load}))
+    space = build_space(mesh)
+    old = assemble_load(space, data)
+    load = assemble_load(space, dataclasses.replace(data, loads=new_loads))
     assert calls
-    plain = ProblemData(**loads, quad_degree=data.quad_degree)
+    assert not np.array_equal(load, old)
+    fields = [lambda x, y, k=k: data.loads(x, y)[k] for k in (0, 1)]
+    fields[field] = new_load
+    plain = oc.load_data(*fields, quad_degree=data.quad_degree)
     np.testing.assert_array_equal(load, assemble_load(build_space(mesh), plain))
-
-
-def test_replaced_exact_derivative_is_evaluated():
-    # Likewise the exact solution's joint evaluator, in the error norms.
-    exact = get_problem("square-trig").exact
-    space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    state = random_state(space, np.random.default_rng(3))
-
-    def du(x, y):
-        du_x, du_y = exact.du(x, y)
-        return du_x + 1.0, du_y
-
-    replaced = energy_norms(state, dataclasses.replace(exact, du=du))
-    assert replaced == energy_norms(state, dataclasses.replace(exact, du=du, joint=None))
-    assert replaced[1] != energy_norms(state, exact)[1]
 
 
 # -- linearized bracket ------------------------------------------------------
@@ -286,7 +279,7 @@ def test_single_element_bracket_entry_hand_value():
 
 def test_residual_all_zero():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    data = ProblemData(f=lambda x, y: 0.0 * x)
+    data = oc.load_data(lambda x, y: 0.0 * x)
     r = apply_residual(
         oc.zero_state(space), data, assemble_bilaplacian(space), assemble_load(space, data)
     )
@@ -295,7 +288,7 @@ def test_residual_all_zero():
 
 def test_residual_at_zero_state_is_minus_load():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    data = ProblemData(f=lambda x, y: 1.0 + x * y, g=lambda x, y: x - y)
+    data = oc.load_data(lambda x, y: 1.0 + x * y, lambda x, y: x - y)
     r = apply_residual(
         oc.zero_state(space), data, assemble_bilaplacian(space), assemble_load(space, data)
     )
@@ -308,7 +301,7 @@ def test_residual_includes_quadratic_terms():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
     rng = np.random.default_rng(15)
     state = random_state(space, rng)
-    data = ProblemData(f=lambda x, y: np.ones_like(x))
+    data = oc.load_data(lambda x, y: np.ones_like(x))
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
     n = space.n_dofs
@@ -337,7 +330,7 @@ def test_include_bracket_false_drops_coupling():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
     rng = np.random.default_rng(16)
     state = random_state(space, rng)
-    data = ProblemData(f=lambda x, y: np.ones_like(x), include_bracket=False)
+    data = oc.load_data(lambda x, y: np.ones_like(x), include_bracket=False)
     A = assemble_bilaplacian(space)
     load = assemble_load(space, data)
     n = space.n_dofs
@@ -350,17 +343,15 @@ def test_include_bracket_false_drops_coupling():
 
 
 def quadratic_exact(c):
+    """Exact derivatives (du, d2u, dv, d2v) of u = the quadratic c, v = 0."""
     c0, cx, cy, cxx, cxy, cyy = c
-    return SimpleNamespace(
-        du=lambda x, y: (cx + 2 * cxx * x + cxy * y, cy + cxy * x + 2 * cyy * y),
-        d2u=lambda x, y: (
-            2 * cxx * np.ones_like(x),
-            cxy * np.ones_like(x),
-            2 * cyy * np.ones_like(x),
-        ),
-        dv=lambda x, y: (0.0 * x, 0.0 * y),
-        d2v=lambda x, y: (0.0 * x, 0.0 * x, 0.0 * x),
-    )
+
+    def exact(x, y):
+        one = np.ones_like(x)
+        return ((cx + 2 * cxx * x + cxy * y, cy + cxy * x + 2 * cyy * y),
+                (2 * cxx * one, cxy * one, 2 * cyy * one),
+                (0.0 * x, 0.0 * y), (0.0 * x, 0.0 * x, 0.0 * x))
+    return exact
 
 
 # Traced peak of the error norms on the square bisected 12 times (8,192

@@ -22,7 +22,7 @@ import oracles as oc
 from vkmorley import morley
 from vkmorley.adaptivity import AxiomLevel, LevelArtifacts, axiom_check
 from vkmorley.estimator import EstimatorReport, estimate, oscillation
-from vkmorley.forms import ProblemData, assemble_bilaplacian, assemble_load, energy_norms
+from vkmorley.forms import assemble_bilaplacian, assemble_load, energy_norms
 from vkmorley.mesh import (ancestor_map, build_initial_mesh, refine, uniform_refine,
                            write_mesh, write_svg)
 from vkmorley.morley import MorleyField, build_space, reduce_moments
@@ -62,8 +62,8 @@ def test_matmul_kernels_match_their_einsum_forms(domain, pre, steps, constrained
     space = build_space(fine, constrained=constrained)
     # Loads with no symmetry, so that neither the load vector nor the
     # oscillation vanishes up to rounding.
-    data = ProblemData(f=lambda x, y: np.exp(x) * np.cos(3 * y) + x * y,
-                       g=lambda x, y: np.sin(2 * x + y), quad_degree=6)
+    f = lambda x, y: np.exp(x) * np.cos(3 * y) + x * y
+    data = oc.load_data(f, lambda x, y: np.sin(2 * x + y), quad_degree=6)
 
     for degree in (1, 4, 6, 10):
         rule = triangle_rule(degree)
@@ -77,10 +77,10 @@ def test_matmul_kernels_match_their_einsum_forms(domain, pre, steps, constrained
     # it is exact only up to rounding of h^4 ||f||^2.
     rule = triangle_rule(4)
     pts = oc.triangle_points_einsum(rule, fine.triangle_coords())
-    f_sq = fine.areas**3 * (data.f(pts[..., 0], pts[..., 1])**2 @ rule.weights)
+    f_sq = fine.areas**3 * (f(pts[..., 0], pts[..., 1])**2 @ rule.weights)
     for order in (0, 1, 2):
-        _close(oscillation(space, data.f, order, 4),
-               oc.oscillation_einsum(space, data.f, order, 4), f_sq.max())
+        _close(oscillation(space, oc.load_data(f), order),
+               oc.oscillation_einsum(space, f, order, 4), f_sq.max())
 
     pair = _pair(rng, space)
     for coeffs in (pair.coeffs, pair.u.coeffs):
@@ -114,8 +114,8 @@ def test_moment_kernels_match_their_pointwise_forms(domain, pre, steps, constrai
     rng = np.random.default_rng(seed)
     _, fine = oc.random_descent(rng, domain, pre, steps)
     space = build_space(fine, constrained=constrained)
-    data = ProblemData(f=lambda x, y: np.exp(x) * np.cos(3 * y) + x * y,
-                       g=(lambda x, y: np.sin(2 * x + y)) if with_g else None, quad_degree=6)
+    f = lambda x, y: np.exp(x) * np.cos(3 * y) + x * y
+    data = oc.load_data(f, (lambda x, y: np.sin(2 * x + y)) if with_g else None, quad_degree=6)
 
     _close(assemble_load(space, data), oc.load_pointwise(space, data))
     block = scale * rng.standard_normal((2, space.n_dofs))
@@ -126,10 +126,10 @@ def test_moment_kernels_match_their_pointwise_forms(domain, pre, steps, constrai
     # of it, exact only up to rounding of h^4 ||f||^2.
     rule = triangle_rule(4)
     pts = oc.triangle_points_einsum(rule, fine.triangle_coords())
-    f_sq = fine.areas**3 * (data.f(pts[..., 0], pts[..., 1])**2 @ rule.weights)
+    f_sq = fine.areas**3 * (f(pts[..., 0], pts[..., 1])**2 @ rule.weights)
     for order in (0, 1, 2):
-        _close(oscillation(space, data.f, order, 4),
-               oc.oscillation_pointwise(space, data.f, order, 4), f_sq.max())
+        _close(oscillation(space, oc.load_data(f), order),
+               oc.oscillation_pointwise(space, f, order, 4), f_sq.max())
 
 
 # -- writers -------------------------------------------------------------
@@ -227,32 +227,34 @@ def chunked_levels():
     return levels
 
 
-def _whole_mesh_moments(space, func, rule):
+def _whole_mesh_moments(space, data):
+    rule = triangle_rule(data.quad_degree)
     pts = triangle_points(rule, space.mesh.triangle_coords())
     xi = space.local_coords(np.arange(space.mesh.n_triangles)[:, None], pts)
-    values = np.broadcast_to(func(pts[..., 0], pts[..., 1]), pts.shape[:-1])
-    return reduce_moments(values, xi[..., 0], xi[..., 1], rule.weights)
+    return [reduce_moments(np.broadcast_to(values, pts.shape[:-1]),
+                           xi[..., 0], xi[..., 1], rule.weights)
+            for values in data.loads(pts[..., 0], pts[..., 1])]
 
 
 def test_chunked_moments_equal_one_whole_mesh_reduction(chunked_levels):
-    # Joint (square-trig) and per-field (the default evaluator) data alike.
+    # The registry's loads (square-trig) and loads built from separate f
+    # and g alike.
     space = build_space(chunked_levels[1].mesh)
     trig = get_problem("square-trig").data
-    plain = ProblemData(f=lambda x, y: np.exp(x) * np.cos(3 * y), g=lambda x, y: x * y)
+    plain = oc.load_data(lambda x, y: np.exp(x) * np.cos(3 * y), lambda x, y: x * y)
     for data in (trig, plain):
-        rule = triangle_rule(data.quad_degree)
-        for m, func in zip(data.moments(space), (data.f, data.g)):
-            assert np.array_equal(m, _whole_mesh_moments(space, func, rule))
+        for m, want in zip(data.moments(space), _whole_mesh_moments(space, data), strict=True):
+            assert np.array_equal(m, want)
 
 
 def test_chunked_oscillation_equals_one_chunk(chunked_levels, monkeypatch):
     space = build_space(chunked_levels[1].mesh)
-    f = get_problem("square-trig").data.f
-    chunked = [oscillation(space, f, order, 6) for order in (1, 2)]
+    data = get_problem("square-trig").data
+    chunked = [oscillation(space, data, order) for order in (1, 2)]
     space.release_quadrature()
     monkeypatch.setattr(morley, "_CHUNK", space.mesh.n_triangles)
     for order, got in zip((1, 2), chunked):
-        assert np.array_equal(got, oscillation(space, f, order, 6))
+        assert np.array_equal(got, oscillation(space, data, order))
 
 
 def test_chunked_energy_norms_match_the_einsum_form(chunked_levels):

@@ -472,6 +472,19 @@ def test_read_mesh_rejects_truncated_file(tmp_path):
             read_mesh(path)
 
 
+def test_read_mesh_rejects_lines_after_the_triangles(tmp_path):
+    path = tmp_path / "m.morleymesh"
+    head = "morleymesh 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2 0\n"
+    path.write_text(head + "\n")
+    assert read_mesh(path).n_triangles == 1
+    path.write_text(head + "1 2 0 0\n\ngarbage here\n")
+    with pytest.raises(MeshError, match="unexpected line '1 2 0 0' after the last triangle"):
+        read_mesh(path)
+    path.write_text(head + "garbage here\n")
+    with pytest.raises(MeshError, match="unexpected line 'garbage here'"):
+        read_mesh(path)
+
+
 def test_non_finite_coordinates_rejected(tmp_path):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(MeshError, match="non-finite"):

@@ -14,7 +14,6 @@ from vkmorley import solver
 from vkmorley.adaptivity import AmfemConfig, amfem_run, uniform_run
 from vkmorley.estimator import estimate
 from vkmorley.forms import (
-    ProblemData,
     apply_residual,
     assemble_bilaplacian,
     assemble_load,
@@ -289,7 +288,7 @@ def test_factor_fill_per_dof(build, bound):
 
 def test_zero_loads_converge_immediately_to_zero():
     space = square_space(2)
-    data = ProblemData(f=lambda x, y: 0.0 * x)
+    data = oc.load_data(lambda x, y: 0.0 * x)
     state, report = newton_solve(space, data, initial=oc.zero_state(space))
     assert report.converged
     assert report.iterations <= 1

@@ -32,7 +32,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
+def _parse_config_file(path: Path) -> dict[str, tuple[int, str]]:
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -50,7 +50,7 @@ def _parse_config_file(path: Path) -> dict[str, str]:
             raise SystemExit(f"{path}:{ln}: duplicate key {key!r}")
         if key == "config":
             raise SystemExit(f"{path}:{ln}: a config file cannot set 'config'")
-        values[key] = val.strip()
+        values[key] = ln, val.strip()
     return values
 
 
@@ -85,28 +85,26 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
+        actions = {action.dest: action for action in parser._actions}
         defaults = {}
-        for key, val in _parse_config_file(Path(args.config)).items():
+        for key, (ln, val) in _parse_config_file(Path(args.config)).items():
             if not hasattr(args, key):
                 raise SystemExit(f"{args.config}: unknown option {key!r}")
-            if isinstance(parser.get_default(key), bool):
-                if val.lower() not in _BOOLEANS:
-                    raise SystemExit(f"{args.config}: invalid {key} {val!r}; "
-                                     f"choose from {', '.join(_BOOLEANS)}")
-                val = _BOOLEANS[val.lower()]
-            defaults[key] = val
-        # File values become defaults, so every explicit flag still wins;
-        # argparse converts string defaults with each option's type.
+            # argparse converts and checks command-line values only.
+            flag = isinstance(actions[key].default, bool)
+            convert, choices = ((str.lower, _BOOLEANS) if flag else
+                                (actions[key].type or str, actions[key].choices))
+            try:
+                value = convert(val)
+                if choices is not None and value not in choices:
+                    raise ValueError
+            except ValueError:
+                allowed = f"; choose from {', '.join(map(str, choices))}" if choices else ""
+                raise SystemExit(f"{args.config}:{ln}: invalid {key} {val!r}{allowed}") from None
+            defaults[key] = _BOOLEANS[value] if flag else value
+        # File values become defaults, so every explicit flag still wins.
         parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
-        # argparse checks choices on command-line values only.
-        for action in parser._actions:
-            value = getattr(args, action.dest, None)
-            if action.choices is not None and value not in action.choices:
-                raise SystemExit(
-                    f"{args.config}: invalid {action.dest} {value!r}; "
-                    f"choose from {', '.join(map(str, action.choices))}"
-                )
     return args
 
 
@@ -135,6 +133,9 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 
+    if not args.out:
+        print("invalid output directory: empty path", file=sys.stderr)
+        return 2
     out = Path(args.out)
     # The directories this run creates, deepest first.
     created = [d for d in (out, *out.parents) if not d.exists()]

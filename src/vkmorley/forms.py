@@ -130,7 +130,8 @@ def assemble_linearized_bracket(state: MorleyField) -> spla.LinearOperator:
         du, dv = space.gather(np.reshape(x, (2, n)))
         p = -np.einsum("tj,tj->t", br_v, du) - np.einsum("tj,tj->t", br_u, dv)
         q = np.einsum("tj,tj->t", br_u, du)
-        return space.scatter(np.stack([p, q])[..., None] * SI).ravel()
+        del du, dv  # p and q are scattered one at a time, with the direction freed
+        return np.concatenate([space.scatter(w[:, None] * SI) for w in (p, q)])
 
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
 

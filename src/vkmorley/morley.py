@@ -295,10 +295,10 @@ class MorleySpace:
 
 def _bin_sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """Sums of weights (..., m) into n bins (m,), dropping bin -1: one
-    ``np.bincount`` per leading row, adding in input order from 0.0.  Rows
-    are masked one by one; masking a block's last axis is far slower."""
-    keep = bins >= 0
-    sums = [np.bincount(bins[keep], weights=w[keep], minlength=n)
+    ``np.bincount`` per leading row, adding in input order from 0.0.  Bin -1
+    is sent to an extra bin n, then dropped, so no masked copies are made."""
+    bins = np.where(bins < 0, n, bins)
+    sums = [np.bincount(bins, weights=w, minlength=n + 1)[:n]
             for w in weights.reshape(-1, len(bins))]
     return np.reshape(sums, weights.shape[:-1] + (n,))
 

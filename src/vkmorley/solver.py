@@ -11,47 +11,38 @@ solves with that factor, and each Newton step solves J d = -r by GMRES
 by z -> (A^-1 z_u, A^-1 z_v); B is applied element by element, so J is
 never assembled.  At a regular solution B is a compact perturbation
 (Brezzi, Rappaz and Raviart, Numer. Math. 36, 1980), and the iteration
-count does not grow with the mesh.
+count does not grow with the mesh.  ``_gmres`` is scipy's gmres to the
+bit, but its basis grows a row per iteration, and it is handed A^-1 (-r),
+solved once per step.
 
 Given the estimator eta (the adaptive driver passes it), Newton stops at
 the discretisation error: once ||r||_{A^-1} <= _LAMBDA eta, the dual norm
 sqrt(r_u . A^-1 r_u + r_v . A^-1 r_v) taken with the same factor, which
 keeps the axioms of adaptivity (Gantner, Haberl, Praetorius and
-Stiftner, IMA J. Numer. Anal. 38, 2018).  Each GMRES solve is then
-forced (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996) to
-_FORCING times the residual that target allows, never below its
-rounding floor.  The dual norm solves the step's right-hand side -r with
-the factor, so it also answers the two preconditioner calls GMRES makes
-on -r before its first iteration.  Without eta, or under an explicit
-tolerance, Newton stops at an algebraic residual bound and GMRES at the
-rounding floor.
+Stiftner, IMA J. Numer. Anal. 38, 2018); its A^-1 (-r) is the one GMRES
+takes.  Each GMRES solve is then forced (Eisenstat and Walker, SIAM J.
+Sci. Comput. 17, 1996) to _FORCING times the residual that target
+allows, never below its rounding floor.  Without eta, or under an
+explicit tolerance, Newton stops at an algebraic residual bound and
+GMRES at the rounding floor.
 
 A is factorised in a nested-dissection order (George, SIAM J. Numer.
-Anal. 10, 1973).  ``dissection_order`` dissects the mesh, not the
-matrix: it bisects sets of triangles at their median centroid, down to
-leaves of ``_ND_LEAF`` = 8 dofs (4 gives about the same fill, 16 more),
-and takes as separator the dofs on triangles of both halves, the
-interface vertices and edges.  A couples two dofs only through a triangle they
-share, so the order reads only the space, and each separator
-disconnects its halves.
-
-``factorise`` factors the permuted A scaled symmetrically by its
-diagonal, D^-1/2 A D^-1/2 with D = diag(A) (van der Sluis, Numer. Math.
-14, 1969), whose diagonal is all ones, and ``solve`` unscales.  On a
-graded mesh A's vertex-dof diagonal spans 8e3-2e9 while its edge-dof
-diagonal stays within 4-8; unscaled, SuperLU left the diagonal hundreds
-of times per factor (598 times at 33,177 dofs), and scaled, not once.
-Rows and columns are permuted alike, so SuperLU runs in symmetric mode
-with no column ordering of its own, in one-column panels
+Anal. 10, 1973) that ``dissection_order`` takes from the mesh, not the
+matrix, down to leaves of ``_ND_LEAF`` = 8 dofs (4 gives about the same
+fill, 16 more).  It is scaled symmetrically by its diagonal (van der
+Sluis, Numer. Math. 14, 1969): on a graded mesh A's vertex-dof diagonal
+spans 8e3-2e9 while its edge-dof diagonal stays within 4-8, and
+unscaled, SuperLU left the diagonal hundreds of times per factor (598
+times at 33,177 dofs), scaled, not once.  SuperLU runs in symmetric
+mode with no column ordering of its own, in one-column panels
 (``_PANEL_SIZE``), which keep the fill of wider ones, factor faster and
 need no per-panel work arrays.  As a safety net it keeps a diagonal
 pivot only while it is at least ``_PIVOT_THRESH`` times the largest
 entry of its column, and pivots off the diagonal otherwise, which
 breaks the order and adds fill (Demmel, Eisenstat, Gilbert, Li and Liu,
-SIAM J. Matrix Anal. Appl. 20, 1999).
-That trades stability for fill, so every solve checks its residual
-against the rule it was asked to meet, on the unscaled A: a direct
-solve against ``_FLOOR_FACTOR`` times its rounding floor
+SIAM J. Matrix Anal. Appl. 20, 1999).  That trades stability for fill,
+so every solve checks its residual on the unscaled A: a direct solve
+against ``_FLOOR_FACTOR`` times its rounding floor
 eps | |A| |x| + |b| |, with |A| read from A's own arrays at each check,
 a GMRES solve against the tolerance GMRES was given.
 """
@@ -66,6 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dlartg
 
 from .forms import (
     ProblemData,
@@ -228,9 +220,10 @@ def factorise(A: sp.spmatrix, order: np.ndarray):
         raise SolverError(f"sparse factorization of {n} dofs failed: {exc!r}") from exc
 
     def solve(b: np.ndarray) -> np.ndarray:
-        w = s if np.ndim(b) == 1 else s[:, None]
+        w, y = (s if np.ndim(b) == 1 else s[:, None]), b[order]
+        y = lu.solve(np.multiply(y, w, out=y))
         x = np.empty_like(b, dtype=float)
-        x[order] = w * lu.solve(w * b[order])
+        x[order] = np.multiply(y, w, out=y)
         return x
     return solve
 
@@ -291,30 +284,66 @@ def _default_tolerance(load: np.ndarray, floor: float) -> float:
     return max(1e-10 * float(np.linalg.norm(load)), 1e-12, floor)
 
 
-def _dual_norm(r: np.ndarray, solve) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """||r||_{A^-1} = sqrt(r_u . A^-1 r_u + r_v . A^-1 r_v) of a 2n residual, and
-    the (n, 2) block B of the Newton step's right-hand side -r with A^-1 B.
-    The norm is taken from B, as negation is exact."""
-    B = -np.reshape(r, (2, -1)).T
-    X = solve(B)
-    return math.sqrt(max(0.0, float(np.sum(B * X)))), (B, X)
+def _gmres(matvec, b: np.ndarray, Mb: np.ndarray, psolve, atol: float):
+    """scipy.sparse.linalg.gmres(J, b, rtol=0, atol=atol, M=psolve, maxiter=_GMRES_CYCLES)
+    to the bit, as (x, iterations, info), given Mb = psolve(b); its basis grows
+    a row per iteration (scipy reserves 21), and is read by fresh views after each."""
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 < atol or bnrm2 == 0.0:
+        return (np.zeros_like(b) if bnrm2 else b), 0, 0
+    m, restart, eps = len(b), min(20, len(b)), np.finfo(float).eps
+    h, givens, S = np.zeros((restart, restart)), np.zeros((restart, 2)), np.zeros(restart + 1)
+    factor, x, z, iterations = 1.0, np.zeros(m), Mb, 0
+    ptol = np.linalg.norm(Mb) * min(factor, atol / bnrm2)
+    for _ in range(_GMRES_CYCLES):
+        S[0] = np.linalg.norm(z)
+        V, z = z.reshape(1, m) * (1 / S[0]), None
+        for col in range(restart):
+            V.resize((col + 2, m), refcheck=False)
+            w = V[col + 1]
+            w[:] = psolve(matvec(V[col]))
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                h[col, k] = tmp = np.dot(V[k], w)
+                w -= tmp * V[k]
+            h1 = np.linalg.norm(w)
+            breakdown = h1 <= eps * h0  # an invariant Krylov space: x is exact
+            w *= 1.0 if breakdown else 1 / h1
+            for k in range(col):
+                (c, s), (n0, n1) = givens[k], h[col, k:k + 2]
+                h[col, k:k + 2] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, h[col, col] = dlartg(h[col, col], 0.0 if breakdown else h1)
+            givens[col] = c, s
+            S[col], S[col + 1] = c * S[col], -s * S[col]
+            presid, iterations = abs(S[col + 1]), iterations + 1
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, -1, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        x += y @ V[:col + 1]
+        r = b - matvec(x)
+        if (rnorm := np.linalg.norm(r)) <= atol or breakdown:
+            break
+        factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / rnorm)
+        z, r = psolve(r), None  # the next cycle keeps neither
+    return x, iterations, 0 if rnorm <= atol else _GMRES_CYCLES
 
 
-def _krylov_solve(J: spla.LinearOperator, b: np.ndarray, precond: spla.LinearOperator,
-                  atol: float) -> tuple[np.ndarray, int]:
-    """GMRES solve of J d = b; returns d and the number of iterations.
-
-    GMRES stops once its true residual is at most atol, and the step is
-    accepted only if |J d - b| <= atol holds when checked again.
-    """
-    steps = []
-    d, info = spla.gmres(J, b, rtol=0.0, atol=atol, M=precond,
-                         maxiter=_GMRES_CYCLES, callback=steps.append, callback_type="pr_norm")
+def _krylov_solve(J: spla.LinearOperator, b, Mb, psolve, atol: float) -> tuple[np.ndarray, int]:
+    """GMRES solve of J d = b, Mb = psolve(b); returns d and the iterations.
+    The step is accepted only if |J d - b| <= atol holds when checked again."""
+    d, steps, info = _gmres(J.matvec, b, Mb, psolve, atol)
     if info != 0:
-        raise SolverError(f"GMRES did not converge in {len(steps)} iterations")
+        raise SolverError(f"GMRES did not converge in {steps} iterations")
     if (resid := float(np.linalg.norm(J @ d - b))) > atol:
         raise SolverError(f"GMRES residual {resid:.2e} above its forcing target {atol:.2e}")
-    return d, len(steps)
+    return d, steps
 
 
 def _backtrack(attempt: Callable[[float], tuple], rnorm: float, max_halvings: int):
@@ -375,23 +404,12 @@ def newton_solve(
     rnorm = float(np.linalg.norm(r))
     report.residuals.append(rnorm)
 
-    def block_operator(apply):
+    def precond(z):
         # The u and v halves of a 2n vector as the columns of an (n, 2) block.
-        return spla.LinearOperator(
-            (2 * n, 2 * n), matvec=lambda z: apply(np.reshape(z, (2, n)).T).T.ravel(), dtype=float)
+        return solve(np.reshape(z, (2, n)).T).T.ravel()
 
-    # The dual norm has solved the step's right-hand side block already, and
-    # GMRES preconditions it twice before its first iteration (for its norm,
-    # then as its first basis vector): the seed (B, A^-1 B) answers both.
-    seed = None
-
-    def seeded_solve(Z):
-        if seed is not None and np.array_equal(Z, seed[0]):
-            return seed[1].copy()
-        return solve(Z)
-
-    A2 = block_operator(lambda Z: A @ Z)
-    precond = block_operator(seeded_solve)
+    A2 = spla.LinearOperator((2 * n, 2 * n), dtype=float,
+                             matvec=lambda z: (A @ np.reshape(z, (2, n)).T).T.ravel())
     discretisation = estimator is not None and residual_tol is None
     while True:
         floor = _rounding_floor(A, load, state.coeffs)
@@ -400,7 +418,10 @@ def newton_solve(
         if discretisation:
             # ||r||_{A^-1} <= _LAMBDA eta, as a bound on the Euclidean |r|.
             eta = estimator(state)
-            dual, seed = _dual_norm(r, solve)
+            # The dual norm's A^-1 (-r) is GMRES's preconditioned right-hand side.
+            Z = -np.reshape(r, (2, -1)).T
+            X = solve(Z)
+            dual, Mb = math.sqrt(max(0.0, float(np.sum(Z * X)))), X.T.ravel()
             allowed = _LAMBDA * eta * rnorm / dual if dual > 0.0 else 0.0
             report.rule = "discretisation" if allowed > report.tolerance else "algebraic"
             report.tolerance = max(report.tolerance, allowed)
@@ -409,8 +430,10 @@ def newton_solve(
         report.converged = rnorm <= report.tolerance
         if report.converged or report.iterations >= _MAX_ITER:
             break
-        J = A2 + assemble_linearized_bracket(state) if data.include_bracket else A2
-        delta, steps = _krylov_solve(J, -r, precond, gmres_tol)
+        # B is applied first, so A2's product is not held while B allocates.
+        J = assemble_linearized_bracket(state) + A2 if data.include_bracket else A2
+        delta, steps = _krylov_solve(J, -r, Mb if discretisation else precond(-r), precond,
+                                     gmres_tol)
         if steps == 0:
             # The residual is under its rounding floor but above an
             # explicit tolerance: no step can lower it further.

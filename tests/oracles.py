@@ -17,7 +17,8 @@ convention, for tests that the convention stays internal,
 ``reparent`` composes several refinement steps into one, and
 ``random_descent`` draws random marked NVB refinements.
 ``backtrack_keep_all`` is the damping loop that kept every trial, the
-reference for ``vkmorley.solver._backtrack``.
+reference for ``vkmorley.solver._backtrack``, and ``scipy_gmres`` calls
+``scipy.sparse.linalg.gmres`` as ``vkmorley.solver._gmres`` is called.
 ``duality_coeffs_by_hand`` keeps the duality system's edge rows written
 out monomial by monomial, and ``monomial_gradients`` the gradients of
 element quadratics from a derivative table, both apart from
@@ -49,6 +50,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 import sympy as sp
 
 from vkmorley.forms import ProblemData, vk_bracket
@@ -64,7 +66,7 @@ from vkmorley.mesh import (
 from vkmorley.morley import MorleyField, build_space, hessians, monomials
 from vkmorley.problems import _poly_axis, _trig_axis
 from vkmorley.quadrature import triangle_rule
-from vkmorley.solver import _ND_LEAF
+from vkmorley.solver import _GMRES_CYCLES, _ND_LEAF
 
 X, Y = sp.symbols("x y")
 MONOMIALS = (sp.Integer(1), X, Y, X**2, X * Y, Y**2)
@@ -844,3 +846,16 @@ def backtrack_keep_all(attempt, rnorm, max_halvings):
     if accepted is None:
         accepted = min(tried, key=lambda item: item[0])
     return accepted, halvings
+
+
+def scipy_gmres(matvec, b, Mb, psolve, atol):
+    """``scipy.sparse.linalg.gmres`` with ``vkmorley.solver._gmres``'s
+    arguments and results (x, iterations, info); Mb is not used, as scipy
+    preconditions b itself."""
+    n = len(b)
+    steps = []
+    x, info = spla.gmres(spla.LinearOperator((n, n), matvec=matvec, dtype=float), b,
+                         rtol=0.0, atol=atol, maxiter=_GMRES_CYCLES,
+                         M=spla.LinearOperator((n, n), matvec=psolve, dtype=float),
+                         callback=steps.append, callback_type="pr_norm")
+    return x, len(steps), info

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import re
 import subprocess
 import sys
 import weakref
@@ -187,6 +188,38 @@ def test_config_file_rejects_repeated_and_config_keys(tmp_path):
     cfg.write_text("levels = 2\nconfig = other.cfg\n")
     with pytest.raises(SystemExit, match=r"exp\.cfg:2: .*'config'$"):
         parse_args(["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("line,error", [
+    ("levels =", "invalid levels ''"),
+    ("delta = 0.x", "invalid delta '0.x'"),
+    ("newton-tol = tight", "invalid newton_tol 'tight'"),
+    ("mode = sideways", "invalid mode 'sideways'; choose from adaptive, uniform, axiom-check"),
+])
+def test_config_file_value_error_names_its_line(tmp_path, line, error):
+    # Each file value is converted with its option's type, so a bad one is
+    # reported at its line, not as a command-line error.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"problem = square-poly\n{line}\n")
+    with pytest.raises(SystemExit, match=rf"exp\.cfg:2: {re.escape(error)}$"):
+        parse_args(["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_empty_output_directory_exits_two_before_writing(tmp_path, monkeypatch, capsys, spelling):
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    argv = ["--problem", "square-poly", "--mode", "uniform", "--levels", "1"]
+    if spelling == "flag":
+        argv += ["--out", ""]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("out =\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "output directory" in capsys.readouterr().err
+    assert list(run.iterdir()) == []
 
 
 def test_config_file_rejects_bad_mode(tmp_path):

@@ -1,5 +1,7 @@
 """Morley space construction, interpolation, evaluation, prolongation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -456,6 +458,34 @@ def test_scatter_is_the_transpose_of_gather(domain, pre, steps, constrained, see
     scattered = space.scatter(L)
     assert scattered.shape == x.shape
     assert (scattered * x).sum() == pytest.approx((L * gathered).sum(), rel=1e-12, abs=1e-12)
+
+
+# Traced peaks of one scatter on the square bisected 10 times (2,048
+# triangles, 3,969 dofs), in units of nt * 6 int64 slots: 2.38 (one row)
+# and 2.70 (two rows) while each row masked its bins and weights, 1.66 and
+# 2.31 with the constrained slots sent to an extra bin that is dropped.
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_scatter_traced_peak_holds_no_masked_copies(lead):
+    mesh = build_initial_mesh("square")
+    for _ in range(10):
+        mesh = uniform_refine(mesh)
+    space = build_space(mesh)
+    nt, n = mesh.n_triangles, space.n_dofs
+    L = np.random.default_rng(3).standard_normal(lead + (nt, 6))
+    tracemalloc.start()
+    try:
+        scattered = space.scatter(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = int(np.prod(lead))
+    # One int64 bin per slot with its mask; a bincount and the sums per row.
+    assert peak <= 9 * 6 * nt + 2 * rows * (n + 1) * 8
+    bins = space.dof_map.ravel()
+    keep = bins >= 0
+    masked = [np.bincount(bins[keep], weights=w[keep], minlength=n)
+              for w in L.reshape(-1, 6 * nt)]
+    assert scattered.tobytes() == np.reshape(masked, lead + (n,)).tobytes()
 
 
 # -- the monomial basis ------------------------------------------------------

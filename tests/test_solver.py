@@ -628,12 +628,10 @@ def test_gmres_iterations_do_not_grow_with_the_mesh():
 
 
 def test_gmres_failure_raises_with_iteration_count(monkeypatch):
-    def stalled(J, b, callback=None, **kwargs):
-        for _ in range(3):
-            callback(0.5)
-        return np.zeros_like(b), 3
+    def stalled(matvec, b, Mb, psolve, atol):
+        return np.zeros_like(b), 3, 3
 
-    monkeypatch.setattr(spla, "gmres", stalled)
+    monkeypatch.setattr(solver, "_gmres", stalled)
     with pytest.raises(SolverError, match="3 iterations"):
         newton_solve(square_space(3), get_problem("square-trig").data)
 
@@ -701,13 +699,13 @@ def test_explicit_tolerance_ignores_the_estimator():
 def test_forced_gmres_step_short_of_its_target_raises(monkeypatch):
     # GMRES reports success but returns half its step, so the true
     # residual is about half the right-hand side: far above the target.
-    gmres = spla.gmres
+    gmres = solver._gmres
 
-    def short(J, b, **kwargs):
-        d, info = gmres(J, b, **kwargs)
-        return 0.5 * d, info
+    def short(*args):
+        d, steps, info = gmres(*args)
+        return 0.5 * d, steps, info
 
-    monkeypatch.setattr(spla, "gmres", short)
+    monkeypatch.setattr(solver, "_gmres", short)
     prob = get_problem("square-trig")
     space = square_space(4)
     with pytest.raises(SolverError, match="above its forcing target"):
@@ -717,44 +715,135 @@ def test_forced_gmres_step_short_of_its_target_raises(monkeypatch):
 def test_unforced_gmres_step_short_of_its_target_raises(monkeypatch):
     # Without the estimator GMRES is held to the same rule: its true
     # residual must meet the tolerance it was given.
-    gmres = spla.gmres
+    gmres = solver._gmres
 
-    def short(J, b, **kwargs):
-        d, info = gmres(J, b, **kwargs)
-        return 0.5 * d, info
+    def short(*args):
+        d, steps, info = gmres(*args)
+        return 0.5 * d, steps, info
 
-    monkeypatch.setattr(spla, "gmres", short)
+    monkeypatch.setattr(solver, "_gmres", short)
     with pytest.raises(SolverError, match="above its forcing target"):
         newton_solve(square_space(4), get_problem("square-trig").data)
 
 
 def test_gmres_seeded_with_the_dual_norm_solve(monkeypatch):
-    # GMRES preconditions its right-hand side -r twice before its first
-    # iteration, and the dual norm has just solved that block: the seed
-    # saves both solves of every Newton step and changes no bit.
-    def run():
-        solves = []
+    # GMRES takes the step's preconditioned right-hand side A^-1 (-r) from
+    # the dual norm, or without the estimator from one solve per step,
+    # where scipy's gmres solves -r twice before its first iteration.
+    # Either way every result is scipy's to the bit.
+    def run(gmres, **config):
+        solves, cycles = [], []
 
         def counted(A, order):
             solve = factorise(A, order)
             return lambda b: solves.append(1) or solve(b)
 
+        def cycle_counted(matvec, *args):
+            # Each cycle ends with one product for its true residual.
+            products = []
+            x, iterations, info = gmres(lambda z: products.append(1) or matvec(z), *args)
+            cycles.append(len(products) - iterations)
+            return x, iterations, info
+
         with monkeypatch.context() as m:
             m.setattr(solver, "factorise", counted)
-            res = uniform_run(get_problem("square-trig"), AmfemConfig(delta=0.05, max_levels=1))
-        return res.final, len(solves)
+            m.setattr(solver, "_gmres", cycle_counted)
+            res = uniform_run(get_problem("square-trig"),
+                              AmfemConfig(delta=0.05, max_levels=1, **config))
+        return res.final, len(solves), sum(cycles)
 
-    seeded, n_seeded = run()
-    dual_norm = solver._dual_norm
-    monkeypatch.setattr(solver, "_dual_norm", lambda r, solve: (dual_norm(r, solve)[0], None))
-    unseeded, n_unseeded = run()
+    for config, rule in (({}, "discretisation"), ({"newton_tol": 1e-9}, "algebraic")):
+        final, n_solves, n_cycles = run(solver._gmres, **config)
+        reference, n_reference, _ = run(oc.scipy_gmres, **config)
+        steps = final.solve.iterations
+        assert steps >= 2 and final.solve.rule == rule
+        # The guess; the dual norm at each iterate, or else each step's
+        # right-hand side; one solve per GMRES iteration and per restart.
+        right_hand_sides = steps + 1 if rule == "discretisation" else steps
+        assert n_solves == (1 + right_hand_sides + sum(final.solve.krylov_iterations)
+                            + n_cycles - steps)
+        # scipy's gmres, handed the same Mb, solves -r twice more.
+        assert n_reference == n_solves + 2 * steps
+        np.testing.assert_array_equal(final.state.coeffs, reference.state.coeffs)
+        assert final.solve == reference.solve
+        np.testing.assert_array_equal(final.report.eta_sq, reference.report.eta_sq)
 
-    steps = seeded.solve.iterations
-    assert steps >= 2 and seeded.solve.rule == "discretisation"
-    # At least the guess, one dual norm per iterate and one solve per GMRES
-    # iteration; a GMRES restart adds one.
-    assert n_seeded >= 1 + (steps + 1) + sum(seeded.solve.krylov_iterations)
-    assert n_unseeded == n_seeded + 2 * steps
-    np.testing.assert_array_equal(seeded.state.coeffs, unseeded.state.coeffs)
-    assert seeded.solve == unseeded.solve
-    np.testing.assert_array_equal(seeded.report.eta_sq, unseeded.report.eta_sq)
+
+# -- the in-house GMRES against scipy's --------------------------------------
+
+
+def _jacobi(A):
+    d = A.diagonal()
+    return lambda z: z / d
+
+
+def _gmres_case(name):
+    """(A, b, psolve, atol) of each oracle case; psolve is A's Jacobi
+    preconditioner or the identity."""
+    rng = np.random.default_rng(11)
+    n = 120
+    if name in ("jacobi", "restart"):
+        # Random nonsymmetric: a dominant diagonal takes a few iterations,
+        # a weak one more than 20.
+        weight = 0.3 if name == "jacobi" else 1.0
+        A = weight * sp.random(n, n, density=0.05, random_state=3) + sp.diags(rng.uniform(1, 4, n))
+        return A.tocsr(), rng.standard_normal(n), _jacobi(A), 1e-10
+    if name == "breakdown":
+        # b = 3 e0 spans, with e1, an invariant subspace of A: the basis
+        # vectors are exact and the third Krylov direction is exactly zero.
+        A = (sp.random(n, n, density=0.05, random_state=4) + 3 * sp.eye(n)).tolil()
+        A[:2, :], A[:, :2] = 0.0, 0.0
+        A[0, 0], A[1, 0], A[0, 1], A[1, 1] = 1.5, 2.0, -0.75, 5.0
+        return A.tocsr(), 3.0 * np.eye(n)[0], lambda z: z, 1e-12
+    if name == "zero":
+        A = sp.random(n, n, density=0.05, random_state=5) + sp.eye(n)
+        return A.tocsr(), np.zeros(n), lambda z: z, 1e-10
+    # A cyclic shift, b = e0: the residual does not fall until n
+    # iterations, and restarts every 20 keep it from falling at all.
+    A = sp.csr_matrix(np.roll(np.eye(n), 1, axis=0))
+    return A, np.eye(n)[0], lambda z: z, 1e-8
+
+
+@pytest.mark.parametrize("name", ["jacobi", "restart", "breakdown", "zero", "stall"])
+def test_gmres_matches_scipy_bit_for_bit(name):
+    A, b, psolve, atol = _gmres_case(name)
+    expected = oc.scipy_gmres(lambda z: A @ z, b, None, psolve, atol)
+    got = solver._gmres(lambda z: A @ z, b, psolve(b), psolve, atol)
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1:] == expected[1:]
+    iterations, info = got[1:]
+    assert {"jacobi": 0 < iterations <= 20, "restart": iterations > 20, "breakdown": iterations == 2,
+            "zero": iterations == 0, "stall": iterations == 20 * solver._GMRES_CYCLES}[name]
+    assert info == (solver._GMRES_CYCLES if name == "stall" else 0)
+    if name == "stall":
+        J = spla.aslinearoperator(A)
+        with pytest.raises(SolverError, match=f"in {iterations} iterations"):
+            solver._krylov_solve(J, b, psolve(b), psolve, atol)
+
+
+# Traced peaks of one _krylov_solve call on 3,969 dofs, in rows of 2n
+# doubles: 29-35 rows above its k iterations while scipy's gmres reserved
+# 21 basis rows, 6.2-7.3 since the basis grows by a row per iteration and
+# the bracket's product scatters p and q one at a time.
+def test_krylov_solve_traced_peak_grows_with_its_iterations(monkeypatch):
+    space = square_space(10)
+    data = get_problem("square-trig").data
+    row = 2 * space.n_dofs * 8
+    krylov = solver._krylov_solve
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            d, steps = krylov(*args)
+            peaks.append((tracemalloc.get_traced_memory()[1], steps))
+        finally:
+            tracemalloc.stop()
+        return d, steps
+
+    monkeypatch.setattr(solver, "_krylov_solve", traced)
+    newton_solve(space, data)
+    newton_solve(space, data, estimator=_eta(data))
+    assert len(peaks) >= 4
+    for peak, steps in peaks:
+        assert peak <= (steps + 8) * row

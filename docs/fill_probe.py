@@ -14,7 +14,11 @@ building the case (for an adaptive case the whole run),
 ``dissection_order`` and ``factorise`` take, and the peak RSS.  Each case
 runs in a fresh single-threaded process, so the peak is its own: for a
 uniform case the mesh, the space and one factor; for an adaptive case the
-whole run, whose every level is factorised too.
+whole run, whose every level is factorised too.  After the peak RSS is
+read, one ``newton_solve`` of lshape-f1 on the case's space runs under
+``tracemalloc``: its traced peak (Python's and numpy's allocations, not
+SuperLU's) is printed in vectors of 2n doubles, and so is its steps'
+transient, the peak after the factor less what was held when it was made.
 """
 
 import os
@@ -22,16 +26,18 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from vkmorley import solver
 from vkmorley.adaptivity import AmfemConfig, amfem_run
 from vkmorley.forms import assemble_bilaplacian
 from vkmorley.mesh import build_initial_mesh, uniform_refine
 from vkmorley.morley import build_space
 from vkmorley.problems import get_problem
-from vkmorley.solver import dissection_order, factorise
+from vkmorley.solver import dissection_order, factorise, newton_solve
 
 CASES = ["uniform-13", "uniform-14", "uniform-15", "adaptive-30000", "adaptive-100000"]
 
@@ -45,6 +51,28 @@ def case_space(case):
         return build_space(mesh)
     cfg = AmfemConfig(theta=0.3, delta=0.9, max_ndofs=int(size), max_levels=500)
     return amfem_run(get_problem("lshape-f1"), cfg).final.space
+
+
+def newton_rows(space):
+    """(whole, steps) traced peaks of one newton_solve in vectors of 2n doubles."""
+    original, marks = solver.factorise, {}
+
+    def traced(*args):
+        solve = original(*args)
+        marks["setup"], marks["held"] = tracemalloc.get_traced_memory()[::-1]
+        tracemalloc.reset_peak()
+        return solve
+
+    solver.factorise = traced
+    tracemalloc.start()
+    try:
+        newton_solve(space, get_problem("lshape-f1").data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        solver.factorise = original
+    row = 2 * space.n_dofs * 8
+    return max(peak, marks["setup"]) / row, (peak - marks["held"]) / row
 
 
 def measure(case):
@@ -62,13 +90,17 @@ def measure(case):
     start = time.perf_counter()
     factorise(A, order)
     factor_s = time.perf_counter() - start
+    spla.splu = splu
     # Read before L and U, which are built as copies of the factor.
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     lu = factors[0]
     fill = lu.L.nnz + lu.U.nnz
     pivots = np.count_nonzero(lu.perm_r != np.arange(space.n_dofs))
+    del lu, factors[:]
+    whole, steps = newton_rows(space)
     print(f"| {case} | {space.n_dofs:,} | {fill / space.n_dofs:.1f} | {pivots:,} "
-          f"| {build_s:.2f} | {order_s:.3f} | {factor_s:.2f} | {rss_mb:,.0f} |", flush=True)
+          f"| {build_s:.2f} | {order_s:.3f} | {factor_s:.2f} | {rss_mb:,.0f} "
+          f"| {whole:.1f} | {steps:.1f} |", flush=True)
 
 
 if __name__ == "__main__":
@@ -77,8 +109,8 @@ if __name__ == "__main__":
             measure(name)
     else:
         print("| case | dofs | fill/dof | off-diagonal pivots | case s | order s | factor s "
-              "| peak RSS MB |")
-        print("| --- | --- | --- | --- | --- | --- | --- | --- |", flush=True)
+              "| peak RSS MB | Newton traced peak, rows of 2n | its steps' transient, rows |")
+        print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |", flush=True)
         env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                    MKL_NUM_THREADS="1")
         for name in CASES:

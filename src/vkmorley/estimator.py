@@ -44,7 +44,7 @@ __all__ = ["EstimatorReport", "estimate", "oscillation", "restrict_estimator"]
 
 @dataclass
 class EstimatorReport:
-    """Per-triangle indicator pieces and their totals."""
+    """Per-triangle indicator pieces and their totals; areas is the mesh's read-only array."""
 
     eta_sq: np.ndarray
     mu_sq: np.ndarray
@@ -76,9 +76,9 @@ class EstimatorReport:
             fh.writelines("%d,%.17g,%.17g,%.17g,%.17g\r\n" % r for r in rows)
 
 
-def _volume_terms(space, H: np.ndarray, data: ProblemData) -> np.ndarray:
-    """|K|^2 weighted L2 norms of both strong volume residuals; H is the
-    (2, nt, 3) Hessian block of (u, v).  Each norm is its mean part plus
+def _volume_terms(space, H, data: ProblemData) -> np.ndarray:
+    """|K|^2 weighted L2 norms of both strong volume residuals; H holds the
+    (nt, 3) Hessians of u and of v.  Each norm is its mean part plus
     the data's spread, from the space's moments (see the module note)."""
     mesh = space.mesh
     Hu, Hv = H
@@ -96,22 +96,25 @@ def _volume_terms(space, H: np.ndarray, data: ProblemData) -> np.ndarray:
     return mesh.areas**2 * (res1 + res2)
 
 
-def _edge_terms(mesh, H: np.ndarray) -> np.ndarray:
-    """|K|^(1/2) weighted tangential Hessian jump norms per triangle; H is
-    the (2, nt, 3) Hessian block of (u, v)."""
+def _edge_terms(mesh, H) -> np.ndarray:
+    """|K|^(1/2) weighted tangential Hessian jump norms per triangle; H holds
+    the (nt, 3) Hessians of u and of v, which are read one at a time."""
     tau = mesh.edge_tangent
     t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-    inner = t1 >= 0
-    # Hessian times tangent, one value per edge side: (2, ne) each.
-    H0, H1 = H[:, t0], H[:, np.where(inner, t1, 0)]
-    jx0 = H0[..., 0] * tau[:, 0] + H0[..., 1] * tau[:, 1]
-    jy0 = H0[..., 1] * tau[:, 0] + H0[..., 2] * tau[:, 1]
-    jx1 = np.where(inner, H1[..., 0] * tau[:, 0] + H1[..., 1] * tau[:, 1], 0.0)
-    jy1 = np.where(inner, H1[..., 1] * tau[:, 0] + H1[..., 2] * tau[:, 1], 0.0)
-    jump_sq = ((jx0 - jx1) ** 2 + (jy0 - jy1) ** 2).sum(axis=0)
+
+    def side(Hk, t, a):  # row a of the Hessian of triangle t[e] times edge e's tangent
+        out, work = Hk[t, a] * tau[:, 0], Hk[t, a + 1]
+        work *= tau[:, 1]
+        return np.add(out, work, out=out)
+
+    def jump_sq(Hk, a):  # a boundary edge reads triangle -1 across it, then takes 0.0
+        across = side(Hk, t1, a)
+        across[t1 < 0] = 0.0
+        return np.square(np.subtract(side(Hk, t0, a), across, out=across), out=across)
 
     # ||jump||^2 over each edge, summed over the triangle's three edges.
-    out = (mesh.edge_length * jump_sq)[mesh.tri_edges].sum(axis=1)
+    total = sum(jump_sq(Hk, 0) + jump_sq(Hk, 1) for Hk in H)
+    out = (mesh.edge_length * total)[mesh.tri_edges].sum(axis=1)
     return np.sqrt(mesh.areas) * out
 
 
@@ -152,18 +155,13 @@ def oscillation(space: MorleySpace, data: ProblemData, order: int) -> np.ndarray
 def estimate(state: MorleyField, data: ProblemData, osc_order: int = 0) -> EstimatorReport:
     """Assemble the full indicator report for a solved state, on the state's space."""
     space = state.space
-    H = space.element_hessians(state.coeffs)
+    H = [space.element_hessians(c) for c in state.coeffs]
     mu_sq = _volume_terms(space, H, data)
     eta_sq = mu_sq + _edge_terms(space.mesh, H)
     # The oscillation does not depend on the state: once per level.
     osc_sq = space.cached(("oscillation", data.loads, osc_order, data.quad_degree),
                           lambda: oscillation(space, data, osc_order))
-    return EstimatorReport(
-        eta_sq=eta_sq,
-        mu_sq=mu_sq,
-        osc_sq=osc_sq,
-        areas=space.mesh.areas.copy(),
-    )
+    return EstimatorReport(eta_sq=eta_sq, mu_sq=mu_sq, osc_sq=osc_sq, areas=space.mesh.areas)
 
 
 def restrict_estimator(report: EstimatorReport, subset) -> dict:

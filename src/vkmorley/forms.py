@@ -19,7 +19,10 @@ All element loops are batched: per-element contractions are stacked
 ``matmul`` calls, which numpy hands to BLAS one small matrix at a time,
 and every area-weighted Hessian Frobenius product goes through
 ``frobenius_weighted``.  The bilaplacian is assembled from triplets in a
-fixed element order, so repeated runs are bit-identical.
+fixed element order, so repeated runs are bit-identical.  The residual
+and the bracket operator run beside a level's LU factor: they gather one
+field and scatter one test block at a time, each within a few vectors of
+2n besides its result, in the arithmetic order of the whole-block forms.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def frobenius_weighted(H: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def assemble_bilaplacian(space: MorleySpace) -> sp.csr_matrix:
     """Scalar piecewise Hessian stiffness matrix (n_dofs square)."""
-    H = space.shape_hess  # (nt, 6, 3)
+    H = hessians(np.swapaxes(space.coeffs, 1, 2), space.scales[:, None])  # (nt, 6, 3) shape rows
     return space.scatter_matrix(frobenius_weighted(H, space.mesh.areas[:, None]) @ H.mT)
 
 
@@ -110,6 +113,14 @@ def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:
         for m in data.moments(space)])
 
 
+def _bracket_rows(space: MorleySpace, Hw: np.ndarray) -> np.ndarray:
+    """Brackets [w, shape_j] (nt, 6) of a field with element Hessians Hw (nt, 3),
+    against one shape function's Hessians (``hessians`` of its coefficients)
+    at a time: numpy buffers a broadcast product, but not one of equal vectors."""
+    return np.column_stack([vk_bracket(Hw, hessians(space.coeffs[:, 3:6, j], space.scales))
+                            for j in range(6)])
+
+
 def assemble_linearized_bracket(state: MorleyField) -> spla.LinearOperator:
     """Derivative of the quadratic bracket terms at a state (2n square operator).
 
@@ -118,20 +129,20 @@ def assemble_linearized_bracket(state: MorleyField) -> spla.LinearOperator:
     blocks SI_K (x) br_K, with SI_K its shape integrals and br_K the
     brackets [w, shape_j] of a frozen field w: -br_v to (p, du), -br_u
     to (p, dv) and br_u to (q, du).  The operator gathers the direction
-    and scatters the result through the state's space; it is never assembled.
+    and scatters the result field by field; it is never assembled.
     """
     space = state.space
     n = space.n_dofs
-    SI = space.shape_integral  # (nt, 6)
-    # [w, shape_j] for the frozen fields, shape (2, nt, 6).
-    br_u, br_v = vk_bracket(space.element_hessians(state.coeffs)[..., None, :], space.shape_hess)
+    br_u, br_v = (_bracket_rows(space, space.element_hessians(c)) for c in state.coeffs)
 
     def matvec(x):
-        du, dv = space.gather(np.reshape(x, (2, n)))
-        p = -np.einsum("tj,tj->t", br_v, du) - np.einsum("tj,tj->t", br_u, dv)
-        q = np.einsum("tj,tj->t", br_u, du)
-        del du, dv  # p and q are scattered one at a time, with the direction freed
-        return np.concatenate([space.scatter(w[:, None] * SI) for w in (p, q)])
+        du, dv = np.reshape(x, (2, n))
+        G = space.gather(du)
+        q = np.einsum("tj,tj->t", br_u, G)
+        p = -np.einsum("tj,tj->t", br_v, G)
+        del G
+        p -= np.einsum("tj,tj->t", br_u, space.gather(dv))
+        return np.concatenate([space.scatter_constant(w) for w in (p, q)])
 
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
 
@@ -145,15 +156,16 @@ def apply_residual(
     """Residual vector of the discrete system at a state, on its space (length 2n).
 
     A is the bilaplacian and load the stacked load vector (length 2n).
+    Each field is gathered, and each test block scattered, on its own.
     """
     space, C = state.space, state.coeffs
-    # A @ C.T applies A to the (n, 2) block; it rounds like two mat-vecs.
-    r = (A @ C.T).T.ravel() - load
+    r = np.concatenate([A @ c for c in C]) - load
     if data.include_bracket:
-        Hu, Hv = space.element_hessians(C)
-        # Test block p, then test block q.
-        br = np.stack([-vk_bracket(Hu, Hv), 0.5 * vk_bracket(Hu, Hu)])
-        r += space.scatter(br[..., None] * space.shape_integral).ravel()
+        Hu, Hv = (space.element_hessians(c) for c in C)
+        br = (-vk_bracket(Hu, Hv), 0.5 * vk_bracket(Hu, Hu))  # test blocks p and q
+        del Hu, Hv
+        for half, b in zip(r.reshape(2, -1), br):
+            half += space.scatter_constant(b)
     return r
 
 

@@ -85,6 +85,9 @@ class Mesh:
         tv = self.tri_vertices
         nt = len(tv)
         _check_vertex_ids(tv, len(coords))
+        stray = np.flatnonzero(np.bincount(tv.ravel(), minlength=len(coords)) == 0)
+        if len(stray):  # its dof would lie on no triangle
+            raise MeshError(f"vertex {stray[0]} is used by no triangle")
         if not np.all(np.isfinite(coords)):
             bad = int(np.argmax(~np.isfinite(coords).all(axis=1)))
             raise MeshError(f"vertex {bad} has a non-finite coordinate")
@@ -99,6 +102,7 @@ class Mesh:
             bad = int(np.argmax(cross <= 0.0))
             raise MeshError(f"triangle {bad} is degenerate or inverted")
         self.areas = 0.5 * cross
+        self.areas.flags.writeable = False  # reports hold it without a copy
         self.h = np.sqrt(self.areas)
 
         # One slot per (triangle, local edge) in scan order; edges are

@@ -94,10 +94,11 @@ def hessians(polys: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Constant Hessians of centered quadratics as (..., 3) rows (hxx, hxy, hyy).
 
     polys (..., 6) holds monomial coefficients in the centered variable
-    (x - c) / h; scales holds h and broadcasts against polys[..., 0].
+    (x - c) / h, or (..., 3) only those of x^2, xy and y^2; scales holds h
+    and broadcasts against polys[..., 0].
     """
     s2 = scales**2
-    return np.stack([2.0 * polys[..., 3] / s2, polys[..., 4] / s2, 2.0 * polys[..., 5] / s2],
+    return np.stack([2.0 * polys[..., -3] / s2, polys[..., -2] / s2, 2.0 * polys[..., -1] / s2],
                     axis=-1)
 
 
@@ -234,11 +235,6 @@ class MorleySpace:
         # quadratics.
         self.shape_integral = (mesh.areas[:, None] / 3.0) * (monomials(xi_m) @ C).sum(axis=1)
 
-    @property
-    def shape_hess(self) -> np.ndarray:
-        """(nt, 6, 3): one Hessian row per shape function, derived from coeffs."""
-        return hessians(np.swapaxes(self.coeffs, 1, 2), self.scales[:, None])
-
     # -- field algebra -------------------------------------------------------
     # Only gather, scatter, scatter_matrix and solver.dissection_order read
     # dof_map's -1 in constrained slots.  Coefficients may carry leading
@@ -258,14 +254,25 @@ class MorleySpace:
         return _bin_sums(self.dof_map.ravel(), local.reshape(local.shape[:-2] + (-1,)),
                          self.n_dofs)
 
+    def scatter_constant(self, w: np.ndarray) -> np.ndarray:
+        """(w, shape_i) of an elementwise constant w (nt,): ``scatter`` of w times
+        the shape integrals, formed a column at a time, since numpy buffers a
+        broadcast product."""
+        local = np.empty((len(w), 6))
+        for col, si in zip(local.T, self.shape_integral.T):
+            np.multiply(w, si, out=col)
+        return self.scatter(local)
+
     def scatter_matrix(self, local: np.ndarray) -> sp.csr_matrix:
         """Sum element matrices (nt, 6, 6) into the sparse n x n matrix.
 
         Sums that cancel to exactly zero are not stored: adding 0.0 changes
         no product, and the sparse LU then skips them.  The COO sum leaves
-        data and indices as views of longer buffers; the copy owns nnz each."""
-        rows = np.broadcast_to(self.dof_map[:, :, None], local.shape)
-        cols = np.broadcast_to(self.dof_map[:, None, :], local.shape)
+        data and indices as views of longer buffers; the copy owns nnz each.
+        The slots are taken in the COO's own index type, which it does not copy."""
+        dof_map = self.dof_map.astype(sp.get_index_dtype(maxval=self.n_dofs))
+        rows = np.broadcast_to(dof_map[:, :, None], local.shape)
+        cols = np.broadcast_to(dof_map[:, None, :], local.shape)
         free = (rows >= 0) & (cols >= 0)
         n = self.n_dofs
         M = sp.coo_matrix((local[free], (rows[free], cols[free])), shape=(n, n)).tocsr()
@@ -277,8 +284,9 @@ class MorleySpace:
         return (self.coeffs @ self.gather(coeffs)[..., None])[..., 0]
 
     def element_hessians(self, coeffs: np.ndarray) -> np.ndarray:
-        """Piecewise constant Hessians as (..., nt, 3) rows (hxx, hxy, hyy)."""
-        return hessians(self.element_polys(coeffs), self.scales)
+        """Piecewise constant Hessians as (..., nt, 3) rows (hxx, hxy, hyy), from
+        the quadratic rows 3:6 of ``element_polys`` alone, which round alike."""
+        return hessians((self.coeffs[:, 3:6] @ self.gather(coeffs)[..., None])[..., 0], self.scales)
 
     def poly_values(self, t, polys: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Values sum_k c_k m_k (``monomial_terms``) of polys (..., 6) at physical
@@ -295,12 +303,12 @@ class MorleySpace:
 
 def _bin_sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """Sums of weights (..., m) into n bins (m,), dropping bin -1: one
-    ``np.bincount`` per leading row, adding in input order from 0.0.  Bin -1
-    is sent to an extra bin n, then dropped, so no masked copies are made."""
-    bins = np.where(bins < 0, n, bins)
-    sums = [np.bincount(bins, weights=w, minlength=n + 1)[:n]
-            for w in weights.reshape(-1, len(bins))]
-    return np.reshape(sums, weights.shape[:-1] + (n,))
+    ``np.add.at`` per leading row, adding in input order from 0.0.  Bin -1
+    indexes an extra last bin, which is dropped, so the bins are not copied."""
+    sums = np.zeros(weights.shape[:-1] + (n + 1,))
+    for out, w in zip(sums.reshape(-1, n + 1), weights.reshape(-1, len(bins))):
+        np.add.at(out, bins, w)
+    return sums[..., :n]
 
 
 @dataclass

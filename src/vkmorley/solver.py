@@ -12,8 +12,9 @@ by z -> (A^-1 z_u, A^-1 z_v); B is applied element by element, so J is
 never assembled.  At a regular solution B is a compact perturbation
 (Brezzi, Rappaz and Raviart, Numer. Math. 36, 1980), and the iteration
 count does not grow with the mesh.  ``_gmres`` is scipy's gmres to the
-bit, but its basis grows a row per iteration, and it is handed A^-1 (-r),
-solved once per step.
+bit, but its basis grows a row per iteration, it is handed A^-1 (-r),
+solved once per step, and J z fills one vector of 2n: each kernel of a
+step holds at most a few such vectors besides its result.
 
 Given the estimator eta (the adaptive driver passes it), Newton stops at
 the discretisation error: once ||r||_{A^-1} <= _LAMBDA eta, the dual norm
@@ -43,8 +44,8 @@ breaks the order and adds fill (Demmel, Eisenstat, Gilbert, Li and Liu,
 SIAM J. Matrix Anal. Appl. 20, 1999).  That trades stability for fill,
 so every solve checks its residual on the unscaled A: a direct solve
 against ``_FLOOR_FACTOR`` times its rounding floor
-eps | |A| |x| + |b| |, with |A| read from A's own arrays at each check,
-a GMRES solve against the tolerance GMRES was given.
+eps | |A| |x| + |b| |, with |A| read from A's own arrays a row block at
+a time, a GMRES solve against the tolerance GMRES was given.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ _ND_LEAF = 8
 _PIVOT_THRESH = 0.01
 # SuperLU's panel width in columns.
 _PANEL_SIZE = 1
+# Stored entries of |A| per row block of a rounding floor, or 4n/3 if more:
+# a block's |A| values and the CSR index copy take 12 bytes an entry, so it
+# fits in one vector of 2n doubles (about 7 blocks on a Morley bilaplacian).
+_ABS_BLOCK = 1024
 # GMRES relative tolerance, and restart cycles (of 20 iterations) allowed.
 _GMRES_RTOL = 1e-11
 _GMRES_CYCLES = 10
@@ -219,11 +224,15 @@ def factorise(A: sp.spmatrix, order: np.ndarray):
     except (RuntimeError, MemoryError, SystemError) as exc:
         raise SolverError(f"sparse factorization of {n} dofs failed: {exc!r}") from exc
 
+    def scale(y):  # column by column: numpy buffers a broadcast product
+        for col in y.reshape(n, -1).T:
+            col *= s
+        return y
+
     def solve(b: np.ndarray) -> np.ndarray:
-        w, y = (s if np.ndim(b) == 1 else s[:, None]), b[order]
-        y = lu.solve(np.multiply(y, w, out=y))
+        y = lu.solve(scale(b[order]))
         x = np.empty_like(b, dtype=float)
-        x[order] = np.multiply(y, w, out=y)
+        x[order] = scale(y)
         return x
     return solve
 
@@ -239,7 +248,8 @@ def linear_solve(A: sp.spmatrix, b: np.ndarray, solve) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SolverError("linear solve produced non-finite values")
     resid = np.linalg.norm(A @ x - b, axis=0)
-    floor = np.finfo(float).eps * np.linalg.norm(_abs_product(A, x) + np.abs(b), axis=0)
+    ax = _abs_product(A, x)
+    floor = np.finfo(float).eps * np.linalg.norm(np.add(ax, np.abs(b), out=ax), axis=0)
     ratio = np.max(resid / np.maximum(floor, np.finfo(float).tiny))
     if ratio > _FLOOR_FACTOR:
         raise SolverError(f"linear solve residual {np.max(resid):.2e} is {ratio:.3g} times its "
@@ -259,9 +269,16 @@ def biharmonic_guess(space: MorleySpace, A: sp.csr_matrix, load: np.ndarray,
 
 
 def _abs_product(A: sp.spmatrix, X: np.ndarray) -> np.ndarray:
-    """|A| |X|, summed as ``abs(A) @ np.abs(X)`` for CSR or CSC A; no |A| is kept."""
-    A = A if A.format in ("csr", "csc") else A.tocsr()
-    return type(A)((np.abs(A.data), A.indices, A.indptr), shape=A.shape) @ np.abs(X)
+    """|A| |X|, each row summed as in ``abs(A) @ np.abs(X)``, with A as CSR and
+    |A| read in row blocks of about max(4n/3, _ABS_BLOCK) entries, not whole."""
+    A, X = A.tocsr(), np.abs(X, out=np.empty(np.shape(X)))  # C order: no copy per block
+    out = np.empty(X.shape)
+    cuts = np.searchsorted(A.indptr, np.arange(0, A.nnz + 1, max(4 * A.shape[0] // 3, _ABS_BLOCK)))
+    for i0, i1 in zip(cuts, [*cuts[1:], A.shape[0]]):
+        s, e = A.indptr[i0], A.indptr[i1]
+        out[i0:i1] = sp.csr_matrix((np.abs(A.data[s:e]), A.indices[s:e], A.indptr[i0:i1 + 1] - s),
+                                   shape=(i1 - i0, A.shape[1])) @ X
+    return out
 
 
 def _rounding_floor(A: sp.csr_matrix, load: np.ndarray, x: np.ndarray) -> float:
@@ -271,7 +288,7 @@ def _rounding_floor(A: sp.csr_matrix, load: np.ndarray, x: np.ndarray) -> float:
     (u block, then v block) or a (2, n) block.
     """
     ax = _abs_product(A, np.reshape(x, (2, -1)).T).T.ravel()
-    return np.finfo(float).eps * float(np.linalg.norm(ax + np.abs(load)))
+    return np.finfo(float).eps * float(np.linalg.norm(np.add(ax, np.abs(load), out=ax)))
 
 
 def _default_tolerance(load: np.ndarray, floor: float) -> float:
@@ -299,9 +316,7 @@ def _gmres(matvec, b: np.ndarray, Mb: np.ndarray, psolve, atol: float):
         S[0] = np.linalg.norm(z)
         V, z = z.reshape(1, m) * (1 / S[0]), None
         for col in range(restart):
-            V.resize((col + 2, m), refcheck=False)
-            w = V[col + 1]
-            w[:] = psolve(matvec(V[col]))
+            w = psolve(matvec(V[col]))
             h0 = np.linalg.norm(w)
             for k in range(col + 1):
                 h[col, k] = tmp = np.dot(V[k], w)
@@ -309,6 +324,9 @@ def _gmres(matvec, b: np.ndarray, Mb: np.ndarray, psolve, atol: float):
             h1 = np.linalg.norm(w)
             breakdown = h1 <= eps * h0  # an invariant Krylov space: x is exact
             w *= 1.0 if breakdown else 1 / h1
+            V.resize((col + 2, m), refcheck=False)  # only now: the products ran a row smaller
+            V[col + 1] = w
+            del w
             for k in range(col):
                 (c, s), (n0, n1) = givens[k], h[col, k:k + 2]
                 h[col, k:k + 2] = c * n0 + s * n1, -s * n0 + c * n1
@@ -326,6 +344,7 @@ def _gmres(matvec, b: np.ndarray, Mb: np.ndarray, psolve, atol: float):
                 y[k] /= h[k, k]
                 y[:k] -= y[k] * h[k, :k]
         x += y @ V[:col + 1]
+        V = None  # freed before the residual's product
         r = b - matvec(x)
         if (rnorm := np.linalg.norm(r)) <= atol or breakdown:
             break
@@ -408,20 +427,27 @@ def newton_solve(
         # The u and v halves of a 2n vector as the columns of an (n, 2) block.
         return solve(np.reshape(z, (2, n)).T).T.ravel()
 
-    A2 = spla.LinearOperator((2 * n, 2 * n), dtype=float,
-                             matvec=lambda z: (A @ np.reshape(z, (2, n)).T).T.ravel())
+    def jacobian(z):
+        # J z as B z (B is set for each GMRES solve), then A z_u and A z_v added
+        # into its halves: one output row, and no product of A held while B allocates.
+        out = np.zeros(2 * n) if B is None else B.matvec(z)
+        for half, zk in zip(out.reshape(2, n), np.reshape(z, (2, n))):
+            half += A @ zk
+        return out
+
+    J = spla.LinearOperator((2 * n, 2 * n), matvec=jacobian, dtype=float)
     discretisation = estimator is not None and residual_tol is None
     while True:
         floor = _rounding_floor(A, load, state.coeffs)
         report.tolerance = residual_tol or _default_tolerance(load, floor)
-        gmres_tol, ratio = max(floor, _GMRES_RTOL * rnorm), None
+        gmres_tol, ratio, Mb = max(floor, _GMRES_RTOL * rnorm), None, None
+        b, r = -r, None  # GMRES's right-hand side; the residual itself is not kept
         if discretisation:
             # ||r||_{A^-1} <= _LAMBDA eta, as a bound on the Euclidean |r|.
             eta = estimator(state)
             # The dual norm's A^-1 (-r) is GMRES's preconditioned right-hand side.
-            Z = -np.reshape(r, (2, -1)).T
-            X = solve(Z)
-            dual, Mb = math.sqrt(max(0.0, float(np.sum(Z * X)))), X.T.ravel()
+            X = solve(b.reshape(2, n).T)
+            dual, Mb = math.sqrt(max(0.0, float(np.sum(b.reshape(2, n).T * X)))), X.T.ravel()
             allowed = _LAMBDA * eta * rnorm / dual if dual > 0.0 else 0.0
             report.rule = "discretisation" if allowed > report.tolerance else "algebraic"
             report.tolerance = max(report.tolerance, allowed)
@@ -430,10 +456,9 @@ def newton_solve(
         report.converged = rnorm <= report.tolerance
         if report.converged or report.iterations >= _MAX_ITER:
             break
-        # B is applied first, so A2's product is not held while B allocates.
-        J = assemble_linearized_bracket(state) + A2 if data.include_bracket else A2
-        delta, steps = _krylov_solve(J, -r, Mb if discretisation else precond(-r), precond,
-                                     gmres_tol)
+        B = assemble_linearized_bracket(state) if data.include_bracket else None
+        delta, steps = _krylov_solve(J, b, precond(b) if Mb is None else Mb, precond, gmres_tol)
+        B = b = Mb = X = None  # none of them is needed while the step is damped
         if steps == 0:
             # The residual is under its rounding floor but above an
             # explicit tolerance: no step can lower it further.

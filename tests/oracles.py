@@ -31,7 +31,11 @@ element polynomials, error norms and the axiom distance), and the
 estimator files that the package now builds from whole arrays.  The
 ``*_pointwise`` functions keep the load, the estimator's volume terms
 and the oscillation as sums over data values at every quadrature point,
-which the package now reads from per-element moments.
+which the package now reads from per-element moments.  ``shape_hess``
+holds every shape function's Hessian rows at once, and the ``*_stacked``
+functions keep the Newton-window kernels as they handled both fields at
+once, through it and broadcast products, and
+``rounding_floor_whole`` the floor through one nnz-sized |A|.
 ``zero_state``
 is the zero deflection/stress pair.  ``evaluate``,
 ``interior_angles`` and ``mesh_equals`` are inspection tools for
@@ -353,8 +357,8 @@ def linearized_bracket_matrix(space, state):
     """
     n = space.n_dofs
     SI = space.shape_integral
-    br_u = vk_bracket(space.element_hessians(state.u.coeffs)[:, None, :], space.shape_hess)
-    br_v = vk_bracket(space.element_hessians(state.v.coeffs)[:, None, :], space.shape_hess)
+    br_u = vk_bracket(space.element_hessians(state.u.coeffs)[:, None, :], shape_hess(space))
+    br_v = vk_bracket(space.element_hessians(state.v.coeffs)[:, None, :], shape_hess(space))
     dm = space.dof_map
     rows = np.broadcast_to(dm[:, :, None], (len(dm), 6, 6))
     cols = np.broadcast_to(dm[:, None, :], (len(dm), 6, 6))
@@ -599,6 +603,64 @@ def check_problem(problem, n_samples=64, seed=7):
     return defect
 
 
+# -- both-field references for the Newton-window kernels ---------------------
+
+
+def shape_hess(space):
+    """(nt, 6, 3): one Hessian row per shape function, from the space's coefficients."""
+    return hessians(np.swapaxes(space.coeffs, 1, 2), space.scales[:, None])
+
+
+def element_hessians_stacked(space, coeffs):
+    return hessians(space.element_polys(coeffs), space.scales)
+
+
+def bracket_rows_stacked(space, Hw):
+    """[w, shape_j] (nt, 6) against every row of ``shape_hess`` at once."""
+    return vk_bracket(Hw[:, None, :], shape_hess(space))
+
+
+def linearized_bracket_stacked(state, x):
+    space, n = state.space, state.space.n_dofs
+    SI = space.shape_integral
+    H = element_hessians_stacked(space, state.coeffs)
+    br_u, br_v = vk_bracket(H[..., None, :], shape_hess(space))
+    du, dv = space.gather(np.reshape(x, (2, n)))
+    p = -np.einsum("tj,tj->t", br_v, du) - np.einsum("tj,tj->t", br_u, dv)
+    q = np.einsum("tj,tj->t", br_u, du)
+    return np.concatenate([space.scatter(w[:, None] * SI) for w in (p, q)])
+
+
+def residual_stacked(state, data, A, load):
+    space, C = state.space, state.coeffs
+    r = (A @ C.T).T.ravel() - load
+    if data.include_bracket:
+        Hu, Hv = element_hessians_stacked(space, C)
+        br = np.stack([-vk_bracket(Hu, Hv), 0.5 * vk_bracket(Hu, Hu)])
+        r += space.scatter(br[..., None] * space.shape_integral).ravel()
+    return r
+
+
+def edge_terms_stacked(mesh, H):
+    """``vkmorley.estimator._edge_terms`` on the (2, nt, 3) block of both fields."""
+    tau = mesh.edge_tangent
+    t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    inner = t1 >= 0
+    H0, H1 = H[:, t0], H[:, np.where(inner, t1, 0)]
+    jx0 = H0[..., 0] * tau[:, 0] + H0[..., 1] * tau[:, 1]
+    jy0 = H0[..., 1] * tau[:, 0] + H0[..., 2] * tau[:, 1]
+    jx1 = np.where(inner, H1[..., 0] * tau[:, 0] + H1[..., 1] * tau[:, 1], 0.0)
+    jy1 = np.where(inner, H1[..., 1] * tau[:, 0] + H1[..., 2] * tau[:, 1], 0.0)
+    jump_sq = ((jx0 - jx1) ** 2 + (jy0 - jy1) ** 2).sum(axis=0)
+    return np.sqrt(mesh.areas) * (mesh.edge_length * jump_sq)[mesh.tri_edges].sum(axis=1)
+
+
+def rounding_floor_whole(A, load, x):
+    absA = type(A)((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    ax = (absA @ np.abs(np.reshape(x, (2, -1)).T)).T.ravel()
+    return np.finfo(float).eps * float(np.linalg.norm(ax + np.abs(load)))
+
+
 # -- einsum references for the batched matmul kernels ------------------------
 
 FROB = np.array([1.0, 2.0, 1.0])
@@ -609,7 +671,7 @@ def triangle_points_einsum(rule, coords):
 
 
 def bilaplacian_elements_einsum(space):
-    H = space.shape_hess
+    H = shape_hess(space)
     return np.einsum("tic,tjc,c,t->tij", H, H, FROB, space.mesh.areas)
 
 

@@ -9,7 +9,8 @@ of both domains.  The two forms add the
 same products in a different order (BLAS may also fuse multiply-adds),
 so they agree to rounding: every array must match to ``RTOL`` times its
 largest entry, every scalar to ``RTOL`` relative.  The writers must match
-the per-entity formatting they replace byte for byte.
+the per-entity formatting they replace byte for byte, and the kernels of
+a Newton step the forms that handled both fields at once bit for bit.
 """
 
 import numpy as np
@@ -21,13 +22,15 @@ from hypothesis.extra import numpy as hnp
 import oracles as oc
 from vkmorley import morley
 from vkmorley.adaptivity import AxiomLevel, LevelArtifacts, axiom_check
-from vkmorley.estimator import EstimatorReport, estimate, oscillation
-from vkmorley.forms import assemble_bilaplacian, assemble_load, energy_norms
+from vkmorley.estimator import EstimatorReport, _edge_terms, estimate, oscillation
+from vkmorley.forms import (_bracket_rows, apply_residual, assemble_bilaplacian, assemble_load,
+                            assemble_linearized_bracket, energy_norms)
 from vkmorley.mesh import (ancestor_map, build_initial_mesh, refine, uniform_refine,
                            write_mesh, write_svg)
 from vkmorley.morley import MorleyField, build_space, reduce_moments
 from vkmorley.problems import get_problem
 from vkmorley.quadrature import triangle_points, triangle_rule
+from vkmorley.solver import _rounding_floor
 
 # About 450 float64 epsilons; measured at most 1.2e-15 over 200 descents
 # (the error norms).
@@ -145,6 +148,33 @@ class _Table:
     def __init__(self, coords, tri_vertices, tri_ref_edge):
         self.coords, self.tri_vertices, self.tri_ref_edge = coords, tri_vertices, tri_ref_edge
         self.n_vertices, self.n_triangles = len(coords), len(tri_vertices)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DESCENTS, with_g=st.booleans())
+def test_newton_window_kernels_match_their_both_field_forms(domain, pre, steps, constrained,
+                                                            seed, with_g):
+    # Bit for bit: the kernels gather, scatter and multiply one field, one
+    # vector, one shape function column or one row block at a time.
+    rng = np.random.default_rng(seed)
+    _, mesh = oc.random_descent(rng, domain, pre, steps)
+    space = build_space(mesh, constrained=constrained)
+    state = _pair(rng, space)
+    data = oc.load_data(lambda x, y: np.sin(x + 2 * y),
+                        (lambda x, y: x * y - 0.3) if with_g else None)
+    A = assemble_bilaplacian(space)
+    load = assemble_load(space, data)
+    H = [space.element_hessians(c) for c in state.coeffs]
+    assert np.stack(H).tobytes() == oc.element_hessians_stacked(space, state.coeffs).tobytes()
+    for Hw in H:
+        assert _bracket_rows(space, Hw).tobytes() == oc.bracket_rows_stacked(space, Hw).tobytes()
+    x = rng.standard_normal(2 * space.n_dofs)
+    assert ((assemble_linearized_bracket(state) @ x).tobytes()
+            == oc.linearized_bracket_stacked(state, x).tobytes())
+    assert (apply_residual(state, data, A, load).tobytes()
+            == oc.residual_stacked(state, data, A, load).tobytes())
+    assert _edge_terms(mesh, H).tobytes() == oc.edge_terms_stacked(mesh, np.stack(H)).tobytes()
+    assert _rounding_floor(A, load, state.coeffs) == oc.rounding_floor_whole(A, load, state.coeffs)
 
 
 @st.composite

@@ -130,24 +130,33 @@ def _validate_message(check, mesh):
        duplicate=st.booleans(), negative_zero=st.booleans())
 def test_validate_matches_loop_oracle(domain, pre, steps, seed, coarse_triangles, duplicate,
                                       negative_zero):
-    # Coarse triangles over the fine vertices leave hanging midpoints, and
-    # subsets break the boundary loop; a copied vertex position and -0.0
-    # coordinates test exact equality.
+    # Subsets break the boundary loop; a copied vertex position and -0.0
+    # coordinates test exact equality.  A mesh holds only the vertices its
+    # triangles use, so the kept triangles' vertices are renumbered in order.
     rng = np.random.default_rng(seed)
     coarse, fine = oc.random_descent(rng, domain, pre, steps)
     tris = (coarse if coarse_triangles else fine).tri_vertices
     keep = np.sort(rng.choice(len(tris), size=rng.integers(1, len(tris) + 1), replace=False))
-    coords = fine.coords.copy()
+    used, kept = np.unique(tris[keep], return_inverse=True)
+    coords = fine.coords[used]
     if duplicate:
         i, j = rng.integers(0, len(coords), 2)
         coords[i] = coords[j]
     if negative_zero:
         coords[coords == 0.0] = -0.0
     try:
-        mesh = mesh_from_arrays(coords, tris[keep])
+        mesh = mesh_from_arrays(coords, kept)
     except MeshError:
         return
     assert _validate_message(validate, mesh) == _validate_message(oc.validate_loop, mesh)
+
+
+def test_mesh_from_arrays_rejects_a_vertex_on_no_triangle():
+    # Such a vertex would get a free dof on no triangle, and a zero row in A.
+    coords = [(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (1.0, 1.0), (0.0, 1.0)]
+    with pytest.raises(MeshError, match="^vertex 2 is used by no triangle$"):
+        mesh_from_arrays(coords, [(0, 1, 3), (0, 3, 4)])
+    assert mesh_from_arrays(coords, [(0, 1, 3), (0, 3, 4), (1, 2, 3)]).n_vertices == 5
 
 
 @pytest.mark.parametrize("bad", [5, -1])
@@ -449,6 +458,11 @@ def test_read_mesh_rejects_garbage(tmp_path):
         read_mesh(bad)
     bad.write_text("morleymesh 1\nvertices 1\n0 0\ntriangles 1\n0 0 0 5\n")
     with pytest.raises(MeshError):
+        read_mesh(bad)
+    # The unit square's two triangles and a vertex at (5, 5) that neither uses.
+    bad.write_text("morleymesh 1\nvertices 5\n0 0\n1 0\n1 1\n0 1\n5 5\n"
+                   "triangles 2\n0 1 2 1\n0 2 3 2\n")
+    with pytest.raises(MeshError, match="^vertex 4 is used by no triangle$"):
         read_mesh(bad)
     for counts in ("vertices -1\ntriangles 0\n", "vertices 0\ntriangles 0\n",
                    "vertices 3\n0 0\n1 0\n0 1\ntriangles 0\n"):

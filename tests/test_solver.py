@@ -10,12 +10,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkmorley import solver
+from vkmorley import estimator, solver
 from vkmorley.adaptivity import AmfemConfig, amfem_run, uniform_run
 from vkmorley.estimator import estimate
 from vkmorley.forms import (
     apply_residual,
     assemble_bilaplacian,
+    assemble_linearized_bracket,
     assemble_load,
 )
 from vkmorley.mesh import build_initial_mesh, refine, uniform_refine
@@ -480,8 +481,8 @@ def test_default_tolerance_rule_at_the_iterate():
 
 @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
 def test_abs_product_is_that_of_abs_a(fmt):
-    # The rounding floor reads |A| from A's own arrays, bit for bit in the
-    # compressed formats; any other format is converted to CSR first.
+    # The rounding floor reads |A| from A's own arrays in row blocks, as CSR:
+    # bit for bit for CSR and CSC, whose rows sum in the same order.
     space = square_space(4)
     A = assemble_bilaplacian(space).asformat(fmt)
     X = np.random.default_rng(5).standard_normal((space.n_dofs, 2))
@@ -492,8 +493,10 @@ def test_abs_product_is_that_of_abs_a(fmt):
 
 
 # Traced peaks of this solve: 4.33 MB when A kept the spare buffers of its
-# COO sum and a second array as |A|, 3.96 MB without them.  SuperLU's own
-# allocations (the factor) are not traced, only Python's and numpy's.
+# COO sum and a second array as |A|, 3.96 MB without them, 4.02 MB now (in
+# the level's set-up, before the factor; a Newton step's kernels stay below
+# it).  SuperLU's own allocations (the factor) are not traced, only Python's
+# and numpy's.
 def test_newton_solve_traced_peak():
     space = square_space(10)
     data = get_problem("square-trig").data
@@ -503,7 +506,7 @@ def test_newton_solve_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.15 * 2**20
+    assert peak <= 4.10 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
@@ -824,7 +827,12 @@ def test_gmres_matches_scipy_bit_for_bit(name):
 # Traced peaks of one _krylov_solve call on 3,969 dofs, in rows of 2n
 # doubles: 29-35 rows above its k iterations while scipy's gmres reserved
 # 21 basis rows, 6.2-7.3 since the basis grows by a row per iteration and
-# the bracket's product scatters p and q one at a time.
+# the bracket's product scatters p and q one at a time, 3.3-4.3 since the
+# basis grows after each iteration's products, the Jacobian product writes
+# one output row and the preconditioner scales without numpy's buffers.
+_KRYLOV_ROWS = 5.0
+
+
 def test_krylov_solve_traced_peak_grows_with_its_iterations(monkeypatch):
     space = square_space(10)
     data = get_problem("square-trig").data
@@ -846,4 +854,73 @@ def test_krylov_solve_traced_peak_grows_with_its_iterations(monkeypatch):
     newton_solve(space, data, estimator=_eta(data))
     assert len(peaks) >= 4
     for peak, steps in peaks:
-        assert peak <= (steps + 8) * row
+        assert peak <= (steps + _KRYLOV_ROWS) * row
+
+
+# Transients of the kernels that run beside a level's factor, in rows of 2n
+# doubles: a call's traced peak less what its result keeps, after a warm-up
+# call.  On square_space(8) and (10), when both fields went through each
+# kernel at once: apply_residual 11.8 and 8.7, the rounding floor 7.7 (one
+# nnz-sized |A|), estimate 12.0 and 11.4, the bracket 16.6 and 12.4 (the
+# (nt, 6, 3) shape_hess), its product 4.3 and 4.1, the preconditioner 2.1 and
+# 2.0; at most 3.7 and 3.4 one field, one row block and one shape function
+# column at a time.  A _krylov_solve of k iterations peaks at k + 4.1 and
+# k + 4.3 (k + 6.9 and k + 7.2 before), within _KRYLOV_ROWS at both sizes.
+_WINDOW_ROWS = 4.0
+
+
+def _transient(kernel, *args):
+    """Traced peak of one call, after a warm-up call, less what its result keeps."""
+    kernel(*args)
+    tracemalloc.start()
+    try:
+        out = kernel(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - kept
+
+
+@pytest.mark.parametrize("levels", [8, 10])
+def test_newton_window_kernels_stay_within_a_few_rows(levels, monkeypatch):
+    space = square_space(levels)
+    data = get_problem("square-trig").data
+    row = 2 * space.n_dofs * 8
+    krylov, calls = solver._krylov_solve, []
+
+    def traced(J, b, Mb, psolve, atol):
+        # The Jacobian holds its bracket only while its GMRES solve runs.
+        calls.append({"Jacobian product": _transient(J.matvec, b),
+                      "preconditioner": _transient(psolve, b)})
+        tracemalloc.start()
+        try:
+            d, steps = krylov(J, b, Mb, psolve, atol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (steps + _KRYLOV_ROWS) * row, (peak / row, steps)
+        return d, steps
+
+    monkeypatch.setattr(solver, "_krylov_solve", traced)
+    state, report = newton_solve(space, data, estimator=_eta(data))
+    assert report.converged and len(calls) >= 2
+
+    A, load = assemble_bilaplacian(space), assemble_load(space, data)
+    H = [space.element_hessians(c) for c in state.coeffs]
+    x = np.random.default_rng(levels).standard_normal(2 * space.n_dofs)
+    kernels = {
+        "apply_residual": (apply_residual, state, data, A, load),
+        "_rounding_floor": (solver._rounding_floor, A, load, state.coeffs),
+        "estimate": (estimate, state, data),
+        "_volume_terms": (estimator._volume_terms, space, H, data),
+        "_edge_terms": (estimator._edge_terms, space.mesh, H),
+        "assemble_linearized_bracket": (assemble_linearized_bracket, state),
+        "bracket product": (assemble_linearized_bracket(state).matvec, x),
+    }
+    transients = {name: _transient(*call) for name, call in kernels.items()}
+    for step in calls:
+        transients.update({name: max(step[name], transients.get(name, 0)) for name in step})
+    assert len(transients) == 9
+    for name, transient in transients.items():
+        assert transient <= _WINDOW_ROWS * row, (name, transient / row)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 from itertools import count
 from pathlib import Path
 
@@ -43,12 +43,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-CSV_HEADER = [
-    "level", "ntri", "ndofs", "eta", "mu", "osc",
-    "err_energy", "err_h1pw", "newton_iters", "marked", "rate_eta",
-]
-
 
 def doerfler_mark(eta_sq: np.ndarray, theta: float) -> np.ndarray:
     """Minimal bulk-chasing marking.
@@ -125,6 +119,17 @@ class LevelRow:
     rate_eta: float | None
 
 
+# The columns of report.csv: LevelRow's fields, in order.
+CSV_HEADER = [f.name for f in fields(LevelRow)]
+
+
+def _cell(value):
+    """A report.csv cell: floats as %.17g, None empty, ints as they are."""
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else value
+
+
 @dataclass
 class LevelArtifacts:
     """Solved objects for one level, as the drivers pass them to on_level."""
@@ -158,17 +163,7 @@ class ConvergenceReport:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.level, r.ntri, r.ndofs,
-                        f"{r.eta:.17g}", f"{r.mu:.17g}", f"{r.osc:.17g}",
-                        "" if r.err_energy is None else f"{r.err_energy:.17g}",
-                        "" if r.err_h1pw is None else f"{r.err_h1pw:.17g}",
-                        r.newton_iters, r.marked,
-                        "" if r.rate_eta is None else f"{r.rate_eta:.17g}",
-                    ]
-                )
+            writer.writerows([_cell(getattr(r, c)) for c in CSV_HEADER] for r in self.rows)
 
 
 @dataclass
@@ -230,7 +225,7 @@ def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
             est = estimate(state, data, cfg.osc_order)
 
         if problem.exact is not None:
-            err_energy, err_h1, _ = energy_norms(state, problem.exact)
+            err_energy, err_h1 = energy_norms(state, problem.exact)
         else:
             err_energy = err_h1 = None
         space.release_quadrature()
@@ -285,21 +280,16 @@ def uniform_run(problem, cfg: AmfemConfig | None = None, on_level=None) -> RunRe
 
 @dataclass
 class AxiomDiagnostics:
-    """Empirical stability/reduction quotients for one mesh pair."""
+    """Empirical stability/reduction quotients for one mesh pair; the fields,
+    in order, are the columns of axioms.csv after the pair's level."""
 
     delta: float
-    eta_common_coarse: float
-    eta_common_fine: float
-    eta_refined_coarse: float
-    eta_refined_fine: float
     lambda1_star: float
     lambda2_star: float
-    mu_common_coarse: float
-    mu_common_fine: float
-    mu_refined_coarse: float
-    mu_refined_fine: float
     lambda1_mu_star: float
     lambda2_mu_star: float
+    eta_refined_coarse: float
+    eta_refined_fine: float
 
 
 def _ratio(num: float, den: float) -> float:
@@ -339,16 +329,10 @@ def axiom_check(coarse: LevelArtifacts | AxiomLevel,
     q_mu = 2.0 ** (-0.5)
     return AxiomDiagnostics(
         delta=delta,
-        eta_common_coarse=float(ec),
-        eta_common_fine=float(ef),
-        eta_refined_coarse=float(ero_c),
-        eta_refined_fine=float(ero_f),
         lambda1_star=_ratio(abs(float(ef) - float(ec)), delta),
         lambda2_star=_ratio(max(0.0, float(ero_f) - q_eta * float(ero_c)), delta),
-        mu_common_coarse=float(mc),
-        mu_common_fine=float(mf),
-        mu_refined_coarse=float(mro_c),
-        mu_refined_fine=float(mro_f),
         lambda1_mu_star=_ratio(abs(float(mf) - float(mc)), delta),
         lambda2_mu_star=_ratio(max(0.0, float(mro_f) - q_mu * float(mro_c)), delta),
+        eta_refined_coarse=float(ero_c),
+        eta_refined_fine=float(ero_f),
     )

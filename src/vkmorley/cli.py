@@ -15,9 +15,11 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .adaptivity import AmfemConfig, AxiomLevel, amfem_run, axiom_check, uniform_run
+from .adaptivity import (AmfemConfig, AxiomDiagnostics, AxiomLevel, amfem_run, axiom_check,
+                         uniform_run)
 from .mesh import MeshError, write_mesh, write_svg
 from .problems import get_problem
 from .solver import SolverError
@@ -25,9 +27,8 @@ from .solver import SolverError
 logger = logging.getLogger(__name__)
 
 _MODES = ("adaptive", "uniform", "axiom-check")
-# The AxiomDiagnostics fields written to axioms.csv, after the pair's level.
-_AXIOM_COLUMNS = ("delta", "lambda1_star", "lambda2_star", "lambda1_mu_star", "lambda2_mu_star",
-                  "eta_refined_coarse", "eta_refined_fine")
+# The columns of axioms.csv after the pair's level.
+_AXIOM_COLUMNS = [f.name for f in fields(AxiomDiagnostics)]
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 

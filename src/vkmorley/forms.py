@@ -172,12 +172,11 @@ def apply_residual(
 def energy_norms(state: MorleyField, exact):
     """Error norms of a state against a smooth exact pair, on the state's space.
 
-    Returns (piecewise H2 seminorm error, piecewise H1 seminorm error,
-    piecewise H2 seminorm of the discrete state).  exact(x, y) is
-    vectorized and returns du, d2u, dv and d2v at once, gradients as
-    (ux, uy) and Hessians as (hxx, hxy, hyy).  The rule's points are
-    walked in ``rule_points``' chunks, so no whole-mesh array with a
-    quadrature axis is built.
+    Returns (piecewise H2 seminorm error, piecewise H1 seminorm error).
+    exact(x, y) is vectorized and returns du, d2u, dv and d2v at once,
+    gradients as (ux, uy) and Hessians as (hxx, hxy, hyy).  The rule's
+    points are walked in ``rule_points``' chunks, so no whole-mesh array
+    with a quadrature axis is built.
     """
     space = state.space
     rule = triangle_rule(_ERROR_DEGREE)
@@ -195,5 +194,4 @@ def energy_norms(state: MorleyField, exact):
             gdiff = np.stack(d1, axis=-1) - Gk
             errh1 += np.vdot(gdiff * warea[..., None], gdiff)
 
-    energy = np.vdot(frobenius_weighted(H, space.mesh.areas), H)
-    return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))
+    return float(np.sqrt(err2)), float(np.sqrt(errh1))

@@ -180,22 +180,17 @@ def _assign_refinement_edges(coords: np.ndarray, tv: np.ndarray) -> np.ndarray:
 # -- domain constructors -----------------------------------------------------
 
 
-def mesh_from_arrays(coords, triangles, ref_edges=None) -> Mesh:
+def mesh_from_arrays(coords, triangles) -> Mesh:
     """Build a level-zero mesh from explicit vertex and triangle lists.
 
-    Without explicit refinement edges, the longest-edge rule assigns
-    them.  Neighbours need not agree on a shared refinement edge: the
-    closure in refine() conforms from any initial labelling.
+    The longest-edge rule assigns the refinement edges.  Neighbours need
+    not agree on a shared refinement edge: the closure in refine()
+    conforms from any initial labelling.
     """
     coords = np.asarray(coords, dtype=float).reshape(-1, 2)
     tv = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    if ref_edges is None:
-        _check_vertex_ids(tv, len(coords))
-        return Mesh(coords, tv, _assign_refinement_edges(coords, tv))
-    ref = np.asarray(ref_edges, dtype=np.int64).reshape(-1)
-    if len(ref) != len(tv) or ref.min(initial=0) < 0 or ref.max(initial=0) > 2:
-        raise MeshError("refinement edge indices must be in {0, 1, 2}")
-    return Mesh(coords, tv, ref)
+    _check_vertex_ids(tv, len(coords))
+    return Mesh(coords, tv, _assign_refinement_edges(coords, tv))
 
 
 def build_initial_mesh(domain: str | Path) -> Mesh:
@@ -382,6 +377,8 @@ def read_mesh(path) -> Mesh:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise MeshError(f"{path}: not a text file ({exc})") from exc
+    except OSError as exc:
+        raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
     rows = [r.strip() for r in text.split("\n") if r.strip()]
     if not rows or rows[0].split() != ["morleymesh", "1"]:
         raise MeshError(f"{path}: not a morleymesh version 1 file")

@@ -105,19 +105,14 @@ def hessians(polys: np.ndarray, scales: np.ndarray) -> np.ndarray:
 class MorleySpace:
     """Global Morley space on a mesh, with per-element shape data."""
 
-    def __init__(self, mesh: Mesh, constrained: bool = True):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.constrained = constrained
 
         nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
         self.vertex_dof = np.full(nv, -1, dtype=np.int64)
         self.edge_dof = np.full(ne, -1, dtype=np.int64)
-        if constrained:
-            free_v = np.nonzero(~mesh.vertex_is_boundary)[0]
-            free_e = np.nonzero(~mesh.edge_is_boundary)[0]
-        else:
-            free_v = np.arange(nv)
-            free_e = np.arange(ne)
+        free_v = np.nonzero(~mesh.vertex_is_boundary)[0]
+        free_e = np.nonzero(~mesh.edge_is_boundary)[0]
         self.vertex_dof[free_v] = np.arange(len(free_v))
         self.edge_dof[free_e] = len(free_v) + np.arange(len(free_e))
         self.n_dofs = len(free_v) + len(free_e)
@@ -329,8 +324,8 @@ class MorleyField:
         return MorleyField(self.space, self.coeffs[1])
 
 
-def build_space(mesh: Mesh, constrained: bool = True) -> MorleySpace:
-    return MorleySpace(mesh, constrained=constrained)
+def build_space(mesh: Mesh) -> MorleySpace:
+    return MorleySpace(mesh)
 
 
 def interpolate(space: MorleySpace, v, grad, edge_points: int = 3) -> MorleyField:
@@ -389,7 +384,7 @@ def prolongate(coarse: MorleyField, fine_space: MorleySpace) -> MorleyField:
     cspace = coarse.space
     cmesh = cspace.mesh
     fmesh = fine_space.mesh
-    if fmesh is cmesh and fine_space.constrained == cspace.constrained:
+    if fmesh is cmesh:
         return MorleyField(fine_space, coarse.coeffs.copy())
     anc = ancestor_map(cmesh, fmesh)
     polys = cspace.element_polys(coarse.coeffs)

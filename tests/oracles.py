@@ -36,7 +36,11 @@ holds every shape function's Hessian rows at once, and the ``*_stacked``
 functions keep the Newton-window kernels as they handled both fields at
 once, through it and broadcast products, and
 ``rounding_floor_whole`` the floor through one nnz-sized |A|.
-``zero_state``
+``gauss_triangle_rule`` is a collapsed Gauss product rule of any degree,
+the reference above the package's tabulated degrees, and
+``discrete_h2_seminorm`` and ``axiom_partition_norms`` the norms that
+the package forms but does not return.  ``free_space`` renumbers a space
+with every dof free, boundary ones too.  ``zero_state``
 is the zero deflection/stress pair.  ``evaluate``,
 ``interior_angles`` and ``mesh_equals`` are inspection tools for
 fields and meshes.  ``load_data`` builds a ``ProblemData`` from separate
@@ -57,6 +61,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 import sympy as sp
 
+from vkmorley.estimator import restrict_estimator
 from vkmorley.forms import ProblemData, vk_bracket
 from vkmorley.mesh import (
     _SVG_WIDTH,
@@ -64,12 +69,13 @@ from vkmorley.mesh import (
     MeshError,
     build_initial_mesh,
     ancestor_map,
+    mesh_partition,
     refine,
     uniform_refine,
 )
 from vkmorley.morley import MorleyField, build_space, hessians, monomials
 from vkmorley.problems import _poly_axis, _trig_axis
-from vkmorley.quadrature import triangle_rule
+from vkmorley.quadrature import TriangleRule, triangle_rule
 from vkmorley.solver import _GMRES_CYCLES, _ND_LEAF
 
 X, Y = sp.symbols("x y")
@@ -172,7 +178,7 @@ def prolongate_loop(coarse_field, fine_space):
     cspace = coarse_field.space
     cmesh = cspace.mesh
     fmesh = fine_space.mesh
-    if fmesh is cmesh and fine_space.constrained == cspace.constrained:
+    if fmesh is cmesh:
         return MorleyField(fine_space, coarse_field.coeffs.copy())
     anc = ancestor_map(cmesh, fmesh)
     polys = cspace.element_polys(coarse_field.coeffs)
@@ -443,13 +449,26 @@ def validate_loop(mesh):
         raise MeshError(f"boundary is not a closed loop at vertex {int(bad[0])}")
 
 
+def free_space(mesh):
+    """The Morley space on mesh renumbered with every vertex and edge dof
+    free, boundary ones too: vertices first, then edges, in id order."""
+    space = build_space(mesh)
+    nv = mesh.n_vertices
+    space.vertex_dof = np.arange(nv)
+    space.edge_dof = nv + np.arange(mesh.n_edges)
+    space.n_dofs = nv + mesh.n_edges
+    space.dof_map = np.concatenate([space.vertex_dof[mesh.tri_vertices],
+                                    space.edge_dof[mesh.tri_edges]], axis=1)
+    return space
+
+
 def zero_state(space):
     """The zero deflection/stress pair on a space."""
     n = space.n_dofs
     return MorleyField(space, np.zeros((2, n)))
 
 
-def reversed_edge_space(mesh, constrained=True):
+def reversed_edge_space(mesh):
     """Morley space on a shallow copy of mesh with every edge reversed.
 
     The copy's edge normals and tangents are negated; mesh itself is
@@ -458,7 +477,7 @@ def reversed_edge_space(mesh, constrained=True):
     flipped = copy.copy(mesh)
     flipped.edge_normal = -mesh.edge_normal
     flipped.edge_tangent = -mesh.edge_tangent
-    return build_space(flipped, constrained=constrained)
+    return build_space(flipped)
 
 
 def reparent(coarse, meshes):
@@ -666,6 +685,36 @@ def rounding_floor_whole(A, load, x):
 FROB = np.array([1.0, 2.0, 1.0])
 
 
+def gauss_triangle_rule(degree):
+    """A collapsed (Duffy) Gauss-Legendre product rule exact to degree, as a
+    ``TriangleRule``: x = s, y = t (1 - s) maps the unit square onto the
+    reference triangle, and (degree + 3) // 2 points per axis integrate
+    the degree + 1 polynomial in s that the Jacobian 1 - s makes of it."""
+    nodes, w = np.polynomial.legendre.leggauss((degree + 3) // 2)
+    s, t = np.meshgrid(0.5 * (nodes + 1.0), 0.5 * (nodes + 1.0), indexing="ij")
+    x, y = s.ravel(), (t * (1.0 - s)).ravel()
+    weights = 0.5 * np.outer(w, w).ravel() * (1.0 - s.ravel())
+    return TriangleRule(degree, np.stack([1.0 - x - y, x, y], axis=1), weights)
+
+
+def discrete_h2_seminorm(state):
+    """Piecewise H2 seminorm of a state's (u, v), both fields together."""
+    H = state.space.element_hessians(state.coeffs)
+    return float(np.sqrt(np.einsum("tc,c,t->", H[0]**2 + H[1]**2, FROB, state.space.mesh.areas)))
+
+
+def axiom_partition_norms(coarse, fine, key="eta_sq"):
+    """sqrt of a report's key summed, as ``axiom_check`` sums it, over the
+    coarse and the fine triangles that refinement kept, then over those it
+    refined and their children: (common coarse, common fine, refined
+    coarse, refined fine)."""
+    common, coarse_only, fine_only, _ = mesh_partition(coarse.mesh, fine.mesh)
+    fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only)
+    return tuple(float(np.sqrt(restrict_estimator(level.report, ids)[key]))
+                 for level, ids in ((coarse, common), (fine, fine_common),
+                                    (coarse, coarse_only), (fine, fine_only)))
+
+
 def triangle_points_einsum(rule, coords):
     return np.einsum("qk,tkd->tqd", rule.bary, coords)
 
@@ -732,8 +781,7 @@ def energy_norms_einsum(space, state, exact):
         err2 += np.einsum("tqc,c,tq->", diff**2, FROB, warea)
         gdiff = np.stack(d1, axis=-1) - Gk
         errh1 += np.einsum("tqc,tq->", gdiff**2, warea)
-    energy = np.einsum("tc,c,t->", H[0]**2 + H[1]**2, FROB, space.mesh.areas)
-    return float(np.sqrt(err2)), float(np.sqrt(errh1)), float(np.sqrt(energy))
+    return float(np.sqrt(err2)), float(np.sqrt(errh1))
 
 
 def monomial_gradients(polys, space, pts):

@@ -602,18 +602,16 @@ class TestAxiomCheck:
         assert diag.lambda2_mu_star == 0.0
         assert diag.eta_refined_coarse == 0.0
         assert diag.eta_refined_fine == 0.0
-        assert diag.eta_common_coarse == pytest.approx(art.report.eta)
+        assert oc.axiom_partition_norms(art, art)[0] == pytest.approx(art.report.eta)
 
     def test_frozen_volume_term_halves(self):
         coarse_mesh = build_initial_mesh("square")
         fine_mesh = uniform_refine(coarse_mesh)
-        diag = axiom_check(
-            _frozen_artifacts(coarse_mesh), _frozen_artifacts(fine_mesh)
-        )
+        coarse, fine = _frozen_artifacts(coarse_mesh), _frozen_artifacts(fine_mesh)
+        diag = axiom_check(coarse, fine)
         assert diag.delta == 0.0
-        assert diag.mu_refined_fine == pytest.approx(
-            0.5 * diag.mu_refined_coarse, rel=1e-14
-        )
+        _, _, mu_refined_coarse, mu_refined_fine = oc.axiom_partition_norms(coarse, fine, "mu_sq")
+        assert mu_refined_fine == pytest.approx(0.5 * mu_refined_coarse, rel=1e-14)
         assert diag.eta_refined_fine == pytest.approx(
             0.5 * diag.eta_refined_coarse, rel=1e-14
         )
@@ -652,8 +650,10 @@ class TestAxiomCheck:
         res, _ = square_adaptive
         diag = axiom_check(res.levels[3], res.levels[4])
         assert diag.delta > 0.0
-        assert diag.eta_common_coarse > 0.0
-        assert diag.eta_common_fine > 0.0
+        eta_common_coarse, eta_common_fine, _, _ = oc.axiom_partition_norms(res.levels[3],
+                                                                            res.levels[4])
+        assert eta_common_coarse > 0.0
+        assert eta_common_fine > 0.0
         assert math.isfinite(diag.lambda1_star)
         assert diag.lambda1_star > 0.0
 

@@ -16,11 +16,11 @@ ONE = lambda x, y: np.ones_like(x)
 ZERO = lambda x, y: 0.0 * x
 
 
-def square_space(levels=0, constrained=True):
+def square_space(levels=0):
     mesh = build_initial_mesh("square")
     for _ in range(levels):
         mesh = uniform_refine(mesh)
-    return build_space(mesh, constrained=constrained)
+    return build_space(mesh)
 
 
 # -- estimate ----------------------------------------------------------------
@@ -43,7 +43,7 @@ def test_unit_load_zero_state_closed_form():
 def test_constant_hessian_state_hand_values():
     # u = x^2/2, v = y^2/2 globally: [u,v] = 1, [u,u] = 0, interior
     # jumps vanish, each boundary edge carries |E| |H tau|^2
-    space = square_space(0, constrained=False)
+    space = oc.free_space(build_initial_mesh("square"))
     u = interpolate(space, lambda x, y: 0.5 * x * x, lambda x, y: (x, 0.0 * y))
     v = interpolate(space, lambda x, y: 0.5 * y * y, lambda x, y: (0.0 * x, y))
     rep = estimate(MorleyField(space, np.stack([u.coeffs, v.coeffs])), oc.load_data(ZERO))

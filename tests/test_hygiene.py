@@ -6,7 +6,8 @@ private function, class or constant in ``src/vkmorley`` must be read by
 package code other than its own definition, so a helper whose last
 caller went away is deleted with it rather than kept for tests.  No
 exported function takes a space beside a state that already carries
-one, and every run setting is one the command line sets.
+one, every run setting is one the command line sets, and every
+tabulated quadrature rule is one the package requests.
 """
 
 import ast
@@ -114,3 +115,17 @@ def test_every_run_setting_is_set_from_the_command_line(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "AmfemConfig", spy)
     assert cli.main(["--levels", "1", "--delta", "0.5", "--out", str(tmp_path)]) == 0
     assert bound == [{f.name for f in dataclasses.fields(AmfemConfig)}]
+
+
+def test_tabulated_triangle_rules_are_the_requested_ones():
+    # The registry's data rules, the error norms' rule and the oscillation's
+    # rule at every order, each rounded up as triangle_rule rounds it: a
+    # table that only tests read fails here.
+    from vkmorley import forms, quadrature
+    from vkmorley.problems import registry
+
+    data = {problem.data.quad_degree for problem in registry.values()}
+    requested = (data | {forms._ERROR_DEGREE}
+                 | {max(q, 2 * order) for q in data for order in (0, 1, 2)})
+    assert ({quadrature.triangle_rule(d).degree for d in requested}
+            == set(quadrature._DUNAVANT))

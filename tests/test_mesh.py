@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vkmorley.mesh import (
+    Mesh,
     MeshError,
     build_initial_mesh,
     mesh_from_arrays,
@@ -205,7 +206,7 @@ def test_completion_cascades_through_incompatible_neighbour():
     # neighbour's refinement edge is a boundary leg; resolving the hanging
     # midpoint on the diagonal takes two bisections of the neighbour
     coords = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    m = mesh_from_arrays(coords, [(0, 1, 2), (0, 2, 3)], ref_edges=[1, 0])
+    m = Mesh(coords, [(0, 1, 2), (0, 2, 3)], [1, 0])
     r = refine(m, [0])
     assert r.n_triangles == 5
     assert_conforming(r)
@@ -285,7 +286,7 @@ def test_refine_matches_queue_oracle(domain, relabel, steps, seed):
     if relabel:
         # Random, generally incompatible, initial refinement edges.
         ref = rng.integers(0, 3, mesh.n_triangles)
-        mesh = mesh_from_arrays(mesh.coords, mesh.tri_vertices, ref_edges=ref)
+        mesh = Mesh(mesh.coords, mesh.tri_vertices, ref)
     for _ in range(steps):
         n = mesh.n_triangles
         marked = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
@@ -304,7 +305,7 @@ def test_edge_shared_by_three_triangles_rejected():
     coords = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)]
     tris = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
     with pytest.raises(MeshError, match="shared by 3 triangles"):
-        mesh_from_arrays(coords, tris, ref_edges=[2, 2, 2])
+        mesh_from_arrays(coords, tris)
 
 
 @pytest.mark.parametrize("domain", ["square", "lshape"])
@@ -473,6 +474,14 @@ def test_read_mesh_rejects_garbage(tmp_path):
     bad.write_bytes(bytes(np.random.default_rng(5).integers(128, 256, 300, dtype=np.uint8)))
     with pytest.raises(MeshError, match="not a text file"):
         read_mesh(bad)
+
+
+def test_unreadable_mesh_file_raises_mesh_error(tmp_path):
+    missing = tmp_path / "missing.morleymesh"
+    with pytest.raises(MeshError, match="^cannot read mesh file .*missing.morleymesh: "):
+        build_initial_mesh(str(missing))
+    with pytest.raises(MeshError, match="^cannot read mesh file .*: .*directory"):
+        read_mesh(tmp_path)
 
 
 def test_read_mesh_rejects_truncated_file(tmp_path):

@@ -24,7 +24,7 @@ SKEW_TRI = [(0.0, 0.0), (2.0, 0.5), (0.7, 1.9)]
 
 
 def single_triangle_space(coords):
-    return build_space(mesh_from_arrays(coords, [(0, 1, 2)]), constrained=False)
+    return oc.free_space(mesh_from_arrays(coords, [(0, 1, 2)]))
 
 
 def shape_functions_at(space, pts):
@@ -89,9 +89,9 @@ def test_needle_triangle_rejected_by_name():
     def needle(eps):
         return mesh_from_arrays([(0.0, 0.0), (1.0, 0.0), (1.0 - eps, eps)], [(0, 1, 2)])
 
-    build_space(needle(1e-6), constrained=False)
+    build_space(needle(1e-6))
     with pytest.raises(MeshError, match=r"triangle 0: Morley duality residual"):
-        build_space(needle(1e-9), constrained=False)
+        build_space(needle(1e-9))
 
 
 @pytest.mark.parametrize("coords", [REF_TRI, SKEW_TRI])
@@ -183,7 +183,7 @@ def test_interpolate_x_squared_hessian():
 def test_integral_mean_identity_clamped_polynomial():
     # the element Hessian of the interpolant equals the element mean of
     # the true Hessian; exact edge means need 5 Gauss points here
-    from vkmorley.quadrature import triangle_points, triangle_rule
+    from vkmorley.quadrature import triangle_points
 
     u = lambda x, y: (x * (1 - x) * y * (1 - y)) ** 2
     P = lambda t: (t * (1 - t)) ** 2
@@ -196,7 +196,7 @@ def test_integral_mean_identity_clamped_polynomial():
     f = interpolate(space, u, du, edge_points=5)
     H = space.element_hessians(f.coeffs)
 
-    rule = triangle_rule(8)
+    rule = oc.gauss_triangle_rule(8)
     pts = triangle_points(rule, mesh.triangle_coords())
     x, y = pts[..., 0], pts[..., 1]
     mean = np.stack(
@@ -306,7 +306,7 @@ def test_prolongate_preserves_global_quadratic():
     mesh = build_initial_mesh("square")
     for _ in range(4):
         mesh = uniform_refine(mesh)
-    cs = build_space(mesh, constrained=False)
+    cs = oc.free_space(mesh)
     inner = [
         t
         for t in range(mesh.n_triangles)
@@ -315,7 +315,7 @@ def test_prolongate_preserves_global_quadratic():
     assert inner, "expected a fully interior triangle at this depth"
     t = inner[0]
     fine_mesh = refine(mesh, [t])
-    fs = build_space(fine_mesh, constrained=False)
+    fs = oc.free_space(fine_mesh)
     g = prolongate(interpolate(cs, q, dq), fs)
 
     children = [c for c in range(fine_mesh.n_triangles) if fine_mesh.ancestors[c] == t]
@@ -332,14 +332,13 @@ def test_prolongate_preserves_global_quadratic():
     domain=st.sampled_from(["square", "lshape"]),
     pre=st.integers(0, 2),
     steps=st.integers(1, 3),
-    constrained=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_prolongate_matches_loop_reference(domain, pre, steps, constrained, seed):
+def test_prolongate_matches_loop_reference(domain, pre, steps, seed):
     rng = np.random.default_rng(seed)
     coarse, fine = oc.random_descent(rng, domain, pre, steps)
-    cs = build_space(coarse, constrained=constrained)
-    fs = build_space(fine, constrained=constrained)
+    cs = build_space(coarse)
+    fs = build_space(fine)
     f = MorleyField(cs, rng.standard_normal(cs.n_dofs))
     np.testing.assert_array_equal(
         prolongate(f, fs).coeffs, oc.prolongate_loop(f, fs).coeffs
@@ -362,8 +361,8 @@ def test_prolongate_reproduces_quadratic_on_every_fine_triangle(domain, pre, ste
     q = lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
     dq = lambda x, y: (c[1] + 2 * c[3] * x + c[4] * y, c[2] + c[4] * x + 2 * c[5] * y)
     coarse, fine = oc.random_descent(rng, domain, pre, steps)
-    fs = build_space(fine, constrained=False)
-    g = prolongate(interpolate(build_space(coarse, constrained=False), q, dq), fs)
+    fs = oc.free_space(fine)
+    g = prolongate(interpolate(oc.free_space(coarse), q, dq), fs)
 
     bary = rng.dirichlet([1, 1, 1], size=(fine.n_triangles, 4))
     pts = np.einsum("tqk,tkd->tqd", bary, fine.triangle_coords())
@@ -384,7 +383,6 @@ DESCENTS = dict(
     domain=st.sampled_from(["square", "lshape"]),
     pre=st.integers(0, 2),
     steps=st.integers(0, 3),
-    constrained=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 
@@ -405,12 +403,12 @@ def test_state_rows_are_views_of_the_block():
 
 @settings(max_examples=30, deadline=None)
 @given(**DESCENTS)
-def test_block_element_data_equals_per_field(domain, pre, steps, constrained, seed):
+def test_block_element_data_equals_per_field(domain, pre, steps, seed):
     # A block must round exactly like its rows: gather returns a
     # C-contiguous array, and einsum rounds a strided one differently.
     rng = np.random.default_rng(seed)
     _, fine = oc.random_descent(rng, domain, pre, steps)
-    space = build_space(fine, constrained=constrained)
+    space = build_space(fine)
     pair = _random_pair(rng, space)
     block = pair.coeffs
     assert block.shape == (2, space.n_dofs)
@@ -430,11 +428,11 @@ def test_block_element_data_equals_per_field(domain, pre, steps, constrained, se
 
 @settings(max_examples=30, deadline=None)
 @given(**{**DESCENTS, "steps": st.integers(1, 3)})
-def test_prolongate_pair_equals_per_field(domain, pre, steps, constrained, seed):
+def test_prolongate_pair_equals_per_field(domain, pre, steps, seed):
     rng = np.random.default_rng(seed)
     coarse, fine = oc.random_descent(rng, domain, pre, steps)
-    cs = build_space(coarse, constrained=constrained)
-    fs = build_space(fine, constrained=constrained)
+    cs = build_space(coarse)
+    fs = build_space(fine)
     pair = _random_pair(rng, cs)
     moved = prolongate(pair, fs)
     assert isinstance(moved, MorleyField) and moved.space is fs
@@ -446,10 +444,10 @@ def test_prolongate_pair_equals_per_field(domain, pre, steps, constrained, seed)
 
 @settings(max_examples=30, deadline=None)
 @given(**DESCENTS, lead=st.sampled_from([(), (2,), (3, 2)]))
-def test_scatter_is_the_transpose_of_gather(domain, pre, steps, constrained, seed, lead):
+def test_scatter_is_the_transpose_of_gather(domain, pre, steps, seed, lead):
     rng = np.random.default_rng(seed)
     _, fine = oc.random_descent(rng, domain, pre, steps)
-    space = build_space(fine, constrained=constrained)
+    space = build_space(fine)
     x = rng.standard_normal(lead + (space.n_dofs,))
     L = rng.standard_normal(lead + (fine.n_triangles, 6))
     gathered = space.gather(x)
@@ -496,22 +494,22 @@ EXPONENTS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 @settings(max_examples=30, deadline=None)
 @given(**DESCENTS)
-def test_duality_edge_rows_match_hand_written_rows(domain, pre, steps, constrained, seed):
+def test_duality_edge_rows_match_hand_written_rows(domain, pre, steps, seed):
     # The edge rows come from ``gradients``; written out monomial by
     # monomial they round alike, so the coefficients are bit-identical.
     _, fine = oc.random_descent(np.random.default_rng(seed), domain, pre, steps)
-    space = build_space(fine, constrained=constrained)
+    space = build_space(fine)
     assert np.array_equal(space.coeffs, oc.duality_coeffs_by_hand(space))
 
 
 @settings(max_examples=30, deadline=None)
 @given(**DESCENTS)
-def test_poly_values_and_gradients_match_expansion(domain, pre, steps, constrained, seed):
+def test_poly_values_and_gradients_match_expansion(domain, pre, steps, seed):
     # A (2,) block of random element quadratics at random points of each
     # triangle, against x^a y^b and its derivatives summed term by term.
     rng = np.random.default_rng(seed)
     _, fine = oc.random_descent(rng, domain, pre, steps)
-    space = build_space(fine, constrained=constrained)
+    space = build_space(fine)
     nt = fine.n_triangles
     polys = rng.standard_normal((2, nt, 1, 6))
     bary = rng.dirichlet([1, 1, 1], size=(nt, 4))

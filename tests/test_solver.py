@@ -129,27 +129,26 @@ DESCENTS = dict(
     domain=st.sampled_from(["square", "lshape"]),
     pre=st.integers(0, 3),
     steps=st.integers(1, 3),
-    constrained=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 
 
-def descent_space(domain, pre, steps, constrained, seed):
+def descent_space(domain, pre, steps, seed):
     _, fine = oc.random_descent(np.random.default_rng(seed), domain, pre, steps)
-    return build_space(fine, constrained=constrained)
+    return build_space(fine)
 
 
 @settings(max_examples=30, deadline=None)
 @given(**DESCENTS)
-def test_order_is_a_permutation(domain, pre, steps, constrained, seed):
-    space = descent_space(domain, pre, steps, constrained, seed)
+def test_order_is_a_permutation(domain, pre, steps, seed):
+    space = descent_space(domain, pre, steps, seed)
     np.testing.assert_array_equal(np.sort(dissection_order(space)), np.arange(space.n_dofs))
 
 
 @settings(max_examples=60, deadline=None)
 @given(**DESCENTS)
-def test_order_matches_recursive_oracle(domain, pre, steps, constrained, seed):
-    space = descent_space(domain, pre, steps, constrained, seed)
+def test_order_matches_recursive_oracle(domain, pre, steps, seed):
+    space = descent_space(domain, pre, steps, seed)
     np.testing.assert_array_equal(dissection_order(space), oc.dissection_order_recursive(space))
 
 
@@ -164,11 +163,11 @@ def triangle_graph(space):
 
 @settings(max_examples=30, deadline=None)
 @given(**DESCENTS)
-def test_every_separator_disconnects_its_halves(domain, pre, steps, constrained, seed):
+def test_every_separator_disconnects_its_halves(domain, pre, steps, seed):
     # Replay the recursion one split at a time.  The graph joins the dofs
     # that share a triangle: A couples no others, and its own pattern
     # drops entries that cancel to zero, so it is not the true structure.
-    space = descent_space(domain, pre, steps, constrained, seed)
+    space = descent_space(domain, pre, steps, seed)
     P = triangle_graph(space)
     assert np.all(P[assemble_bilaplacian(space).nonzero()])
     numbered = np.zeros(space.n_dofs, dtype=bool)

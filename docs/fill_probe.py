@@ -19,6 +19,10 @@ read, one ``newton_solve`` of lshape-f1 on the case's space runs under
 ``tracemalloc``: its traced peak (Python's and numpy's allocations, not
 SuperLU's) is printed in vectors of 2n doubles, and so is its steps'
 transient, the peak after the factor less what was held when it was made.
+Last, the same scaled, dissection-ordered matrix is factorised again with
+SuperLU's own ``MMD_AT_PLUS_A`` column order (minimum degree on A + A^T)
+on top, the other options unchanged, and its L + U nonzeros per dof are
+printed beside ``factorise``'s.
 """
 
 import os
@@ -84,23 +88,27 @@ def measure(case):
     order = dissection_order(space)
     order_s = time.perf_counter() - start
 
-    factors = []
+    factors = []  # (scaled, ordered matrix, its factor, splu's options)
     splu = spla.splu
-    spla.splu = lambda M, **kwargs: factors.append(splu(M, **kwargs)) or factors[-1]
+    spla.splu = (lambda M, **kwargs:
+                 factors.append((M, splu(M, **kwargs), kwargs)) or factors[-1][1])
     start = time.perf_counter()
     factorise(A, order)
     factor_s = time.perf_counter() - start
     spla.splu = splu
     # Read before L and U, which are built as copies of the factor.
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    lu = factors[0]
+    M, lu, options = factors.pop()
     fill = lu.L.nnz + lu.U.nnz
     pivots = np.count_nonzero(lu.perm_r != np.arange(space.n_dofs))
-    del lu, factors[:]
+    del lu
     whole, steps = newton_rows(space)
+    lu = splu(M, **dict(options, permc_spec="MMD_AT_PLUS_A"))
+    mmd_fill = lu.L.nnz + lu.U.nnz
+    del lu
     print(f"| {case} | {space.n_dofs:,} | {fill / space.n_dofs:.1f} | {pivots:,} "
           f"| {build_s:.2f} | {order_s:.3f} | {factor_s:.2f} | {rss_mb:,.0f} "
-          f"| {whole:.1f} | {steps:.1f} |", flush=True)
+          f"| {whole:.1f} | {steps:.1f} | {mmd_fill / space.n_dofs:.1f} |", flush=True)
 
 
 if __name__ == "__main__":
@@ -109,8 +117,9 @@ if __name__ == "__main__":
             measure(name)
     else:
         print("| case | dofs | fill/dof | off-diagonal pivots | case s | order s | factor s "
-              "| peak RSS MB | Newton traced peak, rows of 2n | its steps' transient, rows |")
-        print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |", flush=True)
+              "| peak RSS MB | Newton traced peak, rows of 2n | its steps' transient, rows "
+              "| fill/dof with MMD_AT_PLUS_A |")
+        print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |", flush=True)
         env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                    MKL_NUM_THREADS="1")
         for name in CASES:

@@ -157,33 +157,34 @@ def main(argv=None) -> int:
         if args.dump_estimator:
             arts.report.to_csv(out / f"estimator_L{row.level}.csv")
         if args.mode == "axiom-check":
-            if prev is not None:
-                axioms.append((row.level - 1, axiom_check(prev, arts)))
-            prev = AxiomLevel(arts.mesh, arts.hessians, arts.report)
+            coarse, prev = prev, AxiomLevel(arts.mesh, arts.hessians, arts.report)
+            if coarse is not None:
+                axioms.append((row.level - 1, axiom_check(coarse, prev)))
 
     run = amfem_run if args.mode == "adaptive" else uniform_run
     try:
         result = run(problem, cfg, write_level)
+        result.report.to_csv(out / "report.csv")
+        if args.mode == "axiom-check":
+            with (out / "axioms.csv").open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["pair", *_AXIOM_COLUMNS])
+                writer.writerows([level, *(f"{getattr(d, c):.17g}" for c in _AXIOM_COLUMNS)]
+                                 for level, d in axioms)
+            logger.info("wrote %s", out / "axioms.csv")
+        logger.info("wrote %s", out / "report.csv")
+        return 0
+    except OSError as exc:  # a level's files, report.csv or axioms.csv
+        message = f"cannot write {exc.filename or out}: {exc.strerror or exc}"
     except (RuntimeError, MeshError, SolverError) as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        for d in created:
-            try:
-                d.rmdir()  # fails, and stops here, unless d is empty
-            except OSError:
-                break
-        return 1
-
-    result.report.to_csv(out / "report.csv")
-    if args.mode == "axiom-check":
-        with (out / "axioms.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pair", *_AXIOM_COLUMNS])
-            writer.writerows([level, *(f"{getattr(d, c):.17g}" for c in _AXIOM_COLUMNS)]
-                             for level, d in axioms)
-        logger.info("wrote %s", out / "axioms.csv")
-
-    logger.info("wrote %s", out / "report.csv")
-    return 0
+        message = exc
+    print(f"run aborted: {message}", file=sys.stderr)
+    for d in created:
+        try:
+            d.rmdir()  # fails, and stops here, unless d is empty
+        except OSError:
+            break
+    return 1
 
 
 if __name__ == "__main__":

@@ -12,15 +12,15 @@ element), the residual of the clamped system reads
 where a is the piecewise Hessian inner product and
 b(a, bb, c) = -1/2 sum_K int_K [a, bb] c dx.  The derivative of the
 nonlinear part at a state is twice the state-frozen trilinear form,
-which assemble_linearized_bracket applies, element by element, for
-Newton's method.
+whose product assemble_linearized_bracket returns as a function,
+applied element by element, for Newton's method.
 
 All element loops are batched: per-element contractions are stacked
 ``matmul`` calls, which numpy hands to BLAS one small matrix at a time,
 and every area-weighted Hessian Frobenius product goes through
 ``frobenius_weighted``.  The bilaplacian is assembled from triplets in a
 fixed element order, so repeated runs are bit-identical.  The residual
-and the bracket operator run beside a level's LU factor: they gather one
+and the bracket product run beside a level's LU factor: they gather one
 field and scatter one test block at a time, each within a few vectors of
 2n besides its result, in the arithmetic order of the whole-block forms.
 """
@@ -32,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .morley import MorleyField, MorleySpace, gradients, hessians
 from .quadrature import triangle_rule
@@ -121,15 +120,15 @@ def _bracket_rows(space: MorleySpace, Hw: np.ndarray) -> np.ndarray:
                             for j in range(6)])
 
 
-def assemble_linearized_bracket(state: MorleyField) -> spla.LinearOperator:
-    """Derivative of the quadratic bracket terms at a state (2n square operator).
+def assemble_linearized_bracket(state: MorleyField) -> Callable[[np.ndarray], np.ndarray]:
+    """Derivative B of the quadratic bracket terms at a state, as its product x -> Bx.
 
-    Row blocks are test functions (p, q), column blocks the direction
-    (du, dv); the (q, dv) block is zero.  Element K adds the rank-1
-    blocks SI_K (x) br_K, with SI_K its shape integrals and br_K the
+    B is 2n square.  Row blocks are test functions (p, q), column blocks
+    the direction (du, dv); the (q, dv) block is zero.  Element K adds the
+    rank-1 blocks SI_K (x) br_K, with SI_K its shape integrals and br_K the
     brackets [w, shape_j] of a frozen field w: -br_v to (p, du), -br_u
-    to (p, dv) and br_u to (q, du).  The operator gathers the direction
-    and scatters the result field by field; it is never assembled.
+    to (p, dv) and br_u to (q, du).  The product gathers the direction
+    (length 2n) and scatters the result field by field; B is never assembled.
     """
     space = state.space
     n = space.n_dofs
@@ -144,7 +143,7 @@ def assemble_linearized_bracket(state: MorleyField) -> spla.LinearOperator:
         p -= np.einsum("tj,tj->t", br_u, space.gather(dv))
         return np.concatenate([space.scatter_constant(w) for w in (p, q)])
 
-    return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
+    return matvec
 
 
 def apply_residual(

@@ -328,14 +328,14 @@ def build_space(mesh: Mesh) -> MorleySpace:
     return MorleySpace(mesh)
 
 
-def interpolate(space: MorleySpace, v, grad, edge_points: int = 3) -> MorleyField:
+def interpolate(space: MorleySpace, v, grad) -> MorleyField:
     """Morley interpolation of a smooth function.
 
     v(x, y) and grad(x, y) -> (vx, vy) must accept numpy arrays.  Vertex
     dofs take point values; edge dofs take the mean normal derivative,
-    computed with ``edge_points``-point Gauss quadrature along each edge
-    (the 3-point default integrates the edge trace of grad exactly when
-    v is a polynomial of degree <= 6).
+    computed with 3-point Gauss quadrature (``edge_rule``) along each
+    edge, exact for the edge trace of grad when v is a polynomial of
+    degree <= 6.
     """
     mesh = space.mesh
     coeffs = np.zeros(space.n_dofs)
@@ -347,7 +347,7 @@ def interpolate(space: MorleySpace, v, grad, edge_points: int = 3) -> MorleyFiel
 
     eidx = np.nonzero(space.edge_dof >= 0)[0]
     if len(eidx):
-        ts, ws = edge_rule(edge_points)
+        ts, ws = edge_rule()
         a = mesh.coords[mesh.edge_vertices[eidx, 0]]
         b = mesh.coords[mesh.edge_vertices[eidx, 1]]
         acc = np.zeros(len(eidx))

@@ -99,7 +99,7 @@ def triangle_points(rule: TriangleRule, coords: np.ndarray) -> np.ndarray:
     return rule.bary @ coords
 
 
-def edge_rule(npoints: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], weights summing to 1."""
-    x, w = np.polynomial.legendre.leggauss(npoints)
+def edge_rule() -> tuple[np.ndarray, np.ndarray]:
+    """3-point Gauss-Legendre nodes and weights on [0, 1] (exact to degree 5), summing to 1."""
+    x, w = np.polynomial.legendre.leggauss(3)
     return 0.5 * (x + 1.0), 0.5 * w

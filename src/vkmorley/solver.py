@@ -354,13 +354,13 @@ def _gmres(matvec, b: np.ndarray, Mb: np.ndarray, psolve, atol: float):
     return x, iterations, 0 if rnorm <= atol else _GMRES_CYCLES
 
 
-def _krylov_solve(J: spla.LinearOperator, b, Mb, psolve, atol: float) -> tuple[np.ndarray, int]:
-    """GMRES solve of J d = b, Mb = psolve(b); returns d and the iterations.
-    The step is accepted only if |J d - b| <= atol holds when checked again."""
-    d, steps, info = _gmres(J.matvec, b, Mb, psolve, atol)
+def _krylov_solve(matvec: Callable, b, Mb, psolve, atol: float) -> tuple[np.ndarray, int]:
+    """GMRES solve of J d = b, matvec z -> J z and Mb = psolve(b); returns d and the
+    iterations.  The step is accepted only if |J d - b| <= atol holds when checked again."""
+    d, steps, info = _gmres(matvec, b, Mb, psolve, atol)
     if info != 0:
         raise SolverError(f"GMRES did not converge in {steps} iterations")
-    if (resid := float(np.linalg.norm(J @ d - b))) > atol:
+    if (resid := float(np.linalg.norm(matvec(d) - b))) > atol:
         raise SolverError(f"GMRES residual {resid:.2e} above its forcing target {atol:.2e}")
     return d, steps
 
@@ -430,12 +430,11 @@ def newton_solve(
     def jacobian(z):
         # J z as B z (B is set for each GMRES solve), then A z_u and A z_v added
         # into its halves: one output row, and no product of A held while B allocates.
-        out = np.zeros(2 * n) if B is None else B.matvec(z)
+        out = np.zeros(2 * n) if B is None else B(z)
         for half, zk in zip(out.reshape(2, n), np.reshape(z, (2, n))):
             half += A @ zk
         return out
 
-    J = spla.LinearOperator((2 * n, 2 * n), matvec=jacobian, dtype=float)
     discretisation = estimator is not None and residual_tol is None
     while True:
         floor = _rounding_floor(A, load, state.coeffs)
@@ -457,7 +456,7 @@ def newton_solve(
         if report.converged or report.iterations >= _MAX_ITER:
             break
         B = assemble_linearized_bracket(state) if data.include_bracket else None
-        delta, steps = _krylov_solve(J, b, precond(b) if Mb is None else Mb, precond, gmres_tol)
+        delta, steps = _krylov_solve(jacobian, b, precond(b) if Mb is None else Mb, precond, gmres_tol)
         B = b = Mb = X = None  # none of them is needed while the step is damped
         if steps == 0:
             # The residual is under its rounding floor but above an

@@ -9,7 +9,8 @@ per-entity reference for the batched ``vkmorley.morley.prolongate``,
 ``validate_loop`` for the array ``vkmorley.mesh.validate``, and
 ``linearized_bracket_matrix`` assembles the matrix that
 ``vkmorley.forms.assemble_linearized_bracket`` applies element by
-element.  ``dissection_order_recursive`` is the subset-at-a-time
+element, and ``operator_matrix`` builds the matrix of any such product
+column by column.  ``dissection_order_recursive`` is the subset-at-a-time
 reference for the level-synchronous ``vkmorley.solver.dissection_order``,
 and ``triangle_bisect`` its single split.
 ``reversed_edge_space`` builds a space under the opposite edge-normal
@@ -37,7 +38,10 @@ functions keep the Newton-window kernels as they handled both fields at
 once, through it and broadcast products, and
 ``rounding_floor_whole`` the floor through one nnz-sized |A|.
 ``gauss_triangle_rule`` is a collapsed Gauss product rule of any degree,
-the reference above the package's tabulated degrees, and
+the reference above the package's tabulated degrees,
+``gauss_edge_rule`` the Gauss-Legendre edge rule of any number of points
+beside the package's 3-point one, ``interpolate`` the Morley interpolant
+with edge means of that many points, and
 ``discrete_h2_seminorm`` and ``axiom_partition_norms`` the norms that
 the package forms but does not return.  ``free_space`` renumbers a space
 with every dof free, boundary ones too.  ``zero_state``
@@ -74,6 +78,7 @@ from vkmorley.mesh import (
     uniform_refine,
 )
 from vkmorley.morley import MorleyField, build_space, hessians, monomials
+from vkmorley.morley import interpolate as morley_interpolate
 from vkmorley.problems import _poly_axis, _trig_axis
 from vkmorley.quadrature import TriangleRule, triangle_rule
 from vkmorley.solver import _GMRES_CYCLES, _ND_LEAF
@@ -378,6 +383,12 @@ def linearized_bracket_matrix(space, state):
     c = np.concatenate([cols[mask] + co for _, co, _ in blocks])
     vals = np.concatenate([local[mask] for _, _, local in blocks])
     return sparse.coo_matrix((vals, (r, c)), shape=(2 * n, 2 * n)).tocsr()
+
+
+def operator_matrix(matvec, size):
+    """The dense size x size matrix of a product x -> Mx, applied to each
+    unit vector in turn."""
+    return np.column_stack([matvec(e) for e in np.eye(size)])
 
 
 def triangle_bisect(space, tris, numbered):
@@ -695,6 +706,29 @@ def gauss_triangle_rule(degree):
     x, y = s.ravel(), (t * (1.0 - s)).ravel()
     weights = 0.5 * np.outer(w, w).ravel() * (1.0 - s.ravel())
     return TriangleRule(degree, np.stack([1.0 - x - y, x, y], axis=1), weights)
+
+
+def gauss_edge_rule(npoints):
+    """Gauss-Legendre nodes and weights on [0, 1], weights summing to 1,
+    exact to degree 2 npoints - 1."""
+    x, w = np.polynomial.legendre.leggauss(npoints)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def interpolate(space, v, grad, edge_points):
+    """``vkmorley.morley.interpolate`` with each edge mean taken by the
+    edge_points-point ``gauss_edge_rule``: 5 points integrate the edge
+    trace of grad exactly when v is a polynomial of degree <= 10."""
+    field, mesh = morley_interpolate(space, v, grad), space.mesh
+    eidx = np.nonzero(space.edge_dof >= 0)[0]
+    a, b = (mesh.coords[mesh.edge_vertices[eidx, k]] for k in (0, 1))
+    mean = np.zeros(len(eidx))
+    for t, w in zip(*gauss_edge_rule(edge_points)):
+        p = a + t * (b - a)
+        gx, gy = grad(p[:, 0], p[:, 1])
+        mean += w * (gx * mesh.edge_normal[eidx, 0] + gy * mesh.edge_normal[eidx, 1])
+    field.coeffs[space.edge_dof[eidx]] = mean
+    return field
 
 
 def discrete_h2_seminorm(state):

@@ -45,7 +45,7 @@ from vkmorley.forms import (
     assemble_load,
 )
 from vkmorley.mesh import build_initial_mesh, refine, uniform_refine
-from vkmorley.morley import build_space, interpolate, prolongate
+from vkmorley.morley import build_space, prolongate
 from vkmorley.problems import get_problem
 from vkmorley.quadrature import triangle_points
 from vkmorley.solver import newton_solve
@@ -136,7 +136,7 @@ def test_criterion_01_interpolation_integral_mean():
                 axis=1,
             )
             for space in spaces_here:
-                field = interpolate(space, value, grad, edge_points=5)
+                field = oc.interpolate(space, value, grad, edge_points=5)
                 defect = np.abs(space.element_hessians(field.coeffs) - mean).max()
                 worst = max(worst, float(defect))
 

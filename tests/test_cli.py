@@ -276,6 +276,22 @@ def test_config_file_rejects_bad_boolean(tmp_path, word):
         parse_args(["--config", str(cfg)])
 
 
+@pytest.mark.parametrize("blocked, mode", [("mesh_L0.morleymesh", "uniform"),
+                                           ("report.csv", "uniform"),
+                                           ("axioms.csv", "axiom-check")])
+def test_write_failure_aborts_naming_the_path(tmp_path, capsys, blocked, mode):
+    # A directory where a level's file, report.csv or axioms.csv goes: the
+    # run ends in one line naming the path, not in a traceback.
+    out = tmp_path / "runs" / "o1"
+    (out / blocked).mkdir(parents=True)
+    code = main(["--problem", "square-poly", "--mode", mode, "--levels", "2",
+                 "--delta", "0.5", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"run aborted: cannot write {out / blocked}: Is a directory"]
+    assert (out / blocked).is_dir()
+
+
 def test_prerefinement_beyond_the_dof_cap_fails_fast(tmp_path, capsys):
     # delta 1e-4 would need about 26 uniform refinements of the square.
     code = main(["--delta", "1e-4", "--max-ndofs", "1000", "--out", str(tmp_path)])
@@ -406,3 +422,19 @@ def test_axiom_check_run_holds_at_most_one_earlier_level(tmp_path, monkeypatch):
         assert len(list(csv.DictReader(fh))) == 5
     assert alive == [0, 1, 1, 1, 1, 1]
     assert at_solve == [0] * 6
+
+
+def test_axiom_check_reads_each_levels_hessians_once(tmp_path, monkeypatch):
+    # LevelArtifacts.hessians recomputes on every read.
+    hessians = adaptivity.LevelArtifacts.hessians
+    reads = []
+
+    def counted(arts):
+        reads.append(arts.mesh.n_triangles)
+        return hessians.fget(arts)
+
+    monkeypatch.setattr(adaptivity.LevelArtifacts, "hessians", property(counted))
+    code = main(["--problem", "square-poly", "--mode", "axiom-check", "--levels", "3",
+                 "--delta", "0.75", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(reads) == 3 and len(set(reads)) == 3

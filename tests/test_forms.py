@@ -176,15 +176,15 @@ def test_replaced_load_is_evaluated(field):
 
 def test_linearized_bracket_zero_state():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
-    M = assemble_linearized_bracket(oc.zero_state(space))
-    assert abs(M @ np.eye(2 * space.n_dofs)).max() == 0.0
+    M = oc.operator_matrix(assemble_linearized_bracket(oc.zero_state(space)), 2 * space.n_dofs)
+    assert abs(M).max() == 0.0
 
 
 def test_linearized_bracket_block_structure():
     space = build_space(uniform_refine(uniform_refine(build_initial_mesh("square"))))
     rng = np.random.default_rng(12)
     n = space.n_dofs
-    M = assemble_linearized_bracket(random_state(space, rng)) @ np.eye(2 * n)
+    M = oc.operator_matrix(assemble_linearized_bracket(random_state(space, rng)), 2 * n)
     assert np.all(M[n:, n:] == 0.0)
     np.testing.assert_array_equal(M[n:, :n], -M[:n, n:])
 
@@ -196,9 +196,8 @@ def test_linearized_bracket_operator_matches_assembled_matrix(constrained):
     space = build_space(mesh) if constrained else oc.free_space(mesh)
     state = random_state(space, np.random.default_rng(15))
     n = space.n_dofs
-    M = assemble_linearized_bracket(state)
-    assert M.shape == (2 * n, 2 * n)
-    applied = M @ np.eye(2 * n)
+    applied = oc.operator_matrix(assemble_linearized_bracket(state), 2 * n)
+    assert applied.shape == (2 * n, 2 * n)
     reference = oc.linearized_bracket_matrix(space, state).toarray()
     scale = np.maximum(abs(reference).max(axis=0), np.finfo(float).tiny)
     assert np.all(abs(applied - reference) <= 1e-14 * scale)
@@ -207,7 +206,7 @@ def test_linearized_bracket_operator_matches_assembled_matrix(constrained):
 def trilinear(space, psi, theta, phi):
     """Scalar 2 B_pw(psi, theta, phi) through the linearized bracket."""
     M = assemble_linearized_bracket(psi)
-    return float(phi.coeffs.ravel() @ (M @ theta.coeffs.ravel()))
+    return float(phi.coeffs.ravel() @ M(theta.coeffs.ravel()))
 
 
 def test_trilinear_symmetric_in_first_two_arguments():
@@ -263,7 +262,7 @@ def test_single_element_bracket_entry_hand_value():
     v = interpolate(space, lambda x, y: y * y, lambda x, y: (0.0 * x, 2.0 * y))
     state = MorleyField(space, np.stack([u.coeffs, v.coeffs]))
     n = space.n_dofs
-    M = assemble_linearized_bracket(state) @ np.eye(2 * n)
+    M = oc.operator_matrix(assemble_linearized_bracket(state), 2 * n)
     for j in range(6):
         Hj = oc.shape_hess(space)[0, j]
         for i in range(6):

@@ -6,8 +6,9 @@ private function, class or constant in ``src/vkmorley`` must be read by
 package code other than its own definition, so a helper whose last
 caller went away is deleted with it rather than kept for tests.  No
 exported function takes a space beside a state that already carries
-one, every run setting is one the command line sets, and every
-tabulated quadrature rule is one the package requests.
+one, every run setting is one the command line sets, every
+tabulated quadrature rule is one the package requests, and no product
+or rule keeps a form or a point count that only tests use.
 """
 
 import ast
@@ -129,3 +130,16 @@ def test_tabulated_triangle_rules_are_the_requested_ones():
                  | {max(q, 2 * order) for q in data for order in (0, 1, 2)})
     assert ({quadrature.triangle_rule(d).degree for d in requested}
             == set(quadrature._DUNAVANT))
+
+
+def test_no_linear_operator_and_no_point_counts():
+    # The package applies each Newton product to one vector at a time, as a
+    # plain function, and reads edge means at the 3 points it always uses.
+    from vkmorley.morley import interpolate
+    from vkmorley.quadrature import edge_rule
+
+    named = [path.name for path in SOURCES if "LinearOperator" in path.read_text()]
+    assert named == []
+    assert "scipy.sparse.linalg" not in (SOURCES[0].parent / "forms.py").read_text()
+    assert list(inspect.signature(interpolate).parameters) == ["space", "v", "grad"]
+    assert list(inspect.signature(edge_rule).parameters) == []

@@ -166,7 +166,7 @@ def test_newton_window_kernels_match_their_both_field_forms(domain, pre, steps, 
     for Hw in H:
         assert _bracket_rows(space, Hw).tobytes() == oc.bracket_rows_stacked(space, Hw).tobytes()
     x = rng.standard_normal(2 * space.n_dofs)
-    assert ((assemble_linearized_bracket(state) @ x).tobytes()
+    assert (assemble_linearized_bracket(state)(x).tobytes()
             == oc.linearized_bracket_stacked(state, x).tobytes())
     assert (apply_residual(state, data, A, load).tobytes()
             == oc.residual_stacked(state, data, A, load).tobytes())

@@ -193,7 +193,7 @@ def test_integral_mean_identity_clamped_polynomial():
 
     mesh = uniform_refine(uniform_refine(build_initial_mesh("square")))
     space = build_space(mesh)
-    f = interpolate(space, u, du, edge_points=5)
+    f = oc.interpolate(space, u, du, edge_points=5)
     H = space.element_hessians(f.coeffs)
 
     rule = oc.gauss_triangle_rule(8)

@@ -3,22 +3,25 @@
     PYTHONPATH=src python docs/fill_probe.py                # every case
     PYTHONPATH=src python docs/fill_probe.py uniform-15     # one case
 
-Cases: the L-shape bisected uniformly 13, 14 and 15 times (97,793 to
-392,193 dofs), and the adaptive lshape-f1 run of acceptance criterion 10
-(theta 0.3, delta 0.9) capped at 3x10^4 and 10^5 dofs; any other
-``uniform-<levels>`` or ``adaptive-<cap>`` case runs when named.  For
-the bilaplacian of each case's last mesh it prints the dofs, the L + U
-nonzeros per dof of ``factorise``'s factor, its off-diagonal pivots (rows
-where SuperLU's ``perm_r`` is not the identity), the seconds that
-building the case (for an adaptive case the whole run),
-``dissection_order`` and ``factorise`` take, and the peak RSS.  Each case
-runs in a fresh single-threaded process, so the peak is its own: for a
-uniform case the mesh, the space and one factor; for an adaptive case the
-whole run, whose every level is factorised too.  After the peak RSS is
-read, one ``newton_solve`` of lshape-f1 on the case's space runs under
-``tracemalloc``: its traced peak (Python's and numpy's allocations, not
-SuperLU's) is printed in vectors of 2n doubles, and so is its steps'
-transient, the peak after the factor less what was held when it was made.
+Cases: the unit square bisected uniformly 11 and 12 times (8,065 and
+16,129 dofs, the meshes of the square-trig benchmark workloads), the
+L-shape bisected uniformly 13, 14 and 15 times (97,793 to 392,193 dofs),
+and the adaptive lshape-f1 run of acceptance criterion 10 (theta 0.3,
+delta 0.9) capped at 3x10^3 (the lshape-adaptive workload), 3x10^4 and
+10^5 dofs; any other ``square-<levels>``, ``uniform-<levels>`` or
+``adaptive-<cap>`` case runs when named.  For the bilaplacian of each
+case's last mesh it prints the dofs, the L + U nonzeros per dof of
+``factorise``'s factor, its off-diagonal pivots (rows where SuperLU's
+``perm_r`` is not the identity), the seconds that building the case (for
+an adaptive case the whole run), ``dissection_order`` and ``factorise``
+take, and the peak RSS.  Each case runs in a fresh single-threaded
+process, so the peak is its own: for a uniform case the mesh, the space
+and one factor; for an adaptive case the whole run, whose every level is
+factorised too.  After the peak RSS is read, one ``newton_solve`` of
+lshape-f1 on the case's space runs under ``tracemalloc``: its traced
+peak (Python's and numpy's allocations, not SuperLU's) is printed in
+vectors of 2n doubles, and so is its steps' transient, the peak after
+the factor less what was held when it was made.
 Last, the same scaled, dissection-ordered matrix is factorised again with
 SuperLU's own ``MMD_AT_PLUS_A`` column order (minimum degree on A + A^T)
 on top, the other options unchanged, and its L + U nonzeros per dof are
@@ -43,13 +46,14 @@ from vkmorley.morley import build_space
 from vkmorley.problems import get_problem
 from vkmorley.solver import dissection_order, factorise, newton_solve
 
-CASES = ["uniform-13", "uniform-14", "uniform-15", "adaptive-30000", "adaptive-100000"]
+CASES = ["square-11", "square-12", "uniform-13", "uniform-14", "uniform-15", "adaptive-3000",
+         "adaptive-30000", "adaptive-100000"]
 
 
 def case_space(case):
     kind, size = case.split("-")
-    if kind == "uniform":
-        mesh = build_initial_mesh("lshape")
+    if kind in ("square", "uniform"):
+        mesh = build_initial_mesh("square" if kind == "square" else "lshape")
         for _ in range(int(size)):
             mesh = uniform_refine(mesh)
         return build_space(mesh)

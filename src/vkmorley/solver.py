@@ -29,23 +29,24 @@ GMRES at the rounding floor.
 
 A is factorised in a nested-dissection order (George, SIAM J. Numer.
 Anal. 10, 1973) that ``dissection_order`` takes from the mesh, not the
-matrix, down to leaves of ``_ND_LEAF`` = 8 dofs (4 gives about the same
-fill, 16 more).  It is scaled symmetrically by its diagonal (van der
-Sluis, Numer. Math. 14, 1969): on a graded mesh A's vertex-dof diagonal
-spans 8e3-2e9 while its edge-dof diagonal stays within 4-8, and
+matrix, by ratio cuts on either axis (about half the fill of median cuts
+on graded meshes), down to leaves of ``_ND_LEAF`` = 8 dofs (4 saves 5 %
+of the fill, 16 adds 12 %).  It is scaled symmetrically by its diagonal
+(van der Sluis, Numer. Math. 14, 1969): on a graded mesh A's vertex-dof
+diagonal spans 8e3-2e9 while its edge-dof diagonal stays within 4-8, and
 unscaled, SuperLU left the diagonal hundreds of times per factor (598
-times at 33,177 dofs), scaled, not once.  SuperLU runs in symmetric
-mode with no column ordering of its own, in one-column panels
+times at 33,177 dofs), scaled, not once.  SuperLU runs in symmetric mode
+with no column ordering of its own, in one-column panels
 (``_PANEL_SIZE``), which keep the fill of wider ones, factor faster and
 need no per-panel work arrays.  As a safety net it keeps a diagonal
 pivot only while it is at least ``_PIVOT_THRESH`` times the largest
-entry of its column, and pivots off the diagonal otherwise, which
-breaks the order and adds fill (Demmel, Eisenstat, Gilbert, Li and Liu,
-SIAM J. Matrix Anal. Appl. 20, 1999).  That trades stability for fill,
-so every solve checks its residual on the unscaled A: a direct solve
-against ``_FLOOR_FACTOR`` times its rounding floor
-eps | |A| |x| + |b| |, with |A| read from A's own arrays a row block at
-a time, a GMRES solve against the tolerance GMRES was given.
+entry of its column, and pivots off the diagonal otherwise, which breaks
+the order and adds fill (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J.
+Matrix Anal. Appl. 20, 1999).  That trades stability for fill, so every
+solve checks its residual on the unscaled A: a direct solve against
+``_FLOOR_FACTOR`` times its rounding floor eps | |A| |x| + |b| |, with
+|A| read from A's own arrays a row block at a time, a GMRES solve
+against the tolerance GMRES was given.
 """
 
 from __future__ import annotations
@@ -129,71 +130,100 @@ class SolveReport:
     rule: str = "algebraic"
 
 
-def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices starts[k] + range(counts[k]) for every k, concatenated."""
-    first = np.cumsum(counts) - counts
-    return np.repeat(starts - first, counts) + np.arange(counts.sum())
-
-
 def dissection_order(space: MorleySpace) -> np.ndarray:
     """Nested-dissection order of a Morley space's dofs, by triangle bisection.
 
-    A subset of triangles with more than ``_ND_LEAF`` unnumbered dofs is
-    sorted stably by centroid along its longer centroid extent and split
-    at its median triangle.  Its separator, the unnumbered dofs on
-    triangles of both halves, is ordered last, after the dofs of the left
-    half and then of the right half, each ordered alike; leaves and
-    separators list their dofs in ascending id.  Two dofs are coupled only
-    through a triangle they share, so each separator disconnects its
-    halves.  All subsets of one depth are split in one array pass.
-    Returns a permutation of range(n_dofs).
+    A subset of m triangles with more than ``_ND_LEAF`` unnumbered dofs is
+    ranked by centroid along x and along y, ties by triangle id, and cut
+    into its first k triangles and the rest.  The unnumbered dofs on
+    triangles of both halves, S, separate those on one half only, L and R:
+    two dofs are coupled only through a triangle they share.  Of the cuts
+    with k within m // 5 of m // 2, on either axis, the subset takes the
+    one with the least |S| / min(|L|, |R|) (ratio cut: Wei and Cheng, IEEE
+    Trans. CAD 10, 1991); an empty L or R ranks last, and ties go to the
+    cut nearest the median, then to x, then to the smaller k.  S is ordered
+    after L and then R, each ordered alike; leaves and separators list
+    their dofs in ascending id.  Every cut of every subset of one depth is
+    scored in one array pass.  Returns a permutation of range(n_dofs).
     """
     n = space.n_dofs
-    flat = space.dof_map.ravel()
-    # Each dof's triangles, grouped by dof from first[dof] on; every free
-    # dof lies on some triangle.
-    slots = np.argsort(flat, kind="stable")[np.count_nonzero(flat < 0):]
-    tri_of_slot = slots // 6
-    first = np.searchsorted(flat[slots], np.arange(n))
-    label = np.zeros(len(space.dof_map), dtype=np.int64)
-
-    out = np.empty(n, dtype=np.int64)
-    dofs = np.arange(n)  # the unnumbered dofs of each subset, one subset after another
-    sizes = np.array([n])
-    offsets = np.array([0])  # where each subset's order starts in out
-    tris = np.arange(len(space.dof_map))  # each subset's triangles, likewise
-    n_tris = np.array([len(tris)])
+    # Each dof's triangles as the columns of two tables, with the columns of
+    # ext they fill: the vertex dofs' padded with repeats to the largest
+    # degree, then the edge dofs' two (a free edge is interior).
+    flat = space.dof_map[:, :3].ravel()
+    slots = np.argsort(flat)[np.count_nonzero(flat < 0):]
+    first = np.searchsorted(flat[slots], np.arange(np.count_nonzero(space.vertex_dof >= 0) + 1))
+    width = np.arange(np.max(np.diff(first), initial=1))[:, None]
+    tables = ((slots[np.minimum(first[:-1] + width, first[1:] - 1)] // 3, np.s_[:len(first) - 1]),
+              (space.mesh.edge_tris[~space.mesh.edge_is_boundary].T, np.s_[len(first) - 1:]))
+    rank = np.empty((2, len(space.dof_map)), dtype=np.int32)
+    right_tri = np.empty(len(space.dof_map), dtype=bool)
+    start = np.empty(n, dtype=np.int32)  # where each dof's leaf or separator starts in the order
+    live, sub = np.arange(n), np.zeros(n, dtype=np.int64)  # unnumbered dofs, and their subsets
+    # Each subset's dofs, order start and triangles, in rank order along x and y.
+    sizes, offsets, n_tris = np.array([n]), np.array([0]), np.array([len(right_tri)])
+    seqs = np.argsort(space.centers.T, axis=1, kind="stable")
+    flat = slots = None
     while True:
         leaf = sizes <= _ND_LEAF
-        out[_segments(offsets[leaf], sizes[leaf])] = dofs[np.repeat(leaf, sizes)]
-        dofs, tris = dofs[np.repeat(~leaf, sizes)], tris[np.repeat(~leaf, n_tris)]
-        sizes, offsets, n_tris = sizes[~leaf], offsets[~leaf], n_tris[~leaf]
-        if not len(sizes):
-            break
+        if leaf.any():
+            on_leaf = leaf[sub]
+            start[live[on_leaf]] = offsets[sub[on_leaf]]
+            live, sub = live[~on_leaf], (np.cumsum(~leaf) - 1)[sub[~on_leaf]]
+            seqs = seqs.compress(~leaf.repeat(n_tris), axis=1)
+            sizes, offsets, n_tris = sizes[~leaf], offsets[~leaf], n_tris[~leaf]
+            if not len(sizes):
+                break
 
-        starts = np.cumsum(n_tris) - n_tris
-        part = np.repeat(np.arange(len(sizes)), n_tris)
-        pts = space.centers[tris]
-        extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
-        key = np.where((extent[:, 1] > extent[:, 0])[part], pts[:, 1], pts[:, 0])
-        tris = tris[np.lexsort((key, part))]
-        half = n_tris // 2
-        # Subset p's left-half triangles get label 2p, its right-half ones
-        # 2p + 1.  Earlier separators hold every dof on triangles of two
-        # subsets, so an unnumbered dof's labels are all 2p or 2p + 1.
-        label[tris] = 2 * part + (np.arange(len(tris)) - starts[part] >= half[part])
-        labels = label[tri_of_slot]
-        low = np.minimum.reduceat(labels, first)[dofs]
-        on_cut = low != np.maximum.reduceat(labels, first)[dofs]
-
-        n_cut = np.bincount(low[on_cut] // 2, minlength=len(sizes))
-        out[_segments(offsets + sizes - n_cut, n_cut)] = dofs[on_cut]
-        low, dofs = low[~on_cut], dofs[~on_cut]
-        dofs = dofs[np.argsort(low, kind="stable")]
-        sizes = np.bincount(low, minlength=2 * len(sizes))
-        offsets = np.column_stack([offsets, offsets + sizes[0::2]]).ravel()
-        n_tris = np.column_stack([half, n_tris - half]).ravel()
-    return out
+        m, starts = seqs.shape[1], n_tris.cumsum() - n_tris
+        part = np.arange(len(sizes)).repeat(n_tris)
+        local = np.arange(m) - starts[part]
+        # Every dof's lowest and highest position starts[p] + rank among its
+        # triangles, along x and y; an unnumbered dof's all lie in its subset p.
+        for axis in (0, 1):
+            rank[axis, seqs[axis]] = np.arange(m)
+        ext = np.empty((4, n), dtype=np.int32)  # lowest along x, y; highest along x, y
+        for table, cols in tables:
+            ranks = rank.take(table, axis=1)
+            ranks.min(axis=1, out=ext[:2, cols])
+            ranks.max(axis=1, out=ext[2:, cols])
+        ranks, ext = None, ext.take(live, axis=1)
+        # The cut after a position, at k = local + 1, leaves the dofs whose
+        # highest position is at or below it in L, the others whose lowest is
+        # in S, the rest in R: counts at or below every position score all cuts.
+        below = np.array([np.bincount(row, minlength=m) for row in ext], dtype=np.int32)
+        below.cumsum(axis=1, out=below)
+        ends = sizes.cumsum()
+        n_min = np.minimum(below[2:] - (ends - sizes)[part], ends[part] - below[:2])
+        below[:2] -= below[2:]  # |S|
+        half, k = n_tris // 2, local + 1
+        dist = np.abs(k - half[part])
+        # |S| / min(|L|, |R|) as a float orders as the integer products
+        # |S| min(|L'|, |R'|) do: two unequal ratios of integers up to n
+        # differ by 1 / n^2 at least, more than their rounding while n^2 < 2^52.
+        ratio = below[:2] / np.maximum(n_min, 1)
+        ratio[(n_min == 0) | (dist > (n_tris // 5)[part])] = np.inf
+        pref = 4 * dist + (k > half[part]) + [[0], [2]]  # nearest the median, on x, smaller k
+        pref[ratio != np.minimum.reduceat(ratio.min(axis=0), starts)[part]] = 4 * m
+        pick = np.minimum.reduceat(pref.min(axis=0), starts)
+        axis, cut = pick // 2 % 2, half + pick // 4 * (pick % 2 * 2 - 1)
+        below = n_min = ratio = pref = None  # freed early, as are ranks and ext: one depth's peak
+        on_y, at_cut = axis[sub] == 1, (starts + cut)[sub]
+        right = np.where(on_y, ext[1], ext[0]) >= at_cut
+        on_cut = ~right & (np.where(on_y, ext[3], ext[2]) >= at_cut)
+        ext = at_cut = None
+        n_cut = np.bincount(sub[on_cut], minlength=len(sizes))
+        start[live[on_cut]] = (offsets + sizes - n_cut)[sub[on_cut]]
+        live, sub = live[~on_cut], 2 * sub[~on_cut] + right[~on_cut]
+        # Each subset's two sequences keep their order within either half.
+        right_tri[np.where(axis[part] == 1, seqs[1], seqs[0])] = local >= cut[part]
+        seqs = seqs.ravel()[(2 * part + right_tri[seqs] + [[0], [2 * len(sizes)]]).argsort(
+            axis=None, kind="stable")].reshape(2, m)
+        sizes = np.bincount(sub, minlength=2 * len(sizes))
+        offsets = np.array([offsets, offsets + sizes[0::2]]).T.ravel()
+        n_tris = np.array([cut, n_tris - cut]).T.ravel()
+    # Ascending id within each leaf and separator (a radix sort below 2^16 dofs).
+    return start.astype(np.min_scalar_type(n)).argsort(kind="stable")
 
 
 def factorise(A: sp.spmatrix, order: np.ndarray):

@@ -143,3 +143,10 @@ def test_no_linear_operator_and_no_point_counts():
     assert "scipy.sparse.linalg" not in (SOURCES[0].parent / "forms.py").read_text()
     assert list(inspect.signature(interpolate).parameters) == ["space", "v", "grad"]
     assert list(inspect.signature(edge_rule).parameters) == []
+
+
+def test_dissection_order_takes_only_a_space():
+    # The cut rule has one path: no switch, band or leaf size to pass.
+    from vkmorley.solver import dissection_order
+
+    assert list(inspect.signature(dissection_order).parameters) == ["space"]

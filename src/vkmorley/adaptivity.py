@@ -140,11 +140,6 @@ class LevelArtifacts:
     report: EstimatorReport
     solve: SolveReport
 
-    @property
-    def hessians(self) -> np.ndarray:
-        """The state's (2, nt, 3) element Hessians."""
-        return self.space.element_hessians(self.state.coeffs)
-
 
 @dataclass
 class AxiomLevel:
@@ -300,11 +295,10 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def axiom_check(coarse: LevelArtifacts | AxiomLevel,
-                fine: LevelArtifacts | AxiomLevel) -> AxiomDiagnostics:
+def axiom_check(coarse: AxiomLevel, fine: AxiomLevel) -> AxiomDiagnostics:
     """Compare indicator restrictions across one refinement step.
 
-    Each level is read only as an ``AxiomLevel``.  Both states must be discrete solutions on their own meshes; the
+    Both states must be discrete solutions on their own meshes; the
     drivers solve each level up to ||r||_{A^-1} <= 1e-3 eta, an algebraic
     error far below the discretisation error that these quotients see.
     The distance is the piecewise H2 seminorm of their difference,
@@ -315,24 +309,23 @@ def axiom_check(coarse: LevelArtifacts | AxiomLevel,
     d = fine.hessians - coarse.hessians[:, anc]
     delta = float(np.sqrt(np.vdot(frobenius_weighted(d, fine.mesh.areas), d)))
 
-    fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only)
-    common_c = restrict_estimator(coarse.report, common)
-    common_f = restrict_estimator(fine.report, fine_common)
-    refined_c = restrict_estimator(coarse.report, coarse_only)
-    refined_f = restrict_estimator(fine.report, fine_only)
-    ec, mc = np.sqrt(common_c["eta_sq"]), np.sqrt(common_c["mu_sq"])
-    ef, mf = np.sqrt(common_f["eta_sq"]), np.sqrt(common_f["mu_sq"])
-    ero_c, mro_c = np.sqrt(refined_c["eta_sq"]), np.sqrt(refined_c["mu_sq"])
-    ero_f, mro_f = np.sqrt(refined_f["eta_sq"]), np.sqrt(refined_f["mu_sq"])
+    def norms(level: AxiomLevel, ids) -> tuple[float, float]:
+        """(eta, mu) of the level's indicators summed over the triangles ids."""
+        sums = restrict_estimator(level.report, ids)
+        return float(np.sqrt(sums["eta_sq"])), float(np.sqrt(sums["mu_sq"]))
 
-    q_eta = 2.0 ** (-0.25)
-    q_mu = 2.0 ** (-0.5)
+    ec, mc = norms(coarse, common)
+    ef, mf = norms(fine, np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only))
+    ero_c, mro_c = norms(coarse, coarse_only)
+    ero_f, mro_f = norms(fine, fine_only)
+
+    q_eta, q_mu = 2.0 ** (-0.25), 2.0 ** (-0.5)
     return AxiomDiagnostics(
         delta=delta,
-        lambda1_star=_ratio(abs(float(ef) - float(ec)), delta),
-        lambda2_star=_ratio(max(0.0, float(ero_f) - q_eta * float(ero_c)), delta),
-        lambda1_mu_star=_ratio(abs(float(mf) - float(mc)), delta),
-        lambda2_mu_star=_ratio(max(0.0, float(mro_f) - q_mu * float(mro_c)), delta),
-        eta_refined_coarse=float(ero_c),
-        eta_refined_fine=float(ero_f),
+        lambda1_star=_ratio(abs(ef - ec), delta),
+        lambda2_star=_ratio(max(0.0, ero_f - q_eta * ero_c), delta),
+        lambda1_mu_star=_ratio(abs(mf - mc), delta),
+        lambda2_mu_star=_ratio(max(0.0, mro_f - q_mu * mro_c), delta),
+        eta_refined_coarse=ero_c,
+        eta_refined_fine=ero_f,
     )

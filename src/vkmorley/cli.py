@@ -157,7 +157,8 @@ def main(argv=None) -> int:
         if args.dump_estimator:
             arts.report.to_csv(out / f"estimator_L{row.level}.csv")
         if args.mode == "axiom-check":
-            coarse, prev = prev, AxiomLevel(arts.mesh, arts.hessians, arts.report)
+            hessians = arts.space.element_hessians(arts.state.coeffs)
+            coarse, prev = prev, AxiomLevel(arts.mesh, hessians, arts.report)
             if coarse is not None:
                 axioms.append((row.level - 1, axiom_check(coarse, prev)))
 

@@ -334,11 +334,14 @@ def mesh_partition(coarse: Mesh, fine: Mesh):
 
 
 def validate(mesh: Mesh) -> None:
-    """Raise MeshError on hanging vertices or a broken boundary loop.
+    """Raise MeshError on hanging vertices, a broken boundary loop or a fold.
 
     Orientation and manifoldness are enforced at construction; this adds
     the checks that need whole-mesh scans.  Coordinates are compared
-    exactly, as complex numbers x + iy, which sort lexicographically.
+    exactly, as complex numbers x + iy, which sort lexicographically.  A
+    fold is an interior edge along which both of its positively oriented
+    triangles run the same way, so that they lie on the same side of it
+    and overlap (a repeated triangle is one).
     """
     z = mesh.coords.view(np.complex128).ravel()
     by_z = np.argsort(z, kind="stable")
@@ -357,6 +360,15 @@ def validate(mesh: Mesh) -> None:
     bad = np.nonzero((counts != 0) & (counts != 2))[0]
     if len(bad):
         raise MeshError(f"boundary is not a closed loop at vertex {int(bad[0])}")
+    # A triangle runs counterclockwise along local edge k from vertex _LOCAL_EDGES[k, 0];
+    # runs counts, per edge, the triangles that run from its lower to its higher id.
+    forward = mesh.tri_vertices[:, _LOCAL_EDGES[:, 0]] == mesh.edge_vertices[mesh.tri_edges, 0]
+    runs = np.bincount(mesh.tri_edges[forward], minlength=mesh.n_edges)
+    folds = np.flatnonzero(~mesh.edge_is_boundary & (runs != 1))
+    if len(folds):
+        e = int(folds[0])
+        t0, t1 = mesh.edge_tris[e]
+        raise MeshError(f"triangles {t0} and {t1} overlap across edge {e}")
 
 
 # -- file formats ------------------------------------------------------------
@@ -383,52 +395,36 @@ def read_mesh(path) -> Mesh:
     if not rows or rows[0].split() != ["morleymesh", "1"]:
         raise MeshError(f"{path}: not a morleymesh version 1 file")
 
-    def row(i: int) -> list[str]:
-        if i >= len(rows):
+    def block(at: int, heading: str, item: str, least: int, width: int, dtype) -> np.ndarray:
+        """The count line ``heading n`` at rows[at], then n lines of width fields."""
+        if at >= len(rows):
             raise MeshError(f"{path}: file ends after {len(rows)} non-empty lines")
-        return rows[i].split()
+        head = rows[at].split()
+        if len(head) != 2 or head[0] != heading:
+            raise MeshError(f"{path}: expected {item} count")
+        n = int(head[1])
+        if n < least:
+            raise MeshError(f"{path}: a mesh needs at least {least} "
+                            f"{item if least == 1 else heading}, got {n}")
+        fields = [line.split() for line in rows[at + 1:at + 1 + n]]
+        k = next((k for k, f in enumerate(fields) if len(f) != width), len(fields))
+        values = np.array(fields[:k], dtype=dtype)  # a bad value above line k fails first
+        if k < len(fields):
+            raise MeshError(f"{path}: bad {item} line {rows[at + 1 + k]!r}")
+        if k < n:
+            raise MeshError(f"{path}: file ends after {len(rows)} non-empty lines")
+        return values
 
     try:
-        head = row(1)
-        if len(head) != 2 or head[0] != "vertices":
-            raise MeshError(f"{path}: expected vertex count")
-        nv = int(head[1])
-        if nv < 3:
-            raise MeshError(f"{path}: a mesh needs at least 3 vertices, got {nv}")
-        i = 2
-        coords = []
-        for _ in range(nv):
-            parts = row(i)
-            if len(parts) != 2:
-                raise MeshError(f"{path}: bad vertex line {rows[i]!r}")
-            coords.append((float(parts[0]), float(parts[1])))
-            i += 1
-        head = row(i)
-        if len(head) != 2 or head[0] != "triangles":
-            raise MeshError(f"{path}: expected triangle count")
-        nt = int(head[1])
-        if nt < 1:
-            raise MeshError(f"{path}: a mesh needs at least 1 triangle, got {nt}")
-        i += 1
-        tris = []
-        refs = []
-        for _ in range(nt):
-            parts = row(i)
-            if len(parts) != 4:
-                raise MeshError(f"{path}: bad triangle line {rows[i]!r}")
-            tris.append(tuple(int(p) for p in parts[:3]))
-            r = int(parts[3])
-            if not 0 <= r <= 2:
-                raise MeshError(f"{path}: refinement edge {r} out of range")
-            refs.append(r)
-            i += 1
-        if i < len(rows):
-            raise MeshError(f"{path}: unexpected line {rows[i]!r} after the last triangle")
-        mesh = Mesh(
-            np.asarray(coords, dtype=float).reshape(nv, 2),
-            np.asarray(tris, dtype=np.int64).reshape(nt, 3),
-            np.asarray(refs, dtype=np.int64),
-        )
+        coords = block(1, "vertices", "vertex", 3, 2, float)
+        tris = block(2 + len(coords), "triangles", "triangle", 1, 4, np.int64)
+        bad = tris[(tris[:, 3] < 0) | (tris[:, 3] > 2), 3]
+        if len(bad):
+            raise MeshError(f"{path}: refinement edge {bad[0]} out of range")
+        end = 3 + len(coords) + len(tris)
+        if end < len(rows):
+            raise MeshError(f"{path}: unexpected line {rows[end]!r} after the last triangle")
+        mesh = Mesh(coords, tris[:, :3], tris[:, 3])
     except (ValueError, OverflowError) as exc:
         raise MeshError(f"{path}: {exc}") from exc
     validate(mesh)

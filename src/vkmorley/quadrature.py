@@ -15,78 +15,53 @@ quadrature rules for the triangle", IJNME 21 (1985).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cache
+from itertools import permutations
+
 import numpy as np
 
 __all__ = ["triangle_rule", "triangle_points", "edge_rule", "TriangleRule"]
 
 
-def _expand(subpoints, subweights):
-    """Expand compressed (a, b, c)/weight pairs into full point sets.
-
-    A suborder triple with two equal entries, b == c, generates its 3
-    cyclic permutations, a triple with distinct entries all 6.
-    """
-    bary = []
-    weights = []
-    for (a, b, c), w in zip(subpoints, subweights):
-        if abs(b - c) < 1e-14:
-            perms = [(a, b, b), (b, a, b), (b, b, a)]
-        else:
-            perms = [
-                (a, b, c), (a, c, b), (b, a, c),
-                (b, c, a), (c, a, b), (c, b, a),
-            ]
-        for p in perms:
-            bary.append(p)
-            weights.append(w)
-    return np.asarray(bary, dtype=float), np.asarray(weights, dtype=float)
-
-
-# Compressed Dunavant data: degree -> (list of (a, b, c), list of w).
+# Dunavant data: degree -> one ((a, b, c), w) pair per orbit of points.
 _DUNAVANT = {
-    4: (
-        [
-            (0.108103018168070, 0.445948490915965, 0.445948490915965),
-            (0.816847572980459, 0.091576213509771, 0.091576213509771),
-        ],
-        [0.223381589678011, 0.109951743655322],
-    ),
-    6: (
-        [
-            (0.501426509658179, 0.249286745170910, 0.249286745170910),
-            (0.873821971016996, 0.063089014491502, 0.063089014491502),
-            (0.053145049844817, 0.310352451033784, 0.636502499121399),
-        ],
-        [0.116786275726379, 0.050844906370207, 0.082851075618374],
-    ),
+    4: [((0.108103018168070, 0.445948490915965, 0.445948490915965), 0.223381589678011),
+        ((0.816847572980459, 0.091576213509771, 0.091576213509771), 0.109951743655322)],
+    6: [((0.501426509658179, 0.249286745170910, 0.249286745170910), 0.116786275726379),
+        ((0.873821971016996, 0.063089014491502, 0.063089014491502), 0.050844906370207),
+        ((0.053145049844817, 0.310352451033784, 0.636502499121399), 0.082851075618374)],
 }
 
 _DEGREES = sorted(_DUNAVANT)
 
 
+@dataclass(eq=False)
 class TriangleRule:
     """A symmetric quadrature rule on the reference triangle."""
 
-    def __init__(self, degree: int, bary: np.ndarray, weights: np.ndarray):
-        self.degree = degree
-        self.bary = bary
-        self.weights = weights
+    degree: int
+    bary: np.ndarray
+    weights: np.ndarray
 
 
-_CACHE: dict[int, TriangleRule] = {}
+@cache
+def _tabulated(degree: int) -> TriangleRule:
+    """The rule of a tabulated degree: each (a, b, c) triple's orbit is its
+    distinct permutations in first-seen order (3 when two entries are equal)."""
+    orbits = [(dict.fromkeys(permutations(triple)), w) for triple, w in _DUNAVANT[degree]]
+    bary = np.array([p for orbit, _ in orbits for p in orbit])
+    weights = np.array([w for orbit, w in orbits for _ in orbit])
+    # Renormalise: tabulated weights carry rounding in the 15th digit; the
+    # constant must integrate exactly.
+    return TriangleRule(degree, bary, weights / weights.sum())
 
 
 def triangle_rule(degree: int) -> TriangleRule:
     """Return a rule exact for polynomials of at least the given degree."""
     for d in _DEGREES:
         if d >= degree:
-            if d not in _CACHE:
-                bary, w = _expand(*_DUNAVANT[d])
-                # Renormalise: tabulated weights carry rounding in the
-                # 15th digit; the constant must integrate exactly.
-                w = w / w.sum()
-                _CACHE[d] = TriangleRule(d, bary, w)
-            return _CACHE[d]
+            return _tabulated(d)
     raise ValueError(f"no tabulated triangle rule of degree >= {degree}; "
                      f"the tabulated degrees are {_DEGREES}")
 

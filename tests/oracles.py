@@ -6,7 +6,8 @@ agreement is evidence rather than tautology.  ``prolongate_loop`` is the
 per-entity reference for the batched ``vkmorley.morley.prolongate``,
 ``refine_queue`` for the array ``vkmorley.mesh.refine`` and
 ``edge_table_loop`` for the edge table ``Mesh`` builds,
-``validate_loop`` for the array ``vkmorley.mesh.validate``, and
+``validate_loop`` for the array ``vkmorley.mesh.validate`` (fold
+check included), and
 ``linearized_bracket_matrix`` assembles the matrix that
 ``vkmorley.forms.assemble_linearized_bracket`` applies element by
 element, and ``operator_matrix`` builds the matrix of any such product
@@ -40,12 +41,15 @@ functions keep the Newton-window kernels as they handled both fields at
 once, through it and broadcast products, and
 ``rounding_floor_whole`` the floor through one nnz-sized |A|.
 ``gauss_triangle_rule`` is a collapsed Gauss product rule of any degree,
-the reference above the package's tabulated degrees,
+the reference above the package's tabulated degrees, and
+``dunavant_expand`` the hand-written permutation table that expanded
+the tabulated Dunavant orbits before they came from ``itertools``;
 ``gauss_edge_rule`` the Gauss-Legendre edge rule of any number of points
 beside the package's 3-point one, ``interpolate`` the Morley interpolant
 with edge means of that many points, and
 ``discrete_h2_seminorm`` and ``axiom_partition_norms`` the norms that
-the package forms but does not return.  ``free_space`` renumbers a space
+the package forms but does not return.  ``axiom_level`` reduces a
+solved level to the ``AxiomLevel`` that ``axiom_check`` reads.  ``free_space`` renumbers a space
 with every dof free, boundary ones too.  ``zero_state``
 is the zero deflection/stress pair.  ``evaluate``,
 ``interior_angles`` and ``mesh_equals`` are inspection tools for
@@ -67,9 +71,11 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 import sympy as sp
 
+from vkmorley.adaptivity import AxiomLevel
 from vkmorley.estimator import restrict_estimator
 from vkmorley.forms import ProblemData, vk_bracket
 from vkmorley.mesh import (
+    _LOCAL_EDGES,
     _SVG_WIDTH,
     Mesh,
     MeshError,
@@ -498,6 +504,15 @@ def validate_loop(mesh):
     bad = np.nonzero((counts != 0) & (counts != 2))[0]
     if len(bad):
         raise MeshError(f"boundary is not a closed loop at vertex {int(bad[0])}")
+    for e in np.nonzero(~mesh.edge_is_boundary)[0]:
+        # The directed edge each of its two triangles runs along, counterclockwise.
+        runs = []
+        for t in mesh.edge_tris[e]:
+            k = list(mesh.tri_edges[t]).index(e)
+            runs.append(tuple(mesh.tri_vertices[t, _LOCAL_EDGES[k]]))
+        if runs[0] == runs[1]:
+            t0, t1 = mesh.edge_tris[e]
+            raise MeshError(f"triangles {t0} and {t1} overlap across edge {e}")
 
 
 def free_space(mesh):
@@ -748,6 +763,26 @@ def gauss_triangle_rule(degree):
     return TriangleRule(degree, np.stack([1.0 - x - y, x, y], axis=1), weights)
 
 
+def dunavant_expand(subpoints, subweights):
+    """Expand compressed (a, b, c)/weight pairs into full point sets by a
+    hand-written table: a triple with b == c generates its 3 cyclic
+    permutations, a triple with distinct entries all 6."""
+    bary = []
+    weights = []
+    for (a, b, c), w in zip(subpoints, subweights):
+        if abs(b - c) < 1e-14:
+            perms = [(a, b, b), (b, a, b), (b, b, a)]
+        else:
+            perms = [
+                (a, b, c), (a, c, b), (b, a, c),
+                (b, c, a), (c, a, b), (c, b, a),
+            ]
+        for p in perms:
+            bary.append(p)
+            weights.append(w)
+    return np.asarray(bary, dtype=float), np.asarray(weights, dtype=float)
+
+
 def gauss_edge_rule(npoints):
     """Gauss-Legendre nodes and weights on [0, 1], weights summing to 1,
     exact to degree 2 npoints - 1."""
@@ -775,6 +810,12 @@ def discrete_h2_seminorm(state):
     """Piecewise H2 seminorm of a state's (u, v), both fields together."""
     H = state.space.element_hessians(state.coeffs)
     return float(np.sqrt(np.einsum("tc,c,t->", H[0]**2 + H[1]**2, FROB, state.space.mesh.areas)))
+
+
+def axiom_level(arts):
+    """The ``AxiomLevel`` of a solved level: its mesh, the (2, nt, 3) element
+    Hessians of its state and its indicators."""
+    return AxiomLevel(arts.mesh, arts.space.element_hessians(arts.state.coeffs), arts.report)
 
 
 def axiom_partition_norms(coarse, fine, key="eta_sq"):

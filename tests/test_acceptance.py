@@ -476,7 +476,7 @@ def test_criterion_10_adaptive_beats_uniform_lshape():
 
 def test_criterion_11_axiom_diagnostics_stable(square_uniform_deep):
     _, levels, _ = square_uniform_deep
-    hist = levels[2:6]
+    hist = [oc.axiom_level(a) for a in levels[2:6]]
     diags = [axiom_check(a, b) for a, b in zip(hist, hist[1:])]
     lam1 = [d.lambda1_star for d in diags]
     lam2 = [d.lambda2_star for d in diags]

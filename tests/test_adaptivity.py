@@ -593,7 +593,7 @@ def _unit_load(x, y):
 
 class TestAxiomCheck:
     def test_identical_levels_give_zero(self, square_uniform):
-        art = square_uniform.levels[2]
+        art = oc.axiom_level(square_uniform.levels[2])
         diag = axiom_check(art, art)
         assert diag.delta == 0.0
         assert diag.lambda1_star == 0.0
@@ -607,7 +607,7 @@ class TestAxiomCheck:
     def test_frozen_volume_term_halves(self):
         coarse_mesh = build_initial_mesh("square")
         fine_mesh = uniform_refine(coarse_mesh)
-        coarse, fine = _frozen_artifacts(coarse_mesh), _frozen_artifacts(fine_mesh)
+        coarse, fine = (oc.axiom_level(_frozen_artifacts(m)) for m in (coarse_mesh, fine_mesh))
         diag = axiom_check(coarse, fine)
         assert diag.delta == 0.0
         _, _, mu_refined_coarse, mu_refined_fine = oc.axiom_partition_norms(coarse, fine, "mu_sq")
@@ -620,7 +620,7 @@ class TestAxiomCheck:
         assert diag.lambda2_mu_star == 0.0
 
     def test_uniform_pairs_stay_finite_and_stable(self, square_uniform):
-        hist = square_uniform.levels
+        hist = [oc.axiom_level(a) for a in square_uniform.levels]
         diags = [axiom_check(a, b) for a, b in zip(hist, hist[1:])]
         for d in diags:
             assert d.delta > 0.0
@@ -648,10 +648,10 @@ class TestAxiomCheck:
 
     def test_adaptive_pair_has_nonzero_overlap(self, square_adaptive):
         res, _ = square_adaptive
-        diag = axiom_check(res.levels[3], res.levels[4])
+        coarse, fine = oc.axiom_level(res.levels[3]), oc.axiom_level(res.levels[4])
+        diag = axiom_check(coarse, fine)
         assert diag.delta > 0.0
-        eta_common_coarse, eta_common_fine, _, _ = oc.axiom_partition_norms(res.levels[3],
-                                                                            res.levels[4])
+        eta_common_coarse, eta_common_fine, _, _ = oc.axiom_partition_norms(coarse, fine)
         assert eta_common_coarse > 0.0
         assert eta_common_fine > 0.0
         assert math.isfinite(diag.lambda1_star)
@@ -659,4 +659,5 @@ class TestAxiomCheck:
 
     def test_reversed_pair_rejected(self, square_uniform):
         with pytest.raises(MeshError):
-            axiom_check(square_uniform.levels[2], square_uniform.levels[1])
+            axiom_check(oc.axiom_level(square_uniform.levels[2]),
+                        oc.axiom_level(square_uniform.levels[1]))

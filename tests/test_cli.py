@@ -15,6 +15,7 @@ import scipy.sparse.linalg as spla
 from vkmorley import adaptivity
 from vkmorley.cli import main, parse_args
 from vkmorley.mesh import MeshError
+from vkmorley.morley import MorleySpace
 from vkmorley.solver import SolverError
 
 HEADER = "level,ntri,ndofs,eta,mu,osc,err_energy,err_h1pw,newton_iters,marked,rate_eta"
@@ -425,16 +426,19 @@ def test_axiom_check_run_holds_at_most_one_earlier_level(tmp_path, monkeypatch):
 
 
 def test_axiom_check_reads_each_levels_hessians_once(tmp_path, monkeypatch):
-    # LevelArtifacts.hessians recomputes on every read.
-    hessians = adaptivity.LevelArtifacts.hessians
-    reads = []
+    # The AxiomLevel takes the Hessians of both fields at once, a (2, n)
+    # block of coefficients; the estimator and the forms take one field at
+    # a time.
+    element_hessians = MorleySpace.element_hessians
+    blocks = []
 
-    def counted(arts):
-        reads.append(arts.mesh.n_triangles)
-        return hessians.fget(arts)
+    def counted(space, coeffs):
+        if coeffs.ndim == 2:
+            blocks.append(space.mesh.n_triangles)
+        return element_hessians(space, coeffs)
 
-    monkeypatch.setattr(adaptivity.LevelArtifacts, "hessians", property(counted))
+    monkeypatch.setattr(MorleySpace, "element_hessians", counted)
     code = main(["--problem", "square-poly", "--mode", "axiom-check", "--levels", "3",
                  "--delta", "0.75", "--out", str(tmp_path)])
     assert code == 0
-    assert len(reads) == 3 and len(set(reads)) == 3
+    assert len(blocks) == 3 and len(set(blocks)) == 3

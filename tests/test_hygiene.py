@@ -7,8 +7,10 @@ package code other than its own definition, so a helper whose last
 caller went away is deleted with it rather than kept for tests.  No
 exported function takes a space beside a state that already carries
 one, every run setting is one the command line sets, every
-tabulated quadrature rule is one the package requests, and no product
-or rule keeps a form or a point count that only tests use.
+tabulated quadrature rule is one the package requests, no product
+or rule keeps a form or a point count that only tests use, and each job
+(the level the axiom check reads, the orbits of a tabulated rule) has
+one implementation.
 """
 
 import ast
@@ -16,6 +18,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -150,3 +153,15 @@ def test_dissection_order_takes_only_a_space():
     from vkmorley.solver import dissection_order
 
     assert list(inspect.signature(dissection_order).parameters) == ["space"]
+
+
+def test_axiom_check_reads_one_level_type_and_rules_have_one_expansion():
+    # axiom_check reads AxiomLevels only, so a solved level has no second
+    # way to give its Hessians; the tabulated orbits come from itertools.
+    from vkmorley import quadrature
+    from vkmorley.adaptivity import AxiomLevel, LevelArtifacts, axiom_check
+
+    hints = typing.get_type_hints(axiom_check)
+    assert hints["coarse"] is AxiomLevel and hints["fine"] is AxiomLevel
+    assert not hasattr(LevelArtifacts, "hessians")
+    assert not hasattr(quadrature, "_expand")

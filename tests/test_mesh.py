@@ -128,16 +128,20 @@ def _validate_message(check, mesh):
 @settings(max_examples=60, deadline=None)
 @given(domain=st.sampled_from(["square", "lshape"]), pre=st.integers(0, 2),
        steps=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), coarse_triangles=st.booleans(),
-       duplicate=st.booleans(), negative_zero=st.booleans())
+       duplicate=st.booleans(), negative_zero=st.booleans(), repeat=st.booleans())
 def test_validate_matches_loop_oracle(domain, pre, steps, seed, coarse_triangles, duplicate,
-                                      negative_zero):
+                                      negative_zero, repeat):
     # Subsets break the boundary loop; a copied vertex position and -0.0
-    # coordinates test exact equality.  A mesh holds only the vertices its
-    # triangles use, so the kept triangles' vertices are renumbered in order.
+    # coordinates test exact equality; a kept triangle listed twice folds
+    # unless one of its edges is then shared by three triangles.  A mesh
+    # holds only the vertices its triangles use, so the kept triangles'
+    # vertices are renumbered in order.
     rng = np.random.default_rng(seed)
     coarse, fine = oc.random_descent(rng, domain, pre, steps)
     tris = (coarse if coarse_triangles else fine).tri_vertices
     keep = np.sort(rng.choice(len(tris), size=rng.integers(1, len(tris) + 1), replace=False))
+    if repeat:
+        keep = np.append(keep, keep[rng.integers(len(keep))])
     used, kept = np.unique(tris[keep], return_inverse=True)
     coords = fine.coords[used]
     if duplicate:
@@ -470,6 +474,15 @@ def test_read_mesh_rejects_garbage(tmp_path):
         bad.write_text("morleymesh 1\n" + counts)
         with pytest.raises(MeshError, match="at least"):
             read_mesh(bad)
+    # A triangle listed twice, and a third triangle folded over two others:
+    # each pair lies on one side of the edge it shares.
+    bad.write_text("morleymesh 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2 0\n0 1 2 0\n")
+    with pytest.raises(MeshError, match="^triangles 0 and 1 overlap across edge 0$"):
+        read_mesh(bad)
+    bad.write_text("morleymesh 1\nvertices 4\n0 0\n1 0\n0 1\n1 1\n"
+                   "triangles 3\n0 1 2 0\n1 3 2 0\n0 1 3 0\n")
+    with pytest.raises(MeshError, match="^triangles 0 and 2 overlap across edge 2$"):
+        read_mesh(bad)
     # Bytes that are not UTF-8 text.
     bad.write_bytes(bytes(np.random.default_rng(5).integers(128, 256, 300, dtype=np.uint8)))
     with pytest.raises(MeshError, match="not a text file"):

@@ -4,9 +4,11 @@ rule, and for the Gauss rules the tests use as a reference beside them."""
 import numpy as np
 import pytest
 
+from vkmorley import quadrature
 from vkmorley.quadrature import edge_rule, triangle_points, triangle_rule
 
-from oracles import gauss_edge_rule, gauss_triangle_rule, monomial_integral_reference
+from oracles import (dunavant_expand, gauss_edge_rule, gauss_triangle_rule,
+                     monomial_integral_reference)
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TABULATED = [4, 6]
@@ -47,6 +49,16 @@ def test_degree_rounds_up():
     assert triangle_rule(6) is triangle_rule(5)
     with pytest.raises(ValueError, match=r"degree >= 7; the tabulated degrees are \[4, 6\]"):
         triangle_rule(7)
+
+
+@pytest.mark.parametrize("degree", TABULATED)
+def test_orbits_match_the_hand_written_expansion(degree):
+    # Distinct permutations in first-seen order give the hand-written
+    # table's points in its order, bit for bit.
+    bary, weights = dunavant_expand(*zip(*quadrature._DUNAVANT[degree]))
+    rule = triangle_rule(degree)
+    assert np.array_equal(rule.bary, bary)
+    assert np.array_equal(rule.weights, weights / weights.sum())
 
 
 def test_points_map_affinely():

@@ -26,6 +26,7 @@ import weakref
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -334,14 +335,20 @@ def mesh_partition(coarse: Mesh, fine: Mesh):
 
 
 def validate(mesh: Mesh) -> None:
-    """Raise MeshError on hanging vertices, a broken boundary loop or a fold.
+    """Raise MeshError on hanging vertices, a broken boundary loop, a fold,
+    or pieces that overlap or lie apart.
 
     Orientation and manifoldness are enforced at construction; this adds
     the checks that need whole-mesh scans.  Coordinates are compared
     exactly, as complex numbers x + iy, which sort lexicographically.  A
     fold is an interior edge along which both of its positively oriented
     triangles run the same way, so that they lie on the same side of it
-    and overlap (a repeated triangle is one).
+    and overlap (a repeated triangle is one).  Each boundary edge is
+    directed the way its triangle runs along it; then the loop around one
+    connected region runs counterclockwise and the loop around a hole
+    clockwise, so a second loop of positive signed area (shoelace formula)
+    is a piece that shares no edge with the rest: apart from it, or inside
+    one of its triangles.
     """
     z = mesh.coords.view(np.complex128).ravel()
     by_z = np.argsort(z, kind="stable")
@@ -369,6 +376,20 @@ def validate(mesh: Mesh) -> None:
         e = int(folds[0])
         t0, t1 = mesh.edge_tris[e]
         raise MeshError(f"triangles {t0} and {t1} overlap across edge {e}")
+    # Imported here: csgraph adds about 1 MB to every run's peak RSS, and only
+    # mesh files are validated.
+    from scipy.sparse.csgraph import connected_components
+
+    t, k = np.nonzero(mesh.edge_is_boundary[mesh.tri_edges])
+    tail, head = mesh.tri_vertices[t[:, None], _LOCAL_EDGES[k]].T
+    graph = sp.coo_matrix((np.ones(len(t)), (tail, head)), shape=(mesh.n_vertices,) * 2)
+    loop = connected_components(graph, directed=False)[1][tail]
+    x, y = mesh.coords.T
+    area = np.bincount(loop, weights=x[tail] * y[head] - x[head] * y[tail])
+    count = np.count_nonzero(area > 0.0)
+    if count > 1:
+        raise MeshError(f"{count} boundary loops run counterclockwise: the mesh has pieces "
+                        "that overlap or lie apart")
 
 
 # -- file formats ------------------------------------------------------------
@@ -384,7 +405,8 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
-    """Read a morleymesh file; any malformed or truncated input raises MeshError."""
+    """Read a morleymesh file; any malformed, truncated or invalid input
+    (``Mesh`` and ``validate`` errors too) raises MeshError naming the path."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -392,42 +414,42 @@ def read_mesh(path) -> Mesh:
     except OSError as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
     rows = [r.strip() for r in text.split("\n") if r.strip()]
-    if not rows or rows[0].split() != ["morleymesh", "1"]:
-        raise MeshError(f"{path}: not a morleymesh version 1 file")
 
     def block(at: int, heading: str, item: str, least: int, width: int, dtype) -> np.ndarray:
         """The count line ``heading n`` at rows[at], then n lines of width fields."""
         if at >= len(rows):
-            raise MeshError(f"{path}: file ends after {len(rows)} non-empty lines")
+            raise MeshError(f"file ends after {len(rows)} non-empty lines")
         head = rows[at].split()
         if len(head) != 2 or head[0] != heading:
-            raise MeshError(f"{path}: expected {item} count")
+            raise MeshError(f"expected {item} count")
         n = int(head[1])
         if n < least:
-            raise MeshError(f"{path}: a mesh needs at least {least} "
+            raise MeshError(f"a mesh needs at least {least} "
                             f"{item if least == 1 else heading}, got {n}")
         fields = [line.split() for line in rows[at + 1:at + 1 + n]]
         k = next((k for k, f in enumerate(fields) if len(f) != width), len(fields))
         values = np.array(fields[:k], dtype=dtype)  # a bad value above line k fails first
         if k < len(fields):
-            raise MeshError(f"{path}: bad {item} line {rows[at + 1 + k]!r}")
+            raise MeshError(f"bad {item} line {rows[at + 1 + k]!r}")
         if k < n:
-            raise MeshError(f"{path}: file ends after {len(rows)} non-empty lines")
+            raise MeshError(f"file ends after {len(rows)} non-empty lines")
         return values
 
     try:
+        if not rows or rows[0].split() != ["morleymesh", "1"]:
+            raise MeshError("not a morleymesh version 1 file")
         coords = block(1, "vertices", "vertex", 3, 2, float)
         tris = block(2 + len(coords), "triangles", "triangle", 1, 4, np.int64)
         bad = tris[(tris[:, 3] < 0) | (tris[:, 3] > 2), 3]
         if len(bad):
-            raise MeshError(f"{path}: refinement edge {bad[0]} out of range")
+            raise MeshError(f"refinement edge {bad[0]} out of range")
         end = 3 + len(coords) + len(tris)
         if end < len(rows):
-            raise MeshError(f"{path}: unexpected line {rows[end]!r} after the last triangle")
+            raise MeshError(f"unexpected line {rows[end]!r} after the last triangle")
         mesh = Mesh(coords, tris[:, :3], tris[:, 3])
-    except (ValueError, OverflowError) as exc:
+        validate(mesh)
+    except (MeshError, ValueError, OverflowError) as exc:
         raise MeshError(f"{path}: {exc}") from exc
-    validate(mesh)
     return mesh
 
 

@@ -29,14 +29,17 @@ GMRES at the rounding floor.
 
 A is factorised in a nested-dissection order (George, SIAM J. Numer.
 Anal. 10, 1973) that ``dissection_order`` takes from the mesh, not the
-matrix, by ratio cuts on either axis (about half the fill of median cuts
-on graded meshes), down to leaves of ``_ND_LEAF`` = 8 dofs (4 saves 5 %
-of the fill, 16 adds 12 %).  It is scaled symmetrically by its diagonal
-(van der Sluis, Numer. Math. 14, 1969): on a graded mesh A's vertex-dof
-diagonal spans 8e3-2e9 while its edge-dof diagonal stays within 4-8, and
-unscaled, SuperLU left the diagonal hundreds of times per factor (598
-times at 33,177 dofs), scaled, not once.  SuperLU runs in symmetric mode
-with no column ordering of its own, in one-column panels
+matrix, by ratio cuts on four centroid projections, x + y, x - y, x and
+y, the directions bisection makes edges in (about half the fill of
+median cuts on graded meshes; at even uniform depths, whose cheapest
+separators run along the diagonals, a third less than cuts on the two
+axes alone), down to leaves of ``_ND_LEAF`` = 8 dofs (4 saves at most
+4 % of the fill, 12 or 16 add 6-9 %).  It is scaled symmetrically by its
+diagonal (van der Sluis, Numer. Math. 14, 1969): on a graded mesh A's
+vertex-dof diagonal spans 8e3-2e9 while its edge-dof diagonal stays
+within 4-8, and unscaled, SuperLU left the diagonal hundreds of times
+per factor (598 times at 33,177 dofs), scaled, not once.  SuperLU runs
+in symmetric mode with no column ordering of its own, in one-column panels
 (``_PANEL_SIZE``), which keep the fill of wider ones, factor faster and
 need no per-panel work arrays.  As a safety net it keeps a diagonal
 pivot only while it is at least ``_PIVOT_THRESH`` times the largest
@@ -134,17 +137,22 @@ def dissection_order(space: MorleySpace) -> np.ndarray:
     """Nested-dissection order of a Morley space's dofs, by triangle bisection.
 
     A subset of m triangles with more than ``_ND_LEAF`` unnumbered dofs is
-    ranked by centroid along x and along y, ties by triangle id, and cut
-    into its first k triangles and the rest.  The unnumbered dofs on
-    triangles of both halves, S, separate those on one half only, L and R:
-    two dofs are coupled only through a triangle they share.  Of the cuts
-    with k within m // 5 of m // 2, on either axis, the subset takes the
-    one with the least |S| / min(|L|, |R|) (ratio cut: Wei and Cheng, IEEE
-    Trans. CAD 10, 1991); an empty L or R ranks last, and ties go to the
-    cut nearest the median, then to x, then to the smaller k.  S is ordered
-    after L and then R, each ordered alike; leaves and separators list
-    their dofs in ascending id.  Every cut of every subset of one depth is
-    scored in one array pass.  Returns a permutation of range(n_dofs).
+    ranked by four projections of the centroids, x + y, x - y, x and y,
+    ties by triangle id, and cut into its first k triangles and the rest:
+    newest-vertex bisection of the square and the L-shape makes edges in
+    those four directions only, and where every grid square is split by a
+    diagonal the cheapest separators run along the diagonals.  The
+    unnumbered dofs on triangles of both halves, S, separate those on one
+    half only, L and R: two dofs are coupled only through a triangle they
+    share.  Of the cuts with k within m // 5 of m // 2, on any projection,
+    the subset takes the one with the least |S| / min(|L|, |R|) (ratio
+    cut: Wei and Cheng, IEEE Trans. CAD 10, 1991); an empty L or R ranks
+    last, and ties go to the cut nearest the median, then to the
+    projections in the order above (diagonals first), then to the smaller
+    k.  S is ordered after L and then R, each ordered alike; leaves and
+    separators list their dofs in ascending id.  Every cut of every subset
+    of one depth is scored in one array pass.  Returns a permutation of
+    range(n_dofs).
     """
     n = space.n_dofs
     # Each dof's triangles as the columns of two tables, with the columns of
@@ -156,14 +164,20 @@ def dissection_order(space: MorleySpace) -> np.ndarray:
     width = np.arange(np.max(np.diff(first), initial=1))[:, None]
     tables = ((slots[np.minimum(first[:-1] + width, first[1:] - 1)] // 3, np.s_[:len(first) - 1]),
               (space.mesh.edge_tris[~space.mesh.edge_is_boundary].T, np.s_[len(first) - 1:]))
-    rank = np.empty((2, len(space.dof_map)), dtype=np.int32)
+    # Positions in a depth's sequences are below the triangle count, so rank and
+    # ext take 2 bytes an entry below 2^16 triangles.
+    rank = np.empty((4, len(space.dof_map)), dtype=np.min_scalar_type(len(space.dof_map)))
     right_tri = np.empty(len(space.dof_map), dtype=bool)
     start = np.empty(n, dtype=np.int32)  # where each dof's leaf or separator starts in the order
     live, sub = np.arange(n), np.zeros(n, dtype=np.int64)  # unnumbered dofs, and their subsets
-    # Each subset's dofs, order start and triangles, in rank order along x and y.
-    sizes, offsets, n_tris = np.array([n]), np.array([0]), np.array([len(right_tri)])
-    seqs = np.argsort(space.centers.T, axis=1, kind="stable")
-    flat = slots = None
+    # Each subset's dofs, order start and triangles, in rank order along each projection.
+    sizes, offsets = np.array([n], dtype=np.int32), np.array([0], dtype=np.int32)
+    n_tris = np.array([len(right_tri)], dtype=np.int32)
+    x, y = space.centers.T
+    seqs = np.argsort([x + y, x - y, x, y], axis=1, kind="stable")
+    flat = slots = first = x = y = None
+    # The projections' rows, and their places in the tie order of pref.
+    rows, parity = np.arange(4)[:, None], np.arange(0, 8, 2, dtype=np.int32)[:, None]
     while True:
         leaf = sizes <= _ND_LEAF
         if leaf.any():
@@ -175,51 +189,55 @@ def dissection_order(space: MorleySpace) -> np.ndarray:
             if not len(sizes):
                 break
 
-        m, starts = seqs.shape[1], n_tris.cumsum() - n_tris
+        m, starts = seqs.shape[1], n_tris.cumsum(dtype=np.int32) - n_tris
         part = np.arange(len(sizes)).repeat(n_tris)
-        local = np.arange(m) - starts[part]
+        local = np.arange(m, dtype=np.int32) - starts[part]
         # Every dof's lowest and highest position starts[p] + rank among its
-        # triangles, along x and y; an unnumbered dof's all lie in its subset p.
-        for axis in (0, 1):
-            rank[axis, seqs[axis]] = np.arange(m)
-        ext = np.empty((4, n), dtype=np.int32)  # lowest along x, y; highest along x, y
+        # triangles, on each projection; an unnumbered dof's all lie in its subset p.
+        rank[rows, seqs] = np.arange(m, dtype=rank.dtype)
+        ext = np.empty((8, n), dtype=rank.dtype)  # lowest on each projection, then highest
         for table, cols in tables:
             ranks = rank.take(table, axis=1)
-            ranks.min(axis=1, out=ext[:2, cols])
-            ranks.max(axis=1, out=ext[2:, cols])
-        ranks, ext = None, ext.take(live, axis=1)
+            ranks.min(axis=1, out=ext[:4, cols])
+            ranks.max(axis=1, out=ext[4:, cols])
+            del ranks
+        ext = ext.take(live, axis=1)
         # The cut after a position, at k = local + 1, leaves the dofs whose
         # highest position is at or below it in L, the others whose lowest is
         # in S, the rest in R: counts at or below every position score all cuts.
-        below = np.array([np.bincount(row, minlength=m) for row in ext], dtype=np.int32)
+        below = np.empty((8, m), dtype=np.int32)
+        for counts, row in zip(below, ext):
+            counts[:] = np.bincount(row, minlength=m)
         below.cumsum(axis=1, out=below)
-        ends = sizes.cumsum()
-        n_min = np.minimum(below[2:] - (ends - sizes)[part], ends[part] - below[:2])
-        below[:2] -= below[2:]  # |S|
+        ends = sizes.cumsum(dtype=np.int32)
+        n_min = np.minimum(below[4:] - (ends - sizes)[part], ends[part] - below[:4])
+        below[:4] -= below[4:]  # |S|
         half, k = n_tris // 2, local + 1
         dist = np.abs(k - half[part])
         # |S| / min(|L|, |R|) as a float orders as the integer products
         # |S| min(|L'|, |R'|) do: two unequal ratios of integers up to n
         # differ by 1 / n^2 at least, more than their rounding while n^2 < 2^52.
-        ratio = below[:2] / np.maximum(n_min, 1)
+        ratio = below[:4] / np.maximum(n_min, 1)
         ratio[(n_min == 0) | (dist > (n_tris // 5)[part])] = np.inf
-        pref = 4 * dist + (k > half[part]) + [[0], [2]]  # nearest the median, on x, smaller k
-        pref[ratio != np.minimum.reduceat(ratio.min(axis=0), starts)[part]] = 4 * m
+        pref = 8 * dist + (k > half[part]) + parity  # nearest the median, projection, smaller k
+        pref[ratio != np.minimum.reduceat(ratio.min(axis=0), starts)[part]] = 8 * m
         pick = np.minimum.reduceat(pref.min(axis=0), starts)
-        axis, cut = pick // 2 % 2, half + pick // 4 * (pick % 2 * 2 - 1)
+        proj, cut = pick // 2 % 4, half + pick // 8 * (pick % 2 * 2 - 1)
         below = n_min = ratio = pref = None  # freed early, as are ranks and ext: one depth's peak
-        on_y, at_cut = axis[sub] == 1, (starts + cut)[sub]
-        right = np.where(on_y, ext[1], ext[0]) >= at_cut
-        on_cut = ~right & (np.where(on_y, ext[3], ext[2]) >= at_cut)
-        ext = at_cut = None
+        on, at_cut = proj[sub], (starts + cut)[sub]
+        at = np.arange(len(live))
+        right = ext[on, at] >= at_cut
+        on_cut = ~right & (ext[4 + on, at] >= at_cut)
+        ext = at = at_cut = None
         n_cut = np.bincount(sub[on_cut], minlength=len(sizes))
         start[live[on_cut]] = (offsets + sizes - n_cut)[sub[on_cut]]
         live, sub = live[~on_cut], 2 * sub[~on_cut] + right[~on_cut]
-        # Each subset's two sequences keep their order within either half.
-        right_tri[np.where(axis[part] == 1, seqs[1], seqs[0])] = local >= cut[part]
-        seqs = seqs.ravel()[(2 * part + right_tri[seqs] + [[0], [2 * len(sizes)]]).argsort(
-            axis=None, kind="stable")].reshape(2, m)
-        sizes = np.bincount(sub, minlength=2 * len(sizes))
+        # Each subset's sequences keep their order within either half (a radix
+        # sort below 2^15 subsets).
+        right_tri[seqs[proj[part], np.arange(m)]] = local >= cut[part]
+        seqs = seqs[rows, (2 * part + right_tri[seqs]).astype(
+            np.min_scalar_type(2 * len(sizes))).argsort(axis=1, kind="stable")]
+        sizes = np.bincount(sub, minlength=2 * len(sizes)).astype(np.int32)
         offsets = np.array([offsets, offsets + sizes[0::2]]).T.ravel()
         n_tris = np.array([cut, n_tris - cut]).T.ravel()
     # Ascending id within each leaf and separator (a radix sort below 2^16 dofs).

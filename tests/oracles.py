@@ -7,7 +7,7 @@ per-entity reference for the batched ``vkmorley.morley.prolongate``,
 ``refine_queue`` for the array ``vkmorley.mesh.refine`` and
 ``edge_table_loop`` for the edge table ``Mesh`` builds,
 ``validate_loop`` for the array ``vkmorley.mesh.validate`` (fold
-check included), and
+and boundary-loop checks included), and
 ``linearized_bracket_matrix`` assembles the matrix that
 ``vkmorley.forms.assemble_linearized_bracket`` applies element by
 element, and ``operator_matrix`` builds the matrix of any such product
@@ -423,18 +423,20 @@ def lower_ratio(a, b):
 def triangle_bisect(space, tris, numbered):
     """Split a triangle subset into (left, right, separator) at its best cut.
 
-    Along each axis the triangles are ranked by centroid, ties by triangle
-    id, and a cut takes the first k as the left half.  Of the cuts within
-    m // 5 of the median m // 2 of the m triangles, tried nearest the
-    median first, then x before y, then the smaller k first, the first
-    with the least ``cut_ratio`` is taken.
+    On each of four centroid projections, x + y, x - y, x and y, the
+    triangles are ranked, ties by triangle id, and a cut takes the first k
+    as the left half.  Of the cuts within m // 5 of the median m // 2 of
+    the m triangles, tried nearest the median first, then on the
+    projections in that order, then the smaller k first, the first with
+    the least ``cut_ratio`` is taken.
     """
     tris = np.sort(tris)
+    x, y = space.centers[tris, 0], space.centers[tris, 1]
     half, spread = len(tris) // 2, len(tris) // 5
     best = None
     for dist in range(spread + 1):
-        for axis in (0, 1):
-            ranked = tris[np.argsort(space.centers[tris, axis], kind="stable")]
+        for key in (x + y, x - y, x, y):
+            ranked = tris[np.argsort(key, kind="stable")]
             for k in sorted({half - dist, half + dist}):
                 ratio = cut_ratio(space, ranked[:k], ranked[k:], numbered)
                 if best is None or lower_ratio(ratio, best[0]):
@@ -513,6 +515,26 @@ def validate_loop(mesh):
         if runs[0] == runs[1]:
             t0, t1 = mesh.edge_tris[e]
             raise MeshError(f"triangles {t0} and {t1} overlap across edge {e}")
+    # Walk each boundary loop along the way its triangles run, summing its
+    # shoelace terms.
+    step = {}
+    for e in np.nonzero(mesh.edge_is_boundary)[0]:
+        t = mesh.edge_tris[e, 0]
+        k = list(mesh.tri_edges[t]).index(e)
+        p, q = mesh.tri_vertices[t, _LOCAL_EDGES[k]]
+        step[int(p)] = int(q)
+    counterclockwise = 0
+    while step:
+        p, twice_area = next(iter(step)), 0.0
+        while p in step:
+            q = step.pop(p)
+            (xp, yp), (xq, yq) = mesh.coords[p], mesh.coords[q]
+            twice_area += xp * yq - xq * yp
+            p = q
+        counterclockwise += twice_area > 0.0
+    if counterclockwise > 1:
+        raise MeshError(f"{counterclockwise} boundary loops run counterclockwise: the mesh has "
+                        "pieces that overlap or lie apart")
 
 
 def free_space(mesh):

@@ -1,6 +1,7 @@
 """Mesh construction, bisection refinement, and partition bookkeeping."""
 
 import gc
+import re
 import weakref
 import xml.etree.ElementTree as ET
 
@@ -115,6 +116,27 @@ def test_validate_rejects_a_boundary_that_is_not_one_loop():
     m = mesh_from_arrays(coords, [(0, 1, 2), (0, 3, 4)])
     with pytest.raises(MeshError, match="^boundary is not a closed loop at vertex 0$"):
         validate(m)
+
+
+@pytest.mark.parametrize("coords", [[(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)],
+                                    [(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)]],
+                         ids=["inside", "apart"])
+def test_validate_rejects_pieces_that_share_no_edge(coords):
+    # A small triangle inside a large one, and two triangles apart: every
+    # boundary vertex has two boundary edges, and no edge folds.
+    m = mesh_from_arrays(coords, [(0, 1, 2), (3, 4, 5)])
+    with pytest.raises(MeshError, match="^2 boundary loops run counterclockwise"):
+        validate(m)
+
+
+def test_validate_accepts_a_square_with_a_square_hole():
+    # The hole's boundary loop runs clockwise.
+    coords = [(0, 0), (3, 0), (3, 3), (0, 3), (1, 1), (2, 1), (2, 2), (1, 2)]
+    tris = [(0, 1, 5), (0, 5, 4), (1, 2, 6), (1, 6, 5), (2, 3, 7), (2, 7, 6), (3, 0, 4), (3, 4, 7)]
+    m = mesh_from_arrays(coords, tris)
+    validate(m)
+    oc.validate_loop(m)
+    assert m.areas.sum() == 8.0
 
 
 def _validate_message(check, mesh):
@@ -458,6 +480,7 @@ def test_mesh_file_roundtrip(tmp_path):
 
 def test_read_mesh_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.morleymesh"
+    named = f"^{re.escape(str(bad))}: "  # Mesh and validate errors name the file too
     bad.write_text("not a mesh\n")
     with pytest.raises(MeshError):
         read_mesh(bad)
@@ -467,7 +490,7 @@ def test_read_mesh_rejects_garbage(tmp_path):
     # The unit square's two triangles and a vertex at (5, 5) that neither uses.
     bad.write_text("morleymesh 1\nvertices 5\n0 0\n1 0\n1 1\n0 1\n5 5\n"
                    "triangles 2\n0 1 2 1\n0 2 3 2\n")
-    with pytest.raises(MeshError, match="^vertex 4 is used by no triangle$"):
+    with pytest.raises(MeshError, match=named + "vertex 4 is used by no triangle$"):
         read_mesh(bad)
     for counts in ("vertices -1\ntriangles 0\n", "vertices 0\ntriangles 0\n",
                    "vertices 3\n0 0\n1 0\n0 1\ntriangles 0\n"):
@@ -477,11 +500,11 @@ def test_read_mesh_rejects_garbage(tmp_path):
     # A triangle listed twice, and a third triangle folded over two others:
     # each pair lies on one side of the edge it shares.
     bad.write_text("morleymesh 1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2 0\n0 1 2 0\n")
-    with pytest.raises(MeshError, match="^triangles 0 and 1 overlap across edge 0$"):
+    with pytest.raises(MeshError, match=named + "triangles 0 and 1 overlap across edge 0$"):
         read_mesh(bad)
     bad.write_text("morleymesh 1\nvertices 4\n0 0\n1 0\n0 1\n1 1\n"
                    "triangles 3\n0 1 2 0\n1 3 2 0\n0 1 3 0\n")
-    with pytest.raises(MeshError, match="^triangles 0 and 2 overlap across edge 2$"):
+    with pytest.raises(MeshError, match=named + "triangles 0 and 2 overlap across edge 2$"):
         read_mesh(bad)
     # Bytes that are not UTF-8 text.
     bad.write_bytes(bytes(np.random.default_rng(5).integers(128, 256, 300, dtype=np.uint8)))

@@ -41,6 +41,13 @@ def square_space(levels):
     return build_space(mesh)
 
 
+def lshape_space(levels):
+    mesh = build_initial_mesh("lshape")
+    for _ in range(levels):
+        mesh = uniform_refine(mesh)
+    return build_space(mesh)
+
+
 # -- linear_solve ------------------------------------------------------------
 
 
@@ -345,6 +352,20 @@ def test_factor_fill_per_dof(build, bound):
 @pytest.mark.parametrize("cap,bound", [(3000, 40.0), (10_000, 50.0)], ids=["3k", "10k"])
 def test_graded_factor_fill_per_dof_with_ratio_cuts(cap, bound):
     space = lshape_adaptive_space(cap)
+    fill = factor_fill(assemble_bilaplacian(space), dissection_order(space))
+    assert fill / space.n_dofs <= bound
+
+
+# At even bisection depths every grid square is split by one diagonal, and
+# the cheapest separators run along the diagonals: cuts on x + y and x - y
+# as well as x and y reach 33.8 L+U per dof on the square bisected 10 times
+# and 36.9 on the L-shape bisected 10 times, against 49.5 and 50.5 with the
+# two axes alone.
+@pytest.mark.parametrize("build,bound", [(partial(square_space, 10), 36.0),
+                                         (partial(lshape_space, 10), 40.0)],
+                         ids=["square-10", "lshape-10"])
+def test_even_depth_factor_fill_per_dof_with_diagonal_cuts(build, bound):
+    space = build()
     fill = factor_fill(assemble_bilaplacian(space), dissection_order(space))
     assert fill / space.n_dofs <= bound
 

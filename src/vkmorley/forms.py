@@ -94,9 +94,11 @@ def frobenius_weighted(H: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def assemble_bilaplacian(space: MorleySpace) -> sp.csr_matrix:
-    """Scalar piecewise Hessian stiffness matrix (n_dofs square)."""
-    H = hessians(np.swapaxes(space.coeffs, 1, 2), space.scales[:, None])  # (nt, 6, 3) shape rows
-    return space.scatter_matrix(frobenius_weighted(H, space.mesh.areas[:, None]) @ H.mT)
+    """Scalar piecewise Hessian stiffness matrix (n_dofs square), summed by chunks."""
+    def element_matrices(t):
+        H = hessians(np.swapaxes(space.coeffs[t], 1, 2), space.scales[t, None])  # (k, 6, 3) rows
+        return frobenius_weighted(H, space.mesh.areas[t, None]) @ H.mT
+    return space.scatter_matrix(element_matrices)
 
 
 def assemble_load(space: MorleySpace, data: ProblemData) -> np.ndarray:

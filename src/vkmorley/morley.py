@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 _DUALITY_TOL = 1e-10
-# Elements per chunk of every quadrature walk (``MorleySpace.rule_points``):
-# a chunk's (k, q) temporaries stay at a few MB, and meshes of up to 2,048
+# Elements per chunk of every per-element walk (``MorleySpace.chunks``): a
+# chunk's temporaries stay at a few MB, and meshes of up to 2,048
 # triangles take one chunk, so they pay no per-chunk overhead.
 _CHUNK = 2048
 
@@ -169,14 +169,18 @@ class MorleySpace:
             self._quadrature[key] = tuple(out)
         return self._quadrature[key]
 
+    def chunks(self):
+        """Consecutive slices of at most _CHUNK elements, covering the mesh in order."""
+        nt = self.mesh.n_triangles
+        return (slice(start, min(start + _CHUNK, nt)) for start in range(0, nt, _CHUNK))
+
     def rule_points(self, rule: TriangleRule):
         """Yield (elements, physical points, centred (``local_coords``) points)
-        for consecutive slices of at most _CHUNK elements, points (k, q, 2)."""
+        for each of ``chunks``, points (k, q, 2)."""
         mesh = self.mesh
-        for start in range(0, mesh.n_triangles, _CHUNK):
-            t = slice(start, start + _CHUNK)
+        for t in self.chunks():
             pts = triangle_points(rule, mesh.coords[mesh.tri_vertices[t]])
-            yield t, pts, self.local_coords(np.arange(start, start + len(pts))[:, None], pts)
+            yield t, pts, self.local_coords(np.arange(t.start, t.stop)[:, None], pts)
 
     def release_quadrature(self) -> None:
         """Drop every cached array."""
@@ -193,42 +197,43 @@ class MorleySpace:
         return (points - self.centers[t]) / self.scales[t][..., None]
 
     def _build_local_bases(self) -> None:
+        """Shape data a chunk at a time; the whole mesh's residuals are checked last."""
         mesh = self.mesh
         nt = mesh.n_triangles
-        own = np.arange(nt)[:, None]
-        xi_v = self.local_coords(own, mesh.triangle_coords())
-        xi_m = self.local_coords(own, self._midpoints[mesh.tri_edges])
-        normals = mesh.edge_normal[mesh.tri_edges]
+        self.coeffs = np.empty((nt, 6, 6))
+        self.shape_integral = np.empty((nt, 6))
+        resid = np.empty(nt)
+        for t in self.chunks():
+            own = np.arange(t.start, t.stop)[:, None]
+            xi_v = self.local_coords(own, mesh.coords[mesh.tri_vertices[t]])
+            xi_m = self.local_coords(own, self._midpoints[mesh.tri_edges[t]])
+            normals = mesh.edge_normal[mesh.tri_edges[t]]
+            D = np.empty((len(own), 6, 6))
+            D[:, 0:3, :] = monomials(xi_v)
+            # Column k of the edge rows: the normal derivative of monomial k at
+            # each edge midpoint, (6, k, 3) before the axes are moved.
+            s = self.scales[t, None]
+            grads = gradients(np.eye(6)[:, None, None, :], xi_m[..., 0], xi_m[..., 1])
+            D[:, 3:6, :] = np.moveaxis(np.vecdot(grads, normals) / s, 0, -1)
+            try:
+                C = self.coeffs[t] = np.linalg.solve(D, np.broadcast_to(np.eye(6), D.shape))
+            except np.linalg.LinAlgError as exc:
+                raise MeshError(f"singular Morley duality system: {exc}") from exc
+            S = np.where(np.arange(6) < 3, 1.0, s)  # the scaling S of the module docstring
+            # |S(DC - I)S^-1| in the formula's order, in place over D, which is
+            # not needed again.
+            R = np.subtract(D @ C, np.eye(6), out=D)
+            R *= S[:, :, None]
+            R /= S[:, None, :]
+            resid[t] = np.abs(R, out=R).max(axis=(1, 2))
+            # Integral of each shape function: edge-midpoint rule, exact for quadratics.
+            self.shape_integral[t] = (mesh.areas[t, None] / 3.0) * (monomials(xi_m) @ C).sum(axis=1)
 
-        D = np.empty((nt, 6, 6))
-        D[:, 0:3, :] = monomials(xi_v)
-        # Column k of the edge rows: the normal derivative of monomial k at
-        # each edge midpoint, (6, nt, 3) before the axes are moved.
-        s = self.scales[:, None]
-        grads = gradients(np.eye(6)[:, None, None, :], xi_m[..., 0], xi_m[..., 1])
-        D[:, 3:6, :] = np.moveaxis(np.vecdot(grads, normals) / s, 0, -1)
-        del grads
-
-        try:
-            C = self.coeffs = np.linalg.solve(D, np.broadcast_to(np.eye(6), (nt, 6, 6)))
-        except np.linalg.LinAlgError as exc:
-            raise MeshError(f"singular Morley duality system: {exc}") from exc
-        S = np.where(np.arange(6) < 3, 1.0, s)  # the scaling S of the module docstring
-        # |S(DC - I)S^-1| in the formula's order, in place over D, which is
-        # not needed again.
-        R = np.subtract(D @ C, np.eye(6), out=D)
-        R *= S[:, :, None]
-        R /= S[:, None, :]
-        resid = np.abs(R, out=R).max(axis=(1, 2))
         # Written so that a NaN residual is rejected too.
         if not np.all(resid <= _DUALITY_TOL):
             bad = int(np.argmax(np.nan_to_num(resid, nan=np.inf)))
             raise MeshError(f"triangle {bad}: Morley duality residual {resid[bad]:.2e} "
                             f"exceeds {_DUALITY_TOL} (h {self.scales[bad]:.2e})")
-
-        # Integral of each shape function: edge-midpoint rule, exact for
-        # quadratics.
-        self.shape_integral = (mesh.areas[:, None] / 3.0) * (monomials(xi_m) @ C).sum(axis=1)
 
     # -- field algebra -------------------------------------------------------
     # Only gather, scatter, scatter_matrix and solver.dissection_order read
@@ -258,19 +263,26 @@ class MorleySpace:
             np.multiply(w, si, out=col)
         return self.scatter(local)
 
-    def scatter_matrix(self, local: np.ndarray) -> sp.csr_matrix:
-        """Sum element matrices (nt, 6, 6) into the sparse n x n matrix.
+    def scatter_matrix(self, element_matrices) -> sp.csr_matrix:
+        """Sum element matrices element_matrices(t) (k, 6, 6) of ``chunks`` into
+        the sparse n x n matrix, through triplets sized once, in element order.
 
         Sums that cancel to exactly zero are not stored: adding 0.0 changes
         no product, and the sparse LU then skips them.  The COO sum leaves
         data and indices as views of longer buffers; the copy owns nnz each.
         The slots are taken in the COO's own index type, which it does not copy."""
-        dof_map = self.dof_map.astype(sp.get_index_dtype(maxval=self.n_dofs))
-        rows = np.broadcast_to(dof_map[:, :, None], local.shape)
-        cols = np.broadcast_to(dof_map[:, None, :], local.shape)
-        free = (rows >= 0) & (cols >= 0)
         n = self.n_dofs
-        M = sp.coo_matrix((local[free], (rows[free], cols[free])), shape=(n, n)).tocsr()
+        dof_map = self.dof_map.astype(sp.get_index_dtype(maxval=n))
+        size = int(np.sum(np.count_nonzero(dof_map >= 0, axis=1) ** 2))
+        data, (rows, cols) = np.empty(size), np.empty((2, size), dof_map.dtype)
+        end = 0
+        for t in self.chunks():
+            r, c = np.broadcast_arrays(dof_map[t, :, None], dof_map[t, None, :])
+            free = (r >= 0) & (c >= 0)
+            start, end = end, end + np.count_nonzero(free)
+            data[start:end] = element_matrices(t)[free]
+            rows[start:end], cols[start:end] = r[free], c[free]
+        M = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         M.eliminate_zeros()
         return M.copy()
 

@@ -54,6 +54,7 @@ against the tolerance GMRES was given.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 from collections.abc import Callable
@@ -104,6 +105,10 @@ _FORCING = 0.3
 # Newton steps allowed per solve, and step halvings per damped step.
 _MAX_ITER = 20
 _MAX_HALVINGS = 6
+# glibc's int malloc_trim(size_t pad), or None where the C library has none.
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+if _malloc_trim is not None:
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 
 
 class SolverError(Exception):
@@ -255,6 +260,11 @@ def factorise(A: sp.spmatrix, order: np.ndarray):
     and positive raises SolverError naming its dof, before any scaling.
     A singular A, or memory run out in the permutation or in SuperLU
     (MemoryError, or SystemError), raises SolverError.
+
+    Right before SuperLU, glibc's ``malloc_trim(0)`` hands the heap's free
+    pages back (skipped where the C library has none): each level's factor
+    is freed into the heap, and the next, larger one cannot reuse that
+    space, so peak RSS would climb with the number of levels.
     """
     n = A.shape[0]
     diag = A.diagonal()
@@ -267,6 +277,8 @@ def factorise(A: sp.spmatrix, order: np.ndarray):
         M = A.tocsr()[order][:, order].tocsc()
         M.data *= s[M.indices]
         M.data *= np.repeat(s, np.diff(M.indptr))
+        if _malloc_trim is not None:
+            _malloc_trim(0)
         lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESH,
                        panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True))
     except (RuntimeError, MemoryError, SystemError) as exc:

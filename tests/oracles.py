@@ -26,7 +26,10 @@ reference for ``vkmorley.solver._backtrack``, and ``scipy_gmres`` calls
 ``duality_coeffs_by_hand`` keeps the duality system's edge rows written
 out monomial by monomial, and ``monomial_gradients`` the gradients of
 element quadratics from a derivative table, both apart from
-``vkmorley.morley.gradients``.  The ``*_einsum``
+``vkmorley.morley.gradients``.  ``local_bases_whole`` and
+``bilaplacian_whole`` build the shape data and the stiffness sum over
+the whole mesh at once, as the package did before it walked the mesh in
+element chunks.  The ``*_einsum``
 functions keep the ``np.einsum`` forms of the per-element contractions
 that the package now writes as batched ``matmul`` (quadrature points,
 bilaplacian element matrices, load, oscillation, shape integrals,
@@ -73,7 +76,7 @@ import sympy as sp
 
 from vkmorley.adaptivity import AxiomLevel
 from vkmorley.estimator import restrict_estimator
-from vkmorley.forms import ProblemData, vk_bracket
+from vkmorley.forms import ProblemData, frobenius_weighted, vk_bracket
 from vkmorley.mesh import (
     _LOCAL_EDGES,
     _SVG_WIDTH,
@@ -85,7 +88,7 @@ from vkmorley.mesh import (
     refine,
     uniform_refine,
 )
-from vkmorley.morley import MorleyField, build_space, hessians, monomials
+from vkmorley.morley import _DUALITY_TOL, MorleyField, build_space, gradients, hessians, monomials
 from vkmorley.morley import interpolate as morley_interpolate
 from vkmorley.problems import _poly_axis, _trig_axis
 from vkmorley.quadrature import TriangleRule, triangle_rule
@@ -955,6 +958,52 @@ def duality_coeffs_by_hand(space):
     D[:, 3:6, 4] = (ym * nx + xm * ny) / s
     D[:, 3:6, 5] = 2.0 * ym * ny / s
     return np.linalg.solve(D, np.broadcast_to(np.eye(6), (nt, 6, 6)))
+
+
+def local_bases_whole(space):
+    """(coeffs, shape_integral) built over the whole mesh at once, with the
+    same duality-residual check, as ``MorleySpace`` built them before it
+    walked the mesh in element chunks."""
+    mesh = space.mesh
+    nt = mesh.n_triangles
+    own = np.arange(nt)[:, None]
+    xi_v = space.local_coords(own, mesh.triangle_coords())
+    xi_m = space.local_coords(own, space._midpoints[mesh.tri_edges])
+    normals = mesh.edge_normal[mesh.tri_edges]
+    D = np.empty((nt, 6, 6))
+    D[:, 0:3, :] = monomials(xi_v)
+    s = space.scales[:, None]
+    grads = gradients(np.eye(6)[:, None, None, :], xi_m[..., 0], xi_m[..., 1])
+    D[:, 3:6, :] = np.moveaxis(np.vecdot(grads, normals) / s, 0, -1)
+    try:
+        C = np.linalg.solve(D, np.broadcast_to(np.eye(6), (nt, 6, 6)))
+    except np.linalg.LinAlgError as exc:
+        raise MeshError(f"singular Morley duality system: {exc}") from exc
+    S = np.where(np.arange(6) < 3, 1.0, s)
+    R = np.subtract(D @ C, np.eye(6), out=D)
+    R *= S[:, :, None]
+    R /= S[:, None, :]
+    resid = np.abs(R, out=R).max(axis=(1, 2))
+    if not np.all(resid <= _DUALITY_TOL):
+        bad = int(np.argmax(np.nan_to_num(resid, nan=np.inf)))
+        raise MeshError(f"triangle {bad}: Morley duality residual {resid[bad]:.2e} "
+                        f"exceeds {_DUALITY_TOL} (h {space.scales[bad]:.2e})")
+    return C, (mesh.areas[:, None] / 3.0) * (monomials(xi_m) @ C).sum(axis=1)
+
+
+def bilaplacian_whole(space):
+    """The bilaplacian as one COO sum of the whole mesh's (nt, 6, 6) element
+    matrices, free slots in element order, without its exact zeros: the
+    matrix ``assemble_bilaplacian`` built before it summed element chunks."""
+    H = shape_hess(space)
+    local = frobenius_weighted(H, space.mesh.areas[:, None]) @ H.mT
+    dof_map = space.dof_map.astype(sparse.get_index_dtype(maxval=space.n_dofs))
+    rows, cols = np.broadcast_arrays(dof_map[:, :, None], dof_map[:, None, :])
+    free = (rows >= 0) & (cols >= 0)
+    n = space.n_dofs
+    M = sparse.coo_matrix((local[free], (rows[free], cols[free])), shape=(n, n)).tocsr()
+    M.eliminate_zeros()
+    return M
 
 
 def hessian_distance_einsum(d, areas):

@@ -25,8 +25,8 @@ from vkmorley.adaptivity import LevelArtifacts, axiom_check
 from vkmorley.estimator import EstimatorReport, _edge_terms, estimate, oscillation
 from vkmorley.forms import (_bracket_rows, apply_residual, assemble_bilaplacian, assemble_load,
                             assemble_linearized_bracket, energy_norms)
-from vkmorley.mesh import (ancestor_map, build_initial_mesh, refine, uniform_refine,
-                           write_mesh, write_svg)
+from vkmorley.mesh import (MeshError, ancestor_map, build_initial_mesh, mesh_from_arrays,
+                           refine, uniform_refine, write_mesh, write_svg)
 from vkmorley.morley import MorleyField, build_space, reduce_moments
 from vkmorley.problems import get_problem
 from vkmorley.quadrature import triangle_points, triangle_rule
@@ -73,7 +73,7 @@ def test_matmul_kernels_match_their_einsum_forms(domain, pre, steps, seed):
                oc.triangle_points_einsum(rule, fine.triangle_coords()))
     _close(space.shape_integral, oc.shape_integral_einsum(space))
     _close(assemble_bilaplacian(space).toarray(),
-           space.scatter_matrix(oc.bilaplacian_elements_einsum(space)).toarray())
+           space.scatter_matrix(lambda t: oc.bilaplacian_elements_einsum(space)[t]).toarray())
     _close(assemble_load(space, data), oc.load_einsum(space, data))
     # The oscillation is ||f||^2 minus the projection's share of it, so
     # it is exact only up to rounding of h^4 ||f||^2.
@@ -290,3 +290,45 @@ def test_chunked_energy_norms_match_the_einsum_form(chunked_levels):
         np.testing.assert_allclose(energy_norms(level.state, exact),
                                    oc.energy_norms_einsum(level.space, level.state, exact),
                                    rtol=1e-13)
+
+
+def _uniform(domain, depth):
+    mesh = build_initial_mesh(domain)
+    for _ in range(depth):
+        mesh = uniform_refine(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize("case", ["one chunk", "four chunks", "graded"])
+def test_chunked_setup_equals_the_whole_mesh_build(case, chunked_levels):
+    # The shape data and A's arrays, byte for byte, on a mesh of one chunk,
+    # of exactly four, and on a graded one whose last chunk is partial.
+    if case == "graded":
+        mesh = chunked_levels[1].mesh
+        assert mesh.n_triangles > morley._CHUNK and mesh.n_triangles % morley._CHUNK
+    else:
+        mesh = _uniform("square", 3 if case == "one chunk" else 12)
+        assert mesh.n_triangles == (16 if case == "one chunk" else 4 * morley._CHUNK)
+    space = build_space(mesh)
+    coeffs, shape_integral = oc.local_bases_whole(space)
+    assert space.coeffs.tobytes() == coeffs.tobytes()
+    assert space.shape_integral.tobytes() == shape_integral.tobytes()
+    A, want = assemble_bilaplacian(space), oc.bilaplacian_whole(space)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(A, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_needle_in_a_later_chunk_is_named(monkeypatch):
+    # Triangle 0 is sound; triangle 1, a needle of width 1e-9 across their
+    # shared edge, is in the second of two one-triangle chunks.  The
+    # message is the one a single chunk gives.
+    eps = 1e-9
+    mesh = mesh_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (1.0 - eps, eps)],
+                            [(0, 2, 1), (0, 1, 3)])
+    messages = []
+    for chunk in (1, 2):
+        monkeypatch.setattr(morley, "_CHUNK", chunk)
+        with pytest.raises(MeshError, match=r"^triangle 1: Morley duality residual") as exc:
+            build_space(mesh)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]

@@ -1,7 +1,11 @@
 """Newton iteration and the sparse linear solve."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,8 @@ from vkmorley.forms import (
     assemble_linearized_bracket,
     assemble_load,
 )
-from vkmorley.mesh import build_initial_mesh, mesh_from_arrays, refine, uniform_refine
+from vkmorley.mesh import (build_initial_mesh, mesh_from_arrays, refine, uniform_refine,
+                           write_mesh)
 from vkmorley.morley import MorleyField, build_space, prolongate
 from vkmorley.problems import get_problem
 from vkmorley.solver import (
@@ -1009,3 +1014,53 @@ def test_newton_window_kernels_stay_within_a_few_rows(levels, monkeypatch):
     assert len(transients) == 9
     for name, transient in transients.items():
         assert transient <= _WINDOW_ROWS * row, (name, transient / row)
+
+
+# -- handing freed heap back before each factor --------------------------------
+
+def test_heap_release_changes_no_output(tmp_path, monkeypatch):
+    # The adaptive L-shape run to 3,000 dofs, with and without the release
+    # (its handle set to None, as where the C library has no malloc_trim).
+    def run():
+        cfg = AmfemConfig(theta=0.3, delta=0.9, max_levels=40, max_ndofs=3000)
+        res = amfem_run(get_problem("lshape-f1"), cfg)
+        res.report.to_csv(tmp_path / "report.csv")
+        write_mesh(res.final.mesh, tmp_path / "final.morleymesh")
+        return [(tmp_path / "report.csv").read_bytes(),
+                (tmp_path / "final.morleymesh").read_bytes(), res.final.state.coeffs.tobytes()]
+
+    released = run()
+    monkeypatch.setattr(solver, "_malloc_trim", None)
+    assert run() == released
+
+
+_HWM_SCRIPT = """
+import sys
+from vkmorley import solver
+from vkmorley.adaptivity import AmfemConfig, amfem_run
+from vkmorley.problems import get_problem
+if sys.argv[1] == "kept":
+    solver._malloc_trim = None
+amfem_run(get_problem("lshape-f1"),
+          AmfemConfig(theta=0.3, delta=0.9, max_levels=40, max_ndofs=20_000))
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(solver._malloc_trim is None or not Path("/proc/self/status").exists(),
+                    reason="needs glibc's malloc_trim and Linux's VmHWM")
+def test_heap_release_lowers_the_peak_of_an_adaptive_run():
+    # Each level's factor is freed into the heap, and without the release
+    # the next, larger factor grows the heap past it: on the adaptive
+    # L-shape run to 20,000 dofs the release saves about 10 %.  The peak
+    # is the child's VmHWM: its ru_maxrss starts from the launching
+    # process's peak, which a fork (or vfork) and exec carry over.
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    peaks = {}
+    for mode in ("released", "kept"):
+        proc = subprocess.run([sys.executable, "-c", _HWM_SCRIPT, mode], env=env,
+                              capture_output=True, text=True, check=True)
+        peaks[mode] = int(proc.stdout.split()[-1])
+    assert peaks["released"] <= 0.95 * peaks["kept"], peaks

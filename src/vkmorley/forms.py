@@ -177,22 +177,25 @@ def energy_norms(state: MorleyField, exact):
     exact(x, y) is vectorized and returns du, d2u, dv and d2v at once,
     gradients as (ux, uy) and Hessians as (hxx, hxy, hyy).  The rule's
     points are walked in ``rule_points``' chunks, so no whole-mesh array
-    with a quadrature axis is built.
+    with a quadrature axis is built.  Each element's squared errors are
+    summed over its (point, component) terms, u's then v's, into (2, nt)
+    per-element values, which are summed over the elements once at the
+    end: the norms do not depend on the chunk size.
     """
     space = state.space
     rule = triangle_rule(_ERROR_DEGREE)
     polys = space.element_polys(state.coeffs)
     H = hessians(polys, space.scales)  # (2, nt, 3)
 
-    err2 = errh1 = 0.0
+    err = np.zeros((2, space.mesh.n_triangles))  # squared H2 and H1 errors per element
     for t, pts, xi in space.rule_points(rule):
         warea = rule.weights[None, :] * space.mesh.areas[t, None]
         G = gradients(polys[:, t, None, :], xi[..., 0], xi[..., 1]) / space.scales[t, None, None]
         du, d2u, dv, d2v = exact(pts[..., 0], pts[..., 1])
         for Hk, Gk, d1, d2 in zip(H[:, t], G, (du, dv), (d2u, d2v)):
             diff = np.stack(d2, axis=-1) - Hk[:, None, :]
-            err2 += np.vdot(frobenius_weighted(diff, warea), diff)
+            err[0, t] += (frobenius_weighted(diff, warea) * diff).sum(axis=(1, 2))
             gdiff = np.stack(d1, axis=-1) - Gk
-            errh1 += np.vdot(gdiff * warea[..., None], gdiff)
+            err[1, t] += (gdiff * warea[..., None] * gdiff).sum(axis=(1, 2))
 
-    return float(np.sqrt(err2)), float(np.sqrt(errh1))
+    return tuple(float(np.sqrt(e)) for e in err.sum(axis=1))

@@ -42,10 +42,11 @@ __all__ = [
 ]
 
 _DUALITY_TOL = 1e-10
-# Elements per chunk of every per-element walk (``MorleySpace.chunks``): a
-# chunk's temporaries stay at a few MB, and meshes of up to 2,048
-# triangles take one chunk, so they pay no per-chunk overhead.
-_CHUNK = 2048
+# Elements per chunk of every per-element walk (``MorleySpace.chunks``).  The
+# widest per-chunk temporaries are the error rule's points and exact
+# derivatives (``forms.energy_norms``): 2,048 elements made them 7 MB on the
+# CLI's last level, and 512 cuts every walk's per-chunk temporaries to a quarter.
+_CHUNK = 512
 
 
 def monomial_terms(x: np.ndarray, y: np.ndarray):

@@ -351,25 +351,47 @@ def quadratic_exact(c):
     return exact
 
 
-# Traced peak of the error norms on the square bisected 12 times (8,192
-# triangles): 17.7 MB when the rule's points and the exact derivatives
-# were evaluated on the whole mesh at once, 7.9 MB in chunks of 2,048
-# elements.
-def test_energy_norms_traced_peak():
+# Traced transients on the square bisected 12 times (8,192 triangles):
+# the peak less what the call returns or keeps.  The error norms held
+# 17.7 MB when the rule's points and the exact derivatives were evaluated
+# on the whole mesh at once, 7.9 MB in chunks of 2,048 elements and
+# 2.9 MB in chunks of 512; build_space 4.0 and 1.2 MB; assemble_load,
+# besides its vector and the moments it caches, 3.7 and 0.7 MB.
+@pytest.fixture(scope="module")
+def square_8192():
     mesh = build_initial_mesh("square")
     for _ in range(12):
         mesh = uniform_refine(mesh)
-    space = build_space(mesh)
-    assert space.mesh.n_triangles == 8192
-    state = random_state(space, np.random.default_rng(12))
-    exact = get_problem("square-trig").exact
+    assert mesh.n_triangles == 8192
+    return mesh
+
+
+def _traced_transient(call):
+    """Traced peak of call() less what is still allocated when it returns."""
     tracemalloc.start()
     try:
-        energy_norms(state, exact)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()  # alive when measured, so it counts as kept
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10.0 * 2**20
+    return peak - kept
+
+
+def test_energy_norms_traced_peak(square_8192):
+    space = build_space(square_8192)
+    state = random_state(space, np.random.default_rng(12))
+    exact = get_problem("square-trig").exact
+    assert _traced_transient(lambda: energy_norms(state, exact)) <= 3.5 * 2**20
+
+
+def test_build_space_traced_transient(square_8192):
+    assert _traced_transient(lambda: build_space(square_8192)) <= 1.5 * 2**20
+
+
+def test_assemble_load_traced_transient(square_8192):
+    space = build_space(square_8192)
+    data = get_problem("square-trig").data
+    assert _traced_transient(lambda: assemble_load(space, data)) <= 1.0 * 2**20
 
 
 def test_energy_norms_zero_everything():

@@ -292,6 +292,19 @@ def test_chunked_energy_norms_match_the_einsum_form(chunked_levels):
                                    rtol=1e-13)
 
 
+def test_energy_norms_are_chunk_invariant(chunked_levels, monkeypatch):
+    # Both floats, byte for byte, for chunks of 7 elements, of 512 and of
+    # the whole mesh: each element's terms are reduced within the element
+    # and the elements summed once.
+    exact = get_problem("square-trig").exact
+    for level in chunked_levels:
+        norms = []
+        for chunk in (7, 512, level.mesh.n_triangles):
+            monkeypatch.setattr(morley, "_CHUNK", chunk)
+            norms.append(energy_norms(level.state, exact))
+        assert norms[0] == norms[1] == norms[2]
+
+
 def _uniform(domain, depth):
     mesh = build_initial_mesh(domain)
     for _ in range(depth):
@@ -307,7 +320,9 @@ def test_chunked_setup_equals_the_whole_mesh_build(case, chunked_levels):
         mesh = chunked_levels[1].mesh
         assert mesh.n_triangles > morley._CHUNK and mesh.n_triangles % morley._CHUNK
     else:
-        mesh = _uniform("square", 3 if case == "one chunk" else 12)
+        # The square's 2 triangles, bisected `depth` times, are 2^(depth+1).
+        depth = 3 if case == "one chunk" else int(np.log2(2 * morley._CHUNK))
+        mesh = _uniform("square", depth)
         assert mesh.n_triangles == (16 if case == "one chunk" else 4 * morley._CHUNK)
     space = build_space(mesh)
     coeffs, shape_integral = oc.local_bases_whole(space)

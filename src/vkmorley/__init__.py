@@ -6,11 +6,11 @@ solve/estimate/mark/refine loop based on a residual error estimator,
 Doerfler marking, and newest-vertex bisection.
 """
 
-from .mesh import Mesh, MeshError, build_initial_mesh, refine, uniform_refine, mesh_partition
+from .mesh import Mesh, MeshError, build_initial_mesh, refine, uniform_refine
 from .morley import MorleySpace, MorleyField, build_space, interpolate, prolongate
 from .forms import ProblemData
 from .solver import SolveReport, factorise, newton_solve, linear_solve
-from .estimator import EstimatorReport, estimate, oscillation, restrict_estimator
+from .estimator import EstimatorReport, estimate, oscillation
 from .adaptivity import AmfemConfig, ConvergenceReport, doerfler_mark, amfem_run, uniform_run
 from .problems import registry
 
@@ -20,7 +20,6 @@ __all__ = [
     "build_initial_mesh",
     "refine",
     "uniform_refine",
-    "mesh_partition",
     "MorleySpace",
     "MorleyField",
     "build_space",
@@ -34,7 +33,6 @@ __all__ = [
     "EstimatorReport",
     "estimate",
     "oscillation",
-    "restrict_estimator",
     "AmfemConfig",
     "ConvergenceReport",
     "doerfler_mark",

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import EstimatorReport, estimate, restrict_estimator
+from .estimator import EstimatorReport, estimate
 from .forms import ProblemData, energy_norms, frobenius_weighted
-from .mesh import Mesh, build_initial_mesh, mesh_partition, refine, uniform_refine
+from .mesh import Mesh, ancestor_map, build_initial_mesh, refine, uniform_refine
 from .morley import MorleyField, MorleySpace, build_space, prolongate
 from .solver import SolveReport, check_tolerance, newton_solve
 
@@ -64,19 +64,15 @@ def doerfler_mark(eta_sq: np.ndarray, theta: float) -> np.ndarray:
     eta_sq = np.asarray(eta_sq, dtype=float)
     if np.any(eta_sq < 0.0) or not np.all(np.isfinite(eta_sq)):
         raise ValueError("indicators must be finite and nonnegative")
-    order = np.lexsort((np.arange(len(eta_sq)), -eta_sq))
+    order = np.argsort(-eta_sq, kind="stable")
     sorted_vals = eta_sq[order]
     total = float(sorted_vals.sum())
     if total <= 0.0:
         raise ValueError("all indicators vanish; nothing to mark")
-    partial = np.cumsum(sorted_vals)
-    k = int(np.searchsorted(partial, theta * total)) + 1
-    k = min(k, len(sorted_vals))
-    # Never mark zero-indicator triangles (possible when theta = 1 and
-    # trailing entries vanish).
-    while k > 1 and sorted_vals[k - 1] == 0.0:
-        k -= 1
-    return order[:k]
+    k = int(np.searchsorted(np.cumsum(sorted_vals), theta * total)) + 1
+    # Never mark zero-indicator triangles (possible when theta = 1); zeros sort
+    # last, and a positive total leaves at least one nonzero.
+    return order[:min(k, np.count_nonzero(sorted_vals))]
 
 
 @dataclass
@@ -246,7 +242,7 @@ def _run(problem, cfg: AmfemConfig, mode: str, on_level) -> RunResult:
         )
 
         last = level + 1 >= cfg.max_levels or space.n_dofs >= cfg.max_ndofs
-        if not last and est.total_eta_sq <= 0.0:
+        if not last and est.eta <= 0.0:
             logger.info("estimator vanished on level %d; stopping", level)
             last = True
         if not last:
@@ -305,19 +301,23 @@ def axiom_check(coarse: AxiomLevel, fine: AxiomLevel) -> AxiomDiagnostics:
     evaluated exactly: the coarse polynomials restrict to each fine
     triangle through its ancestor.
     """
-    common, coarse_only, fine_only, anc = mesh_partition(coarse.mesh, fine.mesh)
+    anc = ancestor_map(coarse.mesh, fine.mesh)
     d = fine.hessians - coarse.hessians[:, anc]
     delta = float(np.sqrt(np.vdot(frobenius_weighted(d, fine.mesh.areas), d)))
+    # A fine triangle with its ancestor's generation is that triangle, kept;
+    # a coarse triangle with no kept child was bisected.
+    kept = fine.mesh.tri_generation == coarse.mesh.tri_generation[anc]
+    refined = np.bincount(anc[kept], minlength=coarse.mesh.n_triangles) == 0
 
-    def norms(level: AxiomLevel, ids) -> tuple[float, float]:
-        """(eta, mu) of the level's indicators summed over the triangles ids."""
-        sums = restrict_estimator(level.report, ids)
-        return float(np.sqrt(sums["eta_sq"])), float(np.sqrt(sums["mu_sq"]))
+    def norms(level: AxiomLevel, mask) -> tuple[float, float]:
+        """(eta, mu) of the level's indicators summed over the triangles in mask."""
+        rep = level.report
+        return float(np.sqrt(rep.eta_sq[mask].sum())), float(np.sqrt(rep.mu_sq[mask].sum()))
 
-    ec, mc = norms(coarse, common)
-    ef, mf = norms(fine, np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only))
-    ero_c, mro_c = norms(coarse, coarse_only)
-    ero_f, mro_f = norms(fine, fine_only)
+    ec, mc = norms(coarse, ~refined)
+    ef, mf = norms(fine, kept)
+    ero_c, mro_c = norms(coarse, refined)
+    ero_f, mro_f = norms(fine, ~kept)
 
     q_eta, q_mu = 2.0 ** (-0.25), 2.0 ** (-0.5)
     return AxiomDiagnostics(

@@ -39,7 +39,7 @@ from .forms import ProblemData, vk_bracket
 from .morley import MorleyField, MorleySpace, monomial_terms, reduce_moments
 from .quadrature import triangle_rule
 
-__all__ = ["EstimatorReport", "estimate", "oscillation", "restrict_estimator"]
+__all__ = ["EstimatorReport", "estimate", "oscillation"]
 
 
 @dataclass
@@ -50,10 +50,6 @@ class EstimatorReport:
     mu_sq: np.ndarray
     osc_sq: np.ndarray
     areas: np.ndarray
-
-    @property
-    def total_eta_sq(self) -> float:
-        return float(self.eta_sq.sum())
 
     @property
     def eta(self) -> float:
@@ -163,14 +159,3 @@ def estimate(state: MorleyField, data: ProblemData, osc_order: int = 0) -> Estim
                           lambda: oscillation(space, data, osc_order))
     return EstimatorReport(eta_sq=eta_sq, mu_sq=mu_sq, osc_sq=osc_sq, areas=space.mesh.areas)
 
-
-def restrict_estimator(report: EstimatorReport, subset) -> dict:
-    """Partial sums over an array of triangle ids; repeated ids count once."""
-    ids = np.unique(np.asarray(subset, dtype=np.int64))
-    if len(ids) and (ids[0] < 0 or ids[-1] >= len(report.eta_sq)):
-        raise ValueError("triangle id outside the report's mesh")
-    return {
-        "eta_sq": float(report.eta_sq[ids].sum()),
-        "mu_sq": float(report.mu_sq[ids].sum()),
-        "osc_sq": float(report.osc_sq[ids].sum()),
-    }

@@ -36,7 +36,6 @@ __all__ = [
     "refine",
     "uniform_refine",
     "ancestor_map",
-    "mesh_partition",
     "read_mesh",
     "write_mesh",
     "write_svg",
@@ -96,9 +95,13 @@ class Mesh:
         a = coords[tv[:, 0]]
         b = coords[tv[:, 1]]
         c = coords[tv[:, 2]]
-        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-            c[:, 0] - a[:, 0]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates: inf or nan
+            cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+                c[:, 0] - a[:, 0]
+            )
+        if not np.all(np.isfinite(cross)):
+            bad = int(np.argmax(~np.isfinite(cross)))
+            raise MeshError(f"triangle {bad} has a non-finite area")
         if np.any(cross <= 0.0):
             bad = int(np.argmax(cross <= 0.0))
             raise MeshError(f"triangle {bad} is degenerate or inverted")
@@ -314,21 +317,6 @@ def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     if fine.parent is None or fine.parent() is not coarse:
         raise MeshError("fine mesh is neither the coarse mesh nor its direct refinement")
     return fine.ancestors
-
-
-def mesh_partition(coarse: Mesh, fine: Mesh):
-    """Split the triangles of a mesh and its one-step refinement (``ancestor_map``).
-
-    Returns sorted id arrays (common, coarse_only, fine_only) and anc:
-    common holds coarse ids of triangles surviving unchanged,
-    coarse_only the refined coarse ids, fine_only the fine ids of newly
-    created triangles, and anc the coarse ancestor of every fine triangle.
-    """
-    anc = ancestor_map(coarse, fine)
-    unchanged = fine.tri_generation == coarse.tri_generation[anc]
-    common = np.unique(anc[unchanged])
-    coarse_only = np.setdiff1d(np.arange(coarse.n_triangles), common)
-    return common, coarse_only, np.nonzero(~unchanged)[0], anc
 
 
 # -- validation --------------------------------------------------------------

@@ -51,7 +51,9 @@ the tabulated Dunavant orbits before they came from ``itertools``;
 beside the package's 3-point one, ``interpolate`` the Morley interpolant
 with edge means of that many points, and
 ``discrete_h2_seminorm`` and ``axiom_partition_norms`` the norms that
-the package forms but does not return.  ``axiom_level`` reduces a
+the package forms but does not return, the latter over sorted id arrays
+where ``axiom_check`` takes masks.  ``doerfler_loop`` is Dörfler marking
+as it walked back over zero indicators in a loop.  ``axiom_level`` reduces a
 solved level to the ``AxiomLevel`` that ``axiom_check`` reads.  ``free_space`` renumbers a space
 with every dof free, boundary ones too.  ``zero_state``
 is the zero deflection/stress pair.  ``evaluate``,
@@ -75,7 +77,6 @@ import scipy.sparse.linalg as spla
 import sympy as sp
 
 from vkmorley.adaptivity import AxiomLevel
-from vkmorley.estimator import restrict_estimator
 from vkmorley.forms import ProblemData, frobenius_weighted, vk_bracket
 from vkmorley.mesh import (
     _LOCAL_EDGES,
@@ -84,7 +85,6 @@ from vkmorley.mesh import (
     MeshError,
     build_initial_mesh,
     ancestor_map,
-    mesh_partition,
     refine,
     uniform_refine,
 )
@@ -844,15 +844,34 @@ def axiom_level(arts):
 
 
 def axiom_partition_norms(coarse, fine, key="eta_sq"):
-    """sqrt of a report's key summed, as ``axiom_check`` sums it, over the
-    coarse and the fine triangles that refinement kept, then over those it
-    refined and their children: (common coarse, common fine, refined
-    coarse, refined fine)."""
-    common, coarse_only, fine_only, _ = mesh_partition(coarse.mesh, fine.mesh)
+    """sqrt of a report's key summed over sorted id arrays of the coarse and
+    the fine triangles that refinement kept, then of those it refined and
+    their children: (common coarse, common fine, refined coarse, refined
+    fine).  ``axiom_check`` sums over boolean masks of the same triangles."""
+    anc = ancestor_map(coarse.mesh, fine.mesh)
+    unchanged = fine.mesh.tri_generation == coarse.mesh.tri_generation[anc]
+    common = np.unique(anc[unchanged])
+    coarse_only = np.setdiff1d(np.arange(coarse.mesh.n_triangles), common)
+    fine_only = np.nonzero(~unchanged)[0]
     fine_common = np.setdiff1d(np.arange(fine.mesh.n_triangles), fine_only)
-    return tuple(float(np.sqrt(restrict_estimator(level.report, ids)[key]))
+    return tuple(float(np.sqrt(float(getattr(level.report, key)[ids].sum())))
                  for level, ids in ((coarse, common), (fine, fine_common),
                                     (coarse, coarse_only), (fine, fine_only)))
+
+
+def doerfler_loop(eta_sq, theta):
+    """``vkmorley.adaptivity.doerfler_mark`` as it sorted with ``lexsort`` and
+    walked back over trailing zero indicators one at a time."""
+    eta_sq = np.asarray(eta_sq, dtype=float)
+    order = np.lexsort((np.arange(len(eta_sq)), -eta_sq))
+    sorted_vals = eta_sq[order]
+    total = float(sorted_vals.sum())
+    partial = np.cumsum(sorted_vals)
+    k = int(np.searchsorted(partial, theta * total)) + 1
+    k = min(k, len(sorted_vals))
+    while k > 1 and sorted_vals[k - 1] == 0.0:
+        k -= 1
+    return order[:k]
 
 
 def triangle_points_einsum(rule, coords):

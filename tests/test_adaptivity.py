@@ -130,6 +130,27 @@ class TestDoerflerMark:
             kept = float(eta_sq[marked].sum() - eta_sq[marked].min())
             assert kept < target
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vals=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0, 3.0]),
+                      st.floats(min_value=0.0, max_value=1e6)),
+            min_size=1, max_size=40,
+        ),
+        theta=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    )
+    @example(vals=[0.0, 5e-324, 0.0, 5e-324], theta=1.0)
+    @example(vals=[2.0, 0.0, 2.0, 2.0, 0.0], theta=1.0)
+    def test_matches_the_loop_oracle(self, vals, theta):
+        # Ties, exact zeros (of either sign), subnormals and theta = 1: the
+        # same ids in the same order as the sort and walk-back it replaced.
+        eta_sq = np.asarray(vals)
+        if not eta_sq.sum() > 0.0:
+            with pytest.raises(ValueError):
+                doerfler_mark(eta_sq, theta)
+            return
+        assert np.array_equal(doerfler_mark(eta_sq, theta), oc.doerfler_loop(eta_sq, theta))
+
 
 # -- experimental-rate helper ------------------------------------------------
 
@@ -290,7 +311,7 @@ class TestAdaptiveDriver:
         for row, arts in zip(res.report.rows[:-1], res.levels):
             marked = doerfler_mark(arts.report.eta_sq, cfg.theta)
             assert len(marked) == row.marked
-            target = cfg.theta * arts.report.total_eta_sq
+            target = cfg.theta * float(arts.report.eta_sq.sum())
             mass = float(arts.report.eta_sq[marked].sum())
             assert mass >= target
             if len(marked) > 1:
@@ -656,6 +677,30 @@ class TestAxiomCheck:
         assert eta_common_fine > 0.0
         assert math.isfinite(diag.lambda1_star)
         assert diag.lambda1_star > 0.0
+
+    @pytest.mark.parametrize("pair", ["identical", "uniform", "adaptive"])
+    def test_masks_sum_as_the_sorted_id_oracle(self, pair, square_uniform, square_adaptive):
+        # Bit for bit: each mask selects the oracle's ids in ascending order.
+        levels = square_adaptive[0].levels if pair == "adaptive" else square_uniform.levels
+        first = {"identical": 2, "uniform": 1, "adaptive": 3}[pair]
+        coarse = oc.axiom_level(levels[first])
+        fine = coarse if pair == "identical" else oc.axiom_level(levels[first + 1])
+        diag = axiom_check(coarse, fine)
+        ec, ef, ero_c, ero_f = oc.axiom_partition_norms(coarse, fine)
+        mc, mf, mro_c, mro_f = oc.axiom_partition_norms(coarse, fine, "mu_sq")
+        assert (diag.eta_refined_coarse, diag.eta_refined_fine) == (ero_c, ero_f)
+        assert diag.lambda1_star == adaptivity._ratio(abs(ef - ec), diag.delta)
+        assert diag.lambda1_mu_star == adaptivity._ratio(abs(mf - mc), diag.delta)
+        assert diag.lambda2_star == adaptivity._ratio(max(0.0, ero_f - 2.0**-0.25 * ero_c),
+                                                      diag.delta)
+        assert diag.lambda2_mu_star == adaptivity._ratio(max(0.0, mro_f - 2.0**-0.5 * mro_c),
+                                                         diag.delta)
+        # The kept and the refined triangles split each mesh.
+        for level, kept_part, refined_part in ((coarse, ec, ero_c), (fine, ef, ero_f)):
+            assert kept_part**2 + refined_part**2 == pytest.approx(level.report.eta**2,
+                                                                   rel=1e-12)
+        if pair == "adaptive":  # neither part is empty
+            assert min(ec, ef, ero_c, ero_f) > 0.0
 
     def test_reversed_pair_rejected(self, square_uniform):
         with pytest.raises(MeshError):

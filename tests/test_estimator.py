@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from vkmorley.estimator import estimate, oscillation, restrict_estimator
+from vkmorley.estimator import estimate, oscillation
 from vkmorley.mesh import build_initial_mesh, uniform_refine
 from vkmorley.morley import MorleyField, build_space, interpolate
 from vkmorley.quadrature import triangle_points, triangle_rule
@@ -70,7 +70,6 @@ def test_estimator_nonnegative_and_totals_consistent():
     state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
     rep = estimate(state, oc.load_data(lambda x, y: x * y))
     assert np.all(rep.eta_sq >= 0) and np.all(rep.mu_sq >= 0) and np.all(rep.osc_sq >= 0)
-    assert rep.total_eta_sq == pytest.approx(rep.eta_sq.sum(), rel=1e-15)
     assert rep.eta == pytest.approx(np.sqrt(rep.eta_sq.sum()), rel=1e-15)
 
 
@@ -173,44 +172,6 @@ def test_smooth_bump_oscillation_decays_fast():
     rates = [np.log2(a / b) for a, b in zip(totals, totals[1:])]
     # scaled norm drops like h^3 for smooth f; require at least h^2
     assert min(rates[1:]) >= 2.0
-
-
-# -- restriction -------------------------------------------------------------
-
-
-def test_restrict_empty_is_zero():
-    space = square_space(2)
-    rep = estimate(oc.zero_state(space), oc.load_data(ONE))
-    assert restrict_estimator(rep, [])["eta_sq"] == 0.0
-
-
-def test_restrict_full_set_is_total():
-    space = square_space(2)
-    rep = estimate(oc.zero_state(space), oc.load_data(ONE))
-    got = restrict_estimator(rep, range(space.mesh.n_triangles))
-    assert got["eta_sq"] == pytest.approx(rep.total_eta_sq, rel=1e-15)
-
-
-def test_restrict_complementary_subsets_add_up():
-    space = square_space(3)
-    rng = np.random.default_rng(33)
-    state = MorleyField(space, rng.standard_normal((2, space.n_dofs)))
-    rep = estimate(state, oc.load_data(ONE))
-    nt = space.mesh.n_triangles
-    part = rng.choice(nt, size=nt // 3, replace=False)
-    rest = sorted(set(range(nt)) - set(int(t) for t in part))
-    a = restrict_estimator(rep, part)
-    b = restrict_estimator(rep, rest)
-    for key in ("eta_sq", "mu_sq", "osc_sq"):
-        total = {"eta_sq": rep.eta_sq, "mu_sq": rep.mu_sq, "osc_sq": rep.osc_sq}[key].sum()
-        assert a[key] + b[key] == pytest.approx(total, rel=1e-12, abs=1e-15)
-
-
-def test_restrict_rejects_out_of_range():
-    space = square_space(1)
-    rep = estimate(oc.zero_state(space), oc.load_data(ONE))
-    with pytest.raises(ValueError):
-        restrict_estimator(rep, [99])
 
 
 # -- report ------------------------------------------------------------------

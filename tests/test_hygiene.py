@@ -1,7 +1,9 @@
 """Package hygiene: exported names resolve and no private name is dead.
 
 Every name in a module's ``__all__`` (and in the package's) must exist,
-so a removed function cannot linger as an export.  Every module-level
+so a removed function cannot linger as an export, and must be read by
+package code other than its own definition, by ``bench/`` or by
+``docs/``, so a public helper that only tests call goes.  Every module-level
 private function, class or constant in ``src/vkmorley`` must be read by
 package code other than its own definition, so a helper whose last
 caller went away is deleted with it rather than kept for tests.  No
@@ -35,8 +37,8 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, statement) of each module-level private def, class or assignment."""
+def _definitions(tree: ast.Module):
+    """(name, statement) of each module-level def, class or assignment."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [stmt.name]
@@ -47,8 +49,7 @@ def _private_definitions(tree: ast.Module):
         else:
             names = []
         for name in names:
-            if _is_private(name):
-                yield name, stmt
+            yield name, stmt
 
 
 def _reads(node: ast.AST, skip: ast.AST | None = None) -> list[str]:
@@ -80,12 +81,35 @@ def test_every_private_module_name_is_used():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     unused = []
     for path, tree in trees.items():
-        for name, stmt in _private_definitions(tree):
+        for name, stmt in _definitions(tree):
+            if not _is_private(name):
+                continue
             used = any(name in _reads(other, skip=stmt if other is tree else None)
                        for other in trees.values())
             if not used:
                 unused.append(f"{path.name}:{stmt.lineno} {name}")
     assert not unused, f"private names read only by their own definition: {unused}"
+
+
+def test_every_public_name_is_used():
+    # A public helper whose last caller in the package, the benchmark or the
+    # docs scripts went away is deleted with it rather than kept for tests.
+    root = Path(__file__).resolve().parents[1]
+    scripts = [ast.parse(path.read_text(), str(path))
+               for path in sorted(root.glob("bench/*.py")) + sorted(root.glob("docs/*.py"))
+               if not path.name.startswith("test_")]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    unused = []
+    for path, tree in trees.items():
+        defs = dict(_definitions(tree))
+        exported = ast.literal_eval(defs["__all__"].value) if "__all__" in defs else []
+        for name in exported:
+            used = (any(name in _reads(other, skip=defs.get(name) if other is tree else None)
+                        for other in trees.values())
+                    or any(name in _reads(script) for script in scripts))
+            if not used:
+                unused.append(f"{path.name} {name}")
+    assert not unused, f"public names read only by tests: {unused}"
 
 
 def test_no_exported_function_takes_a_space_beside_a_state():

@@ -1,4 +1,4 @@
-"""Mesh construction, bisection refinement, and partition bookkeeping."""
+"""Mesh construction, bisection refinement, and one-step ancestry."""
 
 import gc
 import re
@@ -14,8 +14,8 @@ from vkmorley.mesh import (
     Mesh,
     MeshError,
     build_initial_mesh,
+    ancestor_map,
     mesh_from_arrays,
-    mesh_partition,
     read_mesh,
     refine,
     uniform_refine,
@@ -358,42 +358,42 @@ def test_angle_rows_sum_to_pi():
 # -- partition ---------------------------------------------------------------
 
 
+def _kept(coarse, fine):
+    """Fine triangles that keep their ancestor's generation: the ancestor, unrefined."""
+    return fine.tri_generation == coarse.tri_generation[ancestor_map(coarse, fine)]
+
+
 def test_partition_of_identical_meshes():
     m = uniform_refine(build_initial_mesh("square"))
-    common, coarse_only, fine_only, anc = mesh_partition(m, m)
-    assert list(common) == list(range(m.n_triangles))
-    assert len(coarse_only) == 0 and len(fine_only) == 0
+    np.testing.assert_array_equal(ancestor_map(m, m), np.arange(m.n_triangles))
+    assert _kept(m, m).all()
 
 
 def test_partition_after_uniform_refinement():
     m = build_initial_mesh("square")
     f = uniform_refine(m)
-    common, coarse_only, fine_only, anc = mesh_partition(m, f)
-    assert len(common) == 0
-    assert list(coarse_only) == [0, 1]
-    assert len(fine_only) == 4
-    assert len(anc) == f.n_triangles
-    assert set(anc[fine_only]) == set(coarse_only)
+    assert f.n_triangles == 4 and not _kept(m, f).any()
+    np.testing.assert_array_equal(np.bincount(ancestor_map(m, f)), [2, 2])
 
 
 def test_partition_when_completion_refines_everything():
     m = build_initial_mesh("square")
     f = refine(m, [0])
-    common, coarse_only, fine_only, _ = mesh_partition(m, f)
-    assert len(common) == 0
-    assert list(coarse_only) == [0, 1]
-    assert len(fine_only) == 4
+    assert f.n_triangles == 4 and not _kept(m, f).any()
+    np.testing.assert_array_equal(np.bincount(ancestor_map(m, f)), [2, 2])
 
 
 def test_partition_keeps_untouched_triangles():
     m = uniform_refine(uniform_refine(build_initial_mesh("square")))
     f = refine(m, [0])
-    common, coarse_only, fine_only, anc = mesh_partition(m, f)
-    assert len(common) + len(coarse_only) == m.n_triangles
-    for c in coarse_only:
-        kids = np.nonzero(anc == c)[0]
-        assert len(kids) >= 2
-        assert f.areas[kids].sum() == pytest.approx(m.areas[c], rel=1e-14)
+    anc, kept = ancestor_map(m, f), _kept(m, f)
+    children = np.bincount(anc, minlength=m.n_triangles)
+    assert 0 < kept.sum() < m.n_triangles
+    np.testing.assert_array_equal(children[anc[kept]], 1)
+    refined = np.flatnonzero(children > 1)
+    assert len(refined) + kept.sum() == m.n_triangles
+    for c in refined:
+        assert f.areas[anc == c].sum() == pytest.approx(m.areas[c], rel=1e-14)
 
 
 def test_partition_across_two_refinement_steps():
@@ -402,16 +402,14 @@ def test_partition_across_two_refinement_steps():
     m = build_initial_mesh("square")
     f1 = uniform_refine(m)
     f = oc.reparent(m, [f1, uniform_refine(f1)])
-    common, coarse_only, fine_only, _ = mesh_partition(m, f)
-    assert len(common) == 0
-    assert len(fine_only) == 8
+    assert f.n_triangles == 8 and not _kept(m, f).any()
 
 
 def test_partition_requires_descendant():
     a = build_initial_mesh("square")
     b = build_initial_mesh("lshape")
     with pytest.raises(MeshError):
-        mesh_partition(a, b)
+        ancestor_map(a, b)
 
 
 def test_partition_rejects_a_two_step_descendant():
@@ -419,7 +417,7 @@ def test_partition_rejects_a_two_step_descendant():
     # not indexed with the wrong ancestor map.
     m = build_initial_mesh("square")
     with pytest.raises(MeshError, match="direct refinement"):
-        mesh_partition(m, uniform_refine(uniform_refine(m)))
+        ancestor_map(m, uniform_refine(uniform_refine(m)))
 
 
 def test_refined_mesh_keeps_no_ancestor_alive():
@@ -444,7 +442,7 @@ def test_random_descent_is_conforming_nested_and_partitioned(domain, pre, steps,
     validate(fine)
     assert fine.areas.sum() == pytest.approx(coarse.areas.sum(), rel=1e-14)
 
-    common, coarse_only, fine_only, anc = mesh_partition(coarse, fine)
+    anc = ancestor_map(coarse, fine)
     # Ancestry: each fine centroid lies in its ancestor, and the
     # children of every coarse triangle tile it.
     tri = coarse.triangle_coords()[anc]
@@ -456,15 +454,16 @@ def test_random_descent_is_conforming_nested_and_partitioned(domain, pre, steps,
     child_area = np.bincount(anc, weights=fine.areas, minlength=coarse.n_triangles)
     np.testing.assert_allclose(child_area, coarse.areas, rtol=1e-13)
 
-    # The id arrays are sorted and partition both meshes.
-    for ids in (common, coarse_only, fine_only):
-        assert np.all(np.diff(ids) > 0)
-    np.testing.assert_array_equal(np.union1d(common, coarse_only), np.arange(coarse.n_triangles))
-    assert len(common) + len(coarse_only) == coarse.n_triangles
-    fine_common = np.setdiff1d(np.arange(fine.n_triangles), fine_only)
-    assert len(fine_common) + len(fine_only) == fine.n_triangles
-    np.testing.assert_array_equal(np.sort(anc[fine_common]), common)
-    assert set(anc[fine_only]) == set(coarse_only)
+    # A fine triangle keeps its ancestor's generation exactly when that
+    # ancestor has one child.  refine lists those first, in ascending
+    # ancestor order, with the ancestors' vertex rows and refinement edges.
+    kept = fine.tri_generation == coarse.tri_generation[anc]
+    children = np.bincount(anc, minlength=coarse.n_triangles)
+    np.testing.assert_array_equal(kept, children[anc] == 1)
+    k = int(kept.sum())
+    assert kept[:k].all() and np.all(np.diff(anc[:k]) > 0)
+    np.testing.assert_array_equal(fine.tri_vertices[:k], coarse.tri_vertices[anc[:k]])
+    np.testing.assert_array_equal(fine.tri_ref_edge[:k], coarse.tri_ref_edge[anc[:k]])
 
 
 # -- serialization -----------------------------------------------------------
@@ -551,6 +550,17 @@ def test_non_finite_coordinates_rejected(tmp_path):
     path = tmp_path / "nan.morleymesh"
     path.write_text("morleymesh 1\nvertices 3\n0 0\n1 0\nnan 1\ntriangles 1\n0 1 2 0\n")
     with pytest.raises(MeshError, match="non-finite"):
+        read_mesh(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_area_past_the_float_range_rejected_with_the_path(tmp_path):
+    # Finite coordinates whose cross product overflows: no numpy warning,
+    # and the error names the file rather than failing later in build_space.
+    path = tmp_path / "huge.morleymesh"
+    path.write_text("morleymesh 1\nvertices 4\n0 0\n1e200 0\n1e200 1e200\n0 1e200\n"
+                    "triangles 2\n0 1 2 0\n0 2 3 0\n")
+    with pytest.raises(MeshError, match=f"{re.escape(str(path))}: triangle 0 has a non-finite"):
         read_mesh(path)
 
 

@@ -177,7 +177,8 @@ def _check_vertex_ids(tv: np.ndarray, n_vertices: int) -> None:
 def _assign_refinement_edges(coords: np.ndarray, tv: np.ndarray) -> np.ndarray:
     """Longest-edge assignment with ties broken by smallest opposite vertex id."""
     d = coords[tv[:, _LOCAL_EDGES[:, 0]]] - coords[tv[:, _LOCAL_EDGES[:, 1]]]
-    l2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    with np.errstate(over="ignore"):  # huge coordinates: Mesh names the triangle
+        l2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
     return np.lexsort((tv, -l2))[:, 0]
 
 

@@ -228,13 +228,17 @@ class MorleySpace:
             R /= S[:, None, :]
             resid[t] = np.abs(R, out=R).max(axis=(1, 2))
             # Integral of each shape function: edge-midpoint rule, exact for quadratics.
-            self.shape_integral[t] = (mesh.areas[t, None] / 3.0) * (monomials(xi_m) @ C).sum(axis=1)
+            with np.errstate(over="ignore"):  # areas near the float range: checked below
+                self.shape_integral[t] = mesh.areas[t, None] / 3.0 * (monomials(xi_m) @ C).sum(axis=1)
 
         # Written so that a NaN residual is rejected too.
         if not np.all(resid <= _DUALITY_TOL):
             bad = int(np.argmax(np.nan_to_num(resid, nan=np.inf)))
             raise MeshError(f"triangle {bad}: Morley duality residual {resid[bad]:.2e} "
                             f"exceeds {_DUALITY_TOL} (h {self.scales[bad]:.2e})")
+        if not np.all(np.isfinite(self.shape_integral)):
+            bad = int(np.argmax(~np.isfinite(self.shape_integral).all(axis=1)))
+            raise MeshError(f"triangle {bad} has a non-finite shape integral")
 
     # -- field algebra -------------------------------------------------------
     # Only gather, scatter, scatter_matrix and solver.dissection_order read

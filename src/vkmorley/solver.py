@@ -12,9 +12,8 @@ by z -> (A^-1 z_u, A^-1 z_v); B is applied element by element, so J is
 never assembled.  At a regular solution B is a compact perturbation
 (Brezzi, Rappaz and Raviart, Numer. Math. 36, 1980), and the iteration
 count does not grow with the mesh.  ``_gmres`` is scipy's gmres to the
-bit, but its basis grows a row per iteration, it is handed A^-1 (-r),
-solved once per step, and J z fills one vector of 2n: each kernel of a
-step holds at most a few such vectors besides its result.
+bit, in a few vectors of 2n besides its basis, which grows a row per
+iteration.
 
 Given the estimator eta (the adaptive driver passes it), Newton stops at
 the discretisation error: once ||r||_{A^-1} <= _LAMBDA eta, the dual norm
@@ -27,43 +26,32 @@ allows, never below its rounding floor.  Without eta, or under an
 explicit tolerance, Newton stops at an algebraic residual bound and
 GMRES at the rounding floor.
 
-A is factorised in a nested-dissection order (George, SIAM J. Numer.
-Anal. 10, 1973) that ``dissection_order`` takes from the mesh, not the
-matrix, by ratio cuts on four centroid projections, x + y, x - y, x and
-y, the directions bisection makes edges in (about half the fill of
-median cuts on graded meshes; at even uniform depths, whose cheapest
-separators run along the diagonals, a third less than cuts on the two
-axes alone), down to leaves of ``_ND_LEAF`` = 8 dofs (4 saves at most
-4 % of the fill, 12 or 16 add 6-9 %).  It is scaled symmetrically by its
-diagonal (van der Sluis, Numer. Math. 14, 1969): on a graded mesh A's
-vertex-dof diagonal spans 8e3-2e9 while its edge-dof diagonal stays
-within 4-8, and unscaled, SuperLU left the diagonal hundreds of times
-per factor (598 times at 33,177 dofs), scaled, not once.  SuperLU runs
-in symmetric mode with no column ordering of its own, in one-column panels
-(``_PANEL_SIZE``), which keep the fill of wider ones, factor faster and
-need no per-panel work arrays.  As a safety net it keeps a diagonal
-pivot only while it is at least ``_PIVOT_THRESH`` times the largest
-entry of its column, and pivots off the diagonal otherwise, which breaks
-the order and adds fill (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J.
-Matrix Anal. Appl. 20, 1999).  That trades stability for fill, so every
-solve checks its residual on the unscaled A: a direct solve against
-``_FLOOR_FACTOR`` times its rounding floor eps | |A| |x| + |b| |, with
-|A| read from A's own arrays a row block at a time, a GMRES solve
-against the tolerance GMRES was given.
+A is factorised in ``dissection_order``, a nested dissection (George,
+SIAM J. Numer. Anal. 10, 1973), scaled to a unit diagonal (van der
+Sluis, Numer. Math. 14, 1969), without which SuperLU's threshold
+pivoting (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J. Matrix Anal.
+Appl. 20, 1999) left the diagonal, and the order, 598 times at 33,177
+graded dofs.  Every solve checks its residual on the unscaled A.  Of
+scipy beyond scipy.sparse, only SuperLU's extension module is loaded,
+from its file, and LAPACK's dlartg is ported: scipy.sparse.linalg would
+load LAPACK's f2py module, 8 MB resident.  Once it is imported, or
+without the extension, its ``splu`` is called (the same C routine), so
+that a patched one sees every factor.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
 import logging
 import math
+import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dlartg
 
 from .forms import (
     ProblemData,
@@ -84,12 +72,12 @@ logger = logging.getLogger(__name__)
 # near 1 (0.5-1.4 on a mesh graded to h 1e-6); a pivot that lost the
 # factor's accuracy lands orders of magnitude above it.
 _FLOOR_FACTOR = 100.0
-# Subsets of at most this many dofs are not split further.
+# Subsets of at most this many dofs are not split (4 saves at most 4 % of fill, 12 or 16 add 6-9 %).
 _ND_LEAF = 8
 # SuperLU keeps the diagonal pivot if it is at least this fraction of
 # the largest entry in its column.
 _PIVOT_THRESH = 0.01
-# SuperLU's panel width in columns.
+# SuperLU's panel width in columns: wider ones keep the fill but factor slower.
 _PANEL_SIZE = 1
 # Stored entries of |A| per row block of a rounding floor, or 4n/3 if more:
 # a block's |A| values and the CSR index copy take 12 bytes an entry, so it
@@ -109,6 +97,25 @@ _MAX_HALVINGS = 6
 _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
 if _malloc_trim is not None:
     _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+# LAPACK's safe minimum, and the range (sqrt(safmin), sqrt(safmax / 2)) dlartg does not scale.
+_SAFMIN, _RTMIN, _RTMAX = sys.float_info.min, 2.0**-511, math.sqrt(2.0**1021)
+
+
+def _load_superlu():
+    """scipy's SuperLU extension module loaded from its file, or None if not found."""
+    name = "scipy.sparse.linalg._dsolve._superlu"
+    base = os.path.join(os.path.dirname(sp.__file__), "linalg", "_dsolve", "_superlu")
+    paths = [base + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(base + s)]
+    if name in sys.modules or not paths:  # imported with scipy.sparse.linalg, or not found
+        return sys.modules.get(name)
+    loader = importlib.machinery.ExtensionFileLoader(name, paths[0])
+    module = loader.create_module(importlib.machinery.ModuleSpec(name, loader, origin=paths[0]))
+    loader.exec_module(module)
+    sys.modules.pop(name, None)  # left there by the loader, though nothing imported it
+    return module
+
+
+_superlu = _load_superlu()
 
 
 class SolverError(Exception):
@@ -260,11 +267,6 @@ def factorise(A: sp.spmatrix, order: np.ndarray):
     and positive raises SolverError naming its dof, before any scaling.
     A singular A, or memory run out in the permutation or in SuperLU
     (MemoryError, or SystemError), raises SolverError.
-
-    Right before SuperLU, glibc's ``malloc_trim(0)`` hands the heap's free
-    pages back (skipped where the C library has none): each level's factor
-    is freed into the heap, and the next, larger one cannot reuse that
-    space, so peak RSS would climb with the number of levels.
     """
     n = A.shape[0]
     diag = A.diagonal()
@@ -277,10 +279,18 @@ def factorise(A: sp.spmatrix, order: np.ndarray):
         M = A.tocsr()[order][:, order].tocsc()
         M.data *= s[M.indices]
         M.data *= np.repeat(s, np.diff(M.indptr))
-        if _malloc_trim is not None:
+        if _malloc_trim is not None:  # or peak RSS climbs: larger factors cannot reuse freed heap
             _malloc_trim(0)
-        lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESH,
-                       panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True))
+        if _superlu is None or "scipy.sparse.linalg" in sys.modules:  # a patched splu sees A
+            import scipy.sparse.linalg as spla
+            lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESH,
+                           panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True))
+        else:  # the call splu makes
+            lu = _superlu.gstrf(n, M.nnz, M.data, M.indices.astype(np.intc, copy=False),
+                                M.indptr.astype(np.intc, copy=False),
+                                csc_construct_func=sp.csc_array, ilu=False, options=dict(
+                                    DiagPivotThresh=_PIVOT_THRESH, ColPerm="NATURAL",
+                                    PanelSize=_PANEL_SIZE, Relax=None, SymmetricMode=True))
     except (RuntimeError, MemoryError, SystemError) as exc:
         raise SolverError(f"sparse factorization of {n} dofs failed: {exc!r}") from exc
 
@@ -361,6 +371,20 @@ def _default_tolerance(load: np.ndarray, floor: float) -> float:
     return max(1e-10 * float(np.linalg.norm(load)), 1e-12, floor)
 
 
+def _dlartg(f: float, g: float) -> tuple[float, float, float]:
+    """(c, s, r) with c f + s g = r and c g = s f, as LAPACK 3.10's dlartg
+    (Anderson, ACM Trans. Math. Softw. 44, 2017) returns them, bit for bit."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    u = 1.0 if _RTMIN < abs(f) < _RTMAX and _RTMIN < abs(g) < _RTMAX else min(
+        1.0 / _SAFMIN, max(_SAFMIN, abs(f), abs(g)))
+    f, g = f / u, g / u
+    r = math.copysign(math.sqrt(f * f + g * g), f)
+    return abs(f / r), g / r, r * u
+
+
 def _gmres(matvec, b: np.ndarray, Mb: np.ndarray, psolve, atol: float):
     """scipy.sparse.linalg.gmres(J, b, rtol=0, atol=atol, M=psolve, maxiter=_GMRES_CYCLES)
     to the bit, as (x, iterations, info), given Mb = psolve(b); its basis grows
@@ -390,7 +414,7 @@ def _gmres(matvec, b: np.ndarray, Mb: np.ndarray, psolve, atol: float):
             for k in range(col):
                 (c, s), (n0, n1) = givens[k], h[col, k:k + 2]
                 h[col, k:k + 2] = c * n0 + s * n1, -s * n0 + c * n1
-            c, s, h[col, col] = dlartg(h[col, col], 0.0 if breakdown else h1)
+            c, s, h[col, col] = _dlartg(h[col, col], 0.0 if breakdown else h1)
             givens[col] = c, s
             S[col], S[col + 1] = c * S[col], -s * S[col]
             presid, iterations = abs(S[col + 1]), iterations + 1

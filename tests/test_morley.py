@@ -1,6 +1,7 @@
 """Morley space construction, interpolation, evaluation, prolongation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,31 @@ def test_needle_triangle_rejected_by_name():
     build_space(needle(1e-6))
     with pytest.raises(MeshError, match=r"triangle 0: Morley duality residual"):
         build_space(needle(1e-9))
+
+
+def _square(side):
+    return mesh_from_arrays([(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)],
+                            [(0, 1, 2), (0, 2, 3)])
+
+
+@pytest.mark.parametrize("side", [1e154, 1e200])
+def test_squares_past_the_float_range_raise_without_a_warning(side):
+    # From 1e154 the squared diagonal overflows (where the refinement edges
+    # are assigned), and at 1e200 the area too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match=r"triangle 0 has a non-finite"):
+            build_space(_square(side))
+
+
+def test_shape_integral_past_the_float_range_named():
+    # At 1e153 the areas, 5e305, are finite, and some shape integrals are not.
+    mesh = _square(1e153)
+    assert np.all(np.isfinite(mesh.areas))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match=r"^triangle 0 has a non-finite shape integral$"):
+            build_space(mesh)
 
 
 @pytest.mark.parametrize("coords", [REF_TRI, SKEW_TRI])

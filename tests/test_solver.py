@@ -1,11 +1,14 @@
 """Newton iteration and the sparse linear solve."""
 
+import itertools
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from functools import cache, partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1064,3 +1067,107 @@ def test_heap_release_lowers_the_peak_of_an_adaptive_run():
                               capture_output=True, text=True, check=True)
         peaks[mode] = int(proc.stdout.split()[-1])
     assert peaks["released"] <= 0.95 * peaks["kept"], peaks
+
+
+# -- SuperLU's extension and LAPACK's dlartg without scipy.linalg --------------
+
+_FRESH_SCRIPT = """
+import hashlib, importlib.machinery, json, sys, tempfile
+import numpy as np
+if sys.argv[1] == "no-extension":
+    importlib.machinery.EXTENSION_SUFFIXES = []
+import vkmorley
+from vkmorley import cli, solver
+from vkmorley.adaptivity import AmfemConfig, amfem_run
+from vkmorley.forms import assemble_bilaplacian
+from vkmorley.problems import get_problem
+res = amfem_run(get_problem("lshape-f1"),
+                AmfemConfig(theta=0.3, delta=0.9, max_levels=40, max_ndofs=300))
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["--problem", "square-poly", "--mode", "axiom-check", "--levels", "3",
+                     "--delta", "0.75", "--out", out])
+    with open(out + "/axioms.csv", "rb") as fh:
+        axioms = fh.read()
+linalg = sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse.linalg")))
+space = res.final.space
+A, b = assemble_bilaplacian(space), np.random.default_rng(3).standard_normal((space.n_dofs, 2))
+x = solver.factorise(A, solver.dissection_order(space))(b)
+import scipy.sparse.linalg as spla
+after = solver.factorise(A, solver.dissection_order(space))(b)
+print(json.dumps(dict(
+    extension=solver._superlu is not None, linalg=linalg, code=code,
+    ndofs=res.report.rows[-1].ndofs, run=hashlib.sha256(b"".join(
+        [res.final.state.coeffs.tobytes(), repr([r.eta for r in res.report.rows]).encode(),
+         axioms, x.tobytes()])).hexdigest(),
+    public_after_import=after.tobytes() == x.tobytes(),
+    splu_after_import=bool(np.allclose(spla.splu(A.tocsc()).solve(b), x, rtol=1e-9, atol=0)))))
+"""
+
+
+@cache
+def fresh_run(mode):
+    """An adaptive lshape-f1 run to about 300 dofs and a 3-level axiom check
+    in a new interpreter, then factors after importing scipy.sparse.linalg."""
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT, mode], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_run_loads_neither_scipy_linalg_nor_scipy_sparse_linalg():
+    # Their imports load LAPACK's f2py module, about 8 MB resident; the
+    # factor comes from SuperLU's extension module, loaded on its own.
+    run = fresh_run("direct")
+    assert run["extension"] and run["code"] == 0 and 250 <= run["ndofs"] <= 400
+    assert run["linalg"] == []
+    # Once scipy.sparse.linalg is imported its splu factors alike.
+    assert run["public_after_import"] and run["splu_after_import"]
+
+
+def test_without_the_extension_a_run_factorises_through_splu_alike():
+    run, direct = fresh_run("no-extension"), fresh_run("direct")
+    assert not run["extension"] and "scipy.sparse.linalg" in run["linalg"]
+    assert run["run"] == direct["run"] and run["ndofs"] == direct["ndofs"]
+
+
+def test_direct_and_splu_routes_factor_bit_for_bit(monkeypatch):
+    space = lshape_adaptive_space()
+    A, order = assemble_bilaplacian(space), dissection_order(space)
+    b = np.random.default_rng(7).standard_normal((space.n_dofs, 2))
+    factors, splu, gstrf = [], spla.splu, solver._superlu.gstrf
+    monkeypatch.setattr(spla, "splu", lambda M, **kw: factors.append(splu(M, **kw)) or factors[-1])
+    x_public = factorise(A, order)(b)
+    # Without scipy.sparse.linalg imported, factorise calls the extension.
+    monkeypatch.delitem(sys.modules, "scipy.sparse.linalg")
+    monkeypatch.setattr(solver, "_superlu", SimpleNamespace(
+        gstrf=lambda *a, **kw: factors.append(gstrf(*a, **kw)) or factors[-1]))
+    x_direct = factorise(A, order)(b)
+    monkeypatch.undo()
+    public, direct = factors
+    for name in ("L", "U"):
+        for part in ("data", "indices", "indptr"):
+            assert (getattr(getattr(public, name), part).tobytes()
+                    == getattr(getattr(direct, name), part).tobytes())
+    np.testing.assert_array_equal(public.perm_r, direct.perm_r)
+    np.testing.assert_array_equal(public.perm_c, direct.perm_c)
+    assert x_direct.tobytes() == x_public.tobytes()
+
+
+def test_dlartg_port_matches_lapack_bit_for_bit():
+    from scipy.linalg.lapack import dlartg
+
+    rng = np.random.default_rng(5)
+    size = (20_000, 2)
+    pairs = rng.choice([-1.0, 1.0], size) * rng.uniform(1, 10, size) * 10.0 ** rng.uniform(
+        -300, 300, size)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, -1e-300, 1e300, -1e300,
+               1.7e308, -0.5, 3.0, solver._RTMIN, solver._RTMAX, -solver._RTMAX]
+    pairs = np.concatenate([pairs, list(itertools.product(special, repeat=2))])
+    f, g = np.abs(pairs).T
+    inside = (solver._RTMIN < f) & (f < solver._RTMAX) & (solver._RTMIN < g) & (g < solver._RTMAX)
+    branch = np.select([g == 0, f == 0, inside], [0, 1, 2], 3)
+    assert set(branch.tolist()) == {0, 1, 2, 3}
+    got = np.array([solver._dlartg(*pair) for pair in pairs.tolist()])
+    want = np.array([dlartg(*pair) for pair in pairs.tolist()])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
